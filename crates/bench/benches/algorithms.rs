@@ -55,24 +55,6 @@ fn bench_algorithms(c: &mut Criterion) {
     }
     group.finish();
 
-    // NRA bookkeeping ablation: the paper could not even finish textbook
-    // NRA at scale; its experiments enabled lazy scans + early scan exit.
-    let mut group = c.benchmark_group("nra_bookkeeping");
-    for (name, algo) in [
-        ("reduced", setsim_core::NraAlgorithm::default()),
-        ("textbook", setsim_core::NraAlgorithm::pure()),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &algo, |b, algo| {
-            use setsim_core::SelectionAlgorithm;
-            b.iter(|| {
-                for q in &queries {
-                    black_box(algo.search(&engines.index, q, 0.8));
-                }
-            });
-        });
-    }
-    group.finish();
-
     // Self-join throughput (selection-composed join, serial vs parallel).
     let mut group = c.benchmark_group("self_join");
     group.sample_size(10);
@@ -85,7 +67,7 @@ fn bench_algorithms(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(par_self_join(
                         &engines.index,
-                        &setsim_core::SfAlgorithm::default(),
+                        setsim_core::AlgorithmKind::Sf,
                         0.9,
                         threads,
                     ))

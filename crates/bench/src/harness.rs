@@ -19,7 +19,9 @@ use crate::report::{
     measure_workload, AlgoReport, BenchReport, CounterSection, EnvFingerprint, LatencySection,
     Passes, WorkloadReport, SCHEMA_VERSION,
 };
-use crate::{prepare_queries, word_collection_seeded, workload, Algo, Engines, Scale};
+use crate::{
+    prepare_queries, word_collection_seeded, workload, Algo, Engines, Scale, TempSnapshot,
+};
 use setsim_core::{
     AlgoConfig, AlgorithmKind, CollectionBuilder, DriftBudget, IndexOptions, InvertedIndex,
     MutableIndex, MutableSearchRequest, PreparedQuery, QueryEngine, RecordId, ReprKind, ReprPolicy,
@@ -465,14 +467,11 @@ fn measure_paged_workload(
 ) -> WorkloadReport {
     let tau = 0.8;
     let index = InvertedIndex::build(collection, IndexOptions::default());
-    let path = std::env::temp_dir().join(format!(
-        "setsim-harness-paged-{}-{}.snap",
-        std::process::id(),
-        config.seed
-    ));
-    index.save(&path).expect("paged-cell snapshot save");
+    let snap = TempSnapshot::save(&index, &format!("harness-paged-{}", config.seed))
+        .expect("paged-cell snapshot save");
     drop(index);
-    let pages = setsim_core::snapshot::verify(&path)
+    let path = snap.path();
+    let pages = setsim_core::snapshot::verify(path)
         .expect("fresh snapshot verifies")
         .pages;
     let wl = workload(
@@ -488,14 +487,14 @@ fn measure_paged_workload(
     for pct in PAGED_POOL_PCTS {
         let pool = usize::try_from((pages * pct / 100).max(1)).expect("page count fits usize");
         for _ in 0..warmup {
-            paged_pass(&path, pool, queries, tau);
+            paged_pass(path, pool, queries, tau);
         }
         let mut samples = Vec::with_capacity(reps);
         let mut stats = SearchStats::default();
         let mut matches = 0u64;
         for _ in 0..reps {
             let start = Instant::now();
-            let (pass_stats, pass_matches) = paged_pass(&path, pool, queries, tau);
+            let (pass_stats, pass_matches) = paged_pass(path, pool, queries, tau);
             let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
             stats = pass_stats;
             matches = pass_matches;
@@ -508,7 +507,6 @@ fn measure_paged_workload(
             latency: LatencySection::from_samples(&samples),
         });
     }
-    let _ = std::fs::remove_file(&path);
     WorkloadReport {
         label: PAGED_LABEL.to_string(),
         tau,
@@ -534,7 +532,12 @@ fn paged_pass(path: &Path, pool: usize, queries: &[String], tau: f64) -> (Search
     (stats, matches)
 }
 
-/// One pass of the sharded cell: every query through the scatter engine.
+/// One pass of the sharded cell: every query through the scatter engine,
+/// on one worker. NRA and iNRA scan their candidate hash table in table
+/// order, which depends on the table's capacity — on which queries that
+/// pooled scratch served before. One worker makes that history the query
+/// stream; with several, thread scheduling decides which scratch meets
+/// which shard and the bookkeeping counters drift between same-seed runs.
 fn sharded_pass(
     engine: &ShardedEngine,
     kind: AlgorithmKind,
@@ -545,7 +548,9 @@ fn sharded_pass(
     let mut matches = 0u64;
     for q in queries {
         let req = SearchRequest::new(q).tau(tau).algorithm(kind);
-        let out = engine.search(&req).expect("sharded-cell search");
+        let out = engine
+            .search_with_threads(&req, 1)
+            .expect("sharded-cell search");
         matches += out.results.len() as u64;
         stats.merge(&out.stats);
     }

@@ -41,6 +41,8 @@ use setsim_core::{
 use setsim_datagen::{Corpus, CorpusConfig, LengthBucket, QueryWorkload};
 use setsim_tokenize::QGramTokenizer;
 use std::cell::RefCell;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Experiment scale presets.
@@ -325,6 +327,42 @@ pub fn prepare_queries(index: &InvertedIndex<'_>, workload: &QueryWorkload) -> V
         .iter()
         .map(|s| index.prepare_query_str(s))
         .collect()
+}
+
+/// An index snapshot in the system temp directory, named uniquely per
+/// call and removed on drop — so concurrent cells (libtest runs tests of
+/// one process in parallel) never share a file, and no exit path, a
+/// panicking `expect` included, leaves one behind.
+pub struct TempSnapshot {
+    path: PathBuf,
+}
+
+impl TempSnapshot {
+    /// Save `index` as `setsim-<tag>-<pid>-<n>.snap`, `n` counting the
+    /// snapshots this process has made.
+    pub fn save(index: &InvertedIndex<'_>, tag: &str) -> Result<Self, setsim_core::SnapshotError> {
+        // A statistic-like counter: it publishes no other data.
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let n = SEQ.fetch_add(1, Ordering::Relaxed);
+        let name = format!("setsim-{tag}-{}-{n}.snap", std::process::id());
+        let snap = Self {
+            path: std::env::temp_dir().join(name),
+        };
+        index.save(&snap.path)?;
+        Ok(snap)
+    }
+
+    /// Where the snapshot lives.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl Drop for TempSnapshot {
+    fn drop(&mut self) {
+        // Best effort: a leftover temp file is not worth a panic.
+        let _ = std::fs::remove_file(&self.path);
+    }
 }
 
 /// Render an aligned text table: row labels × column labels.

@@ -53,7 +53,7 @@ use setsim_core::algorithms::topk::topk_nra;
 use setsim_core::{
     AlgorithmKind, CollectionBuilder, IndexOptions, MutableEngine, MutableIndex,
     MutableSearchRequest, PreparedQuery, QueryEngine, RecordId, Scratch, SearchCall, SearchRequest,
-    SetCollection, SfAlgorithm, ShardedEngine, ShardedIndex, PROTOCOL_VERSION,
+    SetCollection, ShardedEngine, ShardedIndex, PROTOCOL_VERSION,
 };
 use setsim_server::{Client, ServerConfig, ServerHandle};
 use setsim_tokenize::{QGramTokenizer, TokenizerSpec, WordTokenizer};
@@ -403,18 +403,8 @@ pub fn run(opts: &Options, lines: &[String]) -> Result<String, String> {
                 engine.index().total_postings()
             )
             .unwrap();
-            if let Some(text) = &opts.query {
-                let kind = algorithm(&opts.algo)?;
-                let q = engine.prepare_query_str(text);
-                let outcome = engine
-                    .search(SearchRequest::new(&q).tau(opts.tau).algorithm(kind))
-                    .map_err(|e| e.to_string())?;
-                let results = outcome.sorted_by_score();
-                writeln!(out, "{} match(es) at tau={}:", results.len(), opts.tau).unwrap();
-                for m in results.iter().take(opts.limit) {
-                    let text = engine.index().collection().text(m.id).expect("valid id");
-                    writeln!(out, "  {:5.3}  {text}", m.score).unwrap();
-                }
+            if opts.query.is_some() {
+                query_loaded(&mut engine, opts, &mut out)?;
             }
             return Ok(out);
         }
@@ -469,7 +459,8 @@ pub fn run(opts: &Options, lines: &[String]) -> Result<String, String> {
             }
         }
         "join" => {
-            let joined = par_self_join(&index, &SfAlgorithm::default(), opts.tau, opts.threads);
+            let joined = par_self_join(&index, AlgorithmKind::Sf, opts.tau, opts.threads)
+                .map_err(|e| e.to_string())?;
             writeln!(
                 out,
                 "{} similar pair(s) at tau={}:",
@@ -614,19 +605,14 @@ fn run_sharded_query(opts: &Options, dir: &Path) -> Result<String, String> {
     let shards_pruned = outcome.stats.shards_pruned;
     let results = outcome.sorted_by_score();
     let mut out = String::new();
-    writeln!(
-        out,
-        "{} match(es) at tau={} ({} of {} shard(s) pruned):",
-        results.len(),
-        opts.tau,
-        shards_pruned,
+    let note = format!(
+        " ({shards_pruned} of {} shard(s) pruned)",
         engine.index().num_shards()
-    )
-    .unwrap();
-    for m in results.iter().take(opts.limit) {
+    );
+    write_matches(&mut out, opts, &note, &results, |m| {
         let text = engine.index().text(m.id).unwrap_or("<missing>");
-        writeln!(out, "  {:5.3}  [{}] {text}", m.score, m.id).unwrap();
-    }
+        (m.score, format!("[{}] {text}", m.id))
+    });
     Ok(out)
 }
 
@@ -661,12 +647,10 @@ fn run_snapshot_query(opts: &Options) -> Result<String, String> {
                     outcome.stats.page_cache_hits,
                     outcome.stats.page_cache_misses,
                 );
-                let results = outcome.sorted_by_score();
-                writeln!(out, "{} match(es) at tau={}:", results.len(), opts.tau).unwrap();
-                for m in results.iter().take(opts.limit) {
+                write_matches(&mut out, opts, "", &outcome.sorted_by_score(), |m| {
                     let text = engine.index().collection().text(m.id).expect("valid id");
-                    writeln!(out, "  {:5.3}  {text}", m.score).unwrap();
-                }
+                    (m.score, text.to_string())
+                });
                 writeln!(
                     out,
                     "pages touched: {touched} ({hits} hit(s), {misses} miss(es))"
@@ -680,17 +664,45 @@ fn run_snapshot_query(opts: &Options) -> Result<String, String> {
         }
     }
     let mut engine = QueryEngine::open(path).map_err(|e| e.to_string())?;
-    let q = engine.prepare_query_str(text);
+    query_loaded(&mut engine, opts, &mut out)?;
+    Ok(out)
+}
+
+/// Run `opts`' query on a fully loaded snapshot engine and print the
+/// matches (the heap half of [`run_snapshot_query`], shared with
+/// `snapshot-load --query`, which already holds the loaded engine).
+fn query_loaded(
+    engine: &mut QueryEngine<'_>,
+    opts: &Options,
+    out: &mut String,
+) -> Result<(), String> {
+    let kind = algorithm(&opts.algo)?;
+    let q = engine.prepare_query_str(opts.query.as_ref().expect("validated"));
     let outcome = engine
         .search(SearchRequest::new(&q).tau(opts.tau).algorithm(kind))
         .map_err(|e| e.to_string())?;
-    let results = outcome.sorted_by_score();
-    writeln!(out, "{} match(es) at tau={}:", results.len(), opts.tau).unwrap();
-    for m in results.iter().take(opts.limit) {
+    write_matches(out, opts, "", &outcome.sorted_by_score(), |m| {
         let text = engine.index().collection().text(m.id).expect("valid id");
-        writeln!(out, "  {:5.3}  {text}", m.score).unwrap();
+        (m.score, text.to_string())
+    });
+    Ok(())
+}
+
+/// The block every `query` path prints: `N match(es) at tau=T<note>:`,
+/// then one `  score  label` line for each of the first `--limit` matches.
+fn write_matches<M>(
+    out: &mut String,
+    opts: &Options,
+    note: &str,
+    matches: &[M],
+    line: impl Fn(&M) -> (f64, String),
+) {
+    let (n, tau) = (matches.len(), opts.tau);
+    writeln!(out, "{n} match(es) at tau={tau}{note}:").unwrap();
+    for m in matches.iter().take(opts.limit) {
+        let (score, label) = line(m);
+        writeln!(out, "  {score:5.3}  {label}").unwrap();
     }
-    Ok(out)
 }
 
 fn run_query(opts: &Options, lines: &[String]) -> Result<String, String> {
@@ -711,13 +723,11 @@ fn run_query(opts: &Options, lines: &[String]) -> Result<String, String> {
     let outcome = mi
         .search(&mut Scratch::default(), &req)
         .map_err(|e| e.to_string())?;
-    let results = outcome.sorted_by_score();
     let mut out = String::new();
-    writeln!(out, "{} match(es) at tau={}:", results.len(), opts.tau).unwrap();
-    for m in results.iter().take(opts.limit) {
+    write_matches(&mut out, opts, "", &outcome.sorted_by_score(), |m| {
         let text = mi.text(m.record).expect("result ids are live");
-        writeln!(out, "  {:5.3}  [{}] {text}", m.score, m.record).unwrap();
-    }
+        (m.score, format!("[{}] {text}", m.record))
+    });
     Ok(out)
 }
 
@@ -736,17 +746,11 @@ fn run_remote_query(opts: &Options, addr: &str) -> Result<String, String> {
     let mut matches = reply.matches;
     matches.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.record.cmp(&b.record)));
     let mut out = String::new();
-    writeln!(
-        out,
-        "{} match(es) at tau={} (remote {addr}):",
-        matches.len(),
-        opts.tau
-    )
-    .unwrap();
-    for m in matches.iter().take(opts.limit) {
+    let note = format!(" (remote {addr})");
+    write_matches(&mut out, opts, &note, &matches, |m| {
         let text = m.text.as_deref().unwrap_or("<text not requested>");
-        writeln!(out, "  {:5.3}  [r{}] {text}", m.score, m.record).unwrap();
-    }
+        (m.score, format!("[r{}] {text}", m.record))
+    });
     if reply.status == setsim_core::SearchStatus::BudgetExceeded {
         writeln!(
             out,

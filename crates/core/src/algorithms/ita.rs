@@ -1,4 +1,4 @@
-use crate::algorithms::{AlgoConfig, SelectionAlgorithm};
+use crate::algorithms::AlgoConfig;
 use crate::engine::SearchCtx;
 use crate::{properties, safely_below, Match, SearchStatus};
 
@@ -16,130 +16,110 @@ use crate::{properties, safely_below, Match, SearchStatus};
 ///
 /// iTA retains the highest pruning power in Figure 7 but pays a random
 /// I/O per probe, which keeps it behind SF/iNRA on wall-clock time.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ITaAlgorithm {
-    /// Property toggles (Figures 8 and 9 ablations).
-    pub config: AlgoConfig,
-}
-
-impl ITaAlgorithm {
-    /// iTA with explicit property toggles.
-    pub fn with_config(config: AlgoConfig) -> Self {
-        Self { config }
-    }
-}
-
-impl SelectionAlgorithm for ITaAlgorithm {
-    fn name(&self) -> &'static str {
-        "iTA"
+pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>, config: AlgoConfig) {
+    let index = ctx.index;
+    let query = ctx.query;
+    let tau = ctx.tau;
+    let budget = ctx.budget;
+    let scratch = &mut *ctx.scratch;
+    scratch.stats.total_list_elements = index.query_list_elements(query);
+    if query.is_empty() {
+        return;
     }
 
-    fn search_with(&self, ctx: &mut SearchCtx<'_, '_>) {
-        let index = ctx.index;
-        let query = ctx.query;
-        let tau = ctx.tau;
-        let budget = ctx.budget;
-        let scratch = &mut *ctx.scratch;
-        scratch.stats.total_list_elements = index.query_list_elements(query);
-        if query.is_empty() {
+    let lists: Vec<&crate::index::PostingList> = query
+        .tokens
+        .iter()
+        .map(|qt| index.query_list(qt.token))
+        .collect();
+    let n = lists.len();
+    let (len_lo, len_hi) = properties::length_bounds(tau, query.len);
+    let hi_cut = len_hi * (1.0 + crate::EPS_REL);
+
+    scratch.pos.resize(n, 0);
+    scratch.closed.resize(n, false);
+    scratch.frontier.resize(n, 0.0);
+    for (i, l) in lists.iter().enumerate() {
+        scratch.pos[i] = if config.length_bounding {
+            l.seek_len(
+                len_lo * (1.0 - crate::EPS_REL),
+                config.use_skip_lists,
+                &mut scratch.stats,
+            )
+        } else {
+            0
+        };
+        scratch.closed[i] = scratch.pos[i] >= l.len();
+    }
+
+    loop {
+        if budget.exceeded(&scratch.stats) {
+            scratch.status = SearchStatus::BudgetExceeded;
             return;
         }
-
-        let lists: Vec<&crate::index::PostingList> = query
-            .tokens
-            .iter()
-            .map(|qt| index.query_list(qt.token))
-            .collect();
-        let n = lists.len();
-        let (len_lo, len_hi) = properties::length_bounds(tau, query.len);
-        let hi_cut = len_hi * (1.0 + crate::EPS_REL);
-
-        scratch.pos.resize(n, 0);
-        scratch.closed.resize(n, false);
-        scratch.frontier.resize(n, 0.0);
-        for (i, l) in lists.iter().enumerate() {
-            scratch.pos[i] = if self.config.length_bounding {
-                l.seek_len(
-                    len_lo * (1.0 - crate::EPS_REL),
-                    self.config.use_skip_lists,
-                    &mut scratch.stats,
-                )
-            } else {
-                0
-            };
-            scratch.closed[i] = scratch.pos[i] >= l.len();
+        scratch.stats.rounds += 1;
+        let mut any_read = false;
+        for i in 0..n {
+            if scratch.closed[i] {
+                continue;
+            }
+            let postings = lists[i].postings();
+            let p = postings[scratch.pos[i]];
+            scratch.pos[i] += 1;
+            scratch.stats.elements_read += 1;
+            any_read = true;
+            scratch.frontier[i] = p.len;
+            if scratch.pos[i] >= postings.len() {
+                scratch.closed[i] = true;
+            }
+            if config.length_bounding && p.len > hi_cut {
+                scratch.closed[i] = true;
+                continue;
+            }
+            if !scratch.seen.insert(p.id.0) {
+                continue;
+            }
+            // Magnitude Boundedness: exact best case before probing.
+            let best = properties::max_score(query.idf_sq_total, p.len, query.len);
+            if safely_below(best, tau) {
+                continue;
+            }
+            // Sum in query-token order (not first-seen-list order)
+            // so the emitted bits are traversal-independent — see
+            // `canonical_score` in the algorithms module.
+            let mut dot = 0.0;
+            for (j, l) in lists.iter().enumerate() {
+                if j == i || l.contains_id(p.id, &mut scratch.stats) {
+                    dot += query.tokens[j].idf_sq;
+                }
+            }
+            let score = dot / (p.len * query.len);
+            if crate::passes(score, tau) {
+                scratch.results.push(Match { id: p.id, score });
+            }
         }
-
-        loop {
-            if budget.exceeded(&scratch.stats) {
-                scratch.status = SearchStatus::BudgetExceeded;
-                return;
-            }
-            scratch.stats.rounds += 1;
-            let mut any_read = false;
-            for i in 0..n {
+        if !any_read {
+            break;
+        }
+        let f: f64 = (0..n)
+            .map(|i| {
                 if scratch.closed[i] {
-                    continue;
+                    0.0
+                } else {
+                    query.tokens[i].idf_sq / (scratch.frontier[i] * query.len)
                 }
-                let postings = lists[i].postings();
-                let p = postings[scratch.pos[i]];
-                scratch.pos[i] += 1;
-                scratch.stats.elements_read += 1;
-                any_read = true;
-                scratch.frontier[i] = p.len;
-                if scratch.pos[i] >= postings.len() {
-                    scratch.closed[i] = true;
-                }
-                if self.config.length_bounding && p.len > hi_cut {
-                    scratch.closed[i] = true;
-                    continue;
-                }
-                if !scratch.seen.insert(p.id.0) {
-                    continue;
-                }
-                // Magnitude Boundedness: exact best case before probing.
-                let best = properties::max_score(query.idf_sq_total, p.len, query.len);
-                if safely_below(best, tau) {
-                    continue;
-                }
-                // Sum in query-token order (not first-seen-list order)
-                // so the emitted bits are traversal-independent — see
-                // `canonical_score` in the algorithms module.
-                let mut dot = 0.0;
-                for (j, l) in lists.iter().enumerate() {
-                    if j == i || l.contains_id(p.id, &mut scratch.stats) {
-                        dot += query.tokens[j].idf_sq;
-                    }
-                }
-                let score = dot / (p.len * query.len);
-                if crate::passes(score, tau) {
-                    scratch.results.push(Match { id: p.id, score });
-                }
-            }
-            if !any_read {
-                break;
-            }
-            let f: f64 = (0..n)
-                .map(|i| {
-                    if scratch.closed[i] {
-                        0.0
-                    } else {
-                        query.tokens[i].idf_sq / (scratch.frontier[i] * query.len)
-                    }
-                })
-                .sum();
-            if safely_below(f, tau) {
-                break;
-            }
+            })
+            .sum();
+        if safely_below(f, tau) {
+            break;
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::algorithms::{FullScan, TaAlgorithm};
-    use crate::{CollectionBuilder, IndexOptions, InvertedIndex};
+    use crate::algorithms::test_support::run;
+    use crate::{AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex};
     use setsim_tokenize::QGramTokenizer;
 
     fn setup(texts: &[&str]) -> crate::SetCollection {
@@ -168,9 +148,9 @@ mod tests {
         for text in ["main street", "maine", "park avenue", "main"] {
             let q = idx.prepare_query_str(text);
             for tau in [0.2, 0.5, 0.8, 1.0] {
-                let oracle = FullScan.search(&idx, &q, tau);
+                let oracle = run(&idx, AlgorithmKind::Scan, AlgoConfig::full(), &q, tau);
                 for cfg in configs {
-                    let got = ITaAlgorithm::with_config(cfg).search(&idx, &q, tau);
+                    let got = run(&idx, AlgorithmKind::ITa, cfg, &q, tau);
                     assert_eq!(
                         got.ids_sorted(),
                         oracle.ids_sorted(),
@@ -201,8 +181,8 @@ mod tests {
         let c = setup(&refs);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str(&format!("{}q05", &seq[..60]));
-        let ta = TaAlgorithm.search(&idx, &q, 0.98);
-        let ita = ITaAlgorithm::default().search(&idx, &q, 0.98);
+        let ta = run(&idx, AlgorithmKind::Ta, AlgoConfig::full(), &q, 0.98);
+        let ita = run(&idx, AlgorithmKind::ITa, AlgoConfig::full(), &q, 0.98);
         assert_eq!(ta.ids_sorted(), ita.ids_sorted());
         assert!(
             3 * ita.stats.elements_read < 2 * ta.stats.elements_read,
@@ -223,7 +203,7 @@ mod tests {
         let c = setup(&refs);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("abcdef");
-        let out = ITaAlgorithm::default().search(&idx, &q, 0.9);
+        let out = run(&idx, AlgorithmKind::ITa, AlgoConfig::full(), &q, 0.9);
         assert_eq!(out.results.len(), 1);
         // Far fewer probes than (reads × lists).
         assert!(out.stats.random_probes < out.stats.elements_read);
@@ -234,8 +214,7 @@ mod tests {
         let c = setup(&["abcd"]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("");
-        assert!(ITaAlgorithm::default()
-            .search(&idx, &q, 0.5)
+        assert!(run(&idx, AlgorithmKind::ITa, AlgoConfig::full(), &q, 0.5)
             .results
             .is_empty());
     }

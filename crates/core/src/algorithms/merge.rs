@@ -1,26 +1,7 @@
-use crate::algorithms::SelectionAlgorithm;
 use crate::engine::SearchCtx;
 use crate::{IdPostings, Match, SearchStatus};
 use setsim_collections::SetBits;
 use std::cmp::Reverse;
-
-/// Multiway merge over **id-sorted** inverted lists (Section III-B's
-/// "sort-by-id" baseline).
-///
-/// A heap holds the head of every list; the smallest id's score is always
-/// complete when it surfaces, so it can be emitted or discarded
-/// immediately. Bookkeeping is trivial but every element of every query
-/// list is read — no pruning whatsoever, which is why its cost is constant
-/// across thresholds in Figure 6(a).
-///
-/// Lists supply ascending ids through whichever representation they hold:
-/// the id-sorted posting copy (inline and run lists) or set-bit
-/// enumeration of the dense bitmap, whose postings' lengths are recovered
-/// from the index's length table — the same table every stored posting's
-/// `len` was computed from, so scores are bit-identical across
-/// representations.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SortByIdMerge;
 
 /// Ascending-id cursor over one query list.
 enum IdCursor<'a> {
@@ -49,92 +30,101 @@ impl IdCursor<'_> {
     }
 }
 
-impl SelectionAlgorithm for SortByIdMerge {
-    fn name(&self) -> &'static str {
-        "sort-by-id"
+/// Multiway merge over **id-sorted** inverted lists (Section III-B's
+/// "sort-by-id" baseline).
+///
+/// A heap holds the head of every list; the smallest id's score is always
+/// complete when it surfaces, so it can be emitted or discarded
+/// immediately. Bookkeeping is trivial but every element of every query
+/// list is read — no pruning whatsoever, which is why its cost is constant
+/// across thresholds in Figure 6(a).
+///
+/// Lists supply ascending ids through whichever representation they hold:
+/// the id-sorted posting copy (inline and run lists) or set-bit
+/// enumeration of the dense bitmap, whose postings' lengths are recovered
+/// from the index's length table — the same table every stored posting's
+/// `len` was computed from, so scores are bit-identical across
+/// representations.
+///
+/// # Panics
+///
+/// Panics if a non-empty query list supports no ascending-id access
+/// at all — a run-represented list built with
+/// `build_id_sorted_lists` disabled. Misconfiguration, not data: the
+/// engine builds indexes with the id order this baseline requires.
+pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) {
+    let index = ctx.index;
+    let query = ctx.query;
+    let tau = ctx.tau;
+    let budget = ctx.budget;
+    let scratch = &mut *ctx.scratch;
+    scratch.stats.total_list_elements = index.query_list_elements(query);
+    if query.is_empty() {
+        return;
     }
 
-    /// # Panics
-    ///
-    /// Panics if a non-empty query list supports no ascending-id access
-    /// at all — a run-represented list built with
-    /// `build_id_sorted_lists` disabled. Misconfiguration, not data: the
-    /// engine builds indexes with the id order this baseline requires.
-    fn search_with(&self, ctx: &mut SearchCtx<'_, '_>) {
-        let index = ctx.index;
-        let query = ctx.query;
-        let tau = ctx.tau;
-        let budget = ctx.budget;
-        let scratch = &mut *ctx.scratch;
-        scratch.stats.total_list_elements = index.query_list_elements(query);
-        if query.is_empty() {
+    let mut cursors: Vec<IdCursor<'_>> = query
+        .tokens
+        .iter()
+        .map(|qt| {
+            let l = index.query_list(qt.token);
+            match l.id_postings() {
+                Some(IdPostings::Slice(postings)) => IdCursor::Slice { postings, pos: 0 },
+                Some(IdPostings::Bitmap(bm)) => IdCursor::Bits(bm.iter()),
+                None => panic!("sort-by-id requires build_id_sorted_lists"),
+            }
+        })
+        .collect();
+
+    // Heap of (Reverse(id), list index); `heads` holds the length of
+    // each list's current head so a popped entry scores without
+    // re-touching its source. Elements are counted when consumed
+    // (popped), exactly as the slice-only implementation did.
+    let heap = &mut scratch.heap;
+    scratch.frontier.resize(cursors.len(), 0.0);
+    let heads = &mut scratch.frontier;
+    for (i, cur) in cursors.iter_mut().enumerate() {
+        if let Some((id, len)) = cur.next(index) {
+            heads[i] = len;
+            heap.push((Reverse(id), i));
+        }
+    }
+
+    while let Some(&(Reverse(id), _)) = heap.peek() {
+        if budget.exceeded(&scratch.stats) {
+            scratch.status = SearchStatus::BudgetExceeded;
             return;
         }
-
-        let mut cursors: Vec<IdCursor<'_>> = query
-            .tokens
-            .iter()
-            .map(|qt| {
-                let l = index.query_list(qt.token);
-                match l.id_postings() {
-                    Some(IdPostings::Slice(postings)) => IdCursor::Slice { postings, pos: 0 },
-                    Some(IdPostings::Bitmap(bm)) => IdCursor::Bits(bm.iter()),
-                    None => panic!("sort-by-id requires build_id_sorted_lists"),
-                }
-            })
-            .collect();
-
-        // Heap of (Reverse(id), list index); `heads` holds the length of
-        // each list's current head so a popped entry scores without
-        // re-touching its source. Elements are counted when consumed
-        // (popped), exactly as the slice-only implementation did.
-        let heap = &mut scratch.heap;
-        scratch.frontier.resize(cursors.len(), 0.0);
-        let heads = &mut scratch.frontier;
-        for (i, cur) in cursors.iter_mut().enumerate() {
-            if let Some((id, len)) = cur.next(index) {
-                heads[i] = len;
-                heap.push((Reverse(id), i));
+        // Drain every list whose head is `id`, accumulating its score.
+        let mut dot = 0.0;
+        let mut len_s = 0.0;
+        while let Some(&(Reverse(head), i)) = heap.peek() {
+            if head != id {
+                break;
+            }
+            heap.pop();
+            scratch.stats.elements_read += 1;
+            dot += query.tokens[i].idf_sq;
+            len_s = heads[i];
+            if let Some((next_id, next_len)) = cursors[i].next(index) {
+                heads[i] = next_len;
+                heap.push((Reverse(next_id), i));
             }
         }
-
-        while let Some(&(Reverse(id), _)) = heap.peek() {
-            if budget.exceeded(&scratch.stats) {
-                scratch.status = SearchStatus::BudgetExceeded;
-                return;
-            }
-            // Drain every list whose head is `id`, accumulating its score.
-            let mut dot = 0.0;
-            let mut len_s = 0.0;
-            while let Some(&(Reverse(head), i)) = heap.peek() {
-                if head != id {
-                    break;
-                }
-                heap.pop();
-                scratch.stats.elements_read += 1;
-                dot += query.tokens[i].idf_sq;
-                len_s = heads[i];
-                if let Some((next_id, next_len)) = cursors[i].next(index) {
-                    heads[i] = next_len;
-                    heap.push((Reverse(next_id), i));
-                }
-            }
-            let score = dot / (len_s * query.len);
-            if crate::passes(score, tau) {
-                scratch.results.push(Match {
-                    id: crate::SetId(id),
-                    score,
-                });
-            }
+        let score = dot / (len_s * query.len);
+        if crate::passes(score, tau) {
+            scratch.results.push(Match {
+                id: crate::SetId(id),
+                score,
+            });
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::algorithms::FullScan;
-    use crate::{CollectionBuilder, IndexOptions, InvertedIndex};
+    use crate::algorithms::test_support::run;
+    use crate::{AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex};
     use setsim_tokenize::QGramTokenizer;
 
     fn setup(texts: &[&str]) -> crate::SetCollection {
@@ -156,8 +146,8 @@ mod tests {
         for text in ["main street", "maine", "park"] {
             let q = idx.prepare_query_str(text);
             for tau in [0.2, 0.5, 0.8, 1.0] {
-                let a = SortByIdMerge.search(&idx, &q, tau);
-                let b = FullScan.search(&idx, &q, tau);
+                let a = run(&idx, AlgorithmKind::Merge, AlgoConfig::full(), &q, tau);
+                let b = run(&idx, AlgorithmKind::Scan, AlgoConfig::full(), &q, tau);
                 assert_eq!(a.ids_sorted(), b.ids_sorted(), "q={text} tau={tau}");
             }
         }
@@ -168,7 +158,7 @@ mod tests {
         let c = setup(&["abcd", "bcde", "abcf"]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("abcd");
-        let out = SortByIdMerge.search(&idx, &q, 0.9);
+        let out = run(&idx, AlgorithmKind::Merge, AlgoConfig::full(), &q, 0.9);
         assert_eq!(out.stats.elements_read, out.stats.total_list_elements);
         assert_eq!(out.stats.pruning_pct(), 0.0);
     }
@@ -178,7 +168,7 @@ mod tests {
         let c = setup(&["abcd"]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("");
-        let out = SortByIdMerge.search(&idx, &q, 0.5);
+        let out = run(&idx, AlgorithmKind::Merge, AlgoConfig::full(), &q, 0.5);
         assert!(out.results.is_empty());
     }
 
@@ -194,10 +184,10 @@ mod tests {
             .with_repr_policy(crate::ReprPolicy::Force(crate::ReprKind::Bitmap));
         let idx = InvertedIndex::build(&c, opts);
         let q = idx.prepare_query_str("abcd");
-        let out = SortByIdMerge.search(&idx, &q, 0.5);
+        let out = run(&idx, AlgorithmKind::Merge, AlgoConfig::full(), &q, 0.5);
         assert_eq!(out.stats.elements_read, out.stats.total_list_elements);
         assert_eq!(out.stats.pruning_pct(), 0.0);
-        let oracle = FullScan.search(&idx, &q, 0.5);
+        let oracle = run(&idx, AlgorithmKind::Scan, AlgoConfig::full(), &q, 0.5);
         assert_eq!(out.ids_sorted(), oracle.ids_sorted());
         for m in &out.results {
             let expect = super::super::scan::exact_score(&idx, &q, m.id);
@@ -210,7 +200,7 @@ mod tests {
         let c = setup(&["abcdef", "abcxyz"]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("abcdef");
-        let out = SortByIdMerge.search(&idx, &q, 0.1);
+        let out = run(&idx, AlgorithmKind::Merge, AlgoConfig::full(), &q, 0.1);
         for m in &out.results {
             let expect = super::super::scan::exact_score(&idx, &q, m.id);
             assert!((m.score - expect).abs() < 1e-12);

@@ -1,55 +1,47 @@
-//! The eight selection algorithms plus top-k and parallel extensions.
+//! The eight selection algorithms plus the top-k and self-join extensions.
 //!
-//! All list-based algorithms implement [`SelectionAlgorithm`] and can be
-//! swapped freely; every one of them returns exactly the sets with
-//! `I(q, s) ≥ τ` (the integration suite checks each against [`FullScan`]).
+//! Each algorithm is one crate-private `search` function over the engine's
+//! per-query context; callers select one with an
+//! [`AlgorithmKind`](crate::AlgorithmKind) (plus an [`AlgoConfig`]) on a
+//! [`SearchRequest`](crate::SearchRequest) and run it through
+//! [`engine::execute`](crate::engine::execute). Every one of them returns
+//! exactly the sets with `I(q, s) ≥ τ` (the integration suite checks each
+//! against `AlgorithmKind::Scan`).
 //!
-//! | Algorithm | Section | Access pattern | Properties used |
+//! | `AlgorithmKind` | Section | Access pattern | Properties used |
 //! |---|---|---|---|
-//! | [`FullScan`] | — | whole database | none (oracle) |
-//! | [`SortByIdMerge`] | III-B | all list elements, heap merge | none |
-//! | [`TaAlgorithm`] | III-B | sorted + random | monotonicity |
-//! | [`NraAlgorithm`] | III-B (Alg. 1) | sorted, round-robin | monotonicity |
-//! | [`ITaAlgorithm`] | V | sorted + random | all three |
-//! | [`INraAlgorithm`] | V (Alg. 2) | sorted, round-robin | all three |
-//! | [`SfAlgorithm`] | VI (Alg. 3) | sorted, depth-first by idf | all three + λᵢ |
-//! | [`HybridAlgorithm`] | VII (Alg. 4) | sorted, round-robin | all three + λᵢ + max_len(C) |
+//! | `Scan` | — | whole database | none (oracle) |
+//! | `Merge` | III-B | all list elements, heap merge | none |
+//! | `Ta` | III-B | sorted + random | monotonicity |
+//! | `Nra` | III-B (Alg. 1) | sorted, round-robin | monotonicity |
+//! | `ITa` | V | sorted + random | all three |
+//! | `INra` | V (Alg. 2) | sorted, round-robin | all three |
+//! | `Sf` | VI (Alg. 3) | sorted, depth-first by idf | all three + λᵢ |
+//! | `Hybrid` | VII (Alg. 4) | sorted, round-robin | all three + λᵢ + max_len(C) |
 
-mod hybrid;
-mod inra;
-mod ita;
-mod merge;
-mod nra;
-/// Parallel batch query execution (the paper's stated future work,
-/// Section IX).
-pub mod parallel;
+pub(crate) mod hybrid;
+pub(crate) mod inra;
+pub(crate) mod ita;
+pub(crate) mod merge;
+pub(crate) mod nra;
 /// The prefix-filter baseline (Chaudhuri et al., discussed in Section IX).
 pub mod prefix;
-mod scan;
+pub(crate) mod scan;
 /// Set similarity self-join composed from selection queries (the join
 /// setting of the Section IX related work).
 pub mod selfjoin;
-mod sf;
+pub(crate) mod sf;
 /// The relational (SQL) baseline of Section III-A.
 pub mod sql;
-mod ta;
+pub(crate) mod ta;
 /// Top-k set similarity search (the paper's stated future work,
 /// Section IX).
 pub mod topk;
 
-pub use hybrid::HybridAlgorithm;
-pub use inra::INraAlgorithm;
-pub use ita::ITaAlgorithm;
-pub use merge::SortByIdMerge;
-pub use nra::NraAlgorithm;
 #[cfg(feature = "audit")]
 pub(crate) use scan::exact_score;
-pub use scan::FullScan;
-pub use sf::SfAlgorithm;
-pub use ta::TaAlgorithm;
 
-use crate::engine::{ArmedBudget, Scratch, SearchCtx};
-use crate::{validate_tau, InvertedIndex, PreparedQuery, SearchOutcome};
+use crate::PreparedQuery;
 
 /// Toggles for the property-based optimizations, matching the ablations of
 /// Figures 8 (Length Bounding) and 9 (skip lists). `#[non_exhaustive]` so
@@ -140,42 +132,6 @@ impl AlgoConfig {
     }
 }
 
-/// A set similarity selection algorithm: given a prepared query and a
-/// threshold `τ ∈ (0, 1]`, return every set with `I(q, s) ≥ τ`.
-pub trait SelectionAlgorithm {
-    /// Display name used in experiment output ("SF", "iNRA", …).
-    fn name(&self) -> &'static str;
-
-    /// Run the selection against the reusable scratch state carried by
-    /// `ctx` — the hot-path entry point used by [`crate::engine`].
-    ///
-    /// Implementations must be exact when they run to completion: no
-    /// false negatives, no false positives, exact scores in the result.
-    /// They must honor the request budget by polling
-    /// [`SearchCtx::budget_exhausted`] at progress checkpoints and
-    /// stopping when it trips, emitting only fully-scored matches (a
-    /// truncated result must be an exact subset of the true answer).
-    /// `ctx.tau()` is pre-validated to lie in `(0, 1]`.
-    fn search_with(&self, ctx: &mut SearchCtx<'_, '_>);
-
-    /// Run the selection standalone, allocating fresh scratch state — a
-    /// thin wrapper over [`search_with`](Self::search_with) kept for
-    /// tests, the audit suite, and one-off calls. Serving code should go
-    /// through [`crate::engine::QueryEngine`] instead (enforced for the
-    /// CLI by `cargo xtask check`).
-    ///
-    /// # Panics
-    /// Panics if `tau` is outside `(0, 1]`. (The engine path reports
-    /// `SearchError::InvalidTau` instead.)
-    fn search(&self, index: &InvertedIndex<'_>, query: &PreparedQuery, tau: f64) -> SearchOutcome {
-        validate_tau(tau);
-        let mut scratch = Scratch::default();
-        let mut ctx = SearchCtx::new(index, query, tau, ArmedBudget::unlimited(), &mut scratch);
-        self.search_with(&mut ctx);
-        scratch.take_outcome()
-    }
-}
-
 /// Bitset width over query lists, the cap enforced by the algorithms that
 /// track per-list membership in a `u128` (NRA, iNRA, Hybrid; Section V's
 /// candidate bookkeeping). Queries are words decomposed into q-grams, so
@@ -184,7 +140,7 @@ pub const MAX_QUERY_LISTS: usize = 128;
 
 /// Canonical emission score for a candidate whose matched query lists are
 /// the set bits of `seen`: sum the idf² weights **in query-token order**,
-/// then divide once by `len(s)·len(q)` — exactly [`FullScan`]'s arithmetic
+/// then divide once by `len(s)·len(q)` — exactly the scan oracle's arithmetic
 /// shape. The algorithms discover a candidate's matches in traversal
 /// order (round-robin depth for NRA/iNRA/Hybrid, first-seen list for
 /// TA/iTA), and floating-point addition is not associative, so emitting
@@ -215,6 +171,26 @@ pub(crate) fn assert_query_width(query: &PreparedQuery) {
 
 #[cfg(test)]
 pub(crate) mod test_support {
+    use crate::engine::{execute, Scratch};
+    use crate::{
+        AlgoConfig, AlgorithmKind, InvertedIndex, PreparedQuery, SearchOutcome, SearchRequest,
+    };
+
+    /// Run one selection on a fresh scratch.
+    pub(crate) fn run(
+        index: &InvertedIndex<'_>,
+        kind: AlgorithmKind,
+        config: AlgoConfig,
+        query: &PreparedQuery,
+        tau: f64,
+    ) -> SearchOutcome {
+        let req = SearchRequest::new(query)
+            .tau(tau)
+            .algorithm(kind)
+            .config(config);
+        execute(index, &mut Scratch::default(), &req).expect("valid request")
+    }
+
     /// Deterministic pseudo-random lowercase sequence (LCG). Prefixes of it
     /// have pairwise-distinct gram sets and strictly growing normalized
     /// lengths — unlike a cycled alphabet, whose prefixes alias each other's

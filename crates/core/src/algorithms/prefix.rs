@@ -131,8 +131,8 @@ impl PrefixFilterIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{FullScan, SelectionAlgorithm};
-    use crate::{CollectionBuilder, IndexOptions};
+    use crate::algorithms::test_support::run;
+    use crate::{AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions};
     use setsim_tokenize::QGramTokenizer;
 
     fn setup(texts: &[&str]) -> crate::SetCollection {
@@ -156,7 +156,7 @@ mod tests {
         for text in ["main street", "maine", "park avenue"] {
             let q = idx.prepare_query_str(text);
             for tau in [0.5, 0.7, 0.9, 1.0] {
-                let oracle = FullScan.search(&idx, &q, tau);
+                let oracle = run(&idx, AlgorithmKind::Scan, AlgoConfig::full(), &q, tau);
                 let got = filter.search(&idx, &q, tau);
                 assert_eq!(got.ids_sorted(), oracle.ids_sorted(), "q={text} tau={tau}");
             }

@@ -1,4 +1,3 @@
-use crate::algorithms::SelectionAlgorithm;
 use crate::engine::SearchCtx;
 use crate::{InvertedIndex, Match, PreparedQuery, SearchStatus, SetId};
 
@@ -9,47 +8,38 @@ use crate::{InvertedIndex, Match, PreparedQuery, SearchStatus, SetId};
 /// behaviour of the relational baseline when no index is available (which
 /// the paper reports as "did not terminate in a reasonable amount of
 /// time" at their scale).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FullScan;
-
-impl SelectionAlgorithm for FullScan {
-    fn name(&self) -> &'static str {
-        "scan"
+pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) {
+    let index = ctx.index;
+    let query = ctx.query;
+    let tau = ctx.tau;
+    let budget = ctx.budget;
+    let scratch = &mut *ctx.scratch;
+    scratch.stats.total_list_elements = index.query_list_elements(query);
+    if query.is_empty() || query.len == 0.0 {
+        return;
     }
-
-    fn search_with(&self, ctx: &mut SearchCtx<'_, '_>) {
-        let index = ctx.index;
-        let query = ctx.query;
-        let tau = ctx.tau;
-        let budget = ctx.budget;
-        let scratch = &mut *ctx.scratch;
-        scratch.stats.total_list_elements = index.query_list_elements(query);
-        if query.is_empty() || query.len == 0.0 {
+    for (id, set) in index.collection().iter_sets() {
+        if budget.exceeded(&scratch.stats) {
+            scratch.status = SearchStatus::BudgetExceeded;
             return;
         }
-        for (id, set) in index.collection().iter_sets() {
-            if budget.exceeded(&scratch.stats) {
-                scratch.status = SearchStatus::BudgetExceeded;
-                return;
+        // Base-table access, not a sorted list read: counted in
+        // records_scanned so the pruning invariant
+        // elements_read ≤ total_list_elements holds.
+        scratch.stats.records_scanned += 1;
+        let len_s = index.set_len(id);
+        if len_s == 0.0 {
+            continue;
+        }
+        let mut dot = 0.0;
+        for qt in &query.tokens {
+            if set.contains(qt.token) {
+                dot += qt.idf_sq;
             }
-            // Base-table access, not a sorted list read: counted in
-            // records_scanned so the pruning invariant
-            // elements_read ≤ total_list_elements holds.
-            scratch.stats.records_scanned += 1;
-            let len_s = index.set_len(id);
-            if len_s == 0.0 {
-                continue;
-            }
-            let mut dot = 0.0;
-            for qt in &query.tokens {
-                if set.contains(qt.token) {
-                    dot += qt.idf_sq;
-                }
-            }
-            let score = dot / (len_s * query.len);
-            if crate::passes(score, tau) {
-                scratch.results.push(Match { id, score });
-            }
+        }
+        let score = dot / (len_s * query.len);
+        if crate::passes(score, tau) {
+            scratch.results.push(Match { id, score });
         }
     }
 }
@@ -74,7 +64,8 @@ pub(crate) fn exact_score(index: &InvertedIndex<'_>, query: &PreparedQuery, id: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CollectionBuilder, IndexOptions};
+    use crate::algorithms::test_support::run;
+    use crate::{AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions};
     use setsim_tokenize::QGramTokenizer;
 
     fn setup(texts: &[&str]) -> crate::SetCollection {
@@ -88,7 +79,7 @@ mod tests {
         let c = setup(&["main street", "park avenue"]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("main street");
-        let out = FullScan.search(&idx, &q, 0.99);
+        let out = run(&idx, AlgorithmKind::Scan, AlgoConfig::full(), &q, 0.99);
         assert_eq!(out.results.len(), 1);
         assert_eq!(out.results[0].id, SetId(0));
         assert!((out.results[0].score - 1.0).abs() < 1e-9);
@@ -99,7 +90,7 @@ mod tests {
         let c = setup(&["abcdef", "abcdeg", "abcdef"]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("abcdef");
-        let out = FullScan.search(&idx, &q, 1.0);
+        let out = run(&idx, AlgorithmKind::Scan, AlgoConfig::full(), &q, 1.0);
         assert_eq!(out.ids_sorted(), vec![SetId(0), SetId(2)]);
     }
 
@@ -108,7 +99,7 @@ mod tests {
         let c = setup(&["abcdef", "defghi", "zzzzzz"]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("abcdef");
-        let out = FullScan.search(&idx, &q, 0.01);
+        let out = run(&idx, AlgorithmKind::Scan, AlgoConfig::full(), &q, 0.01);
         // zzzzzz shares no grams.
         assert_eq!(out.ids_sorted(), vec![SetId(0), SetId(1)]);
     }
@@ -118,26 +109,8 @@ mod tests {
         let c = setup(&["abcdef"]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("");
-        let out = FullScan.search(&idx, &q, 0.5);
+        let out = run(&idx, AlgorithmKind::Scan, AlgoConfig::full(), &q, 0.5);
         assert!(out.results.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold")]
-    fn zero_tau_panics() {
-        let c = setup(&["abcdef"]);
-        let idx = InvertedIndex::build(&c, IndexOptions::default());
-        let q = idx.prepare_query_str("abcdef");
-        let _ = FullScan.search(&idx, &q, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold")]
-    fn tau_above_one_panics() {
-        let c = setup(&["abcdef"]);
-        let idx = InvertedIndex::build(&c, IndexOptions::default());
-        let q = idx.prepare_query_str("abcdef");
-        let _ = FullScan.search(&idx, &q, 1.5);
     }
 
     #[test]
@@ -145,7 +118,7 @@ mod tests {
         let c = setup(&["abcdef", "abcxyz", "qrstuv"]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("abcdef");
-        let out = FullScan.search(&idx, &q, 0.0001);
+        let out = run(&idx, AlgorithmKind::Scan, AlgoConfig::full(), &q, 0.0001);
         for m in &out.results {
             assert!((exact_score(&idx, &q, m.id) - m.score).abs() < 1e-12);
         }

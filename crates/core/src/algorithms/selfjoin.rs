@@ -7,9 +7,9 @@
 //! `[τ·len(q), len(q)/τ]` window of its lists — and probes are
 //! embarrassingly parallel.
 
-use crate::algorithms::SelectionAlgorithm;
-use crate::engine::{ArmedBudget, Scratch, SearchCtx};
-use crate::{validate_tau, InvertedIndex, SearchStats, SetId};
+use crate::engine::{execute_into, steal, Scratch, ScratchPool};
+use crate::{AlgorithmKind, InvertedIndex, SearchError, SearchRequest, SearchStats, SetId};
+use std::ops::Range;
 
 /// One joined pair: `a < b` and `I(a, b) ≥ τ`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,26 +31,28 @@ pub struct JoinOutcome {
     pub stats: SearchStats,
 }
 
-/// Self-join `index`'s collection at threshold `tau` using `algo` for the
-/// per-set probes. Pairs are deduplicated (`a < b`); self-pairs excluded.
-pub fn self_join<A: SelectionAlgorithm>(
+/// Records probed per stolen work item of [`par_self_join`]: large enough
+/// that claiming a block costs nothing next to probing it, small enough
+/// that a block of long records cannot leave the other workers idle.
+const JOIN_BLOCK: usize = 256;
+
+/// Probe the records in `ids` on one warm scratch, keeping each unordered
+/// pair once, from its smaller endpoint.
+fn probe(
     index: &InvertedIndex<'_>,
-    algo: &A,
+    kind: AlgorithmKind,
     tau: f64,
-) -> JoinOutcome {
-    validate_tau(tau);
+    scratch: &mut Scratch,
+    ids: Range<usize>,
+) -> Result<JoinOutcome, SearchError> {
     let mut out = JoinOutcome::default();
-    let collection = index.collection();
-    // One warm scratch for the whole join: every probe reuses the same
-    // candidate structures instead of reallocating per set.
-    let mut scratch = Scratch::default();
-    for (id, set) in collection.iter_sets() {
-        let query = index.prepare_query(set, 0);
-        let mut ctx = SearchCtx::new(index, &query, tau, ArmedBudget::unlimited(), &mut scratch);
-        algo.search_with(&mut ctx);
+    for raw in ids {
+        let id = SetId(raw as u32);
+        let query = index.prepare_query(index.collection().set(id), 0);
+        let req = SearchRequest::new(&query).tau(tau).algorithm(kind);
+        execute_into(index, scratch, &req)?;
         out.stats.merge(scratch.stats());
         for m in scratch.results() {
-            // Keep each unordered pair once, from its smaller endpoint.
             if m.id > id {
                 out.pairs.push(JoinPair {
                     a: id,
@@ -60,69 +62,59 @@ pub fn self_join<A: SelectionAlgorithm>(
             }
         }
     }
-    out.pairs.sort_by_key(|p| (p.a, p.b));
-    out
+    Ok(out)
 }
 
-/// Parallel self-join: probes split across `num_threads` workers.
-pub fn par_self_join<A: SelectionAlgorithm + Sync>(
+/// Self-join `index`'s collection at threshold `tau`, running the per-set
+/// probes with `kind`. Pairs are deduplicated (`a < b`); self-pairs
+/// excluded. Fails like any selection: on a `tau` outside `(0, 1]`, or on
+/// a record wider than a width-limited `kind` supports.
+pub fn self_join(
     index: &InvertedIndex<'_>,
-    algo: &A,
+    kind: AlgorithmKind,
+    tau: f64,
+) -> Result<JoinOutcome, SearchError> {
+    let n = index.collection().len();
+    let mut out = probe(index, kind, tau, &mut Scratch::default(), 0..n)?;
+    out.pairs.sort_by_key(|p| (p.a, p.b));
+    Ok(out)
+}
+
+/// Parallel self-join: `num_threads` workers steal blocks of records to
+/// probe, each on one warm scratch.
+pub fn par_self_join(
+    index: &InvertedIndex<'_>,
+    kind: AlgorithmKind,
     tau: f64,
     num_threads: usize,
-) -> JoinOutcome {
-    validate_tau(tau);
+) -> Result<JoinOutcome, SearchError> {
     let n = index.collection().len();
     if num_threads <= 1 || n <= 1 {
-        return self_join(index, algo, tau);
+        return self_join(index, kind, tau);
     }
-    let workers = num_threads.min(n);
-    let chunk = n.div_ceil(workers);
-    let ids: Vec<u32> = (0..n as u32).collect();
-    let mut partials: Vec<JoinOutcome> = (0..workers).map(|_| JoinOutcome::default()).collect();
-
-    // std::thread::scope joins all workers before returning and re-raises
-    // any worker panic, so every chunk's pairs are complete here.
-    std::thread::scope(|scope| {
-        for (ids_chunk, slot) in ids.chunks(chunk).zip(partials.iter_mut()) {
-            scope.spawn(move || {
-                // One warm scratch per worker (never shared, never locked).
-                let mut scratch = Scratch::default();
-                for &raw in ids_chunk {
-                    let id = SetId(raw);
-                    let query = index.prepare_query(index.collection().set(id), 0);
-                    let mut ctx =
-                        SearchCtx::new(index, &query, tau, ArmedBudget::unlimited(), &mut scratch);
-                    algo.search_with(&mut ctx);
-                    slot.stats.merge(scratch.stats());
-                    for m in scratch.results() {
-                        if m.id > id {
-                            slot.pairs.push(JoinPair {
-                                a: id,
-                                b: m.id,
-                                score: m.score,
-                            });
-                        }
-                    }
-                }
-            });
-        }
+    let blocks: Vec<Range<usize>> = (0..n)
+        .step_by(JOIN_BLOCK)
+        .map(|start| start..n.min(start + JOIN_BLOCK))
+        .collect();
+    let pool = ScratchPool::default();
+    let blocks = steal(&pool, num_threads, &blocks, |scratch, ids| {
+        probe(index, kind, tau, scratch, ids.clone())
     });
-
     let mut out = JoinOutcome::default();
-    for p in partials {
-        out.stats.merge(&p.stats);
-        out.pairs.extend(p.pairs);
+    for block in blocks {
+        let block = block?;
+        out.stats.merge(&block.stats);
+        out.pairs.extend(block.pairs);
     }
     out.pairs.sort_by_key(|p| (p.a, p.b));
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithms::scan::exact_score;
-    use crate::{CollectionBuilder, IndexOptions, SfAlgorithm};
+    use crate::{CollectionBuilder, IndexOptions};
     use setsim_tokenize::QGramTokenizer;
 
     fn setup(texts: &[&str]) -> crate::SetCollection {
@@ -160,7 +152,8 @@ mod tests {
         ]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         for tau in [0.4, 0.6, 0.9] {
-            let got: Vec<(u32, u32)> = self_join(&idx, &SfAlgorithm::default(), tau)
+            let got: Vec<(u32, u32)> = self_join(&idx, AlgorithmKind::Sf, tau)
+                .unwrap()
                 .pairs
                 .iter()
                 .map(|p| (p.a.0, p.b.0))
@@ -174,7 +167,7 @@ mod tests {
     fn duplicate_records_always_join() {
         let c = setup(&["same string", "same string", "other thing"]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
-        let out = self_join(&idx, &SfAlgorithm::default(), 1.0);
+        let out = self_join(&idx, AlgorithmKind::Sf, 1.0).unwrap();
         assert_eq!(out.pairs.len(), 1);
         assert_eq!((out.pairs[0].a.0, out.pairs[0].b.0), (0, 1));
         assert!((out.pairs[0].score - 1.0).abs() < 1e-9);
@@ -184,7 +177,7 @@ mod tests {
     fn pairs_are_deduplicated_and_ordered() {
         let c = setup(&["abcdef", "abcdeg", "abcdfg", "abcefg"]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
-        let out = self_join(&idx, &SfAlgorithm::default(), 0.3);
+        let out = self_join(&idx, AlgorithmKind::Sf, 0.3).unwrap();
         for p in &out.pairs {
             assert!(p.a < p.b);
         }
@@ -199,25 +192,35 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial() {
-        let texts: Vec<String> = (0..120)
+        // Several JOIN_BLOCKs, so workers really steal.
+        let texts: Vec<String> = (0..3 * JOIN_BLOCK + 7)
             .map(|i| format!("record {} {}", i % 30, i))
             .collect();
         let refs: Vec<&str> = texts.iter().map(std::string::String::as_str).collect();
         let c = setup(&refs);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
-        let serial = self_join(&idx, &SfAlgorithm::default(), 0.7);
-        let parallel = par_self_join(&idx, &SfAlgorithm::default(), 0.7, 4);
+        let serial = self_join(&idx, AlgorithmKind::Sf, 0.7).unwrap();
+        let parallel = par_self_join(&idx, AlgorithmKind::Sf, 0.7, 4).unwrap();
         let a: Vec<_> = serial.pairs.iter().map(|p| (p.a, p.b)).collect();
         let b: Vec<_> = parallel.pairs.iter().map(|p| (p.a, p.b)).collect();
         assert_eq!(a, b);
     }
 
     #[test]
+    fn invalid_tau_is_a_typed_error() {
+        let c = setup(&["abcdef", "abcdeg"]);
+        let idx = InvertedIndex::build(&c, IndexOptions::default());
+        for threads in [1, 2] {
+            let got = par_self_join(&idx, AlgorithmKind::Sf, 0.0, threads);
+            assert!(matches!(got, Err(SearchError::InvalidTau(_))));
+        }
+    }
+
+    #[test]
     fn empty_collection_joins_empty() {
         let c = setup(&[]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
-        assert!(self_join(&idx, &SfAlgorithm::default(), 0.5)
-            .pairs
-            .is_empty());
+        let out = self_join(&idx, AlgorithmKind::Sf, 0.5).unwrap();
+        assert!(out.pairs.is_empty());
     }
 }

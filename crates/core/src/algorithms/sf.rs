@@ -1,6 +1,12 @@
-use crate::algorithms::{AlgoConfig, SelectionAlgorithm};
+use crate::algorithms::AlgoConfig;
 use crate::engine::{SearchCtx, SfCand};
 use crate::{properties, safely_below, Match, SearchStatus, SetId};
+
+/// Ordering key shared by candidate list and inverted lists.
+#[inline]
+fn key(len: f64, id: SetId) -> (u64, u32) {
+    (len.to_bits(), id.0)
+}
 
 /// The Shortest-First algorithm (Algorithm 3, "SF").
 ///
@@ -24,162 +30,103 @@ use crate::{properties, safely_below, Match, SearchStatus, SetId};
 /// set by one merge pass: no hashing, no per-round scans. Bookkeeping is
 /// minimal, which is why SF wins on wall-clock time throughout Figure 6
 /// even though iTA prunes slightly more.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SfAlgorithm {
-    /// Property toggles (Figures 8 and 9 ablations).
-    pub config: AlgoConfig,
-}
-
-impl SfAlgorithm {
-    /// SF with explicit property toggles.
-    pub fn with_config(config: AlgoConfig) -> Self {
-        Self { config }
-    }
-}
-
-/// Ordering key shared by candidate list and inverted lists.
-#[inline]
-fn key(len: f64, id: SetId) -> (u64, u32) {
-    (len.to_bits(), id.0)
-}
-
-impl SelectionAlgorithm for SfAlgorithm {
-    fn name(&self) -> &'static str {
-        "SF"
+pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>, config: AlgoConfig) {
+    let index = ctx.index;
+    let query = ctx.query;
+    let tau = ctx.tau;
+    let budget = ctx.budget;
+    let scratch = &mut *ctx.scratch;
+    scratch.stats.total_list_elements = index.query_list_elements(query);
+    if query.is_empty() {
+        return;
     }
 
-    fn search_with(&self, ctx: &mut SearchCtx<'_, '_>) {
-        let index = ctx.index;
-        let query = ctx.query;
-        let tau = ctx.tau;
-        let budget = ctx.budget;
-        let scratch = &mut *ctx.scratch;
-        scratch.stats.total_list_elements = index.query_list_elements(query);
-        if query.is_empty() {
+    let n = query.num_lists();
+    let (len_lo, len_hi) = properties::length_bounds(tau, query.len);
+    let lo_seek = len_lo * (1.0 - crate::EPS_REL);
+    let hi_cut = len_hi * (1.0 + crate::EPS_REL);
+    // λᵢ cutoffs (query tokens are already in descending idf order).
+    query.idf_sq_suffix_sums_into(&mut scratch.suffix);
+    properties::lambda_cutoffs_into(query, tau, &scratch.suffix, &mut scratch.lambdas);
+
+    // Candidate list, kept sorted by (len, id). `sf_cands` holds the
+    // survivors of the previous list; `sf_merged` receives this list's
+    // merge output, then the buffers swap.
+    scratch.sf_cands.clear();
+
+    for i in 0..n {
+        if budget.exceeded(&scratch.stats) {
+            scratch.status = SearchStatus::BudgetExceeded;
+            // Partial lower-bound sums are not exact scores: a
+            // truncated SF run must not emit them.
             return;
         }
+        scratch.stats.rounds += 1;
+        let list = index.query_list(query.tokens[i].token);
+        let postings = list.postings();
+        let start = if config.length_bounding {
+            list.seek_len(lo_seek, config.use_skip_lists, &mut scratch.stats)
+        } else {
+            0
+        };
+        let lambda_i = scratch.lambdas[i] * (1.0 + crate::EPS_REL);
+        // µᵢ: no new candidate beyond λᵢ; nothing qualifies beyond
+        // len(q)/τ. (λᵢ ≤ len(q)/τ always, but keep the min for the
+        // no-length-bounding ablation where hi_cut is disabled.)
+        let mu = if config.length_bounding {
+            lambda_i.min(hi_cut)
+        } else {
+            lambda_i
+        };
 
-        let n = query.num_lists();
-        let (len_lo, len_hi) = properties::length_bounds(tau, query.len);
-        let lo_seek = len_lo * (1.0 - crate::EPS_REL);
-        let hi_cut = len_hi * (1.0 + crate::EPS_REL);
-        // λᵢ cutoffs (query tokens are already in descending idf order).
-        query.idf_sq_suffix_sums_into(&mut scratch.suffix);
-        properties::lambda_cutoffs_into(query, tau, &scratch.suffix, &mut scratch.lambdas);
-
-        // Candidate list, kept sorted by (len, id). `sf_cands` holds the
-        // survivors of the previous list; `sf_merged` receives this list's
-        // merge output, then the buffers swap.
-        scratch.sf_cands.clear();
-
-        for i in 0..n {
+        scratch.sf_merged.clear();
+        let mut ci = 0usize; // cursor into sf_cands
+        let mut pos = start;
+        loop {
+            // Reading bound: the deepest point any existing candidate
+            // or admissible new candidate can sit at. Only the
+            // not-yet-merged tail of C matters; new insertions sit
+            // below λᵢ ≤ µ already.
+            let tail_max = if ci < scratch.sf_cands.len() {
+                scratch.sf_cands[scratch.sf_cands.len() - 1].len
+            } else {
+                f64::NEG_INFINITY
+            };
+            let bound = mu.max(tail_max);
+            if pos >= postings.len() {
+                break;
+            }
             if budget.exceeded(&scratch.stats) {
                 scratch.status = SearchStatus::BudgetExceeded;
-                // Partial lower-bound sums are not exact scores: a
-                // truncated SF run must not emit them.
                 return;
             }
-            scratch.stats.rounds += 1;
-            let list = index.query_list(query.tokens[i].token);
-            let postings = list.postings();
-            let start = if self.config.length_bounding {
-                list.seek_len(lo_seek, self.config.use_skip_lists, &mut scratch.stats)
-            } else {
-                0
-            };
-            let lambda_i = scratch.lambdas[i] * (1.0 + crate::EPS_REL);
-            // µᵢ: no new candidate beyond λᵢ; nothing qualifies beyond
-            // len(q)/τ. (λᵢ ≤ len(q)/τ always, but keep the min for the
-            // no-length-bounding ablation where hi_cut is disabled.)
-            let mu = if self.config.length_bounding {
-                lambda_i.min(hi_cut)
-            } else {
-                lambda_i
-            };
-
-            scratch.sf_merged.clear();
-            let mut ci = 0usize; // cursor into sf_cands
-            let mut pos = start;
-            loop {
-                // Reading bound: the deepest point any existing candidate
-                // or admissible new candidate can sit at. Only the
-                // not-yet-merged tail of C matters; new insertions sit
-                // below λᵢ ≤ µ already.
-                let tail_max = if ci < scratch.sf_cands.len() {
-                    scratch.sf_cands[scratch.sf_cands.len() - 1].len
-                } else {
-                    f64::NEG_INFINITY
-                };
-                let bound = mu.max(tail_max);
-                if pos >= postings.len() {
-                    break;
-                }
-                if budget.exceeded(&scratch.stats) {
-                    scratch.status = SearchStatus::BudgetExceeded;
-                    return;
-                }
-                let p = postings[pos];
-                if p.len > bound {
-                    break;
-                }
-                // Forward jump: past λᵢ no posting can be admitted as a
-                // new candidate (lists are length-sorted, so every later
-                // posting is past λᵢ too), and postings ordered before the
-                // next pending candidate cannot match any pending
-                // candidate either. Seek straight to that candidate's key;
-                // everything bypassed is provably irrelevant and counted
-                // as skipped, not read.
-                if self.config.block_skip && p.len > lambda_i && ci < scratch.sf_cands.len() {
-                    let c = scratch.sf_cands[ci];
-                    if key(p.len, p.id) < key(c.len, c.id) {
-                        pos = list.seek_key(
-                            pos,
-                            c.len,
-                            c.id,
-                            self.config.use_skip_lists,
-                            &mut scratch.stats,
-                        );
-                        continue;
-                    }
-                }
-                pos += 1;
-                scratch.stats.elements_read += 1;
-
-                // Merge step: flush candidates ordered before this posting;
-                // they did not appear in list i.
-                while ci < scratch.sf_cands.len()
-                    && key(scratch.sf_cands[ci].len, scratch.sf_cands[ci].id) < key(p.len, p.id)
-                {
-                    let c = scratch.sf_cands[ci];
-                    ci += 1;
-                    scratch.stats.candidate_scan_steps += 1;
-                    let upper = c.lower + scratch.suffix[i + 1] / (c.len * query.len);
-                    if !safely_below(upper, tau) {
-                        scratch.sf_merged.push(c);
-                    }
-                }
-                let w = query.tokens[i].idf_sq / (p.len * query.len);
-                if ci < scratch.sf_cands.len()
-                    && key(scratch.sf_cands[ci].len, scratch.sf_cands[ci].id) == key(p.len, p.id)
-                {
-                    // Existing candidate found in list i.
-                    let mut c = scratch.sf_cands[ci];
-                    ci += 1;
-                    c.lower += w;
-                    scratch.sf_merged.push(c);
-                } else if p.len <= lambda_i {
-                    // New candidate admissible in list i.
-                    scratch.stats.candidates_inserted += 1;
-                    scratch.sf_merged.push(SfCand {
-                        id: p.id,
-                        len: p.len,
-                        lower: w,
-                    });
+            let p = postings[pos];
+            if p.len > bound {
+                break;
+            }
+            // Forward jump: past λᵢ no posting can be admitted as a
+            // new candidate (lists are length-sorted, so every later
+            // posting is past λᵢ too), and postings ordered before the
+            // next pending candidate cannot match any pending
+            // candidate either. Seek straight to that candidate's key;
+            // everything bypassed is provably irrelevant and counted
+            // as skipped, not read.
+            if config.block_skip && p.len > lambda_i && ci < scratch.sf_cands.len() {
+                let c = scratch.sf_cands[ci];
+                if key(p.len, p.id) < key(c.len, c.id) {
+                    pos =
+                        list.seek_key(pos, c.len, c.id, config.use_skip_lists, &mut scratch.stats);
+                    continue;
                 }
             }
-            // Flush candidates beyond the last posting read: skipped in
-            // list i as well.
-            while ci < scratch.sf_cands.len() {
+            pos += 1;
+            scratch.stats.elements_read += 1;
+
+            // Merge step: flush candidates ordered before this posting;
+            // they did not appear in list i.
+            while ci < scratch.sf_cands.len()
+                && key(scratch.sf_cands[ci].len, scratch.sf_cands[ci].id) < key(p.len, p.id)
+            {
                 let c = scratch.sf_cands[ci];
                 ci += 1;
                 scratch.stats.candidate_scan_steps += 1;
@@ -188,32 +135,60 @@ impl SelectionAlgorithm for SfAlgorithm {
                     scratch.sf_merged.push(c);
                 }
             }
-            std::mem::swap(&mut scratch.sf_cands, &mut scratch.sf_merged);
-            if scratch.sf_cands.is_empty() && i + 1 < n {
-                // No candidate survives; later lists cannot create viable
-                // new ones deeper than their own λ, so continue — λ keeps
-                // shrinking and scans stay shallow.
-                continue;
-            }
-        }
-
-        for ci in 0..scratch.sf_cands.len() {
-            let c = scratch.sf_cands[ci];
-            if crate::passes(c.lower, tau) {
-                scratch.results.push(Match {
-                    id: c.id,
-                    score: c.lower,
+            let w = query.tokens[i].idf_sq / (p.len * query.len);
+            if ci < scratch.sf_cands.len()
+                && key(scratch.sf_cands[ci].len, scratch.sf_cands[ci].id) == key(p.len, p.id)
+            {
+                // Existing candidate found in list i.
+                let mut c = scratch.sf_cands[ci];
+                ci += 1;
+                c.lower += w;
+                scratch.sf_merged.push(c);
+            } else if p.len <= lambda_i {
+                // New candidate admissible in list i.
+                scratch.stats.candidates_inserted += 1;
+                scratch.sf_merged.push(SfCand {
+                    id: p.id,
+                    len: p.len,
+                    lower: w,
                 });
             }
+        }
+        // Flush candidates beyond the last posting read: skipped in
+        // list i as well.
+        while ci < scratch.sf_cands.len() {
+            let c = scratch.sf_cands[ci];
+            ci += 1;
+            scratch.stats.candidate_scan_steps += 1;
+            let upper = c.lower + scratch.suffix[i + 1] / (c.len * query.len);
+            if !safely_below(upper, tau) {
+                scratch.sf_merged.push(c);
+            }
+        }
+        std::mem::swap(&mut scratch.sf_cands, &mut scratch.sf_merged);
+        if scratch.sf_cands.is_empty() && i + 1 < n {
+            // No candidate survives; later lists cannot create viable
+            // new ones deeper than their own λ, so continue — λ keeps
+            // shrinking and scans stay shallow.
+            continue;
+        }
+    }
+
+    for ci in 0..scratch.sf_cands.len() {
+        let c = scratch.sf_cands[ci];
+        if crate::passes(c.lower, tau) {
+            scratch.results.push(Match {
+                id: c.id,
+                score: c.lower,
+            });
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::algorithms::FullScan;
-    use crate::{CollectionBuilder, IndexOptions, InvertedIndex};
+    use crate::algorithms::test_support::run;
+    use crate::{AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex};
     use setsim_tokenize::QGramTokenizer;
 
     fn setup(texts: &[&str]) -> crate::SetCollection {
@@ -243,9 +218,9 @@ mod tests {
         for text in ["main street", "maine", "park avenue", "main", "st"] {
             let q = idx.prepare_query_str(text);
             for tau in [0.2, 0.5, 0.8, 1.0] {
-                let oracle = FullScan.search(&idx, &q, tau);
+                let oracle = run(&idx, AlgorithmKind::Scan, AlgoConfig::full(), &q, tau);
                 for cfg in configs {
-                    let got = SfAlgorithm::with_config(cfg).search(&idx, &q, tau);
+                    let got = run(&idx, AlgorithmKind::Sf, cfg, &q, tau);
                     assert_eq!(
                         got.ids_sorted(),
                         oracle.ids_sorted(),
@@ -261,7 +236,7 @@ mod tests {
         let c = setup(&["abcdef", "abcxyz", "abqrst", "abcdxy"]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("abcdef");
-        let out = SfAlgorithm::default().search(&idx, &q, 0.1);
+        let out = run(&idx, AlgorithmKind::Sf, AlgoConfig::full(), &q, 0.1);
         for m in &out.results {
             let expect = super::super::scan::exact_score(&idx, &q, m.id);
             assert!((m.score - expect).abs() < 1e-9);
@@ -279,7 +254,7 @@ mod tests {
         };
         let idx = InvertedIndex::build(&c, lean);
         let q = idx.prepare_query_str("abcdef");
-        let out = SfAlgorithm::default().search(&idx, &q, 0.4);
+        let out = run(&idx, AlgorithmKind::Sf, AlgoConfig::full(), &q, 0.4);
         assert_eq!(out.stats.random_probes, 0);
         assert!(!out.results.is_empty());
     }
@@ -297,7 +272,7 @@ mod tests {
         let c = setup(&refs);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("zyxwvut");
-        let out = SfAlgorithm::default().search(&idx, &q, 0.8);
+        let out = run(&idx, AlgorithmKind::Sf, AlgoConfig::full(), &q, 0.8);
         assert_eq!(out.results.len(), 1);
         assert!(
             out.stats.pruning_pct() > 90.0,
@@ -311,8 +286,7 @@ mod tests {
         let c = setup(&["abcd"]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("");
-        assert!(SfAlgorithm::default()
-            .search(&idx, &q, 0.5)
+        assert!(run(&idx, AlgorithmKind::Sf, AlgoConfig::full(), &q, 0.5)
             .results
             .is_empty());
     }

@@ -150,8 +150,8 @@ impl SqlBaseline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{FullScan, SelectionAlgorithm};
-    use crate::{CollectionBuilder, IndexOptions, InvertedIndex};
+    use crate::algorithms::test_support::run;
+    use crate::{AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex};
     use setsim_tokenize::QGramTokenizer;
 
     fn setup(texts: &[&str]) -> crate::SetCollection {
@@ -175,7 +175,7 @@ mod tests {
         for text in ["main street", "maine", "park avenue"] {
             let q = idx.prepare_query_str(text);
             for tau in [0.3, 0.6, 0.9, 1.0] {
-                let oracle = FullScan.search(&idx, &q, tau);
+                let oracle = run(&idx, AlgorithmKind::Scan, AlgoConfig::full(), &q, tau);
                 let got = sql.search(&q, tau);
                 assert_eq!(got.ids_sorted(), oracle.ids_sorted(), "q={text} tau={tau}");
                 let got_nlb = sql_nlb.search(&q, tau);

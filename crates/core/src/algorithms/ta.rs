@@ -1,4 +1,3 @@
-use crate::algorithms::SelectionAlgorithm;
 use crate::engine::SearchCtx;
 use crate::{safely_below, Match, SearchStatus};
 
@@ -14,94 +13,84 @@ use crate::{safely_below, Match, SearchStatus};
 /// TA needs no candidate set, but pays `n − 1` random probes per new set,
 /// which is what makes it uncompetitive in Figure 6 (and why extendible
 /// hashing dominates the index budget in Figure 5).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TaAlgorithm;
-
-impl SelectionAlgorithm for TaAlgorithm {
-    fn name(&self) -> &'static str {
-        "TA"
+pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) {
+    let index = ctx.index;
+    let query = ctx.query;
+    let tau = ctx.tau;
+    let budget = ctx.budget;
+    let scratch = &mut *ctx.scratch;
+    scratch.stats.total_list_elements = index.query_list_elements(query);
+    if query.is_empty() {
+        return;
     }
 
-    fn search_with(&self, ctx: &mut SearchCtx<'_, '_>) {
-        let index = ctx.index;
-        let query = ctx.query;
-        let tau = ctx.tau;
-        let budget = ctx.budget;
-        let scratch = &mut *ctx.scratch;
-        scratch.stats.total_list_elements = index.query_list_elements(query);
-        if query.is_empty() {
+    let lists: Vec<&crate::index::PostingList> = query
+        .tokens
+        .iter()
+        .map(|qt| index.query_list(qt.token))
+        .collect();
+    let n = lists.len();
+    scratch.pos.resize(n, 0);
+    scratch.frontier.resize(n, 0.0);
+
+    loop {
+        if budget.exceeded(&scratch.stats) {
+            scratch.status = SearchStatus::BudgetExceeded;
             return;
         }
-
-        let lists: Vec<&crate::index::PostingList> = query
-            .tokens
-            .iter()
-            .map(|qt| index.query_list(qt.token))
-            .collect();
-        let n = lists.len();
-        scratch.pos.resize(n, 0);
-        scratch.frontier.resize(n, 0.0);
-
-        loop {
-            if budget.exceeded(&scratch.stats) {
-                scratch.status = SearchStatus::BudgetExceeded;
-                return;
+        scratch.stats.rounds += 1;
+        let mut any_read = false;
+        for i in 0..n {
+            let postings = lists[i].postings();
+            if scratch.pos[i] >= postings.len() {
+                continue;
             }
-            scratch.stats.rounds += 1;
-            let mut any_read = false;
-            for i in 0..n {
-                let postings = lists[i].postings();
-                if scratch.pos[i] >= postings.len() {
-                    continue;
-                }
-                let p = postings[scratch.pos[i]];
-                scratch.pos[i] += 1;
-                scratch.stats.elements_read += 1;
-                any_read = true;
-                scratch.frontier[i] = p.len;
-                if !scratch.seen.insert(p.id.0) {
-                    continue;
-                }
-                // Complete the score by probing every other list,
-                // summing in query-token order (not first-seen-list
-                // order) so the emitted bits are traversal-independent —
-                // see `canonical_score` in the algorithms module.
-                let mut dot = 0.0;
-                for (j, l) in lists.iter().enumerate() {
-                    if j == i || l.contains_id(p.id, &mut scratch.stats) {
-                        dot += query.tokens[j].idf_sq;
-                    }
-                }
-                let score = dot / (p.len * query.len);
-                if crate::passes(score, tau) {
-                    scratch.results.push(Match { id: p.id, score });
+            let p = postings[scratch.pos[i]];
+            scratch.pos[i] += 1;
+            scratch.stats.elements_read += 1;
+            any_read = true;
+            scratch.frontier[i] = p.len;
+            if !scratch.seen.insert(p.id.0) {
+                continue;
+            }
+            // Complete the score by probing every other list,
+            // summing in query-token order (not first-seen-list
+            // order) so the emitted bits are traversal-independent —
+            // see `canonical_score` in the algorithms module.
+            let mut dot = 0.0;
+            for (j, l) in lists.iter().enumerate() {
+                if j == i || l.contains_id(p.id, &mut scratch.stats) {
+                    dot += query.tokens[j].idf_sq;
                 }
             }
-            if !any_read {
-                break; // every list exhausted
+            let score = dot / (p.len * query.len);
+            if crate::passes(score, tau) {
+                scratch.results.push(Match { id: p.id, score });
             }
-            // Best possible score of a yet unseen set.
-            let f: f64 = (0..n)
-                .map(|i| {
-                    if scratch.pos[i] >= lists[i].len() {
-                        0.0
-                    } else {
-                        query.tokens[i].idf_sq / (scratch.frontier[i] * query.len)
-                    }
-                })
-                .sum();
-            if safely_below(f, tau) {
-                break;
-            }
+        }
+        if !any_read {
+            break; // every list exhausted
+        }
+        // Best possible score of a yet unseen set.
+        let f: f64 = (0..n)
+            .map(|i| {
+                if scratch.pos[i] >= lists[i].len() {
+                    0.0
+                } else {
+                    query.tokens[i].idf_sq / (scratch.frontier[i] * query.len)
+                }
+            })
+            .sum();
+        if safely_below(f, tau) {
+            break;
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::algorithms::FullScan;
-    use crate::{CollectionBuilder, IndexOptions, InvertedIndex};
+    use crate::algorithms::test_support::run;
+    use crate::{AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex};
     use setsim_tokenize::QGramTokenizer;
 
     fn setup(texts: &[&str]) -> crate::SetCollection {
@@ -124,8 +113,8 @@ mod tests {
         for text in ["main street", "maine", "park avenue", "main"] {
             let q = idx.prepare_query_str(text);
             for tau in [0.2, 0.5, 0.8, 1.0] {
-                let a = TaAlgorithm.search(&idx, &q, tau);
-                let b = FullScan.search(&idx, &q, tau);
+                let a = run(&idx, AlgorithmKind::Ta, AlgoConfig::full(), &q, tau);
+                let b = run(&idx, AlgorithmKind::Scan, AlgoConfig::full(), &q, tau);
                 assert_eq!(a.ids_sorted(), b.ids_sorted(), "q={text} tau={tau}");
             }
         }
@@ -136,7 +125,7 @@ mod tests {
         let c = setup(&["abcdef", "abcxyz", "qrstuv"]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("abcdef");
-        let out = TaAlgorithm.search(&idx, &q, 0.5);
+        let out = run(&idx, AlgorithmKind::Ta, AlgoConfig::full(), &q, 0.5);
         assert!(out.stats.random_probes > 0, "TA must probe");
     }
 
@@ -154,7 +143,7 @@ mod tests {
         let c = setup(&refs);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("exactmatchword");
-        let out = TaAlgorithm.search(&idx, &q, 0.95);
+        let out = run(&idx, AlgorithmKind::Ta, AlgoConfig::full(), &q, 0.95);
         assert_eq!(out.results.len(), 1);
         assert!(
             out.stats.elements_read < out.stats.total_list_elements,
@@ -167,6 +156,8 @@ mod tests {
         let c = setup(&["abcd"]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("");
-        assert!(TaAlgorithm.search(&idx, &q, 0.5).results.is_empty());
+        assert!(run(&idx, AlgorithmKind::Ta, AlgoConfig::full(), &q, 0.5)
+            .results
+            .is_empty());
     }
 }

@@ -13,9 +13,12 @@
 //!   individual runs; with a reasonable first guess it usually finishes in
 //!   one or two passes.
 
+use crate::algorithms::assert_query_width;
 use crate::algorithms::scan::exact_score;
-use crate::algorithms::{assert_query_width, SelectionAlgorithm, SfAlgorithm};
-use crate::{InvertedIndex, Match, PreparedQuery, SearchOutcome, SearchStats, SetId};
+use crate::engine::{execute, Scratch};
+use crate::{
+    InvertedIndex, Match, PreparedQuery, SearchOutcome, SearchRequest, SearchStats, SetId,
+};
 use std::collections::HashMap;
 
 /// Exhaustive top-k oracle: score everything, keep the best `k`
@@ -164,8 +167,12 @@ pub fn topk_nra(index: &InvertedIndex<'_>, query: &PreparedQuery, k: usize) -> S
 }
 
 /// SF-based top-k: geometric threshold descent. Starts at `tau_guess`,
-/// runs [`SfAlgorithm`] and halves the threshold until at least `k`
-/// results are found (or the floor is hit), then keeps the best `k`.
+/// runs an SF selection (the [`SearchRequest`] default) and halves the
+/// threshold until at least `k` results are found (or the floor is hit),
+/// then keeps the best `k`.
+///
+/// # Panics
+/// Panics if `tau_guess` is outside `(0, 1]`.
 pub fn topk_sf(
     index: &InvertedIndex<'_>,
     query: &PreparedQuery,
@@ -180,10 +187,13 @@ pub fn topk_sf(
     if query.is_empty() || k == 0 {
         return SearchOutcome::complete(Vec::new(), stats);
     }
-    let sf = SfAlgorithm::default();
+    let mut scratch = Scratch::default();
     let mut tau = tau_guess;
     loop {
-        let out = sf.search(index, query, tau);
+        let req = SearchRequest::new(query).tau(tau);
+        let Ok(out) = execute(index, &mut scratch, &req) else {
+            unreachable!("tau stays in (0, 1] and SF has no width limit")
+        };
         stats.merge(&out.stats);
         if out.results.len() >= k || tau <= 1e-6 {
             let mut results = out.results;

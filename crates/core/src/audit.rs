@@ -8,7 +8,7 @@
 //! something re-derives the answer independently.
 //!
 //! This module is that something. [`AuditedIndex`] wraps an
-//! [`InvertedIndex`] and runs any [`SelectionAlgorithm`] under audit:
+//! [`InvertedIndex`] and runs any [`SearchRequest`] under audit:
 //!
 //! 1. **Order Preservation** — each query list is verified monotone in
 //!    `(len, id)` with every posting's length equal to the set's global
@@ -25,7 +25,7 @@
 //! 3. **Theorem 1** — no emitted result's length may fall outside
 //!    [`length_bounds`](properties::length_bounds)`(τ, len(q))`.
 //! 4. **Differential oracle check** — the outcome is compared against the
-//!    exhaustive [`FullScan`](crate::FullScan) answer: no missing ids, no
+//!    exhaustive scan-oracle answer: no missing ids, no
 //!    spurious ids, no duplicated ids, exact scores. Scores within
 //!    floating-point slack of τ are knife-edge cases where either answer
 //!    is acceptable (summation order may legitimately differ).
@@ -34,7 +34,7 @@
 //! is `O(N·|q|)` per query — this is a verification harness for tests and
 //! CI (`cargo test --workspace --features audit`), not a production path.
 
-use crate::algorithms::SelectionAlgorithm;
+use crate::engine::{execute, Scratch, SearchError, SearchRequest};
 use crate::{properties, InvertedIndex, PreparedQuery, SearchOutcome, SetId};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -242,20 +242,19 @@ impl<'i, 'c> AuditedIndex<'i, 'c> {
         self.index
     }
 
-    /// Run `algo` on the wrapped index, then audit everything: list
+    /// Run `req` on the wrapped index, then audit everything: list
     /// structure, magnitude bounds, Theorem 1 on the emitted results, and
     /// a full differential check against the scan oracle.
     ///
-    /// Returns the algorithm's outcome untouched plus the audit report.
-    pub fn search_audited<A: SelectionAlgorithm + ?Sized>(
+    /// Returns the algorithm's outcome untouched plus the audit report;
+    /// an invalid request is rejected exactly as [`execute`] rejects it.
+    pub fn search_audited(
         &self,
-        algo: &A,
-        query: &PreparedQuery,
-        tau: f64,
-    ) -> (SearchOutcome, Report) {
-        let outcome = algo.search(self.index, query, tau);
-        let report = self.audit_outcome(algo.name(), query, tau, &outcome);
-        (outcome, report)
+        req: &SearchRequest<'_>,
+    ) -> Result<(SearchOutcome, Report), SearchError> {
+        let outcome = execute(self.index, &mut Scratch::default(), req)?;
+        let report = self.audit_outcome(req.algorithm.name(), req.query, req.tau, &outcome);
+        Ok((outcome, report))
     }
 
     /// Audit a precomputed `outcome` as if `algorithm` had produced it.
@@ -460,18 +459,24 @@ impl<'i, 'c> AuditedIndex<'i, 'c> {
 ///
 /// Returns one [`Report`] per query; load failures surface as the usual
 /// typed [`SnapshotError`](crate::SnapshotError).
+///
+/// # Panics
+/// Panics if `tau` is outside `(0, 1]`.
 pub fn audit_snapshot(
     path: &std::path::Path,
     queries: &[&str],
     tau: f64,
 ) -> Result<Vec<Report>, crate::SnapshotError> {
+    crate::validate_tau(tau);
     let index = InvertedIndex::load(path)?;
     let audited = AuditedIndex::new(&index);
-    let algo = crate::SfAlgorithm::default();
     let mut reports = Vec::with_capacity(queries.len());
     for q in queries {
         let prepared = index.prepare_query_str(q);
-        let (_, report) = audited.search_audited(&algo, &prepared, tau);
+        let req = SearchRequest::new(&prepared).tau(tau);
+        let Ok((_, report)) = audited.search_audited(&req) else {
+            unreachable!("tau was validated above and SF has no width limit")
+        };
         reports.push(report);
     }
     Ok(reports)
@@ -480,10 +485,8 @@ pub fn audit_snapshot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        CollectionBuilder, HybridAlgorithm, INraAlgorithm, ITaAlgorithm, IndexOptions, Match,
-        SfAlgorithm,
-    };
+    use crate::algorithms::test_support::run;
+    use crate::{AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, Match};
     use setsim_tokenize::QGramTokenizer;
 
     fn setup(texts: &[&str]) -> crate::SetCollection {
@@ -515,14 +518,16 @@ mod tests {
         for query in ["main street", "park avenue", "mian stret", "zzzz"] {
             let q = idx.prepare_query_str(query);
             for tau in [0.3, 0.6, 0.9, 1.0] {
-                let (_, r) = audited.search_audited(&SfAlgorithm::default(), &q, tau);
-                r.assert_clean();
-                let (_, r) = audited.search_audited(&HybridAlgorithm::default(), &q, tau);
-                r.assert_clean();
-                let (_, r) = audited.search_audited(&INraAlgorithm::default(), &q, tau);
-                r.assert_clean();
-                let (_, r) = audited.search_audited(&ITaAlgorithm::default(), &q, tau);
-                r.assert_clean();
+                for kind in [
+                    AlgorithmKind::Sf,
+                    AlgorithmKind::Hybrid,
+                    AlgorithmKind::INra,
+                    AlgorithmKind::ITa,
+                ] {
+                    let req = SearchRequest::new(&q).tau(tau).algorithm(kind);
+                    let (_, r) = audited.search_audited(&req).unwrap();
+                    r.assert_clean();
+                }
             }
         }
     }
@@ -532,7 +537,9 @@ mod tests {
         let c = setup(&corpus());
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("main street");
-        let (_, r) = AuditedIndex::new(&idx).search_audited(&SfAlgorithm::default(), &q, 0.5);
+        let (_, r) = AuditedIndex::new(&idx)
+            .search_audited(&SearchRequest::new(&q).tau(0.5))
+            .unwrap();
         assert!(r.lists_checked > 0);
         assert!(r.sets_checked > 0);
         assert_eq!(r.oracle_comparisons, c.len());
@@ -545,7 +552,7 @@ mod tests {
         let c = setup(&corpus());
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("main street");
-        let mut out = SfAlgorithm::default().search(&idx, &q, 0.5);
+        let mut out = run(&idx, AlgorithmKind::Sf, AlgoConfig::full(), &q, 0.5);
         assert!(!out.results.is_empty());
         let dropped = out.results.pop().unwrap();
         let r = AuditedIndex::new(&idx).audit_outcome("corrupted", &q, 0.5, &out);
@@ -562,7 +569,7 @@ mod tests {
         let c = setup(&corpus());
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("main street");
-        let mut out = SfAlgorithm::default().search(&idx, &q, 0.9);
+        let mut out = run(&idx, AlgorithmKind::Sf, AlgoConfig::full(), &q, 0.9);
         // "completely different" shares no grams with the query.
         let bogus = SetId(7);
         assert!(out.results.iter().all(|m| m.id != bogus));
@@ -592,7 +599,7 @@ mod tests {
         let c = setup(&corpus());
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("main street");
-        let mut out = SfAlgorithm::default().search(&idx, &q, 0.5);
+        let mut out = run(&idx, AlgorithmKind::Sf, AlgoConfig::full(), &q, 0.5);
         assert!(!out.results.is_empty());
         let victim = out.results[0].id;
         out.results[0].score *= 0.5;
@@ -610,7 +617,7 @@ mod tests {
         let c = setup(&corpus());
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("main street");
-        let mut out = SfAlgorithm::default().search(&idx, &q, 0.5);
+        let mut out = run(&idx, AlgorithmKind::Sf, AlgoConfig::full(), &q, 0.5);
         assert!(!out.results.is_empty());
         let dup = out.results[0];
         out.results.push(dup);
@@ -633,7 +640,7 @@ mod tests {
         let short = SetId(9);
         let (lo, _) = properties::length_bounds(0.95, q.len);
         assert!(idx.set_len(short) < lo, "test premise: 'main' below window");
-        let mut out = SfAlgorithm::default().search(&idx, &q, 0.95);
+        let mut out = run(&idx, AlgorithmKind::Sf, AlgoConfig::full(), &q, 0.95);
         out.results.push(Match {
             id: short,
             score: 0.96,
@@ -652,7 +659,9 @@ mod tests {
         let c = setup(&corpus());
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("");
-        let (out, r) = AuditedIndex::new(&idx).search_audited(&SfAlgorithm::default(), &q, 0.5);
+        let (out, r) = AuditedIndex::new(&idx)
+            .search_audited(&SearchRequest::new(&q).tau(0.5))
+            .unwrap();
         assert!(out.results.is_empty());
         r.assert_clean();
     }
@@ -663,7 +672,7 @@ mod tests {
         let c = setup(&corpus());
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("main street");
-        let mut out = SfAlgorithm::default().search(&idx, &q, 0.5);
+        let mut out = run(&idx, AlgorithmKind::Sf, AlgoConfig::full(), &q, 0.5);
         out.results.clear();
         AuditedIndex::new(&idx)
             .audit_outcome("corrupted", &q, 0.5, &out)

@@ -88,15 +88,6 @@ pub(crate) struct ArmedBudget {
 }
 
 impl ArmedBudget {
-    /// An armed budget with no limits (legacy `search` path).
-    pub(crate) fn unlimited() -> Self {
-        Self {
-            limited: false,
-            max_work: u64::MAX,
-            deadline: None,
-        }
-    }
-
     /// True once the query has consumed its budget. Work is counted as
     /// `elements_read + records_scanned`, compared with `>=` so a
     /// zero-element budget trips before the first access.

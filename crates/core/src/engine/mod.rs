@@ -14,110 +14,44 @@
 //!   [`AlgoConfig`] ablation toggle, and a [`Budget`].
 //! * **Work-stealing batches** — [`QueryEngine::search_batch`] drains a
 //!   request slice through a shared atomic cursor, so one expensive query
-//!   never idles a worker's whole chunk (unlike the static chunking of
-//!   [`crate::algorithms::parallel`]).
+//!   never idles a worker's whole chunk.
 //! * **[`EngineMetrics`]** — latency histograms (p50/p95/p99) and
 //!   aggregated pruning power, printed by `setsim-cli bench`.
 //!
-//! Errors are typed ([`SearchError`]) instead of the legacy panicking
-//! `tau` contract, and budget-exceeded queries return an exact-but-partial
+//! Errors are typed ([`SearchError`]) — an out-of-range `tau` is a value,
+//! never a panic — and budget-exceeded queries return an exact-but-partial
 //! [`SearchOutcome`] tagged [`SearchStatus::BudgetExceeded`].
 
 mod budget;
 mod metrics;
 mod paged;
+mod pool;
 mod scratch;
 
 pub(crate) use budget::ArmedBudget;
 pub use budget::Budget;
 pub use metrics::{EngineMetrics, MetricsSnapshot};
 pub use paged::{PagedEngine, PagedSearchError};
+pub(crate) use pool::{steal, ScratchPool};
 pub use scratch::Scratch;
 pub(crate) use scratch::{CandCell, PoolCand, SfCand};
 
-use crate::algorithms::{
-    FullScan, HybridAlgorithm, INraAlgorithm, ITaAlgorithm, NraAlgorithm, SelectionAlgorithm,
-    SfAlgorithm, SortByIdMerge, TaAlgorithm, MAX_QUERY_LISTS,
-};
+use crate::algorithms::{hybrid, inra, ita, merge, nra, scan, sf, ta, MAX_QUERY_LISTS};
 use crate::{
     AlgoConfig, InvertedIndex, Match, PreparedQuery, SearchOutcome, SearchStats, SearchStatus, Tau,
 };
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Everything a selection algorithm needs for one query: the index, the
-/// prepared query and threshold, the armed [`Budget`], and the borrowed
-/// [`Scratch`]. Constructed by the engine (or by the legacy allocating
-/// [`SelectionAlgorithm::search`] wrapper); algorithm implementations
-/// receive it in [`SelectionAlgorithm::search_with`].
-pub struct SearchCtx<'a, 'i> {
+/// prepared query and (validated) threshold, the armed [`Budget`], and the
+/// borrowed [`Scratch`]. Built by [`execute_into`] only.
+pub(crate) struct SearchCtx<'a, 'i> {
     pub(crate) index: &'a InvertedIndex<'i>,
     pub(crate) query: &'a PreparedQuery,
     pub(crate) tau: f64,
     pub(crate) budget: ArmedBudget,
     pub(crate) scratch: &'a mut Scratch,
-}
-
-impl<'a, 'i> SearchCtx<'a, 'i> {
-    pub(crate) fn new(
-        index: &'a InvertedIndex<'i>,
-        query: &'a PreparedQuery,
-        tau: f64,
-        budget: ArmedBudget,
-        scratch: &'a mut Scratch,
-    ) -> Self {
-        scratch.begin();
-        Self {
-            index,
-            query,
-            tau,
-            budget,
-            scratch,
-        }
-    }
-
-    /// The index being searched.
-    #[must_use]
-    pub fn index(&self) -> &'a InvertedIndex<'i> {
-        self.index
-    }
-
-    /// The prepared query.
-    #[must_use]
-    pub fn query(&self) -> &'a PreparedQuery {
-        self.query
-    }
-
-    /// The selection threshold (validated to lie in `(0, 1]`).
-    #[must_use]
-    pub fn tau(&self) -> f64 {
-        self.tau
-    }
-
-    /// Mutable access counters (external algorithm implementations).
-    pub fn stats_mut(&mut self) -> &mut SearchStats {
-        &mut self.scratch.stats
-    }
-
-    /// Emit a qualifying match (external algorithm implementations).
-    pub fn emit(&mut self, m: Match) {
-        self.scratch.results.push(m);
-    }
-
-    /// Check the budget; on exhaustion, tag the outcome
-    /// [`SearchStatus::BudgetExceeded`] and return `true` (the
-    /// implementation must then stop reading and return, keeping only
-    /// fully-scored matches emitted so far).
-    pub fn budget_exhausted(&mut self) -> bool {
-        if self.budget.exceeded(&self.scratch.stats) {
-            self.scratch.status = SearchStatus::BudgetExceeded;
-            true
-        } else {
-            false
-        }
-    }
 }
 
 /// The eight selection strategies, as data. The engine dispatches on this
@@ -308,7 +242,8 @@ pub struct SearchView<'s> {
 
 /// Validate and run one request against caller-provided scratch, leaving
 /// results, stats, and status readable through the scratch accessors.
-/// The allocation-free core every engine entry point shares.
+/// The allocation-free core every engine entry point shares, and — with
+/// [`execute`] — the only way to run a selection.
 pub fn execute_into(
     index: &InvertedIndex<'_>,
     scratch: &mut Scratch,
@@ -323,16 +258,23 @@ pub fn execute_into(
             max: MAX_QUERY_LISTS,
         });
     }
-    let mut ctx = SearchCtx::new(index, req.query, tau.get(), req.budget.arm(), scratch);
+    scratch.begin();
+    let mut ctx = SearchCtx {
+        index,
+        query: req.query,
+        tau: tau.get(),
+        budget: req.budget.arm(),
+        scratch,
+    };
     match req.algorithm {
-        AlgorithmKind::Scan => FullScan.search_with(&mut ctx),
-        AlgorithmKind::Merge => SortByIdMerge.search_with(&mut ctx),
-        AlgorithmKind::Ta => TaAlgorithm.search_with(&mut ctx),
-        AlgorithmKind::Nra => NraAlgorithm::default().search_with(&mut ctx),
-        AlgorithmKind::ITa => ITaAlgorithm::with_config(req.config).search_with(&mut ctx),
-        AlgorithmKind::INra => INraAlgorithm::with_config(req.config).search_with(&mut ctx),
-        AlgorithmKind::Sf => SfAlgorithm::with_config(req.config).search_with(&mut ctx),
-        AlgorithmKind::Hybrid => HybridAlgorithm::with_config(req.config).search_with(&mut ctx),
+        AlgorithmKind::Scan => scan::search(&mut ctx),
+        AlgorithmKind::Merge => merge::search(&mut ctx),
+        AlgorithmKind::Ta => ta::search(&mut ctx),
+        AlgorithmKind::Nra => nra::search(&mut ctx),
+        AlgorithmKind::ITa => ita::search(&mut ctx, req.config),
+        AlgorithmKind::INra => inra::search(&mut ctx, req.config),
+        AlgorithmKind::Sf => sf::search(&mut ctx, req.config),
+        AlgorithmKind::Hybrid => hybrid::search(&mut ctx, req.config),
     }
     Ok(scratch.status())
 }
@@ -357,7 +299,7 @@ pub struct QueryEngine<'c> {
     scratch: Scratch,
     metrics: EngineMetrics,
     /// Warm scratches returned by batch workers, reused by later batches.
-    scratch_pool: Mutex<Vec<Scratch>>,
+    scratch_pool: ScratchPool,
 }
 
 impl QueryEngine<'static> {
@@ -386,7 +328,7 @@ impl<'c> QueryEngine<'c> {
             index,
             scratch: Scratch::default(),
             metrics: EngineMetrics::default(),
-            scratch_pool: Mutex::new(Vec::new()),
+            scratch_pool: ScratchPool::default(),
         }
     }
 
@@ -443,7 +385,7 @@ impl<'c> QueryEngine<'c> {
     /// stealing**: workers pull the next unclaimed request from a shared
     /// atomic cursor, so a straggler query occupies one worker while the
     /// rest drain the tail (static chunking would idle the straggler's
-    /// whole chunk — see `crate::algorithms::parallel::search_batch`).
+    /// whole chunk).
     ///
     /// Results come back in request order. Each worker keeps one warm
     /// scratch, drawn from (and returned to) the engine's pool, so
@@ -453,45 +395,17 @@ impl<'c> QueryEngine<'c> {
         reqs: &[SearchRequest<'_>],
         num_threads: usize,
     ) -> Vec<Result<SearchOutcome, SearchError>> {
-        let workers = num_threads.max(1).min(reqs.len().max(1));
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<Result<SearchOutcome, SearchError>>> =
-            (0..reqs.len()).map(|_| OnceLock::new()).collect();
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| {
-                    let mut scratch = self.pool_pop();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        // One bounds check covers both arrays: slots was
-                        // built with reqs.len() entries.
-                        let (Some(req), Some(slot)) = (reqs.get(i), slots.get(i)) else {
-                            break;
-                        };
-                        // Per-request serving latency for the shared
-                        // metrics histogram. lint: allow no-wallclock
-                        let start = Instant::now();
-                        let res = execute(&self.index, &mut scratch, req);
-                        if let Ok(out) = &res {
-                            self.metrics.record(&out.stats, out.status, start.elapsed());
-                            self.metrics.record_matches(out.results.len() as u64);
-                        }
-                        // Each index is claimed by exactly one worker.
-                        let _ = slot.set(res);
-                    }
-                    self.pool_push(scratch);
-                });
+        steal(&self.scratch_pool, num_threads, reqs, |scratch, req| {
+            // Per-request serving latency for the shared metrics
+            // histogram. lint: allow no-wallclock
+            let start = Instant::now();
+            let res = execute(&self.index, scratch, req);
+            if let Ok(out) = &res {
+                self.metrics.record(&out.stats, out.status, start.elapsed());
+                self.metrics.record_matches(out.results.len() as u64);
             }
-        });
-        slots
-            .into_iter()
-            .map(|slot| match slot.into_inner() {
-                Some(res) => res,
-                // The cursor hands every index to some worker before any
-                // worker exits, and scope joins them all.
-                None => unreachable!("batch slot left unfilled"),
-            })
-            .collect()
+            res
+        })
     }
 
     /// Point-in-time serving metrics.
@@ -503,24 +417,6 @@ impl<'c> QueryEngine<'c> {
     /// Zero the serving metrics (between benchmark phases).
     pub fn reset_metrics(&self) {
         self.metrics.reset();
-    }
-
-    fn pool_pop(&self) -> Scratch {
-        let mut pool = match self.scratch_pool.lock() {
-            Ok(g) => g,
-            // A worker can only poison the lock by panicking between
-            // pop/push; the pool (plain Vecs) stays structurally valid.
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        pool.pop().unwrap_or_default()
-    }
-
-    fn pool_push(&self, scratch: Scratch) {
-        let mut pool = match self.scratch_pool.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        pool.push(scratch);
     }
 }
 
@@ -539,7 +435,7 @@ impl<'c> QueryEngine<'c> {
 pub struct ShardedEngine {
     index: crate::ShardedIndex,
     metrics: EngineMetrics,
-    scratch_pool: Mutex<Vec<Scratch>>,
+    scratch_pool: ScratchPool,
 }
 
 impl ShardedEngine {
@@ -549,7 +445,7 @@ impl ShardedEngine {
         Self {
             index,
             metrics: EngineMetrics::default(),
-            scratch_pool: Mutex::new(Vec::new()),
+            scratch_pool: ScratchPool::default(),
         }
     }
 
@@ -602,47 +498,27 @@ impl ShardedEngine {
         crate::ShardedIndex::validate(req)?;
         let plan = self.index.plan(req.query, req.tau);
         let shards = self.index.shards();
-        let workers = num_threads.max(1).min(plan.surviving.len().max(1));
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<Result<SearchOutcome, SearchError>>> =
-            (0..plan.surviving.len()).map(|_| OnceLock::new()).collect();
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| {
-                    let mut scratch = self.pool_pop();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let (Some((shard, fq)), Some(slot)) = (plan.surviving.get(i), slots.get(i))
-                        else {
-                            break;
-                        };
-                        let sreq = SearchRequest {
-                            query: fq,
-                            tau: req.tau,
-                            algorithm: req.algorithm,
-                            config: req.config,
-                            budget: req.budget,
-                        };
-                        let res = match shards.get(*shard) {
-                            Some(sh) => execute(&sh.index, &mut scratch, &sreq),
-                            None => unreachable!("plan indexes its own shard slice"),
-                        };
-                        // Each slot is claimed by exactly one worker.
-                        let _ = slot.set(res);
-                    }
-                    self.pool_push(scratch);
-                });
-            }
-        });
+        let per_shard = steal(
+            &self.scratch_pool,
+            num_threads,
+            &plan.surviving,
+            |scratch, (shard, fq)| {
+                let sreq = SearchRequest {
+                    query: fq,
+                    tau: req.tau,
+                    algorithm: req.algorithm,
+                    config: req.config,
+                    budget: req.budget,
+                };
+                match shards.get(*shard) {
+                    Some(sh) => execute(&sh.index, scratch, &sreq),
+                    None => unreachable!("plan indexes its own shard slice"),
+                }
+            },
+        );
         let mut outcomes = Vec::with_capacity(plan.surviving.len());
-        for (slot, (shard, _)) in slots.into_iter().zip(&plan.surviving) {
-            match slot.into_inner() {
-                Some(Ok(out)) => outcomes.push((*shard, out)),
-                Some(Err(e)) => return Err(e),
-                // The cursor hands every slot to some worker before any
-                // worker exits, and scope joins them all.
-                None => unreachable!("shard slot left unfilled"),
-            }
+        for (res, (shard, _)) in per_shard.into_iter().zip(&plan.surviving) {
+            outcomes.push((*shard, res?));
         }
         let out = self.index.gather(&plan, outcomes);
         self.metrics.record(&out.stats, out.status, start.elapsed());
@@ -659,21 +535,5 @@ impl ShardedEngine {
     /// Zero the serving metrics (between benchmark phases).
     pub fn reset_metrics(&self) {
         self.metrics.reset();
-    }
-
-    fn pool_pop(&self) -> Scratch {
-        let mut pool = match self.scratch_pool.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        pool.pop().unwrap_or_default()
-    }
-
-    fn pool_push(&self, scratch: Scratch) {
-        let mut pool = match self.scratch_pool.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        pool.push(scratch);
     }
 }

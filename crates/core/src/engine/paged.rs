@@ -291,6 +291,15 @@ impl PagedEngine {
     pub fn pool_misses(&self) -> u64 {
         self.snap.misses()
     }
+
+    /// Lifetime page reads from the snapshot file — one per pool miss —
+    /// classified sequential (the page after the previous read) or random
+    /// on the reader's one read path. The I/O replay experiment prices
+    /// these with a [`CostModel`](setsim_storage::CostModel).
+    #[must_use]
+    pub fn disk_stats(&self) -> setsim_storage::DiskStats {
+        self.snap.disk_stats()
+    }
 }
 
 /// Binary-search the token-ascending directory.

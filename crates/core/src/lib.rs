@@ -12,19 +12,21 @@
 //!   (equivalently, descending per-token contribution), with optional skip
 //!   lists for length seeks and extendible-hash id indexes for random
 //!   access ([`InvertedIndex`]);
-//! * **eight selection algorithms** sharing one interface
-//!   ([`SelectionAlgorithm`]): full scan, sort-by-id multiway merge, the
-//!   classic TA and NRA, the improved iTA and iNRA, the Shortest-First
-//!   (SF) algorithm, and the Hybrid algorithm; plus a relational (SQL)
-//!   baseline in [`algorithms::sql`];
+//! * **eight selection algorithms** selected by one enum
+//!   ([`AlgorithmKind`], with the [`AlgoConfig`] ablation toggles): full
+//!   scan, sort-by-id multiway merge, the classic TA and NRA, the improved
+//!   iTA and iNRA, the Shortest-First (SF) algorithm, and the Hybrid
+//!   algorithm; plus a relational (SQL) baseline in [`algorithms::sql`];
 //! * extensions the paper lists as future work: **top-k** variants
-//!   ([`algorithms::topk`]) and **parallel batch execution**
-//!   ([`algorithms::parallel`]);
-//! * a **serving layer** ([`engine`]): a persistent [`QueryEngine`] that
-//!   reuses per-worker scratch memory across queries, executes batches
-//!   with a work-stealing thread pool, enforces per-query budgets
-//!   (deadline / max element accesses), and aggregates latency and
-//!   pruning metrics — all behind the [`SearchRequest`] builder API;
+//!   ([`algorithms::topk`]) and a **self-join** composed from selections
+//!   ([`algorithms::selfjoin`]);
+//! * a **serving layer** ([`engine`]): a [`SearchRequest`] run through
+//!   [`engine::execute`] is the one way to run a selection; the persistent
+//!   [`QueryEngine`] around it reuses per-worker scratch memory across
+//!   queries, executes batches (the paper's other stated future work,
+//!   parallel execution) with a work-stealing thread pool, enforces
+//!   per-query budgets (deadline / max element accesses), and aggregates
+//!   latency and pruning metrics;
 //! * **persistent snapshots** ([`snapshot`]): `InvertedIndex::save` /
 //!   `InvertedIndex::load` serialize the index into a page-structured,
 //!   CRC-checksummed file, and [`QueryEngine::open`] cold-starts a
@@ -84,10 +86,7 @@ mod stats;
 pub mod tfsearch;
 mod weights;
 
-pub use algorithms::{
-    AlgoConfig, FullScan, HybridAlgorithm, INraAlgorithm, ITaAlgorithm, NraAlgorithm,
-    SelectionAlgorithm, SfAlgorithm, SortByIdMerge, TaAlgorithm, MAX_QUERY_LISTS,
-};
+pub use algorithms::{AlgoConfig, MAX_QUERY_LISTS};
 pub use api::{
     ErrorCode, SearchCall, SearchReply, WireError, WireMatch, WireRequest, WireResponse, WireStats,
     PROTOCOL_VERSION,

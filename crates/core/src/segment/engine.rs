@@ -17,7 +17,7 @@
 use super::{
     lockcheck, MutableIndex, MutableOutcome, MutableQuery, MutableSearchRequest, RecordId,
 };
-use crate::engine::{EngineMetrics, MetricsSnapshot, Scratch, SearchError};
+use crate::engine::{EngineMetrics, MetricsSnapshot, ScratchPool, SearchError};
 use crate::segment::delta::DeltaSegment;
 use crate::SnapshotError;
 use std::ops::{Deref, DerefMut};
@@ -33,8 +33,9 @@ use std::time::Instant;
 /// by `cargo xtask analyze` (lock-discipline pass parses these two
 /// declarations) and at runtime by `lockcheck` under the `audit`
 /// feature. `drift_cache` (rank 2, inside [`MutableIndex`]) sits
-/// between `state` and `scratch_pool`; it has no field here, so only
-/// the runtime checker sees its edges.
+/// between `state` and `scratch_pool` (the mutex inside the engine's
+/// `ScratchPool`); neither has a lock field here, so only the runtime
+/// checker sees their edges.
 ///
 /// lock-order: compaction -> state -> scratch_pool
 /// lock-heavy: build_base, save, load, open
@@ -46,7 +47,7 @@ pub struct MutableEngine {
     /// Serving counters — engine-owned, segment-swap-proof.
     metrics: EngineMetrics,
     /// Warm scratches shared by all searching threads.
-    scratch_pool: Mutex<Vec<Scratch>>,
+    scratch_pool: ScratchPool,
 }
 
 /// Shared-state guard: the `RwLock` read guard plus its lock-order
@@ -91,7 +92,7 @@ impl MutableEngine {
             state: RwLock::new(index),
             compaction: Mutex::new(()),
             metrics: EngineMetrics::default(),
-            scratch_pool: Mutex::new(Vec::new()),
+            scratch_pool: ScratchPool::default(),
         }
     }
 
@@ -122,13 +123,13 @@ impl MutableEngine {
         // Serving boundary: latency is recorded here, outside the
         // deterministic kernels. lint: allow no-wallclock
         let start = Instant::now();
-        let mut scratch = self.pool_pop();
+        let mut scratch = self.scratch_pool.pop();
         let res = self.read().search(&mut scratch, req);
         if let Ok(out) = &res {
             self.metrics.record(&out.stats, out.status, start.elapsed());
             self.metrics.record_matches(out.results.len() as u64);
         }
-        self.pool_push(scratch);
+        self.scratch_pool.push(scratch);
         res
     }
 
@@ -282,24 +283,6 @@ impl MutableEngine {
             guard: self.state.write().unwrap_or_else(PoisonError::into_inner),
             _held: lockcheck::acquired(lockcheck::STATE),
         }
-    }
-
-    fn pool_pop(&self) -> Scratch {
-        let _held = lockcheck::acquired(lockcheck::SCRATCH_POOL);
-        let mut pool = self
-            .scratch_pool
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        pool.pop().unwrap_or_default()
-    }
-
-    fn pool_push(&self, scratch: Scratch) {
-        let _held = lockcheck::acquired(lockcheck::SCRATCH_POOL);
-        let mut pool = self
-            .scratch_pool
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        pool.push(scratch);
     }
 }
 

@@ -38,7 +38,7 @@ pub mod audit;
 mod delta;
 mod drift;
 mod engine;
-mod lockcheck;
+pub(crate) mod lockcheck;
 mod persist;
 
 pub use drift::DriftBudget;

@@ -6,8 +6,8 @@
 //! the logical layer on top:
 //!
 //! * **Posting pages** — each weight-sorted list is split into blocks no
-//!   larger than one page, delta+varint encoded exactly like
-//!   [`setsim_storage::PagedPostings`]: the block's first `len`-bits key
+//!   larger than one page, delta+varint encoded
+//!   (`setsim_collections::codec`): the block's first `len`-bits key
 //!   absolute, subsequent keys as deltas (nonnegative, because lists are
 //!   sorted by ascending `len`), ids raw. Blocks are packed back to back
 //!   into pages — the directory records each block's `(page, offset)` —
@@ -278,8 +278,7 @@ impl<'w> PagePacker<'w> {
 }
 
 /// Split one `(len, id)`-sorted list into delta+varint blocks of at most
-/// one page and hand them to the packer. Mirrors the block layout of
-/// `setsim_storage::PagedPostings::build`.
+/// one page and hand them to the packer.
 fn write_list_pages(
     packer: &mut PagePacker<'_>,
     postings: &[Posting],

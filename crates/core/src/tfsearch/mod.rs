@@ -26,11 +26,11 @@
 //!   `‖s‖`, so relative order is identical in every list.
 //!
 //! [`TfIndex`] stores `(id, ‖s‖, tf)` postings sorted by `(‖s‖, id)` plus
-//! each list's max tf; [`TfSfAlgorithm`] is the Shortest-First algorithm
+//! each list's max tf; [`tf_sf`] is the Shortest-First algorithm
 //! with all bounds boosted. [`tf_scan`] is the exhaustive oracle.
 
 mod index;
 mod select;
 
 pub use index::{TfIndex, TfPosting, TfQuery, TfQueryToken};
-pub use select::{tf_scan, TfSfAlgorithm};
+pub use select::{tf_scan, tf_sf};

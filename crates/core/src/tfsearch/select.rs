@@ -36,19 +36,6 @@ pub fn tf_scan(index: &TfIndex<'_>, query: &TfQuery, tau: f64) -> SearchOutcome 
     SearchOutcome::complete(results, stats)
 }
 
-/// Shortest-First selection for TF/IDF cosine, with every bound boosted by
-/// the per-token maximum term frequency (Section IV's closing remark,
-/// realized).
-///
-/// Identical control flow to [`SfAlgorithm`](crate::SfAlgorithm): lists in
-/// descending boost order, λᵢ cutoffs from boost suffix sums, one merge
-/// pass per list against a `(norm, id)`-sorted candidate list. The only
-/// loosening is that upper bounds use `tf_q·M_t·idf²` instead of the
-/// (tf-free) exact `idf²`, so slightly more candidates survive until their
-/// actual tf contributions resolve them.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TfSfAlgorithm;
-
 #[derive(Debug, Clone, Copy)]
 struct Cand {
     id: SetId,
@@ -61,84 +48,73 @@ fn key(norm: f64, id: SetId) -> (u64, u32) {
     (norm.to_bits(), id.0)
 }
 
-impl TfSfAlgorithm {
-    /// Run the selection; exact results, boosted pruning.
-    pub fn search(&self, index: &TfIndex<'_>, query: &TfQuery, tau: f64) -> SearchOutcome {
-        validate_tau(tau);
-        let mut stats = SearchStats::default();
-        let mut results = Vec::new();
-        if query.is_empty() || query.norm == 0.0 {
-            return SearchOutcome::complete(results, stats);
-        }
-        let n = query.num_lists();
-        let (norm_lo, norm_hi) = query.norm_bounds(tau);
-        let lo_seek = norm_lo * (1.0 - crate::EPS_REL);
-        let hi_cut = norm_hi * (1.0 + crate::EPS_REL);
-        let suffix = query.boost_suffix_sums();
-        // λᵢ: the largest norm a NEW candidate first discovered in list i
-        // can have — its best case is suffix(i)/(norm·‖q‖).
-        let lambdas: Vec<f64> = (0..n)
-            .map(|i| (suffix[i] / (tau * query.norm)) * (1.0 + crate::EPS_REL))
-            .collect();
+/// Shortest-First selection for TF/IDF cosine, with every bound boosted by
+/// the per-token maximum term frequency (Section IV's closing remark,
+/// realized).
+///
+/// Identical control flow to SF (`AlgorithmKind::Sf`, Algorithm 3): lists in
+/// descending boost order, λᵢ cutoffs from boost suffix sums, one merge
+/// pass per list against a `(norm, id)`-sorted candidate list. The only
+/// loosening is that upper bounds use `tf_q·M_t·idf²` instead of the
+/// (tf-free) exact `idf²`, so slightly more candidates survive until their
+/// actual tf contributions resolve them.
+///
+/// Exact results, boosted pruning.
+///
+/// # Panics
+/// Panics if `tau` is outside `(0, 1]`.
+pub fn tf_sf(index: &TfIndex<'_>, query: &TfQuery, tau: f64) -> SearchOutcome {
+    validate_tau(tau);
+    let mut stats = SearchStats::default();
+    let mut results = Vec::new();
+    if query.is_empty() || query.norm == 0.0 {
+        return SearchOutcome::complete(results, stats);
+    }
+    let n = query.num_lists();
+    let (norm_lo, norm_hi) = query.norm_bounds(tau);
+    let lo_seek = norm_lo * (1.0 - crate::EPS_REL);
+    let hi_cut = norm_hi * (1.0 + crate::EPS_REL);
+    let suffix = query.boost_suffix_sums();
+    // λᵢ: the largest norm a NEW candidate first discovered in list i
+    // can have — its best case is suffix(i)/(norm·‖q‖).
+    let lambdas: Vec<f64> = (0..n)
+        .map(|i| (suffix[i] / (tau * query.norm)) * (1.0 + crate::EPS_REL))
+        .collect();
 
-        let mut cands: Vec<Cand> = Vec::new();
-        for i in 0..n {
-            stats.rounds += 1;
-            let Some(list) = index.list(query.tokens[i].token) else {
-                unreachable!("prepared tf-query tokens always have lists")
+    let mut cands: Vec<Cand> = Vec::new();
+    for i in 0..n {
+        stats.rounds += 1;
+        let Some(list) = index.list(query.tokens[i].token) else {
+            unreachable!("prepared tf-query tokens always have lists")
+        };
+        let postings = list.postings();
+        stats.total_list_elements += postings.len() as u64;
+        let start = list.seek_norm(lo_seek);
+        stats.elements_skipped += start as u64;
+        let mu = lambdas[i].min(hi_cut);
+        let w_factor = f64::from(query.tokens[i].tf_q) * query.tokens[i].idf_sq;
+
+        let mut merged: Vec<Cand> = Vec::with_capacity(cands.len());
+        let mut ci = 0usize;
+        let mut pos = start;
+        loop {
+            let tail_max = if ci < cands.len() {
+                cands[cands.len() - 1].norm
+            } else {
+                f64::NEG_INFINITY
             };
-            let postings = list.postings();
-            stats.total_list_elements += postings.len() as u64;
-            let start = list.seek_norm(lo_seek);
-            stats.elements_skipped += start as u64;
-            let mu = lambdas[i].min(hi_cut);
-            let w_factor = f64::from(query.tokens[i].tf_q) * query.tokens[i].idf_sq;
-
-            let mut merged: Vec<Cand> = Vec::with_capacity(cands.len());
-            let mut ci = 0usize;
-            let mut pos = start;
-            loop {
-                let tail_max = if ci < cands.len() {
-                    cands[cands.len() - 1].norm
-                } else {
-                    f64::NEG_INFINITY
-                };
-                let bound = mu.max(tail_max);
-                if pos >= postings.len() {
-                    break;
-                }
-                let p = postings[pos];
-                if p.norm > bound {
-                    break;
-                }
-                pos += 1;
-                stats.elements_read += 1;
-
-                while ci < cands.len() && key(cands[ci].norm, cands[ci].id) < key(p.norm, p.id) {
-                    let c = cands[ci];
-                    ci += 1;
-                    stats.candidate_scan_steps += 1;
-                    let upper = c.lower + suffix[i + 1] / (c.norm * query.norm);
-                    if !safely_below(upper, tau) {
-                        merged.push(c);
-                    }
-                }
-                let w = w_factor * f64::from(p.tf) / (p.norm * query.norm);
-                if ci < cands.len() && key(cands[ci].norm, cands[ci].id) == key(p.norm, p.id) {
-                    let mut c = cands[ci];
-                    ci += 1;
-                    c.lower += w;
-                    merged.push(c);
-                } else if p.norm <= lambdas[i] {
-                    stats.candidates_inserted += 1;
-                    merged.push(Cand {
-                        id: p.id,
-                        norm: p.norm,
-                        lower: w,
-                    });
-                }
+            let bound = mu.max(tail_max);
+            if pos >= postings.len() {
+                break;
             }
-            while ci < cands.len() {
+            let p = postings[pos];
+            if p.norm > bound {
+                break;
+            }
+            pos += 1;
+            stats.elements_read += 1;
+
+            while ci < cands.len() && key(cands[ci].norm, cands[ci].id) < key(p.norm, p.id) {
                 let c = cands[ci];
                 ci += 1;
                 stats.candidate_scan_steps += 1;
@@ -147,18 +123,41 @@ impl TfSfAlgorithm {
                     merged.push(c);
                 }
             }
-            cands = merged;
-        }
-        for c in cands {
-            if passes(c.lower, tau) {
-                results.push(Match {
-                    id: c.id,
-                    score: c.lower,
+            let w = w_factor * f64::from(p.tf) / (p.norm * query.norm);
+            if ci < cands.len() && key(cands[ci].norm, cands[ci].id) == key(p.norm, p.id) {
+                let mut c = cands[ci];
+                ci += 1;
+                c.lower += w;
+                merged.push(c);
+            } else if p.norm <= lambdas[i] {
+                stats.candidates_inserted += 1;
+                merged.push(Cand {
+                    id: p.id,
+                    norm: p.norm,
+                    lower: w,
                 });
             }
         }
-        SearchOutcome::complete(results, stats)
+        while ci < cands.len() {
+            let c = cands[ci];
+            ci += 1;
+            stats.candidate_scan_steps += 1;
+            let upper = c.lower + suffix[i + 1] / (c.norm * query.norm);
+            if !safely_below(upper, tau) {
+                merged.push(c);
+            }
+        }
+        cands = merged;
     }
+    for c in cands {
+        if passes(c.lower, tau) {
+            results.push(Match {
+                id: c.id,
+                score: c.lower,
+            });
+        }
+    }
+    SearchOutcome::complete(results, stats)
 }
 
 #[cfg(test)]
@@ -179,7 +178,7 @@ mod tests {
             let q = idx.prepare_query_str(qtext);
             for &tau in taus {
                 let oracle = tf_scan(&idx, &q, tau);
-                let got = TfSfAlgorithm.search(&idx, &q, tau);
+                let got = tf_sf(&idx, &q, tau);
                 assert_eq!(got.ids_sorted(), oracle.ids_sorted(), "q={qtext} tau={tau}");
                 // Exact scores.
                 let mut want: Vec<_> = oracle.results.clone();
@@ -252,7 +251,7 @@ mod tests {
             .enumerate()
         {
             let q = idx.prepare_query_str(text);
-            let out = TfSfAlgorithm.search(&idx, &q, 1.0);
+            let out = tf_sf(&idx, &q, 1.0);
             assert!(
                 out.results.iter().any(|m| m.id.index() == texts_i),
                 "self match lost for {text:?}"
@@ -272,7 +271,7 @@ mod tests {
         let c = words(&refs);
         let idx = TfIndex::build(&c);
         let q = idx.prepare_query_str("needle word");
-        let out = TfSfAlgorithm.search(&idx, &q, 0.8);
+        let out = tf_sf(&idx, &q, 0.8);
         assert!(!out.results.is_empty());
         assert!(
             out.stats.elements_read < out.stats.total_list_elements,
@@ -285,7 +284,7 @@ mod tests {
         let c = words(&["alpha"]);
         let idx = TfIndex::build(&c);
         let q = idx.prepare_query_str("");
-        assert!(TfSfAlgorithm.search(&idx, &q, 0.5).results.is_empty());
+        assert!(tf_sf(&idx, &q, 0.5).results.is_empty());
         assert!(tf_scan(&idx, &q, 0.5).results.is_empty());
     }
 
@@ -295,6 +294,6 @@ mod tests {
         let c = words(&["alpha"]);
         let idx = TfIndex::build(&c);
         let q = idx.prepare_query_str("alpha");
-        let _ = TfSfAlgorithm.search(&idx, &q, 0.0);
+        let _ = tf_sf(&idx, &q, 0.0);
     }
 }

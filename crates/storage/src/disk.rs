@@ -1,8 +1,10 @@
-/// Identifier of a page on a [`SimulatedDisk`].
+/// Identifier of a page in a paged store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u32);
 
-/// Read/write tallies kept by a [`SimulatedDisk`].
+/// Physical page-read tallies by access pattern, kept by
+/// [`SnapshotReader`](crate::SnapshotReader) on its one read path and
+/// priced by a [`CostModel`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskStats {
     /// Reads of the page immediately following the previously read page
@@ -10,11 +12,18 @@ pub struct DiskStats {
     pub sequential_reads: u64,
     /// All other reads (head seeks on spinning media).
     pub random_reads: u64,
-    /// Pages written.
-    pub writes: u64,
 }
 
 impl DiskStats {
+    /// Tally one read of page `id`, given the page read before it.
+    pub(crate) fn record(&mut self, prev: Option<u32>, id: u32) {
+        if prev.is_some_and(|p| id == p.wrapping_add(1)) {
+            self.sequential_reads += 1;
+        } else {
+            self.random_reads += 1;
+        }
+    }
+
     /// Total page reads.
     pub fn total_reads(&self) -> u64 {
         self.sequential_reads + self.random_reads
@@ -57,139 +66,19 @@ impl CostModel {
     }
 }
 
-/// An in-memory, page-addressed store with access-pattern accounting.
-///
-/// Pages have a fixed size; short writes are zero-padded, oversized writes
-/// are rejected. Every read is classified as sequential (it targets the
-/// page right after the previously read one) or random.
-pub struct SimulatedDisk {
-    page_size: usize,
-    pages: Vec<Box<[u8]>>,
-    last_read: Option<u32>,
-    stats: DiskStats,
-}
-
-impl SimulatedDisk {
-    /// A disk with `page_size`-byte pages.
-    ///
-    /// # Panics
-    /// Panics if `page_size == 0`.
-    pub fn new(page_size: usize) -> Self {
-        assert!(page_size > 0, "page size must be positive");
-        Self {
-            page_size,
-            pages: Vec::new(),
-            last_read: None,
-            stats: DiskStats::default(),
-        }
-    }
-
-    /// Page size in bytes.
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
-    /// Number of allocated pages.
-    pub fn num_pages(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Total capacity used, in bytes (whole pages).
-    pub fn size_bytes(&self) -> usize {
-        self.pages.len() * self.page_size
-    }
-
-    /// Append a new page holding `data` (zero-padded).
-    ///
-    /// # Panics
-    /// Panics if `data` exceeds the page size.
-    pub fn write_page(&mut self, data: &[u8]) -> PageId {
-        assert!(
-            data.len() <= self.page_size,
-            "page overflow: {} > {}",
-            data.len(),
-            self.page_size
-        );
-        let mut page = vec![0u8; self.page_size].into_boxed_slice();
-        page[..data.len()].copy_from_slice(data);
-        let id = PageId(u32::try_from(self.pages.len()).expect("disk overflow")); // lint: allow — in-memory Vec length, not fallible I/O
-        self.pages.push(page);
-        self.stats.writes += 1;
-        id
-    }
-
-    /// Read a page, charging a sequential or random access.
-    ///
-    /// # Panics
-    /// Panics on an unallocated page id.
-    pub fn read_page(&mut self, id: PageId) -> &[u8] {
-        match self.last_read {
-            Some(prev) if id.0 == prev.wrapping_add(1) => self.stats.sequential_reads += 1,
-            _ => self.stats.random_reads += 1,
-        }
-        self.last_read = Some(id.0);
-        &self.pages[id.0 as usize]
-    }
-
-    /// Replace the contents of an existing page (zero-padded), without
-    /// charging a read. Used by rewriting structures and by tests that
-    /// inject corruption under a [`BufferPool`](crate::BufferPool).
-    ///
-    /// # Panics
-    /// Panics on an unallocated page id or if `data` exceeds the page
-    /// size.
-    pub fn overwrite_page(&mut self, id: PageId, data: &[u8]) {
-        assert!(
-            data.len() <= self.page_size,
-            "page overflow: {} > {}",
-            data.len(),
-            self.page_size
-        );
-        let page = &mut self.pages[id.0 as usize];
-        page.fill(0);
-        page[..data.len()].copy_from_slice(data);
-        self.stats.writes += 1;
-    }
-
-    /// Access tallies so far.
-    pub fn stats(&self) -> DiskStats {
-        self.stats
-    }
-
-    /// Reset tallies (the head position is also forgotten).
-    pub fn reset_stats(&mut self) {
-        self.stats = DiskStats::default();
-        self.last_read = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn write_then_read_round_trips() {
-        let mut d = SimulatedDisk::new(16);
-        let a = d.write_page(b"hello");
-        let b = d.write_page(b"world!");
-        assert_eq!(&d.read_page(a)[..5], b"hello");
-        assert_eq!(&d.read_page(b)[..6], b"world!");
-        assert_eq!(d.num_pages(), 2);
-        assert_eq!(d.stats().writes, 2);
-    }
-
-    #[test]
     fn sequential_vs_random_classification() {
-        let mut d = SimulatedDisk::new(8);
-        let ids: Vec<PageId> = (0..5).map(|i| d.write_page(&[i])).collect();
-        d.reset_stats();
         // 0 (random: first), 1, 2 (sequential), 4 (random), 0 (random).
-        d.read_page(ids[0]);
-        d.read_page(ids[1]);
-        d.read_page(ids[2]);
-        d.read_page(ids[4]);
-        d.read_page(ids[0]);
-        let s = d.stats();
+        let mut s = DiskStats::default();
+        let mut prev = None;
+        for id in [0, 1, 2, 4, 0] {
+            s.record(prev, id);
+            prev = Some(id);
+        }
         assert_eq!(s.sequential_reads, 2);
         assert_eq!(s.random_reads, 3);
         assert_eq!(s.total_reads(), 5);
@@ -200,7 +89,6 @@ mod tests {
         let stats = DiskStats {
             sequential_reads: 100,
             random_reads: 100,
-            writes: 0,
         };
         let hdd = CostModel::hdd_2008();
         let nvme = CostModel::nvme();
@@ -209,37 +97,7 @@ mod tests {
         let seq_only = DiskStats {
             sequential_reads: 200,
             random_reads: 0,
-            writes: 0,
         };
         assert!(hdd.read_ms(&stats) > 10.0 * hdd.read_ms(&seq_only) / 2.0);
-    }
-
-    #[test]
-    fn pages_are_padded() {
-        let mut d = SimulatedDisk::new(8);
-        let id = d.write_page(b"ab");
-        let page = d.read_page(id);
-        assert_eq!(page.len(), 8);
-        assert_eq!(&page[..2], b"ab");
-        assert!(page[2..].iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "page overflow")]
-    fn oversized_write_panics() {
-        let mut d = SimulatedDisk::new(4);
-        d.write_page(b"too big for a page");
-    }
-
-    #[test]
-    fn reset_forgets_head_position() {
-        let mut d = SimulatedDisk::new(4);
-        let a = d.write_page(b"a");
-        let b = d.write_page(b"b");
-        d.read_page(a);
-        d.reset_stats();
-        d.read_page(b); // would be sequential if head were remembered
-        assert_eq!(d.stats().random_reads, 1);
-        assert_eq!(d.stats().sequential_reads, 0);
     }
 }

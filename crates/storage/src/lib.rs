@@ -4,40 +4,36 @@
 //! skip lists and extendible hashing, with "caching left to the operating
 //! system and the disk drive". Its headline trade-off — SF's sequential
 //! scans versus TA's per-element random probes — is an I/O story. This
-//! crate provides the pieces needed to study that story precisely, in
-//! memory:
+//! crate holds the one page store that both serves queries and lets that
+//! story be studied:
 //!
-//! * [`SimulatedDisk`] — a page-addressed store that classifies every read
-//!   as *sequential* (the page after the previous read) or *random*, and
-//!   converts the tallies to modeled time under a configurable
-//!   [`CostModel`].
-//! * [`BufferPool`] — an LRU page cache with hit/miss accounting, standing
-//!   in for the OS page cache the paper relies on.
-//! * [`PagedPostings`] — a posting list laid out on disk pages using the
-//!   delta+varint blocks of `setsim_collections::codec`, one block per
-//!   page, with an in-memory `(first key → page)` directory so the Length
-//!   Boundedness seek touches only the pages inside the window.
-//! * [`snapshot`] — the real-file counterpart: a versioned, page-structured
-//!   snapshot container ([`SnapshotWriter`] / [`SnapshotReader`]) with
-//!   per-page CRC32 checksums and typed [`SnapshotError`]s, backing
-//!   `Index::save` / `Index::load` in `setsim-core`.
+//! * [`snapshot`] — a versioned, page-structured snapshot container
+//!   ([`SnapshotWriter`] / [`SnapshotReader`]) with per-page CRC32
+//!   checksums and typed [`SnapshotError`]s, backing `Index::save` /
+//!   `Index::load` in `setsim-core`. The reader classifies every page it
+//!   reads as *sequential* (the page after the previous read) or *random*
+//!   ([`DiskStats`]); a [`CostModel`] converts those tallies to modeled
+//!   time.
+//! * [`BufferPool`] — an LRU cache of sealed pages with hit/miss
+//!   accounting, standing in for the OS page cache the paper relies on;
+//!   it re-verifies the page checksum on every fetch.
 //! * [`pagedsnap`] — demand paging over a snapshot file: [`PagedSnapshot`]
 //!   faults CRC-sealed posting pages through a bounded [`BufferPool`]
 //!   (via the [`PageSource`] trait), so a snapshot larger than RAM can
-//!   be served with `pool × page_size` resident bytes.
+//!   be served with `pool × page_size` resident bytes. The I/O replay
+//!   experiment (`disk_io_model`) prices the tallies of exactly this
+//!   path.
 
 mod disk;
 pub mod manifest;
-mod paged;
 pub mod pagedsnap;
 mod pool;
 pub mod snapshot;
 
-pub use disk::{CostModel, DiskStats, PageId, SimulatedDisk};
+pub use disk::{CostModel, DiskStats, PageId};
 pub use manifest::{
     sniff_manifest_magic, DeltaLogOp, ManifestEntry, SegmentManifest, ShardEntry, ShardManifest,
 };
-pub use paged::PagedPostings;
 pub use pagedsnap::PagedSnapshot;
 pub use pool::{BufferPool, PageSource};
 pub use snapshot::{SnapshotError, SnapshotLayout, SnapshotReader, SnapshotRegion, SnapshotWriter};

@@ -22,7 +22,7 @@
 
 use crate::pool::BufferPool;
 use crate::snapshot::{SnapshotError, SnapshotLayout, SnapshotReader, PAGE_CRC_LEN};
-use crate::PageId;
+use crate::{DiskStats, PageId};
 use std::path::Path;
 
 /// A snapshot file served page-at-a-time through a bounded buffer pool.
@@ -115,6 +115,15 @@ impl PagedSnapshot {
         self.pool.misses()
     }
 
+    /// Page reads from the file so far, sequential vs random (see
+    /// [`SnapshotReader::read_sealed_page`]). With no
+    /// [`verify_all_pages`](Self::verify_all_pages) sweep, the total
+    /// equals [`misses`](Self::misses).
+    #[must_use]
+    pub fn disk_stats(&self) -> DiskStats {
+        self.reader.disk_stats()
+    }
+
     /// Resident frames evicted because their checksum no longer
     /// verified.
     #[must_use]
@@ -183,9 +192,13 @@ mod tests {
             assert!(snap.resident() <= 2, "pool capacity is a hard bound");
         }
         assert_eq!(snap.misses(), 8);
+        // Every miss is one classified file read: a landing, then a run.
+        let io = snap.disk_stats();
+        assert_eq!((io.random_reads, io.sequential_reads), (1, 7));
         // Re-reading the most recent page is a verified hit.
         snap.page(7).expect("hit");
         assert_eq!(snap.hits(), 1);
+        assert_eq!(snap.disk_stats(), io, "a hit reads nothing");
         std::fs::remove_file(&path).ok();
     }
 

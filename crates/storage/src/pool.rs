@@ -1,5 +1,5 @@
 use crate::snapshot::{page_checksum_ok, SnapshotError, SnapshotRegion};
-use crate::{PageId, SimulatedDisk};
+use crate::PageId;
 use std::collections::HashMap;
 
 /// A backing store the [`BufferPool`] can fault sealed pages from.
@@ -18,32 +18,24 @@ pub trait PageSource {
     fn read_sealed_page(&mut self, id: PageId) -> Result<Box<[u8]>, SnapshotError>;
 }
 
-impl PageSource for SimulatedDisk {
-    fn read_sealed_page(&mut self, id: PageId) -> Result<Box<[u8]>, SnapshotError> {
-        Ok(self.read_page(id).into())
-    }
-}
-
 impl PageSource for crate::SnapshotReader {
     fn read_sealed_page(&mut self, id: PageId) -> Result<Box<[u8]>, SnapshotError> {
         crate::SnapshotReader::read_sealed_page(self, id.0).map(Vec::into_boxed_slice)
     }
 }
 
-/// An LRU page cache in front of a [`SimulatedDisk`].
+/// An LRU cache of CRC-sealed pages in front of a [`PageSource`].
 ///
 /// Stands in for the OS page cache the paper's experiments rely on
 /// ("we leave caching up to the operating system and the disk drive").
-/// Hits are free; misses read through to the disk (charging it a
-/// sequential or random access) and evict the least recently used frame
-/// when full.
+/// Misses read through to the source and evict the least recently used
+/// frame when full.
 ///
-/// Pages sealed with an embedded CRC (see
-/// [`seal_page`](crate::snapshot::seal_page)) can be fetched through
-/// [`get_verified`](Self::get_verified), which checks the checksum on
-/// every access. A resident frame that fails verification is **not** a
-/// hit: it is evicted and the page re-read from disk as a miss, so the
-/// hit ratio never counts reads that had to fall back to the disk.
+/// [`get_verified`](Self::get_verified) is the one fetch: it checks the
+/// page's embedded checksum (see [`seal_page`](crate::snapshot::seal_page))
+/// on every access. A resident frame that fails verification is **not** a
+/// hit: it is evicted and the page re-read from the source as a miss, so
+/// the hit ratio never counts reads that had to fall back to the source.
 pub struct BufferPool {
     capacity: usize,
     frames: HashMap<PageId, Frame>,
@@ -107,33 +99,10 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Fetch a page through the cache. On a miss the disk is charged and
-    /// the LRU frame evicted if the pool is full.
-    pub fn get(&mut self, disk: &mut SimulatedDisk, id: PageId) -> &[u8] {
-        self.clock += 1;
-        let clock = self.clock;
-        if self.frames.contains_key(&id) {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-            // SimulatedDisk's PageSource impl cannot fail; on the
-            // impossible error path the frame is simply absent and the
-            // fallback arm below serves an empty page.
-            let _infallible = self.admit(disk, id, clock);
-        }
-        // Present on both paths; the fallback arm is unreachable.
-        let f = self.frames.entry(id).or_insert_with(|| Frame {
-            data: Box::new([]),
-            last_used: clock,
-        });
-        f.last_used = clock;
-        &f.data
-    }
-
     /// Fetch a CRC-sealed page through the cache, verifying the embedded
     /// checksum on every access. Generic over the [`PageSource`] backing
-    /// the pool — the in-memory [`SimulatedDisk`] and the real-file
-    /// [`SnapshotReader`](crate::SnapshotReader) both qualify.
+    /// the pool — in production the real-file
+    /// [`SnapshotReader`](crate::SnapshotReader).
     ///
     /// A resident frame that fails verification does **not** count as a
     /// hit: the stale frame is evicted (tallied in
@@ -152,8 +121,7 @@ impl BufferPool {
         match resident {
             Some(true) => self.hits += 1,
             Some(false) => {
-                // The frame went bad while cached. Before the fix this
-                // path counted a hit and served the damaged bytes.
+                // The frame went bad while cached: not a hit.
                 self.checksum_evictions += 1;
                 self.frames.remove(&id);
                 self.misses += 1;
@@ -245,73 +213,85 @@ mod tests {
     use super::*;
     use crate::snapshot::seal_page;
 
-    fn disk_with(n: u8) -> (SimulatedDisk, Vec<PageId>) {
-        let mut d = SimulatedDisk::new(8);
-        let ids = (0..n).map(|i| d.write_page(&[i])).collect();
-        (d, ids)
+    /// An in-memory source of sealed pages that counts its reads.
+    struct SealedPages {
+        pages: Vec<Box<[u8]>>,
+        reads: u64,
     }
 
-    fn sealed_disk_with(n: u8) -> (SimulatedDisk, Vec<PageId>) {
-        let mut d = SimulatedDisk::new(64);
-        let ids = (0..n)
-            .map(|i| d.write_page(&seal_page(&[i; 16], 64)))
-            .collect();
-        (d, ids)
+    impl PageSource for SealedPages {
+        fn read_sealed_page(&mut self, id: PageId) -> Result<Box<[u8]>, SnapshotError> {
+            self.reads += 1;
+            Ok(self.pages[id.0 as usize].clone())
+        }
+    }
+
+    /// `n` sealed 64-byte pages; page `i`'s payload is all `i`.
+    fn source_with(n: u8) -> SealedPages {
+        SealedPages {
+            pages: (0..n)
+                .map(|i| seal_page(&[i; 16], 64).into_boxed_slice())
+                .collect(),
+            reads: 0,
+        }
     }
 
     #[test]
     fn caches_repeated_reads() {
-        let (mut d, ids) = disk_with(3);
-        d.reset_stats();
+        let mut src = source_with(3);
         let mut pool = BufferPool::new(4);
         for _ in 0..10 {
-            pool.get(&mut d, ids[0]);
+            pool.get_verified(&mut src, PageId(0)).expect("clean page");
         }
         assert_eq!(pool.misses(), 1);
         assert_eq!(pool.hits(), 9);
-        assert_eq!(d.stats().total_reads(), 1, "disk touched once");
+        assert_eq!(src.reads, 1, "source touched once");
     }
 
     #[test]
     fn evicts_lru_when_full() {
-        let (mut d, ids) = disk_with(3);
+        let mut src = source_with(3);
         let mut pool = BufferPool::new(2);
-        pool.get(&mut d, ids[0]);
-        pool.get(&mut d, ids[1]);
-        pool.get(&mut d, ids[0]); // 0 now more recent than 1
-        pool.get(&mut d, ids[2]); // evicts 1
+        for id in [0, 1, 0, 2] {
+            // 0 is more recent than 1 when 2 arrives, so 2 evicts 1.
+            pool.get_verified(&mut src, PageId(id)).expect("clean page");
+        }
         assert_eq!(pool.resident(), 2);
-        d.reset_stats();
-        pool.get(&mut d, ids[0]); // hit
-        assert_eq!(d.stats().total_reads(), 0);
-        pool.get(&mut d, ids[1]); // miss: was evicted
-        assert_eq!(d.stats().total_reads(), 1);
+        src.reads = 0;
+        pool.get_verified(&mut src, PageId(0)).expect("hit");
+        assert_eq!(src.reads, 0);
+        pool.get_verified(&mut src, PageId(1)).expect("miss");
+        assert_eq!(src.reads, 1, "page 1 was evicted");
     }
 
     #[test]
     fn hit_ratio_tracks() {
-        let (mut d, ids) = disk_with(2);
+        let mut src = source_with(2);
         let mut pool = BufferPool::new(2);
         assert_eq!(pool.hit_ratio(), 0.0);
-        pool.get(&mut d, ids[0]);
-        pool.get(&mut d, ids[0]);
+        pool.get_verified(&mut src, PageId(0)).expect("miss");
+        pool.get_verified(&mut src, PageId(0)).expect("hit");
         assert!((pool.hit_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn returned_data_is_page_content() {
-        let (mut d, ids) = disk_with(3);
+        let mut src = source_with(3);
         let mut pool = BufferPool::new(1);
-        assert_eq!(pool.get(&mut d, ids[2])[0], 2);
-        assert_eq!(pool.get(&mut d, ids[1])[0], 1);
-        assert_eq!(pool.get(&mut d, ids[2])[0], 2); // refetched after eviction
+        for id in [2u8, 1, 2] {
+            // The last one is refetched after eviction.
+            let page = pool
+                .get_verified(&mut src, PageId(u32::from(id)))
+                .expect("clean page");
+            assert_eq!(page[0], id);
+        }
     }
 
     #[test]
     fn clear_resets_everything() {
-        let (mut d, ids) = disk_with(1);
+        let mut src = source_with(1);
         let mut pool = BufferPool::new(2);
-        pool.get(&mut d, ids[0]);
+        pool.get_verified(&mut src, PageId(0)).expect("clean page");
         pool.clear();
         assert_eq!(pool.resident(), 0);
         assert_eq!(pool.hits() + pool.misses(), 0);
@@ -325,76 +305,51 @@ mod tests {
     }
 
     #[test]
-    fn verified_get_serves_sealed_pages() {
-        let (mut d, ids) = sealed_disk_with(3);
-        d.reset_stats();
-        let mut pool = BufferPool::new(2);
-        let page = pool.get_verified(&mut d, ids[1]).expect("clean page");
-        assert_eq!(page[0], 1);
-        assert_eq!(pool.misses(), 1);
-        let page = pool.get_verified(&mut d, ids[1]).expect("cached page");
-        assert_eq!(page[0], 1);
-        assert_eq!(pool.hits(), 1);
-        assert_eq!(d.stats().total_reads(), 1);
-    }
-
-    #[test]
     fn checksum_failed_resident_frame_is_not_a_hit() {
         // Regression test: a resident frame whose checksum no longer
         // verifies used to be counted as a hit and served as-is. It must
-        // instead be evicted, re-read from disk, and counted as a miss.
-        let (mut d, ids) = sealed_disk_with(2);
+        // instead be evicted, re-read from the source, and counted as a
+        // miss.
+        let mut src = source_with(2);
         let mut pool = BufferPool::new(2);
-        pool.get_verified(&mut d, ids[0]).expect("clean load");
+        pool.get_verified(&mut src, PageId(0)).expect("clean load");
         assert_eq!((pool.hits(), pool.misses()), (0, 1));
 
-        assert!(pool.poison_resident(ids[0]));
-        d.reset_stats();
+        assert!(pool.poison_resident(PageId(0)));
+        src.reads = 0;
         let page = pool
-            .get_verified(&mut d, ids[0])
-            .expect("disk copy is clean");
-        assert_eq!(page[0], 0, "served bytes come from the clean disk copy");
+            .get_verified(&mut src, PageId(0))
+            .expect("source copy is clean");
+        assert_eq!(page[0], 0, "served bytes come from the clean source copy");
         assert_eq!(pool.hits(), 0, "a checksum-failed frame must not be a hit");
         assert_eq!(pool.misses(), 2, "the fallback read is a miss");
         assert_eq!(pool.checksum_evictions(), 1);
-        assert_eq!(d.stats().total_reads(), 1, "page re-read from disk");
+        assert_eq!(src.reads, 1, "page re-read from the source");
 
         // And the healed frame is a genuine hit afterwards.
-        pool.get_verified(&mut d, ids[0]).expect("healed frame");
+        pool.get_verified(&mut src, PageId(0))
+            .expect("healed frame");
         assert_eq!(pool.hits(), 1);
     }
 
     #[test]
-    fn corrupt_disk_copy_is_a_typed_error_and_not_cached() {
-        let (mut d, ids) = sealed_disk_with(2);
+    fn corrupt_source_copy_is_a_typed_error_and_not_cached() {
+        let mut src = source_with(2);
         let mut bad = vec![0u8; 64];
         bad[5] = 7; // no valid embedded CRC
-        d.overwrite_page(ids[0], &bad);
+        src.pages[0] = bad.into_boxed_slice();
         let mut pool = BufferPool::new(2);
-        let err = pool.get_verified(&mut d, ids[0]).expect_err("corrupt page");
+        let err = pool
+            .get_verified(&mut src, PageId(0))
+            .expect_err("corrupt page");
         assert!(matches!(
             err,
             SnapshotError::ChecksumMismatch {
-                region: SnapshotRegion::Page(n)
-            } if n == ids[0].0
+                region: SnapshotRegion::Page(0)
+            }
         ));
         assert_eq!(pool.resident(), 0, "damaged bytes must not stay cached");
         // The clean sibling page still loads fine.
-        assert!(pool.get_verified(&mut d, ids[1]).is_ok());
-    }
-
-    #[test]
-    fn unverified_get_still_serves_poisoned_frames() {
-        // get() is the checksum-oblivious path; only get_verified()
-        // re-reads. This pins the behavioural difference.
-        let (mut d, ids) = sealed_disk_with(1);
-        let mut pool = BufferPool::new(1);
-        pool.get(&mut d, ids[0]);
-        pool.poison_resident(ids[0]);
-        d.reset_stats();
-        let page = pool.get(&mut d, ids[0]);
-        assert_eq!(page[0], 0xFF, "unverified path serves the cached bytes");
-        assert_eq!(d.stats().total_reads(), 0);
-        assert_eq!(pool.hits(), 1);
+        assert!(pool.get_verified(&mut src, PageId(1)).is_ok());
     }
 }

@@ -2,11 +2,10 @@
 //!
 //! The paper's indexes are disk resident (Section III-B stores 5 GB of
 //! inverted lists); this module supplies the physical file format that
-//! lets an index built once survive process restarts. It is the real-file
-//! sibling of [`SimulatedDisk`](crate::SimulatedDisk): where the simulated
-//! disk models access costs, the snapshot file carries actual bytes with
+//! lets an index built once survive process restarts: actual bytes with
 //! enough redundancy to *prove* on load that they are the bytes that were
-//! written.
+//! written. The reader also tallies its page reads by access pattern
+//! ([`DiskStats`]), which is what the I/O cost models price.
 //!
 //! # Layout
 //!
@@ -32,6 +31,7 @@
 //! A single flipped bit anywhere surfaces as a typed [`SnapshotError`] —
 //! never a panic, never a silently wrong page.
 
+use crate::DiskStats;
 use setsim_collections::checksum::crc32;
 use setsim_collections::codec::{read_u32_le, read_u64_le, write_u32_le, write_u64_le};
 use std::fmt;
@@ -350,6 +350,9 @@ pub struct SnapshotReader {
     file: File,
     layout: SnapshotLayout,
     footer: Vec<u8>,
+    /// Page-read tallies and the page read last (the "head position").
+    disk_stats: DiskStats,
+    last_read: Option<u32>,
 }
 
 impl SnapshotReader {
@@ -461,6 +464,8 @@ impl SnapshotReader {
                 file_len,
             },
             footer,
+            disk_stats: DiskStats::default(),
+            last_read: None,
         })
     }
 
@@ -486,15 +491,7 @@ impl SnapshotReader {
     /// region (CRC trailer stripped; trailing zero padding retained — the
     /// decoder's entry counts delimit the meaningful prefix).
     pub fn page(&mut self, id: u32) -> Result<Vec<u8>, SnapshotError> {
-        if u64::from(id) >= self.layout.num_pages {
-            return Err(SnapshotError::Corrupt {
-                detail: format!("page {id} out of range ({} pages)", self.layout.num_pages),
-            });
-        }
-        let offset = self.layout.pages_offset + u64::from(id) * self.layout.page_size as u64;
-        self.file.seek(SeekFrom::Start(offset))?;
-        let mut page = vec![0u8; self.layout.page_size];
-        self.file.read_exact(&mut page)?;
+        let mut page = self.read_sealed_page(id)?;
         if !page_checksum_ok(&page) {
             return Err(SnapshotError::ChecksumMismatch {
                 region: SnapshotRegion::Page(id),
@@ -510,6 +507,11 @@ impl SnapshotReader {
     /// verification (the [`BufferPool`](crate::BufferPool) verified path
     /// re-checks the seal on every access, so stripping it here would
     /// force the pool to trust stale frames).
+    ///
+    /// Every page read from the file goes through here, so this is where
+    /// each one is classified for [`disk_stats`](Self::disk_stats):
+    /// sequential if it is the page after the one read before it, random
+    /// otherwise.
     pub fn read_sealed_page(&mut self, id: u32) -> Result<Vec<u8>, SnapshotError> {
         if u64::from(id) >= self.layout.num_pages {
             return Err(SnapshotError::Corrupt {
@@ -520,7 +522,16 @@ impl SnapshotReader {
         self.file.seek(SeekFrom::Start(offset))?;
         let mut page = vec![0u8; self.layout.page_size];
         self.file.read_exact(&mut page)?;
+        self.disk_stats.record(self.last_read, id);
+        self.last_read = Some(id);
         Ok(page)
+    }
+
+    /// Page reads so far, by access pattern (see
+    /// [`read_sealed_page`](Self::read_sealed_page)).
+    #[must_use]
+    pub fn disk_stats(&self) -> DiskStats {
+        self.disk_stats
     }
 
     /// Verify every page's checksum (the `snapshot verify` sweep).

@@ -10,10 +10,10 @@
 //! * [`model`] — the per-file token model every pass consumes: code
 //!   tokens, a token-accurate `#[cfg(test)]` region mask, the
 //!   `lint: allow` escape-hatch index, doc-comment attachment.
-//! * [`lints`] — the seven custom policy rules (`no-unwrap`,
-//!   `no-lossy-cast`, `paper-ref`, `engine-api`, `no-unchecked-io`,
-//!   `no-wallclock`, `mutable-index`), migrated from line-oriented
-//!   substring scans onto the token stream.
+//! * [`lints`] — the nine custom policy rules (`no-unwrap`,
+//!   `no-lossy-cast`, `paper-ref`, `no-unchecked-io`, `no-wallclock`,
+//!   `mutable-index`, `wire-api`, `sharding`, `paged-io`), on the token
+//!   stream.
 //! * [`analyze`] — the workspace passes behind `cargo xtask analyze`:
 //!   lock-discipline ([`analyze::lock`]) and panic-reachability
 //!   ([`analyze::panic`]), plus the orchestrator and the allow-marker

@@ -1,6 +1,6 @@
 //! The repo's custom lint rules, on the token-stream engine.
 //!
-//! Ten rules encode policies rustc and clippy cannot express:
+//! Nine rules encode policies rustc and clippy cannot express:
 //!
 //! 1. **`no-unwrap`** — library code in `setsim-core` and
 //!    `setsim-collections` must not call `.unwrap()` or `.expect(...)`.
@@ -20,16 +20,7 @@
 //!    header) must cite the paper location it implements (a section,
 //!    algorithm, theorem, equation, or figure). The crate exists to
 //!    reproduce a paper; unlocatable public API is unreviewable.
-//! 4. **`engine-api`** — code outside `setsim-core` itself, the bench
-//!    crate (which measures the legacy path as a baseline), and test
-//!    suites must not call the three-argument
-//!    `SelectionAlgorithm::search(&index, &query, tau)` directly; it goes
-//!    through `QueryEngine`/`SearchRequest` (or `engine::execute`),
-//!    which validates instead of panicking and reuses scratch memory.
-//!    Detected as a `.search(` call whose argument list holds two or
-//!    more top-level commas, so `engine.search(req)` and the SQL
-//!    baseline's `sql.search(q, tau)` stay legal.
-//! 5. **`no-unchecked-io`** — library code in `setsim-storage` must not
+//! 4. **`no-unchecked-io`** — library code in `setsim-storage` must not
 //!    call `.unwrap()` or `.expect(...)`. That crate is the only one that
 //!    touches real files: an unchecked `io::Result` there turns a
 //!    recoverable disk condition into a panic in the middle of snapshot
@@ -37,7 +28,7 @@
 //!    The few in-memory invariants that genuinely cannot fail carry a
 //!    `lint: allow` marker with their justification; test modules are
 //!    exempt as usual.
-//! 6. **`no-wallclock`** — library code in `setsim-core` must not call
+//! 5. **`no-wallclock`** — library code in `setsim-core` must not call
 //!    `Instant::now()` / `SystemTime::now()` outside the engine's
 //!    metrics module. The bench harness gates regressions on the
 //!    *deterministic* access counters precisely because the measured
@@ -46,35 +37,35 @@
 //!    behavior machine-dependent. The serving boundary (engine latency
 //!    recording, budget deadlines) carries explicit `lint: allow`
 //!    markers — those clocks sit outside the pruning kernels.
-//! 7. **`mutable-index`** — serving and CLI code must obtain indexes
+//! 6. **`mutable-index`** — serving and CLI code must obtain indexes
 //!    through the segment layer rather than constructing `InvertedIndex`
 //!    directly; direct construction bypasses record-id assignment, the
 //!    delta op log, and drift accounting.
-//! 8. **`wire-api`** — code that speaks the network protocol (the server
+//! 7. **`wire-api`** — code that speaks the network protocol (the server
 //!    crate, the CLI, the bench loadgen) must construct requests and
 //!    responses as typed `setsim_core::api` values and frame them with
 //!    `write_frame`/`read_frame`, never by hand-rolling bytes. A bespoke
 //!    encoder silently forks the wire format — the exact failure the
 //!    versioned protocol exists to prevent.
-//! 9. **`sharding`** — serving code (the CLI and the server crate) must
+//! 8. **`sharding`** — serving code (the CLI and the server crate) must
 //!    run searches through an engine (`QueryEngine`, `ShardedEngine`,
 //!    `MutableEngine`), never by invoking the single-index executor
 //!    (`engine::execute` / `execute_into`) directly. A direct executor
 //!    call bypasses the shard planner: the Theorem 1 band table is never
 //!    consulted, so a sharded deployment would silently search one shard
 //!    and miss the rest.
-//! 10. **`paged-io`** — the demand-paged serving path (`engine/paged` in
-//!     setsim-core, `pagedsnap` in setsim-storage) must not call a
-//!     full-decode entry point: `decode_all(..)`, the `load_index*`
-//!     helpers, or `InvertedIndex::load`. The whole point of the paged
-//!     engine is that resident memory scales with the buffer pool, not
-//!     the snapshot; one stray eager decode silently restores the
-//!     O(index) footprint the subsystem exists to avoid, and nothing
-//!     crashes to reveal it. Test regions are exempt (equivalence suites
-//!     deliberately cross-check against the full decode), as is a
-//!     `lint: allow`-marked line with its justification.
+//! 9. **`paged-io`** — the demand-paged serving path (`engine/paged` in
+//!    setsim-core, `pagedsnap` in setsim-storage) must not call a
+//!    full-decode entry point: `decode_all(..)`, the `load_index*`
+//!    helpers, or `InvertedIndex::load`. The whole point of the paged
+//!    engine is that resident memory scales with the buffer pool, not
+//!    the snapshot; one stray eager decode silently restores the
+//!    O(index) footprint the subsystem exists to avoid, and nothing
+//!    crashes to reveal it. Test regions are exempt (equivalence suites
+//!    deliberately cross-check against the full decode), as is a
+//!    `lint: allow`-marked line with its justification.
 //!
-//! The first seven used to run as line-oriented substring scans; they now run
+//! The first six used to run as line-oriented substring scans; they now run
 //! on the token stream from [`crate::lexer`] via [`crate::model`]. The
 //! observable policy is unchanged on the committed tree (both engines
 //! report zero findings); behavior differs only where the text engine
@@ -340,50 +331,6 @@ pub fn check_paper_refs(file: &str, source: &str) -> Vec<Finding> {
     findings
 }
 
-/// Rule `engine-api`: flag direct three-argument
-/// `SelectionAlgorithm::search(index, query, tau)` calls. Each
-/// `.search(` token triple is followed to its matching close paren,
-/// counting commas at bracket depth 1. Two or more top-level commas
-/// means the legacy three-argument form; fewer is an engine
-/// (`search(req)`) or SQL (`search(q, tau)`) call and passes. String
-/// literals are single tokens, so commas inside them never count — and
-/// a `.search(` spelled inside a string or doc example never matches.
-pub fn check_engine_api(file: &str, source: &str) -> Vec<Finding> {
-    let m = FileModel::new(source);
-    let mut findings = Vec::new();
-    for i in 0..m.code_len().saturating_sub(2) {
-        if !(m.is_punct(i, '.') && m.is_ident(i + 1, "search") && m.is_punct(i + 2, '(')) {
-            continue;
-        }
-        let mut depth = 1usize;
-        let mut commas = 0usize;
-        let mut j = i + 3;
-        while j < m.code_len() && depth > 0 {
-            let t = m.ct_text(j);
-            match t {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                "," if depth == 1 => commas += 1,
-                _ => {}
-            }
-            j += 1;
-        }
-        let line = m.ct(i).line;
-        if commas >= 2 && !m.in_test(line) && !m.allowed_on_or_above(line) {
-            findings.push(Finding {
-                file: file.to_string(),
-                line,
-                rule: "engine-api",
-                message: "direct `SelectionAlgorithm::search(index, query, tau)` call; \
-                          go through `QueryEngine::search(SearchRequest::new(..))` (or \
-                          `engine::execute`) so validation is typed and scratch is reused"
-                    .to_string(),
-            });
-        }
-    }
-    findings
-}
-
 /// Rule `mutable-index`: serving and CLI code must obtain indexes
 /// through the segment layer (`MutableIndex::from_collection` /
 /// `MutableEngine::open`, freezing with `into_base()` where a static
@@ -598,17 +545,6 @@ pub fn rules_for(path: &str) -> Vec<fn(&str, &str) -> Vec<Finding>> {
     }
     if unix.starts_with("crates/core/src/algorithms/") && unix.ends_with(".rs") {
         rules.push(check_paper_refs);
-    }
-    // engine-api: everywhere EXCEPT setsim-core (defines the trait and the
-    // engine), the bench crate (keeps the legacy path as its measured
-    // baseline), xtask itself, and test suites (the audit/oracle suites
-    // deliberately exercise the legacy wrapper).
-    let engine_exempt = unix.starts_with("crates/core/")
-        || unix.starts_with("crates/bench/")
-        || unix.starts_with("crates/xtask/")
-        || unix.contains("tests/");
-    if unix.ends_with(".rs") && !engine_exempt {
-        rules.push(check_engine_api);
     }
     // mutable-index: the CLI, the server, and the core serving layer,
     // minus the segment module (it defines the sanctioned construction
@@ -825,26 +761,25 @@ mod tests {
         // The paged engine adds paged-io on top of the engine rules, and
         // the paged snapshot reader adds it on top of the storage rules.
         assert_eq!(rules_for("crates/core/src/engine/paged.rs").len(), 4);
-        assert_eq!(rules_for("crates/storage/src/pagedsnap.rs").len(), 3);
+        assert_eq!(rules_for("crates/storage/src/pagedsnap.rs").len(), 2);
         // The segment module defines the sanctioned construction path, so
         // it gets the core rules but NOT mutable-index.
         assert_eq!(rules_for("crates/core/src/segment/mod.rs").len(), 2);
-        // storage lib code: no-unchecked-io + engine-api.
-        assert_eq!(rules_for("crates/storage/src/snapshot.rs").len(), 2);
-        assert_eq!(rules_for("crates/storage/src/pool.rs").len(), 2);
-        // engine-api only, everywhere outside the exempt crates.
-        assert_eq!(rules_for("crates/datagen/src/corpus.rs").len(), 1);
-        // CLI serving code: engine-api + mutable-index + wire-api +
-        // sharding.
-        assert_eq!(rules_for("crates/cli/src/lib.rs").len(), 4);
-        assert_eq!(rules_for("crates/cli/src/main.rs").len(), 4);
-        // Server crate: the same four.
-        assert_eq!(rules_for("crates/server/src/lib.rs").len(), 4);
-        assert_eq!(rules_for("crates/server/src/client.rs").len(), 4);
-        assert_eq!(rules_for("examples/quickstart.rs").len(), 1);
-        assert_eq!(rules_for("src/lib.rs").len(), 1);
-        // Bench is engine-api-exempt but its loadgen speaks the wire;
-        // the rest of the crate (e.g. the JSON writer) stays out.
+        // storage lib code: no-unchecked-io.
+        assert_eq!(rules_for("crates/storage/src/snapshot.rs").len(), 1);
+        assert_eq!(rules_for("crates/storage/src/pool.rs").len(), 1);
+        // Crates with no policy of their own.
+        assert!(rules_for("crates/datagen/src/corpus.rs").is_empty());
+        // CLI serving code: mutable-index + wire-api + sharding.
+        assert_eq!(rules_for("crates/cli/src/lib.rs").len(), 3);
+        assert_eq!(rules_for("crates/cli/src/main.rs").len(), 3);
+        // Server crate: the same three.
+        assert_eq!(rules_for("crates/server/src/lib.rs").len(), 3);
+        assert_eq!(rules_for("crates/server/src/client.rs").len(), 3);
+        assert!(rules_for("examples/quickstart.rs").is_empty());
+        assert!(rules_for("src/lib.rs").is_empty());
+        // Bench's loadgen speaks the wire; the rest of the crate (e.g.
+        // the JSON writer) stays out.
         assert_eq!(rules_for("crates/bench/src/loadgen.rs").len(), 1);
         assert_eq!(rules_for("crates/bench/src/bin/setsim-bench.rs").len(), 1);
         assert!(rules_for("crates/bench/src/lib.rs").is_empty());
@@ -1039,71 +974,6 @@ mod tests {
         assert!(check_mutable_index("crates/core/src/engine/mod.rs", &src).is_empty());
         let src = "#[cfg(test)]\nmod tests {\n    fn t() {\n        let idx = InvertedIndex::build(&c, o);\n    }\n}\n";
         assert!(check_mutable_index("crates/cli/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn legacy_three_arg_search_is_flagged() {
-        let src =
-            "fn f() {\n    let out = SfAlgorithm::default().search(&index, &query, 0.7);\n}\n";
-        let f = check_engine_api("examples/x.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 2);
-        assert_eq!(f[0].rule, "engine-api");
-    }
-
-    #[test]
-    fn multiline_three_arg_search_is_flagged_at_call_line() {
-        let src = "fn f() {\n    let out = algo\n        .search(\n            &index,\n            &query,\n            0.7,\n        );\n}\n";
-        let f = check_engine_api("examples/x.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 3);
-    }
-
-    #[test]
-    fn engine_and_sql_search_calls_pass() {
-        let src = "fn f() {\n    let a = engine.search(SearchRequest::new(&q).tau(0.7))?;\n    let b = sql.search(&q, 0.7);\n}\n";
-        assert!(check_engine_api("examples/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn nested_commas_do_not_count_as_top_level() {
-        // Commas inside a nested call or tuple stay at depth > 1.
-        let src = "fn f() {\n    let a = engine.search(req(&q, 0.7, cfg));\n}\n";
-        assert!(check_engine_api("examples/x.rs", src).is_empty());
-    }
-
-    /// Commas inside a *string* argument are data, not separators. The
-    /// old scanner tracked `"` by hand; the token engine gets it free.
-    #[test]
-    fn commas_inside_string_arguments_do_not_count() {
-        let src = "fn f() {\n    let a = engine.search(parse(\"a, b, c\"));\n}\n";
-        assert!(check_engine_api("examples/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn engine_api_respects_tests_and_allow_marker() {
-        let in_test =
-            "#[cfg(test)]\nmod tests {\n    fn t() { let _ = a.search(&i, &q, 0.5); }\n}\n";
-        assert!(check_engine_api("examples/x.rs", in_test).is_empty());
-        let marked = "fn f() {\n    let _ = a.search(&i, &q, 0.5); // lint: allow — TF subsystem has no engine path\n}\n";
-        assert!(check_engine_api("examples/x.rs", marked).is_empty());
-        let in_doc = "//! ```\n//! let _ = a.search(&i, &q, 0.5);\n//! ```\nfn f() {}\n";
-        assert!(check_engine_api("examples/x.rs", in_doc).is_empty());
-    }
-
-    #[test]
-    fn injected_legacy_search_fails_the_check() {
-        // The satellite's acceptance test, end to end: a clean engine-path
-        // file passes; injecting a direct legacy call makes check_file fail.
-        let clean = "fn f() {\n    let out = engine.search(SearchRequest::new(&q).tau(0.7));\n}\n";
-        assert!(check_file("crates/cli/src/extra.rs", clean).is_empty());
-        let dirty = clean.replace(
-            "engine.search(SearchRequest::new(&q).tau(0.7))",
-            "SfAlgorithm::default().search(&index, &q, 0.7)",
-        );
-        let f = check_file("crates/cli/src/extra.rs", &dirty);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "engine-api");
     }
 
     #[test]

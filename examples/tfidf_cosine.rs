@@ -11,7 +11,7 @@
 //! cargo run --release --example tfidf_cosine
 //! ```
 
-use setsim::core::tfsearch::{tf_scan, TfIndex, TfSfAlgorithm};
+use setsim::core::tfsearch::{tf_scan, tf_sf, TfIndex};
 use setsim::core::CollectionBuilder;
 use setsim::tokenize::WordTokenizer;
 use std::time::Instant;
@@ -43,7 +43,7 @@ fn main() {
     for tau in [0.9, 0.6, 0.3] {
         let t = Instant::now();
         // lint: allow — the TF/IDF subsystem has its own index and no engine path.
-        let out = TfSfAlgorithm.search(&index, &query, tau);
+        let out = tf_sf(&index, &query, tau);
         let elapsed = t.elapsed();
         let results = out.sorted_by_score();
         println!(
@@ -65,7 +65,7 @@ fn main() {
     // IDF (set semantics) cannot tell these apart; TF/IDF can.
     let a = index.prepare_query_str("do be do be do");
     // lint: allow — the TF/IDF subsystem has its own index and no engine path.
-    let out = TfSfAlgorithm.search(&index, &a, 0.99).sorted_by_score();
+    let out = tf_sf(&index, &a, 0.99).sorted_by_score();
     println!(
         "\nself-query of {:?} at tau=0.99 finds only itself: {:?}",
         "do be do be do",

@@ -10,13 +10,15 @@
 //! * [`tokenize`] — q-gram/word tokenizers and token interning.
 //! * [`collections`] — skip list, extendible hashing, B+-tree substrates.
 //! * [`relational`] — the mini relational engine behind the SQL baseline.
-//! * [`storage`] — simulated paged disk, LRU buffer pool, paged compressed
-//!   posting storage (for the physical I/O experiments), and the
-//!   checksummed snapshot container behind `InvertedIndex::save`/`load`.
+//! * [`storage`] — the checksummed snapshot container behind
+//!   `InvertedIndex::save`/`load`, the verifying LRU buffer pool and
+//!   demand-paged snapshot reader behind `QueryEngine::open_paged`, and
+//!   the sequential/random page-read tallies and cost models the physical
+//!   I/O experiment prices.
 //! * [`datagen`] — synthetic corpora, error models, and query workloads.
 //! * [`core`] — similarity measures, the inverted index, the
-//!   TA/NRA-family selection algorithms (TA, NRA, iTA, iNRA, SF, Hybrid),
-//!   and the serving layer: a persistent `QueryEngine` with reusable
+//!   TA/NRA-family selection algorithms (TA, NRA, iTA, iNRA, SF, Hybrid)
+//!   selected by `AlgorithmKind`, and the serving layer: a persistent `QueryEngine` with reusable
 //!   scratch memory, work-stealing batches, per-query budgets, and
 //!   latency/pruning metrics behind the `SearchRequest` builder API —
 //!   plus cold-start `QueryEngine::open` from a saved snapshot.

@@ -5,11 +5,21 @@
 
 #![cfg(feature = "audit")]
 
+mod common;
+
+use common::run;
 use setsim::core::audit::AuditedIndex;
 use setsim::core::{
-    AlgoConfig, CollectionBuilder, HybridAlgorithm, INraAlgorithm, ITaAlgorithm, IndexOptions,
-    InvertedIndex, SelectionAlgorithm, SfAlgorithm,
+    AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, SearchRequest,
 };
+
+/// The paper's four property-driven algorithms.
+const AUDITED_KINDS: [AlgorithmKind; 4] = [
+    AlgorithmKind::INra,
+    AlgorithmKind::ITa,
+    AlgorithmKind::Sf,
+    AlgorithmKind::Hybrid,
+];
 use setsim::datagen::{Corpus, CorpusConfig};
 use setsim::tokenize::QGramTokenizer;
 
@@ -40,15 +50,15 @@ fn paper_algorithms_audit_clean_on_generated_corpus() {
         let q = index.prepare_query_str(qtext);
         for tau in [0.5, 0.75, 0.95, 1.0] {
             for cfg in configs {
-                let algos: [&dyn SelectionAlgorithm; 4] = [
-                    &INraAlgorithm::with_config(cfg),
-                    &ITaAlgorithm::with_config(cfg),
-                    &SfAlgorithm::with_config(cfg),
-                    &HybridAlgorithm::with_config(cfg),
-                ];
-                for algo in algos {
-                    let (out, report) = audited.search_audited(algo, &q, tau);
+                for kind in AUDITED_KINDS {
+                    let req = SearchRequest::new(&q).tau(tau).algorithm(kind).config(cfg);
+                    let (out, report) = audited.search_audited(&req).expect("valid request");
                     report.assert_clean();
+                    // Auditing runs the request exactly as `execute` does.
+                    assert_eq!(
+                        out.ids_sorted(),
+                        run(&index, kind, cfg, &q, tau).ids_sorted()
+                    );
                     assert!(
                         report.oracle_comparisons == collection.len(),
                         "audit must compare the whole collection"
@@ -57,7 +67,7 @@ fn paper_algorithms_audit_clean_on_generated_corpus() {
                     assert!(
                         out.results.iter().any(|m| (m.score - 1.0).abs() < 1e-9),
                         "{} lost the self-match for {qtext:?} at tau {tau}",
-                        algo.name()
+                        kind.name()
                     );
                     audits += 1;
                 }
@@ -101,13 +111,9 @@ fn audit_clean_on_dirty_queries() {
     for qtext in &dirty {
         let q = index.prepare_query_str(qtext);
         for tau in [0.4, 0.7, 0.9] {
-            for algo in [
-                &INraAlgorithm::default() as &dyn SelectionAlgorithm,
-                &ITaAlgorithm::default(),
-                &SfAlgorithm::default(),
-                &HybridAlgorithm::default(),
-            ] {
-                let (_, report) = audited.search_audited(algo, &q, tau);
+            for kind in AUDITED_KINDS {
+                let req = SearchRequest::new(&q).tau(tau).algorithm(kind);
+                let (_, report) = audited.search_audited(&req).expect("valid request");
                 report.assert_clean();
             }
         }

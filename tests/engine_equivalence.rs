@@ -1,17 +1,17 @@
-//! The serving layer returns exactly what the algorithms return.
+//! The serving layer returns exactly what the paper's contract demands.
 //!
 //! Every `AlgorithmKind` × `AlgoConfig` ablation, routed through
-//! `QueryEngine::search`, must match both the legacy direct
-//! `SelectionAlgorithm::search` path and the `FullScan` oracle; scratch
-//! reuse must leak nothing between queries; work-stealing batches must
+//! `QueryEngine::search`, must match the scan oracle; scratch reuse must
+//! leak nothing between queries; work-stealing batches must
 //! come back in request order under adversarially skewed query costs; and
 //! budgets must produce typed, sound partial outcomes — never panics.
 
+mod common;
+
+use common::run;
 use setsim::core::{
-    AlgoConfig, AlgorithmKind, Budget, CollectionBuilder, FullScan, HybridAlgorithm, INraAlgorithm,
-    ITaAlgorithm, IndexOptions, InvertedIndex, NraAlgorithm, PreparedQuery, QueryEngine,
-    SearchError, SearchOutcome, SearchRequest, SearchStatus, SelectionAlgorithm, SetCollection,
-    SfAlgorithm, SortByIdMerge, TaAlgorithm,
+    AlgoConfig, AlgorithmKind, Budget, CollectionBuilder, IndexOptions, InvertedIndex,
+    PreparedQuery, QueryEngine, SearchError, SearchRequest, SearchStatus, SetCollection,
 };
 use setsim::tokenize::QGramTokenizer;
 
@@ -33,29 +33,8 @@ fn street_corpus() -> Vec<String> {
     texts
 }
 
-/// The legacy path the engine must agree with.
-fn direct(
-    kind: AlgorithmKind,
-    cfg: AlgoConfig,
-    index: &InvertedIndex<'_>,
-    q: &PreparedQuery,
-    tau: f64,
-) -> SearchOutcome {
-    match kind {
-        AlgorithmKind::Scan => FullScan.search(index, q, tau),
-        AlgorithmKind::Merge => SortByIdMerge.search(index, q, tau),
-        AlgorithmKind::Ta => TaAlgorithm.search(index, q, tau),
-        AlgorithmKind::Nra => NraAlgorithm::default().search(index, q, tau),
-        AlgorithmKind::ITa => ITaAlgorithm::with_config(cfg).search(index, q, tau),
-        AlgorithmKind::INra => INraAlgorithm::with_config(cfg).search(index, q, tau),
-        AlgorithmKind::Sf => SfAlgorithm::with_config(cfg).search(index, q, tau),
-        AlgorithmKind::Hybrid => HybridAlgorithm::with_config(cfg).search(index, q, tau),
-        other => panic!("unhandled kind {other:?}"),
-    }
-}
-
 #[test]
-fn engine_matches_direct_path_and_oracle_for_every_kind_and_ablation() {
+fn engine_matches_oracle_for_every_kind_and_ablation() {
     let texts = street_corpus();
     let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
     let collection = build(&refs);
@@ -69,20 +48,20 @@ fn engine_matches_direct_path_and_oracle_for_every_kind_and_ablation() {
     for qtext in ["main street", "park avenue 3", "mane stret", "xyzzy"] {
         let q = engine.prepare_query_str(qtext);
         for tau in [0.35, 0.7, 1.0] {
-            let oracle = FullScan.search(engine.index(), &q, tau).ids_sorted();
+            let oracle = run(
+                engine.index(),
+                AlgorithmKind::Scan,
+                AlgoConfig::full(),
+                &q,
+                tau,
+            )
+            .ids_sorted();
             for kind in AlgorithmKind::ALL {
                 for cfg in configs {
-                    let via_direct = direct(kind, cfg, engine.index(), &q, tau).ids_sorted();
                     let via_engine = engine
                         .search(SearchRequest::new(&q).tau(tau).algorithm(kind).config(cfg))
                         .expect("valid request");
                     assert_eq!(via_engine.status, SearchStatus::Complete);
-                    assert_eq!(
-                        via_engine.ids_sorted(),
-                        via_direct,
-                        "engine vs direct: {} cfg={cfg:?} q={qtext:?} tau={tau}",
-                        kind.name()
-                    );
                     assert_eq!(
                         via_engine.ids_sorted(),
                         oracle,
@@ -115,7 +94,7 @@ fn scratch_reuse_leaks_nothing_between_disjoint_queries() {
             .expect("valid request");
         // The second answer must equal a cold-scratch run, and must not
         // contain any carryover from the first.
-        let fresh = direct(kind, AlgoConfig::full(), engine.index(), &q_park, 0.6).ids_sorted();
+        let fresh = run(engine.index(), kind, AlgoConfig::full(), &q_park, 0.6).ids_sorted();
         assert_eq!(
             second.ids_sorted(),
             fresh,
@@ -217,7 +196,13 @@ fn budget_truncated_results_are_a_sound_subset_of_the_oracle() {
     let index = InvertedIndex::build(&collection, IndexOptions::default());
     let mut engine = QueryEngine::new(index);
     let q = engine.prepare_query_str("main street");
-    let oracle = FullScan.search(engine.index(), &q, 0.4);
+    let oracle = run(
+        engine.index(),
+        AlgorithmKind::Scan,
+        AlgoConfig::full(),
+        &q,
+        0.4,
+    );
     for kind in AlgorithmKind::ALL {
         for cap in [1, 8, 64, 512] {
             let out = engine
@@ -287,7 +272,7 @@ fn invalid_tau_is_a_typed_error_not_a_panic() {
             other => panic!("tau={bad}: expected InvalidTau, got {other:?}"),
         }
     }
-    // The error renders the same contract message the legacy panic carried.
+    // The error spells out the contract.
     let msg = SearchError::InvalidTau(0.0).to_string();
     assert!(msg.contains("(0, 1]"), "unexpected message: {msg}");
 }

@@ -1,12 +1,14 @@
-//! Integration tests of the top-k and parallel extensions against the
-//! exhaustive oracle, on randomized and realistic inputs.
+//! Integration tests of the top-k and parallel-batch extensions against
+//! the exhaustive oracle, on randomized and realistic inputs.
 
+mod common;
+
+use common::run;
 use proptest::prelude::*;
-use setsim::core::algorithms::parallel::search_batch;
 use setsim::core::algorithms::topk::{topk_nra, topk_scan, topk_sf};
 use setsim::core::{
-    CollectionBuilder, FullScan, IndexOptions, InvertedIndex, SelectionAlgorithm, SetCollection,
-    SfAlgorithm,
+    AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, QueryEngine,
+    SearchRequest, SetCollection,
 };
 use setsim::tokenize::QGramTokenizer;
 
@@ -66,13 +68,14 @@ proptest! {
         threads in 1usize..6,
     ) {
         let collection = build(&texts);
-        let index = InvertedIndex::build(&collection, IndexOptions::default());
-        let prepared: Vec<_> = queries.iter().map(|s| index.prepare_query_str(s)).collect();
-        let algo = SfAlgorithm::default();
-        let serial = search_batch(&algo, &index, &prepared, 0.6, 1);
-        let parallel = search_batch(&algo, &index, &prepared, 0.6, threads);
+        let engine = QueryEngine::new(InvertedIndex::build(&collection, IndexOptions::default()));
+        let prepared: Vec<_> = queries.iter().map(|s| engine.prepare_query_str(s)).collect();
+        let reqs: Vec<_> = prepared.iter().map(|q| SearchRequest::new(q).tau(0.6)).collect();
+        let serial = engine.search_batch(&reqs, 1);
+        let parallel = engine.search_batch(&reqs, threads);
         prop_assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
+            let (s, p) = (s.as_ref().expect("valid request"), p.as_ref().expect("valid request"));
             prop_assert_eq!(s.ids_sorted(), p.ids_sorted());
         }
     }
@@ -118,6 +121,12 @@ fn topk_consistent_with_threshold_search() {
     let top = topk_nra(&index, &q, k);
     assert_eq!(top.results.len(), k);
     let kth = top.results[k - 1].score;
-    let thresholded = FullScan.search(&index, &q, kth.clamp(1e-9, 1.0));
+    let thresholded = run(
+        &index,
+        AlgorithmKind::Scan,
+        AlgoConfig::full(),
+        &q,
+        kth.clamp(1e-9, 1.0),
+    );
     assert!(thresholded.results.len() >= k);
 }

@@ -8,14 +8,27 @@
 //! (see `EPS_REL` in setsim-core); everything clearly above or below must
 //! match exactly.
 
+mod common;
+
+use common::run;
 use proptest::prelude::*;
 use setsim::core::algorithms::sql::SqlBaseline;
 use setsim::core::{
-    AlgoConfig, CollectionBuilder, FullScan, HybridAlgorithm, INraAlgorithm, ITaAlgorithm,
-    IndexOptions, InvertedIndex, NraAlgorithm, PreparedQuery, SearchOutcome, SelectionAlgorithm,
-    SetCollection, SetId, SfAlgorithm, SortByIdMerge, TaAlgorithm,
+    AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, PreparedQuery,
+    SearchOutcome, SetCollection, SetId,
 };
 use setsim::tokenize::QGramTokenizer;
+
+/// Every list-based kind (everything but the scan oracle itself).
+const LIST_KINDS: [AlgorithmKind; 7] = [
+    AlgorithmKind::Merge,
+    AlgorithmKind::Ta,
+    AlgorithmKind::Nra,
+    AlgorithmKind::ITa,
+    AlgorithmKind::INra,
+    AlgorithmKind::Sf,
+    AlgorithmKind::Hybrid,
+];
 
 fn build(texts: &[String]) -> SetCollection {
     let mut b = CollectionBuilder::new(QGramTokenizer::new(3).with_padding('#'));
@@ -34,10 +47,9 @@ fn check_outcome(
     outcome: &SearchOutcome,
     name: &str,
 ) -> Result<(), TestCaseError> {
-    let oracle = FullScan.search(index, query, tau.clamp(1e-6, 1.0));
     let mut oracle_scores = vec![0.0f64; index.collection().len()];
     // Recompute all scores via a tau low enough to return everything > 0.
-    let all = FullScan.search(index, query, 1e-9);
+    let all = run(index, AlgorithmKind::Scan, AlgoConfig::full(), query, 1e-9);
     for m in &all.results {
         oracle_scores[m.id.index()] = m.score;
     }
@@ -67,7 +79,6 @@ fn check_outcome(
             m.id
         );
     }
-    let _ = oracle;
     Ok(())
 }
 
@@ -101,14 +112,10 @@ proptest! {
             AlgoConfig::no_length_bounding(),
         ][cfg_idx];
 
-        check_outcome(&index, &q, tau, &SortByIdMerge.search(&index, &q, tau), "sort-by-id")?;
-        check_outcome(&index, &q, tau, &TaAlgorithm.search(&index, &q, tau), "TA")?;
-        check_outcome(&index, &q, tau, &NraAlgorithm::default().search(&index, &q, tau), "NRA")?;
-        check_outcome(&index, &q, tau, &NraAlgorithm::pure().search(&index, &q, tau), "NRA-pure")?;
-        check_outcome(&index, &q, tau, &ITaAlgorithm::with_config(cfg).search(&index, &q, tau), "iTA")?;
-        check_outcome(&index, &q, tau, &INraAlgorithm::with_config(cfg).search(&index, &q, tau), "iNRA")?;
-        check_outcome(&index, &q, tau, &SfAlgorithm::with_config(cfg).search(&index, &q, tau), "SF")?;
-        check_outcome(&index, &q, tau, &HybridAlgorithm::with_config(cfg).search(&index, &q, tau), "Hybrid")?;
+        // Kinds without property toggles ignore `cfg`.
+        for kind in LIST_KINDS {
+            check_outcome(&index, &q, tau, &run(&index, kind, cfg, &q, tau), kind.name())?;
+        }
 
         let sql = SqlBaseline::build(&collection, index.weights());
         check_outcome(&index, &q, tau, &sql.search(&q, tau), "SQL")?;
@@ -124,16 +131,17 @@ proptest! {
         let target = pick.get(&texts);
         let q = index.prepare_query_str(target);
         // tau = 1: the record itself (and exact gram-set twins) must match.
-        for (name, out) in [
-            ("SF", SfAlgorithm::default().search(&index, &q, 1.0)),
-            ("Hybrid", HybridAlgorithm::default().search(&index, &q, 1.0)),
-            ("iNRA", INraAlgorithm::default().search(&index, &q, 1.0)),
-            ("iTA", ITaAlgorithm::default().search(&index, &q, 1.0)),
+        for kind in [
+            AlgorithmKind::Sf,
+            AlgorithmKind::Hybrid,
+            AlgorithmKind::INra,
+            AlgorithmKind::ITa,
         ] {
+            let out = run(&index, kind, AlgoConfig::full(), &q, 1.0);
             let found = out.results.iter().any(|m| {
                 index.collection().set(m.id) == index.collection().set(exact_id(&texts, target))
             });
-            prop_assert!(found, "{name} lost the exact match for {target:?}");
+            prop_assert!(found, "{} lost the exact match for {target:?}", kind.name());
         }
     }
 }
@@ -163,33 +171,11 @@ fn realistic_corpus_agreement() {
     for qtext in queries {
         let q = index.prepare_query_str(qtext);
         for tau in [0.5, 0.75, 0.95] {
-            let oracle = FullScan.search(&index, &q, tau).ids_sorted();
-            assert_eq!(SortByIdMerge.search(&index, &q, tau).ids_sorted(), oracle);
-            assert_eq!(TaAlgorithm.search(&index, &q, tau).ids_sorted(), oracle);
-            assert_eq!(
-                NraAlgorithm::default().search(&index, &q, tau).ids_sorted(),
-                oracle
-            );
-            assert_eq!(
-                ITaAlgorithm::default().search(&index, &q, tau).ids_sorted(),
-                oracle
-            );
-            assert_eq!(
-                INraAlgorithm::default()
-                    .search(&index, &q, tau)
-                    .ids_sorted(),
-                oracle
-            );
-            assert_eq!(
-                SfAlgorithm::default().search(&index, &q, tau).ids_sorted(),
-                oracle
-            );
-            assert_eq!(
-                HybridAlgorithm::default()
-                    .search(&index, &q, tau)
-                    .ids_sorted(),
-                oracle
-            );
+            let oracle = run(&index, AlgorithmKind::Scan, AlgoConfig::full(), &q, tau).ids_sorted();
+            for kind in LIST_KINDS {
+                let got = run(&index, kind, AlgoConfig::full(), &q, tau).ids_sorted();
+                assert_eq!(got, oracle, "{} at tau {tau}", kind.name());
+            }
             assert_eq!(sql.search(&q, tau).ids_sorted(), oracle);
         }
     }

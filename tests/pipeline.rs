@@ -2,11 +2,11 @@
 //! substrates) → algorithms → stats, plus the relational path, exercised
 //! together the way the experiment harness uses them.
 
+mod common;
+
+use common::run;
 use setsim::core::algorithms::sql::SqlBaseline;
-use setsim::core::{
-    AlgoConfig, CollectionBuilder, FullScan, INraAlgorithm, ITaAlgorithm, IndexOptions,
-    InvertedIndex, SelectionAlgorithm, SfAlgorithm, SortByIdMerge,
-};
+use setsim::core::{AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex};
 use setsim::datagen::{Corpus, CorpusConfig, LengthBucket, QueryWorkload};
 use setsim::tokenize::QGramTokenizer;
 
@@ -30,10 +30,9 @@ fn workload_queries_with_zero_modifications_all_match() {
     let index = InvertedIndex::build(&collection, IndexOptions::default());
     let wl = QueryWorkload::generate(corpus.words(), LengthBucket::PAPER[2], 3, 0, 30, 9);
     assert!(!wl.is_empty());
-    let sf = SfAlgorithm::default();
     for qtext in wl.queries() {
         let q = index.prepare_query_str(qtext);
-        let out = sf.search(&index, &q, 0.999);
+        let out = run(&index, AlgorithmKind::Sf, AlgoConfig::full(), &q, 0.999);
         assert!(
             !out.results.is_empty(),
             "unmodified database word {qtext:?} must match itself"
@@ -45,7 +44,6 @@ fn workload_queries_with_zero_modifications_all_match() {
 fn modifications_reduce_result_counts() {
     let (corpus, collection) = corpus_and_collection();
     let index = InvertedIndex::build(&collection, IndexOptions::default());
-    let sf = SfAlgorithm::default();
     let mut avg = Vec::new();
     for mods in [0usize, 2] {
         let wl = QueryWorkload::generate(corpus.words(), LengthBucket::PAPER[2], 3, mods, 40, 10);
@@ -54,7 +52,9 @@ fn modifications_reduce_result_counts() {
             .iter()
             .map(|qtext| {
                 let q = index.prepare_query_str(qtext);
-                sf.search(&index, &q, 0.6).results.len()
+                run(&index, AlgorithmKind::Sf, AlgoConfig::full(), &q, 0.6)
+                    .results
+                    .len()
             })
             .sum();
         avg.push(total as f64 / wl.len() as f64);
@@ -75,26 +75,26 @@ fn stats_sanity_across_algorithms() {
     let q = index.prepare_query_str(qtext);
     let tau = 0.8;
 
-    let merge = SortByIdMerge.search(&index, &q, tau);
+    let merge = run(&index, AlgorithmKind::Merge, AlgoConfig::full(), &q, tau);
     assert_eq!(
         merge.stats.elements_read, merge.stats.total_list_elements,
         "sort-by-id must read everything"
     );
     assert_eq!(merge.stats.random_probes, 0);
 
-    let sf = SfAlgorithm::default().search(&index, &q, tau);
+    let sf = run(&index, AlgorithmKind::Sf, AlgoConfig::full(), &q, tau);
     assert!(sf.stats.elements_read < merge.stats.elements_read);
     assert_eq!(sf.stats.random_probes, 0, "SF never random-probes");
 
-    let ita = ITaAlgorithm::default().search(&index, &q, tau);
+    let ita = run(&index, AlgorithmKind::ITa, AlgoConfig::full(), &q, tau);
     assert!(ita.stats.random_probes > 0, "iTA must random-probe");
 
-    let inra = INraAlgorithm::default().search(&index, &q, tau);
+    let inra = run(&index, AlgorithmKind::INra, AlgoConfig::full(), &q, tau);
     assert_eq!(inra.stats.random_probes, 0, "iNRA never random-probes");
     assert!(inra.stats.candidates_inserted > 0);
 
     // Same answers everywhere.
-    let oracle = FullScan.search(&index, &q, tau).ids_sorted();
+    let oracle = run(&index, AlgorithmKind::Scan, AlgoConfig::full(), &q, tau).ids_sorted();
     for (name, out) in [("merge", merge), ("sf", sf), ("ita", ita), ("inra", inra)] {
         assert_eq!(out.ids_sorted(), oracle, "{name}");
     }
@@ -111,9 +111,9 @@ fn lean_index_supports_sequential_algorithms() {
     let index = InvertedIndex::build(&collection, lean);
     let qtext = corpus.words().next().unwrap();
     let q = index.prepare_query_str(qtext);
-    let a = SfAlgorithm::default().search(&index, &q, 0.7);
-    let b = INraAlgorithm::with_config(AlgoConfig::full()).search(&index, &q, 0.7);
-    let c = FullScan.search(&index, &q, 0.7);
+    let a = run(&index, AlgorithmKind::Sf, AlgoConfig::full(), &q, 0.7);
+    let b = run(&index, AlgorithmKind::INra, AlgoConfig::full(), &q, 0.7);
+    let c = run(&index, AlgorithmKind::Scan, AlgoConfig::full(), &q, 0.7);
     assert_eq!(a.ids_sorted(), c.ids_sorted());
     assert_eq!(b.ids_sorted(), c.ids_sorted());
 }
@@ -126,7 +126,7 @@ fn sql_pipeline_end_to_end() {
     assert_eq!(sql.num_rows() as u64, index.total_postings());
     for qtext in corpus.words().take(10) {
         let q = index.prepare_query_str(qtext);
-        let oracle = FullScan.search(&index, &q, 0.7).ids_sorted();
+        let oracle = run(&index, AlgorithmKind::Scan, AlgoConfig::full(), &q, 0.7).ids_sorted();
         assert_eq!(sql.search(&q, 0.7).ids_sorted(), oracle);
     }
 }

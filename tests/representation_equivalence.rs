@@ -15,13 +15,14 @@
 //! The same differential runs through [`MutableIndex`] with interleaved
 //! inserts, deletes, and upserts, before and after compaction.
 
+mod common;
+
+use common::run;
 use proptest::prelude::*;
-use setsim::core::engine::AlgorithmKind;
 use setsim::core::{
-    AlgoConfig, CollectionBuilder, FullScan, HybridAlgorithm, INraAlgorithm, ITaAlgorithm,
-    IndexOptions, InvertedIndex, MutableIndex, MutableSearchRequest, NraAlgorithm, PreparedQuery,
-    ReprKind, ReprPolicy, Scratch, SearchOutcome, SelectionAlgorithm, SetCollection, SfAlgorithm,
-    SortByIdMerge, TaAlgorithm,
+    AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, MutableIndex,
+    MutableSearchRequest, PreparedQuery, ReprKind, ReprPolicy, Scratch, SearchOutcome,
+    SetCollection,
 };
 use setsim::tokenize::QGramTokenizer;
 
@@ -68,24 +69,10 @@ fn run_all(
     tau: f64,
     cfg: AlgoConfig,
 ) -> Result<AlgoPrints, TestCaseError> {
-    let outs: Vec<(&'static str, SearchOutcome)> = vec![
-        ("scan", FullScan.search(index, q, tau)),
-        ("sort-by-id", SortByIdMerge.search(index, q, tau)),
-        ("TA", TaAlgorithm.search(index, q, tau)),
-        ("NRA", NraAlgorithm::default().search(index, q, tau)),
-        ("iTA", ITaAlgorithm::with_config(cfg).search(index, q, tau)),
-        (
-            "iNRA",
-            INraAlgorithm::with_config(cfg).search(index, q, tau),
-        ),
-        ("SF", SfAlgorithm::with_config(cfg).search(index, q, tau)),
-        (
-            "Hybrid",
-            HybridAlgorithm::with_config(cfg).search(index, q, tau),
-        ),
-    ];
-    let mut prints = Vec::with_capacity(outs.len());
-    for (name, out) in outs {
+    let mut prints = Vec::with_capacity(AlgorithmKind::ALL.len());
+    for kind in AlgorithmKind::ALL {
+        // Kinds without property toggles ignore `cfg`.
+        let (name, out) = (kind.name(), run(index, kind, cfg, q, tau));
         prop_assert!(
             out.stats.elements_read + out.stats.elements_skipped <= out.stats.total_list_elements,
             "{name}: read {} + skipped {} exceeds total {}",
@@ -106,7 +93,7 @@ fn check_against_oracle(
     tau: f64,
     prints: &[(&'static str, Vec<(u32, u64)>)],
 ) -> Result<(), TestCaseError> {
-    let all = FullScan.search(index, q, 1e-9);
+    let all = run(index, AlgorithmKind::Scan, AlgoConfig::full(), q, 1e-9);
     let mut scores = vec![0.0f64; index.collection().len()];
     for m in &all.results {
         scores[m.id.index()] = m.score;
@@ -281,8 +268,14 @@ fn adaptive_policy_selects_bitmaps_on_dense_tokens_and_skips_blocks() {
     );
 
     let q = index.prepare_query_str("sharedcorex");
-    let out = SfAlgorithm::with_config(AlgoConfig::full()).search(&index, &q, 0.9);
-    let no_skip = SfAlgorithm::with_config(AlgoConfig::no_block_skip()).search(&index, &q, 0.9);
+    let out = run(&index, AlgorithmKind::Sf, AlgoConfig::full(), &q, 0.9);
+    let no_skip = run(
+        &index,
+        AlgorithmKind::Sf,
+        AlgoConfig::no_block_skip(),
+        &q,
+        0.9,
+    );
     assert_eq!(fingerprint(&out), fingerprint(&no_skip));
     assert!(
         out.stats.elements_skipped > 0,

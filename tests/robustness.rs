@@ -3,11 +3,13 @@
 //! structures), the tf-aware path must match its oracle on random inputs,
 //! and degenerate inputs must not break anything.
 
+mod common;
+
+use common::run;
 use proptest::prelude::*;
-use setsim::core::tfsearch::{tf_scan, TfIndex, TfSfAlgorithm};
+use setsim::core::tfsearch::{tf_scan, tf_sf, TfIndex};
 use setsim::core::{
-    AlgoConfig, CollectionBuilder, FullScan, HybridAlgorithm, INraAlgorithm, IndexOptions,
-    InvertedIndex, SelectionAlgorithm, SetCollection, SfAlgorithm,
+    AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, SetCollection,
 };
 use setsim::tokenize::QGramTokenizer;
 
@@ -44,7 +46,7 @@ proptest! {
         let reference = {
             let idx = InvertedIndex::build(&collection, IndexOptions::default());
             let q = idx.prepare_query_str(&query);
-            FullScan.search(&idx, &q, tau).ids_sorted()
+            run(&idx, AlgorithmKind::Scan, AlgoConfig::full(), &q, tau).ids_sorted()
         };
         let variants = [
             IndexOptions::default()
@@ -59,9 +61,9 @@ proptest! {
             let idx = InvertedIndex::build(&collection, opts.clone());
             let q = idx.prepare_query_str(&query);
             for out in [
-                SfAlgorithm::default().search(&idx, &q, tau),
-                INraAlgorithm::with_config(AlgoConfig::full()).search(&idx, &q, tau),
-                HybridAlgorithm::default().search(&idx, &q, tau),
+                run(&idx, AlgorithmKind::Sf, AlgoConfig::full(), &q, tau),
+                run(&idx, AlgorithmKind::INra, AlgoConfig::full(), &q, tau),
+                run(&idx, AlgorithmKind::Hybrid, AlgoConfig::full(), &q, tau),
             ] {
                 prop_assert_eq!(out.ids_sorted(), reference.clone(), "opts {:?}", opts);
             }
@@ -85,7 +87,7 @@ proptest! {
         let idx = TfIndex::build(&collection);
         let q = idx.prepare_query_str(&query);
         let oracle = tf_scan(&idx, &q, tau);
-        let got = TfSfAlgorithm.search(&idx, &q, tau);
+        let got = tf_sf(&idx, &q, tau);
         // Knife-edge scores may flip either way; compare off-boundary ids.
         let mut scores = vec![0.0f64; collection.len()];
         for m in &tf_scan(&idx, &q, 1e-9).results {
@@ -118,14 +120,15 @@ fn degenerate_inputs_do_not_panic() {
     let idx = InvertedIndex::build(&c, IndexOptions::default());
     let q = idx.prepare_query_str("x");
     assert_eq!(
-        SfAlgorithm::default().search(&idx, &q, 1.0).results.len(),
+        run(&idx, AlgorithmKind::Sf, AlgoConfig::full(), &q, 1.0)
+            .results
+            .len(),
         1
     );
 
     // Query matching nothing.
     let q = idx.prepare_query_str("zzzzzz");
-    assert!(SfAlgorithm::default()
-        .search(&idx, &q, 0.1)
+    assert!(run(&idx, AlgorithmKind::Sf, AlgoConfig::full(), &q, 0.1)
         .results
         .is_empty());
 
@@ -133,15 +136,14 @@ fn degenerate_inputs_do_not_panic() {
     let c = build(&vec!["same".to_string(); 20]);
     let idx = InvertedIndex::build(&c, IndexOptions::default());
     let q = idx.prepare_query_str("same");
-    let out = HybridAlgorithm::default().search(&idx, &q, 1.0);
+    let out = run(&idx, AlgorithmKind::Hybrid, AlgoConfig::full(), &q, 1.0);
     assert_eq!(out.results.len(), 20);
 
     // Whitespace-only record: padded grams only.
     let c = build(&[" ".to_string(), "real".to_string()]);
     let idx = InvertedIndex::build(&c, IndexOptions::default());
     let q = idx.prepare_query_str("real");
-    assert!(!INraAlgorithm::default()
-        .search(&idx, &q, 0.9)
+    assert!(!run(&idx, AlgorithmKind::INra, AlgoConfig::full(), &q, 0.9)
         .results
         .is_empty());
 }
@@ -160,9 +162,7 @@ fn unicode_records_work_end_to_end() {
     let c = build(&texts);
     let idx = InvertedIndex::build(&c, IndexOptions::default());
     let q = idx.prepare_query_str("日本語テキスト");
-    let out = SfAlgorithm::default()
-        .search(&idx, &q, 0.5)
-        .sorted_by_score();
+    let out = run(&idx, AlgorithmKind::Sf, AlgoConfig::full(), &q, 0.5).sorted_by_score();
     assert_eq!(c.text(out[0].id), Some("日本語テキスト"));
     assert!((out[0].score - 1.0).abs() < 1e-9);
     // The near-duplicate Japanese string should score above the German ones.
@@ -177,15 +177,13 @@ fn very_long_record_does_not_blow_bounds() {
     let idx = InvertedIndex::build(&c, IndexOptions::default());
     let q = idx.prepare_query_str("short");
     for tau in [0.5, 0.9, 1.0] {
-        let oracle = FullScan.search(&idx, &q, tau).ids_sorted();
+        let oracle = run(&idx, AlgorithmKind::Scan, AlgoConfig::full(), &q, tau).ids_sorted();
         assert_eq!(
-            SfAlgorithm::default().search(&idx, &q, tau).ids_sorted(),
+            run(&idx, AlgorithmKind::Sf, AlgoConfig::full(), &q, tau).ids_sorted(),
             oracle
         );
         assert_eq!(
-            HybridAlgorithm::default()
-                .search(&idx, &q, tau)
-                .ids_sorted(),
+            run(&idx, AlgorithmKind::Hybrid, AlgoConfig::full(), &q, tau).ids_sorted(),
             oracle
         );
     }

@@ -1,9 +1,12 @@
 //! End-to-end property tests of Section IV's semantic properties, checked
 //! on real indexes rather than in isolation.
 
+mod common;
+
+use common::run;
 use proptest::prelude::*;
 use setsim::core::{
-    properties, CollectionBuilder, FullScan, IndexOptions, InvertedIndex, SelectionAlgorithm,
+    properties, AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex,
     SetCollection,
 };
 use setsim::tokenize::QGramTokenizer;
@@ -43,7 +46,7 @@ proptest! {
             return Ok(());
         }
         let (lo, hi) = properties::length_bounds(tau, q.len);
-        let out = FullScan.search(&index, &q, tau);
+        let out = run(&index, AlgorithmKind::Scan, AlgoConfig::full(), &q, tau);
         for m in &out.results {
             let len_s = index.set_len(m.id);
             prop_assert!(
@@ -92,7 +95,7 @@ proptest! {
         if q.is_empty() {
             return Ok(());
         }
-        let all = FullScan.search(&index, &q, 1e-9);
+        let all = run(&index, AlgorithmKind::Scan, AlgoConfig::full(), &q, 1e-9);
         for m in &all.results {
             let bound = properties::max_score(q.idf_sq_total, index.set_len(m.id), q.len);
             prop_assert!(
@@ -119,7 +122,7 @@ proptest! {
             return Ok(());
         }
         let lambdas = properties::lambda_cutoffs(&q, tau);
-        let out = FullScan.search(&index, &q, tau);
+        let out = run(&index, AlgorithmKind::Scan, AlgoConfig::full(), &q, tau);
         for m in &out.results {
             let set = collection.set(m.id);
             let first = q
@@ -147,7 +150,7 @@ proptest! {
         let index = InvertedIndex::build(&collection, IndexOptions::default());
         let target = pick.get(&texts);
         let q = index.prepare_query_str(target);
-        let all = FullScan.search(&index, &q, 1e-9);
+        let all = run(&index, AlgorithmKind::Scan, AlgoConfig::full(), &q, 1e-9);
         for m in &all.results {
             prop_assert!(m.score >= 0.0 && m.score <= 1.0 + 1e-9);
         }

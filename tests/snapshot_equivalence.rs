@@ -8,9 +8,12 @@
 //! weights, skip lists, and hash indexes at load, so any nondeterminism
 //! or decode drift shows up here as a query-visible diff.
 
+mod common;
+
+use common::run;
 use setsim::core::{
-    AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, PagedEngine, QueryEngine,
-    SearchRequest, SearchStatus, SetCollection,
+    AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, PagedEngine,
+    QueryEngine, SearchRequest, SearchStatus, SetCollection,
 };
 use setsim::datagen::{Corpus, CorpusConfig};
 use setsim::tokenize::QGramTokenizer;
@@ -50,15 +53,13 @@ fn corpus_collection() -> (Corpus, SetCollection) {
 
 /// `(id, score-bits)` fingerprint of an outcome, order-normalized.
 fn fingerprint(
-    engine: &mut QueryEngine<'_>,
+    engine: &QueryEngine<'_>,
     text: &str,
     tau: f64,
     kind: AlgorithmKind,
 ) -> (Vec<(u32, u64)>, SearchStatus) {
     let q = engine.prepare_query_str(text);
-    let out = engine
-        .search(SearchRequest::new(&q).tau(tau).algorithm(kind))
-        .expect("valid request");
+    let out = run(engine.index(), kind, AlgoConfig::full(), &q, tau);
     let mut v: Vec<(u32, u64)> = out
         .results
         .iter()
@@ -112,8 +113,8 @@ fn all_eight_algorithms_agree_between_built_and_loaded_index() {
     let t = TempFile(temp_snap("all8"));
     built.save(&t.0).expect("save");
 
-    let mut built_engine = QueryEngine::new(built);
-    let mut loaded_engine = QueryEngine::open(&t.0).expect("cold-start open");
+    let built_engine = QueryEngine::new(built);
+    let loaded_engine = QueryEngine::open(&t.0).expect("cold-start open");
 
     // Queries: records from the database (guaranteed hits), their
     // prefixes (partial overlap), and a miss.
@@ -132,8 +133,8 @@ fn all_eight_algorithms_agree_between_built_and_loaded_index() {
     for tau in [0.5, 0.75, 0.95] {
         for kind in AlgorithmKind::ALL {
             for text in &queries {
-                let (b_ids, b_status) = fingerprint(&mut built_engine, text, tau, kind);
-                let (l_ids, l_status) = fingerprint(&mut loaded_engine, text, tau, kind);
+                let (b_ids, b_status) = fingerprint(&built_engine, text, tau, kind);
+                let (l_ids, l_status) = fingerprint(&loaded_engine, text, tau, kind);
                 assert_eq!(
                     b_ids,
                     l_ids,
@@ -179,12 +180,10 @@ fn empty_and_single_record_indexes_serve_after_reload() {
         let built = InvertedIndex::build(&collection, IndexOptions::default());
         let t = TempFile(temp_snap("degenerate"));
         built.save(&t.0).expect("save");
-        let mut engine = QueryEngine::open(&t.0).expect("open");
+        let engine = QueryEngine::open(&t.0).expect("open");
         for kind in AlgorithmKind::ALL {
             let q = engine.prepare_query_str("main street");
-            let out = engine
-                .search(SearchRequest::new(&q).tau(0.5).algorithm(kind))
-                .expect("valid request");
+            let out = run(engine.index(), kind, AlgoConfig::full(), &q, 0.5);
             assert_eq!(
                 out.results.len(),
                 usize::from(!texts.is_empty()),
@@ -235,13 +234,13 @@ fn every_representation_policy_round_trips_bit_identically() {
             }
         }
 
-        let mut built_engine = QueryEngine::new(built);
-        let mut loaded_engine = QueryEngine::open(&t.0).expect("open");
+        let built_engine = QueryEngine::new(built);
+        let loaded_engine = QueryEngine::open(&t.0).expect("open");
         for tau in [0.5, 0.8] {
             for kind in AlgorithmKind::ALL {
                 for text in &queries {
-                    let b = fingerprint(&mut built_engine, text, tau, kind);
-                    let l = fingerprint(&mut loaded_engine, text, tau, kind);
+                    let b = fingerprint(&built_engine, text, tau, kind);
+                    let l = fingerprint(&loaded_engine, text, tau, kind);
                     assert_eq!(
                         b,
                         l,
@@ -268,7 +267,7 @@ fn paged_engine_with_tiny_pool_matches_heap_engine() {
     // smaller than both the file and any single query's window.
     built.save_with_page_size(&t.0, 256).expect("save");
 
-    let mut heap = QueryEngine::open(&t.0).expect("heap open");
+    let heap = QueryEngine::open(&t.0).expect("heap open");
     let mut paged = QueryEngine::open_paged(&t.0, 2).expect("paged open");
     assert!(
         paged.num_pages() > 2,
@@ -290,7 +289,7 @@ fn paged_engine_with_tiny_pool_matches_heap_engine() {
     for tau in [0.5, 0.75, 0.95] {
         for kind in AlgorithmKind::ALL {
             for text in &queries {
-                let h = fingerprint(&mut heap, text, tau, kind);
+                let h = fingerprint(&heap, text, tau, kind);
                 let p = fingerprint_paged(&mut paged, text, tau, kind);
                 assert_eq!(
                     h,
@@ -338,12 +337,12 @@ fn paged_engine_matches_heap_for_every_representation_policy_and_legacy() {
             Some(_) => built.save_with_page_size(&t.0, 512).expect("save"),
             None => save_legacy_format(&built, &t.0, DEFAULT_PAGE_SIZE).expect("legacy save"),
         }
-        let mut heap = QueryEngine::open(&t.0).expect("heap open");
+        let heap = QueryEngine::open(&t.0).expect("heap open");
         let mut paged = QueryEngine::open_paged(&t.0, 2).expect("paged open");
         for tau in [0.5, 0.8] {
             for kind in AlgorithmKind::ALL {
                 for text in &queries {
-                    let h = fingerprint(&mut heap, text, tau, kind);
+                    let h = fingerprint(&heap, text, tau, kind);
                     let p = fingerprint_paged(&mut paged, text, tau, kind);
                     assert_eq!(
                         h,
@@ -384,12 +383,12 @@ fn legacy_format_snapshot_loads_as_forced_runs() {
 
     // Legacy bytes still serve the exact same answers (a run-forced
     // in-memory index is query-equivalent to any adaptive one).
-    let mut adaptive_engine = QueryEngine::new(built);
-    let mut legacy_engine = QueryEngine::open(&t.0).expect("open legacy");
+    let adaptive_engine = QueryEngine::new(built);
+    let legacy_engine = QueryEngine::open(&t.0).expect("open legacy");
     for text in corpus.records().iter().take(6) {
         for kind in AlgorithmKind::ALL {
-            let (b_ids, _) = fingerprint(&mut adaptive_engine, text, 0.7, kind);
-            let (l_ids, _) = fingerprint(&mut legacy_engine, text, 0.7, kind);
+            let (b_ids, _) = fingerprint(&adaptive_engine, text, 0.7, kind);
+            let (l_ids, _) = fingerprint(&legacy_engine, text, 0.7, kind);
             assert_eq!(b_ids, l_ids, "{} on legacy bytes", kind.name());
         }
     }
