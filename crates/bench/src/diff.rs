@@ -1,47 +1,23 @@
-//! Noise-aware comparison of two [`BenchReport`]s — the logic behind
+//! Comparison of two [`BenchReport`]s — the logic behind
 //! `cargo xtask bench-diff <baseline.json> <candidate.json>`.
 //!
 //! The gate's core asymmetry: **counters are exact, latency is noisy.**
 //! Access counters ([`crate::report::CounterSection`]) are deterministic
 //! functions of (scale, seed, workload, algorithm), so *any* drift is a
 //! real behavioral change and fails the comparison. Wall clock depends
-//! on the machine and its load, so latency drift only fails beyond a
-//! configurable relative band (default
-//! [`DiffOptions::DEFAULT_LATENCY_BAND_PCT`]%), and CI downgrades even
-//! that to a warning on pull requests (`latency_advisory`).
+//! on the machine and its load, so latency drift is printed beside each
+//! verdict and never fails it: the wall-clock gate is the calibrated
+//! ladder (`BENCHMARK.json`, `setsim-ladder`), which runs both sides on
+//! one machine.
 //!
 //! Comparisons are refused outright when the reports are not
 //! comparable: different schema versions, scales, or seeds measure
-//! different experiments, and no band makes that honest. Environment
-//! differences (host, rev, profile) are reported as context, with a
-//! debug-profile candidate escalated to a warning.
+//! different experiments. Environment differences (host, rev, profile)
+//! are reported as context, with a debug-profile candidate escalated to
+//! a warning.
 
-use crate::report::{BenchReport, COUNTER_FIELDS};
+use crate::report::BenchReport;
 use std::fmt::Write as _;
-
-/// Tuning knobs for a comparison.
-#[derive(Debug, Clone, Copy)]
-pub struct DiffOptions {
-    /// Allowed relative slowdown of `min_ms_per_query`, percent.
-    pub latency_band_pct: f64,
-    /// Report latency regressions but do not count them as failures
-    /// (CI uses this on pull requests, where runners are noisy).
-    pub latency_advisory: bool,
-}
-
-impl DiffOptions {
-    /// Default latency tolerance band, percent.
-    pub const DEFAULT_LATENCY_BAND_PCT: f64 = 15.0;
-}
-
-impl Default for DiffOptions {
-    fn default() -> Self {
-        Self {
-            latency_band_pct: Self::DEFAULT_LATENCY_BAND_PCT,
-            latency_advisory: false,
-        }
-    }
-}
 
 /// Outcome of a comparison: the rendered report plus failure counts.
 #[derive(Debug, Clone)]
@@ -50,29 +26,22 @@ pub struct DiffOutcome {
     pub report: String,
     /// Counter deviations (each one fails the gate).
     pub counter_regressions: usize,
-    /// Latency slowdowns beyond the band.
-    pub latency_regressions: usize,
-    /// Non-fatal observations (env mismatch, improvements, new rows).
+    /// Non-fatal observations (env mismatch, new rows).
     pub warnings: usize,
 }
 
 impl DiffOutcome {
-    /// Whether the gate fails under `opts`: any counter drift always
-    /// fails; latency drift fails unless advisory.
+    /// Whether the gate fails: any counter drift does, nothing else.
     #[must_use]
-    pub fn failed(&self, opts: &DiffOptions) -> bool {
-        self.counter_regressions > 0 || (self.latency_regressions > 0 && !opts.latency_advisory)
+    pub fn failed(&self) -> bool {
+        self.counter_regressions > 0
     }
 }
 
 /// Compare `candidate` against `baseline`. `Err` means the reports are
 /// not comparable at all (schema/scale/seed mismatch or malformed
 /// structure); `Ok` carries the per-algorithm verdicts.
-pub fn diff(
-    baseline: &BenchReport,
-    candidate: &BenchReport,
-    opts: &DiffOptions,
-) -> Result<DiffOutcome, String> {
+pub fn diff(baseline: &BenchReport, candidate: &BenchReport) -> Result<DiffOutcome, String> {
     if baseline.schema_version != candidate.schema_version {
         return Err(format!(
             "schema_version mismatch: baseline {} vs candidate {}",
@@ -95,21 +64,13 @@ pub fn diff(
     let mut out = DiffOutcome {
         report: String::new(),
         counter_regressions: 0,
-        latency_regressions: 0,
         warnings: 0,
     };
     let r = &mut out.report;
     let _ = writeln!(
         r,
-        "bench-diff: scale={} seed={} (band ±{:.0}% on min ms/query{})",
-        baseline.scale,
-        baseline.seed,
-        opts.latency_band_pct,
-        if opts.latency_advisory {
-            ", advisory"
-        } else {
-            ""
-        }
+        "bench-diff: scale={} seed={} (counters gate; min ms/query is informational)",
+        baseline.scale, baseline.seed
     );
     let _ = writeln!(
         r,
@@ -147,16 +108,13 @@ pub fn diff(
                 out.counter_regressions += 1;
                 continue;
             };
-            let mut drifted = Vec::new();
-            for field in COUNTER_FIELDS {
-                let (b, c) = (
-                    base_algo.counters.get(field).unwrap_or(0),
-                    cand_algo.counters.get(field).unwrap_or(0),
-                );
-                if b != c {
-                    drifted.push((field, b, c));
-                }
-            }
+            let drifted: Vec<(&str, u64, u64)> = base_algo
+                .counters
+                .fields()
+                .zip(cand_algo.counters.fields())
+                .filter(|((_, b), (_, c))| b != c)
+                .map(|((field, b), (_, c))| (field, b, c))
+                .collect();
             let (lb, lc) = (
                 base_algo.latency.min_ms_per_query,
                 cand_algo.latency.min_ms_per_query,
@@ -166,51 +124,26 @@ pub fn diff(
             } else {
                 0.0
             };
-            let lat_slow = lat_delta_pct > opts.latency_band_pct;
-            let lat_fast = lat_delta_pct < -opts.latency_band_pct;
-
-            if drifted.is_empty() && !lat_slow {
+            let _ = writeln!(
+                r,
+                "  {:10} {} · min {:.3} → {:.3} ms/q ({:+.1}%)",
+                base_algo.name,
+                if drifted.is_empty() {
+                    "ok   counters exact"
+                } else {
+                    "COUNTER DRIFT"
+                },
+                lb,
+                lc,
+                lat_delta_pct,
+            );
+            for (field, b, c) in &drifted {
                 let _ = writeln!(
                     r,
-                    "  {:10} ok   counters exact · min {:.3} → {:.3} ms/q ({:+.1}%){}",
-                    base_algo.name,
-                    lb,
-                    lc,
-                    lat_delta_pct,
-                    if lat_fast { " — faster" } else { "" }
+                    "      {field:22} {b:>14} -> {c:>14}  ({})",
+                    pct_delta(*b, *c)
                 );
-                if lat_fast {
-                    out.warnings += 1;
-                }
-                continue;
-            }
-            if !drifted.is_empty() {
-                let _ = writeln!(r, "  {:10} COUNTER DRIFT", base_algo.name);
-                for (field, b, c) in &drifted {
-                    let _ = writeln!(
-                        r,
-                        "      {field:22} {b:>14} -> {c:>14}  ({})",
-                        pct_delta(*b, *c)
-                    );
-                    out.counter_regressions += 1;
-                }
-            }
-            if lat_slow {
-                let _ = writeln!(
-                    r,
-                    "  {:10} LATENCY      min {:.3} -> {:.3} ms/q ({:+.1}%, band ±{:.0}%){}",
-                    base_algo.name,
-                    lb,
-                    lc,
-                    lat_delta_pct,
-                    opts.latency_band_pct,
-                    if opts.latency_advisory {
-                        " [advisory]"
-                    } else {
-                        ""
-                    }
-                );
-                out.latency_regressions += 1;
+                out.counter_regressions += 1;
             }
         }
         for cand_algo in &cand_wl.algos {
@@ -229,8 +162,8 @@ pub fn diff(
 
     let _ = writeln!(
         r,
-        "\nverdict: {} counter regression(s), {} latency regression(s), {} warning(s)",
-        out.counter_regressions, out.latency_regressions, out.warnings
+        "\nverdict: {} counter regression(s), {} warning(s)",
+        out.counter_regressions, out.warnings
     );
     Ok(out)
 }
@@ -250,24 +183,22 @@ mod tests {
         AlgoReport, BenchReport, CounterSection, EnvFingerprint, LatencySection, WorkloadReport,
         SCHEMA_VERSION,
     };
+    use setsim_core::SearchStats;
 
     fn report(elements_read: u64, min_ms: f64) -> BenchReport {
         let counters = CounterSection {
             queries: 10,
             matches: 12,
-            elements_read,
-            random_probes: 20,
-            elements_skipped: 100,
-            candidates_inserted: 50,
-            candidate_scan_steps: 75,
-            rounds: 30,
-            records_scanned: 0,
-            total_list_elements: 2000,
-            shards_pruned: 0,
-            shard_pruned_elements: 0,
-            pages_touched: 0,
-            page_cache_hits: 0,
-            page_cache_misses: 0,
+            stats: SearchStats {
+                elements_read,
+                random_probes: 20,
+                elements_skipped: 100,
+                candidates_inserted: 50,
+                candidate_scan_steps: 75,
+                rounds: 30,
+                total_list_elements: 2000,
+                ..SearchStats::default()
+            },
         };
         BenchReport {
             schema_version: SCHEMA_VERSION,
@@ -299,10 +230,9 @@ mod tests {
     #[test]
     fn identical_reports_pass() {
         let r = report(500, 0.4);
-        let out = diff(&r, &r.clone(), &DiffOptions::default()).unwrap();
+        let out = diff(&r, &r.clone()).unwrap();
         assert_eq!(out.counter_regressions, 0);
-        assert_eq!(out.latency_regressions, 0);
-        assert!(!out.failed(&DiffOptions::default()), "{}", out.report);
+        assert!(!out.failed(), "{}", out.report);
         assert!(out.report.contains("ok"), "{}", out.report);
     }
 
@@ -312,65 +242,22 @@ mod tests {
         // with a readable per-algorithm report.
         let base = report(500, 0.4);
         let cand = report(1000, 0.4);
-        let out = diff(&base, &cand, &DiffOptions::default()).unwrap();
+        let out = diff(&base, &cand).unwrap();
         assert_eq!(out.counter_regressions, 1);
-        assert!(out.failed(&DiffOptions::default()));
+        assert!(out.failed());
         assert!(out.report.contains("COUNTER DRIFT"), "{}", out.report);
         assert!(out.report.contains("elements_read"), "{}", out.report);
         assert!(out.report.contains("+100.0%"), "{}", out.report);
     }
 
     #[test]
-    fn in_band_latency_wobble_passes() {
-        // 10% slower min-of-k with exact counters: inside the 15% band.
+    fn latency_drift_is_printed_and_never_fails() {
         let base = report(500, 0.40);
-        let cand = report(500, 0.44);
-        let out = diff(&base, &cand, &DiffOptions::default()).unwrap();
-        assert_eq!(out.latency_regressions, 0);
-        assert!(!out.failed(&DiffOptions::default()), "{}", out.report);
-    }
-
-    #[test]
-    fn out_of_band_latency_fails_unless_advisory() {
-        let base = report(500, 0.40);
-        let cand = report(500, 0.60); // +50%
-        let strict = DiffOptions::default();
-        let out = diff(&base, &cand, &strict).unwrap();
-        assert_eq!(out.latency_regressions, 1);
-        assert!(out.failed(&strict));
-        assert!(out.report.contains("LATENCY"), "{}", out.report);
-
-        let advisory = DiffOptions {
-            latency_advisory: true,
-            ..DiffOptions::default()
-        };
-        let out = diff(&base, &cand, &advisory).unwrap();
-        assert_eq!(out.latency_regressions, 1);
-        assert!(!out.failed(&advisory), "advisory mode must not fail");
-    }
-
-    #[test]
-    fn latency_improvement_is_not_a_regression() {
-        let base = report(500, 0.40);
-        let cand = report(500, 0.10);
-        let out = diff(&base, &cand, &DiffOptions::default()).unwrap();
-        assert_eq!(out.latency_regressions, 0);
-        assert!(!out.failed(&DiffOptions::default()));
-        assert!(out.report.contains("faster"), "{}", out.report);
-    }
-
-    #[test]
-    fn wider_band_tolerates_more() {
-        let base = report(500, 0.40);
-        let cand = report(500, 0.50); // +25%
-        assert!(diff(&base, &cand, &DiffOptions::default())
-            .unwrap()
-            .failed(&DiffOptions::default()));
-        let wide = DiffOptions {
-            latency_band_pct: 30.0,
-            ..DiffOptions::default()
-        };
-        assert!(!diff(&base, &cand, &wide).unwrap().failed(&wide));
+        for (cand_ms, delta) in [(0.60, "+50.0%"), (0.10, "-75.0%")] {
+            let out = diff(&base, &report(500, cand_ms)).unwrap();
+            assert!(!out.failed(), "{}", out.report);
+            assert!(out.report.contains(delta), "{}", out.report);
+        }
     }
 
     #[test]
@@ -378,19 +265,13 @@ mod tests {
         let base = report(500, 0.4);
         let mut cand = report(500, 0.4);
         cand.seed = 7;
-        assert!(diff(&base, &cand, &DiffOptions::default())
-            .unwrap_err()
-            .contains("seed mismatch"));
+        assert!(diff(&base, &cand).unwrap_err().contains("seed mismatch"));
         let mut cand = report(500, 0.4);
         cand.scale = "large".to_string();
-        assert!(diff(&base, &cand, &DiffOptions::default())
-            .unwrap_err()
-            .contains("scale mismatch"));
+        assert!(diff(&base, &cand).unwrap_err().contains("scale mismatch"));
         let mut cand = report(500, 0.4);
         cand.schema_version = 2;
-        assert!(diff(&base, &cand, &DiffOptions::default())
-            .unwrap_err()
-            .contains("schema_version"));
+        assert!(diff(&base, &cand).unwrap_err().contains("schema_version"));
     }
 
     #[test]
@@ -398,13 +279,13 @@ mod tests {
         let base = report(500, 0.4);
         let mut cand = report(500, 0.4);
         cand.workloads[0].algos.clear();
-        let out = diff(&base, &cand, &DiffOptions::default()).unwrap();
+        let out = diff(&base, &cand).unwrap();
         assert!(out.counter_regressions > 0);
         assert!(out.report.contains("MISSING"), "{}", out.report);
 
         let mut cand = report(500, 0.4);
         cand.workloads.clear();
-        let out = diff(&base, &cand, &DiffOptions::default()).unwrap();
+        let out = diff(&base, &cand).unwrap();
         assert!(out.counter_regressions > 0);
     }
 
@@ -413,7 +294,7 @@ mod tests {
         let base = report(500, 0.4);
         let mut cand = report(500, 0.4);
         cand.env.profile = "debug".to_string();
-        let out = diff(&base, &cand, &DiffOptions::default()).unwrap();
+        let out = diff(&base, &cand).unwrap();
         assert!(out.warnings > 0);
         assert!(out.report.contains("debug build"), "{}", out.report);
     }

@@ -11,8 +11,8 @@
 //! the `env` fingerprint is a pure function of
 //! ([`HarnessConfig::scale`], [`HarnessConfig::seed`], the workload
 //! grid). `BenchReport::counters_json` extracts exactly that slice;
-//! `cargo xtask bench-diff` fails on *any* counter drift while treating
-//! latency as a banded advisory signal. See EXPERIMENTS.md
+//! `cargo xtask bench-diff` fails on *any* counter drift and only
+//! prints latency drift. See EXPERIMENTS.md
 //! "Methodology".
 
 use crate::report::{
@@ -596,9 +596,9 @@ mod tests {
             }
             // The exhaustive baselines do real work on every workload.
             let merge = w.algo("sort-by-id").expect("merge in roster");
-            assert!(merge.counters.elements_read > 0, "{}", w.label);
+            assert!(merge.counters.stats.elements_read > 0, "{}", w.label);
             let sql = w.algo("SQL").expect("sql in roster");
-            assert!(sql.counters.elements_read > 0, "{}", w.label);
+            assert!(sql.counters.stats.elements_read > 0, "{}", w.label);
         }
         // The mixed read/write cell runs the inverted-list roster (the
         // relational baseline has no mutable path) over the same query
@@ -611,7 +611,7 @@ mod tests {
         for a in &mixed.algos {
             assert_eq!(a.counters.queries, 5);
             assert!(
-                a.counters.records_scanned > 0,
+                a.counters.stats.records_scanned > 0,
                 "{}: the delta re-score path must run",
                 a.name
             );
@@ -635,18 +635,18 @@ mod tests {
                 algo.name()
             );
             assert!(
-                kernel.counters.elements_read < pre.counters.elements_read,
+                kernel.counters.stats.elements_read < pre.counters.stats.elements_read,
                 "{}: kernel reads {} vs pre-kernel {}",
                 algo.name(),
-                kernel.counters.elements_read,
-                pre.counters.elements_read
+                kernel.counters.stats.elements_read,
+                pre.counters.stats.elements_read
             );
             assert!(
-                kernel.counters.elements_skipped > pre.counters.elements_skipped,
+                kernel.counters.stats.elements_skipped > pre.counters.stats.elements_skipped,
                 "{}: kernel skips {} vs pre-kernel {}",
                 algo.name(),
-                kernel.counters.elements_skipped,
-                pre.counters.elements_skipped
+                kernel.counters.stats.elements_skipped,
+                pre.counters.stats.elements_skipped
             );
         }
         // The sharded cell serves the inverted-list roster through the
@@ -665,20 +665,20 @@ mod tests {
                 a.name
             );
             assert!(
-                a.counters.shards_pruned > 0,
+                a.counters.stats.shards_pruned > 0,
                 "{}: tau=0.8 must prune whole shards",
                 a.name
             );
             assert!(
-                a.counters.shard_pruned_elements > 0,
+                a.counters.stats.shard_pruned_elements > 0,
                 "{}: pruned shards hold postings",
                 a.name
             );
             assert!(
-                a.counters.elements_read
-                    + a.counters.elements_skipped
-                    + a.counters.shard_pruned_elements
-                    <= a.counters.total_list_elements,
+                a.counters.stats.elements_read
+                    + a.counters.stats.elements_skipped
+                    + a.counters.stats.shard_pruned_elements
+                    <= a.counters.stats.total_list_elements,
                 "{}: the stats partition must cover shard pruning",
                 a.name
             );
@@ -697,20 +697,24 @@ mod tests {
                 "{}: pool size must not change answers",
                 a.name
             );
-            assert!(a.counters.pages_touched > 0, "{}: pages fault", a.name);
             assert!(
-                a.counters.page_cache_hits + a.counters.page_cache_misses
-                    >= a.counters.pages_touched,
+                a.counters.stats.pages_touched > 0,
+                "{}: pages fault",
+                a.name
+            );
+            assert!(
+                a.counters.stats.page_cache_hits + a.counters.stats.page_cache_misses
+                    >= a.counters.stats.pages_touched,
                 "{}: every touched page was fetched at least once",
                 a.name
             );
         }
         let tiny = paged.algo("SF pool=10%").expect("tiny-pool entry");
         assert!(
-            tiny.counters.page_cache_misses >= full.counters.page_cache_misses,
+            tiny.counters.stats.page_cache_misses >= full.counters.stats.page_cache_misses,
             "a smaller pool cannot miss less: {} vs {}",
-            tiny.counters.page_cache_misses,
-            full.counters.page_cache_misses
+            tiny.counters.stats.page_cache_misses,
+            full.counters.stats.page_cache_misses
         );
         // The report survives its own serialization.
         let back = BenchReport::parse(&report.to_json_string()).unwrap();

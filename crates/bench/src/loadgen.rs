@@ -18,7 +18,10 @@
 //! asserts zero shed at low load and nonzero shed (with zero transport
 //! errors) at saturation. Saturation is made deterministic by *clog*
 //! connections ([`LoadgenConfig::clog`]) rather than by racing fast
-//! requests against a small permit count, which is a scheduler lottery.
+//! requests against a small permit count, which is a scheduler lottery —
+//! and a clogged run waits for its first shed (up to
+//! [`SATURATION_DEADLINE`]) before it stops the clogs, so saturation is
+//! a condition the run reaches, not a race against the readers finishing.
 
 use crate::report::{
     AlgoReport, BenchReport, CounterSection, EnvFingerprint, LatencySection, WorkloadReport,
@@ -32,8 +35,12 @@ use setsim_core::{
 use setsim_datagen::LengthBucket;
 use setsim_server::{Client, ClientError, DrainReport, ServerConfig, ServerHandle};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
+
+/// How long a clogged run whose readers and writers finished without a
+/// single shed keeps its clog connections running, waiting for one.
+pub const SATURATION_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Parameters of one loadgen run.
 #[derive(Debug, Clone)]
@@ -146,16 +153,22 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenOutcome, String> {
     let queries: Vec<String> = wl.queries().to_vec();
 
     let stop_clogs = Arc::new(AtomicBool::new(false));
+    // One slot is enough: the run only asks whether *a* clog was shed.
+    let (shed_tx, shed_rx) = mpsc::sync_channel::<()>(1);
     let clogs: Vec<_> = (0..cfg.clog)
         .map(|t| {
             let stop = Arc::clone(&stop_clogs);
+            let shed = shed_tx.clone();
             let tau = cfg.tau;
             std::thread::Builder::new()
                 .name(format!("loadgen-clog-{t}"))
-                .spawn(move || clog_loop(addr, &stop, tau))
+                .spawn(move || clog_loop(addr, &stop, &shed, tau))
                 .expect("spawn clog")
         })
         .collect();
+    // Only the clogs hold senders now: if they all exit early the wait
+    // below ends at once instead of running to the deadline.
+    drop(shed_tx);
     let readers: Vec<_> = (0..cfg.readers.max(1))
         .map(|t| {
             let queries = queries.clone();
@@ -193,6 +206,12 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenOutcome, String> {
         overloaded += w.overloaded;
         transport += w.transport_errors;
     }
+    if overloaded == 0 {
+        // The readers can finish before two clog requests ever overlap.
+        // The clogs keep refusing each other for as long as they run, so
+        // hold them until one reports a shed (no clogs: returns at once).
+        let _shed_or_deadline = shed_rx.recv_timeout(SATURATION_DEADLINE);
+    }
     stop_clogs.store(true, Ordering::Release);
     for c in clogs {
         let c = c.join().map_err(|_| "clog thread panicked".to_string())?;
@@ -212,24 +231,9 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenOutcome, String> {
         return Err("no search request succeeded; nothing to report".to_string());
     }
     let latency = LatencySection::from_request_samples_ms(&samples);
-    let counters = CounterSection {
-        queries: ok,
-        matches,
-        elements_read: server.elements_read,
-        random_probes: server.random_probes,
-        elements_skipped: server.elements_skipped,
-        candidates_inserted: 0,
-        candidate_scan_steps: 0,
-        rounds: 0,
-        records_scanned: server.records_scanned,
-        total_list_elements: server.total_list_elements,
-        // The serving tier fronts a single unsharded, unpaged index.
-        shards_pruned: 0,
-        shard_pruned_elements: 0,
-        pages_touched: 0,
-        page_cache_hits: 0,
-        page_cache_misses: 0,
-    };
+    // The Stats frame carries five of the access counters; the rest read
+    // zero (the serving tier fronts a single unsharded, unpaged index).
+    let counters = CounterSection::from_stats(&server.totals, ok, matches);
     let report = BenchReport {
         schema_version: SCHEMA_VERSION,
         label: cfg.label.clone(),
@@ -322,7 +326,12 @@ fn reader_loop(
 /// real successful searches, so they feed the same tallies as reader
 /// requests (their latencies are the overload tail, which is the
 /// point of a saturation run).
-fn clog_loop(addr: std::net::SocketAddr, stop: &AtomicBool, tau: f64) -> ReaderResult {
+fn clog_loop(
+    addr: std::net::SocketAddr,
+    stop: &AtomicBool,
+    shed: &mpsc::SyncSender<()>,
+    tau: f64,
+) -> ReaderResult {
     let mut out = ReaderResult {
         samples: Vec::new(),
         ok: 0,
@@ -348,6 +357,8 @@ fn clog_loop(addr: std::net::SocketAddr, stop: &AtomicBool, tau: f64) -> ReaderR
             }
             Err(ClientError::Server(e)) if e.code == ErrorCode::Overloaded => {
                 out.overloaded += 1;
+                // Full slot or a run that already moved on: both fine.
+                let _already_signalled = shed.try_send(());
                 let wait = e.retry_after_ms.unwrap_or(1).min(5);
                 std::thread::sleep(Duration::from_millis(wait));
             }
@@ -447,8 +458,9 @@ mod tests {
             ..LoadgenConfig::default()
         };
         let out = run(&cfg).expect("clogged run");
-        // Two clogs against one permit refuse each other: shedding is
-        // guaranteed, not a scheduling race.
+        // Two clogs against one permit refuse each other, and the run
+        // holds them until one has: shedding is guaranteed, not a
+        // scheduling race.
         assert!(out.overloaded > 0, "clogged run must shed");
         assert_eq!(out.transport_errors, 0, "sheds are typed, never drops");
         assert_eq!(

@@ -1,9 +1,9 @@
 //! The versioned, schema-stable benchmark report.
 //!
 //! One [`BenchReport`] is the unit of the repo's perf trajectory: the
-//! harness (`setsim-bench harness`) writes one as `BENCH_<label>.json`,
-//! CI caches the previous run's file, and `cargo xtask bench-diff`
-//! compares two of them (see [`crate::diff`]). The figure binaries
+//! harness (`setsim-bench harness`) writes one as `BENCH_<label>.json`
+//! and `cargo xtask bench-diff` compares two of them (see
+//! [`crate::diff`]). The figure binaries
 //! (`fig6_time --json`, `fig7_pruning --json`) emit the same schema, so
 //! paper figures and the regression gate share one representation
 //! instead of two ad-hoc printers.
@@ -120,54 +120,15 @@ pub struct CounterSection {
     pub queries: u64,
     /// Matches returned across the workload.
     pub matches: u64,
-    /// Σ postings read by sorted access.
-    pub elements_read: u64,
-    /// Σ random-access probes.
-    pub random_probes: u64,
-    /// Σ postings stepped over by skip-list seeks.
-    pub elements_skipped: u64,
-    /// Σ candidates inserted into candidate sets.
-    pub candidates_inserted: u64,
-    /// Σ candidate-set bookkeeping steps.
-    pub candidate_scan_steps: u64,
-    /// Σ rounds / lists processed.
-    pub rounds: u64,
-    /// Σ base-table records scored directly.
-    pub records_scanned: u64,
-    /// Σ pruning denominators (total postings across query lists).
-    pub total_list_elements: u64,
-    /// Σ shards skipped whole by the Theorem 1 band check.
-    pub shards_pruned: u64,
-    /// Σ postings never visited because their shard was pruned.
-    pub shard_pruned_elements: u64,
-    /// Σ distinct snapshot pages faulted (paged serving only).
-    pub pages_touched: u64,
-    /// Σ buffer-pool hits while faulting pages (paged serving only).
-    pub page_cache_hits: u64,
-    /// Σ buffer-pool misses — disk reads — while faulting pages (paged
-    /// serving only).
-    pub page_cache_misses: u64,
+    /// Σ of every per-query access counter.
+    pub stats: SearchStats,
 }
 
-/// Field names of [`CounterSection`], in serialization order; `bench-diff`
-/// iterates this list so a new counter is automatically gated.
-pub const COUNTER_FIELDS: [&str; 15] = [
-    "queries",
-    "matches",
-    "elements_read",
-    "random_probes",
-    "elements_skipped",
-    "candidates_inserted",
-    "candidate_scan_steps",
-    "rounds",
-    "records_scanned",
-    "total_list_elements",
-    "shards_pruned",
-    "shard_pruned_elements",
-    "pages_touched",
-    "page_cache_hits",
-    "page_cache_misses",
-];
+/// How many leading [`SearchStats::FIELDS`] a report must carry. Counters
+/// after them (the shard counters of PR 9, the page counters of PR 10,
+/// and whatever is appended next) were added within schema version 1:
+/// reports written before them must still parse, reading zeros.
+const MANDATORY_ON_READ: usize = 8;
 
 impl CounterSection {
     /// Build from merged workload stats plus result/query counts.
@@ -176,53 +137,23 @@ impl CounterSection {
         Self {
             queries,
             matches,
-            elements_read: stats.elements_read,
-            random_probes: stats.random_probes,
-            elements_skipped: stats.elements_skipped,
-            candidates_inserted: stats.candidates_inserted,
-            candidate_scan_steps: stats.candidate_scan_steps,
-            rounds: stats.rounds,
-            records_scanned: stats.records_scanned,
-            total_list_elements: stats.total_list_elements,
-            shards_pruned: stats.shards_pruned,
-            shard_pruned_elements: stats.shard_pruned_elements,
-            pages_touched: stats.pages_touched,
-            page_cache_hits: stats.page_cache_hits,
-            page_cache_misses: stats.page_cache_misses,
+            stats: *stats,
         }
     }
 
-    /// Field access by [`COUNTER_FIELDS`] name (drives `bench-diff`).
-    #[must_use]
-    pub fn get(&self, field: &str) -> Option<u64> {
-        Some(match field {
-            "queries" => self.queries,
-            "matches" => self.matches,
-            "elements_read" => self.elements_read,
-            "random_probes" => self.random_probes,
-            "elements_skipped" => self.elements_skipped,
-            "candidates_inserted" => self.candidates_inserted,
-            "candidate_scan_steps" => self.candidate_scan_steps,
-            "rounds" => self.rounds,
-            "records_scanned" => self.records_scanned,
-            "total_list_elements" => self.total_list_elements,
-            "shards_pruned" => self.shards_pruned,
-            "shard_pruned_elements" => self.shard_pruned_elements,
-            "pages_touched" => self.pages_touched,
-            "page_cache_hits" => self.page_cache_hits,
-            "page_cache_misses" => self.page_cache_misses,
-            _ => return None,
-        })
+    /// Every counter with its report key, in serialization order:
+    /// `queries`, `matches`, then [`SearchStats::FIELDS`]. `bench-diff`
+    /// iterates this, so a new counter is automatically gated.
+    pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        [("queries", self.queries), ("matches", self.matches)]
+            .into_iter()
+            .chain(SearchStats::FIELDS.into_iter().zip(self.stats.as_array()))
     }
 
     /// Pruning power over the workload, the paper's Figure 7 metric.
     #[must_use]
     pub fn pruning_pct(&self) -> f64 {
-        if self.total_list_elements == 0 {
-            return 100.0;
-        }
-        // lint: allow — counters well below 2^53, exact in f64.
-        100.0 * (1.0 - self.elements_read as f64 / self.total_list_elements as f64)
+        self.stats.pruning_pct()
     }
 
     /// Modeled disk milliseconds per query with the 2008-era constants of
@@ -231,39 +162,33 @@ impl CounterSection {
     #[must_use]
     pub fn modeled_disk_ms_per_query(&self) -> f64 {
         // lint: allow — counters well below 2^53, exact in f64.
-        let (seq, rnd) = (self.elements_read as f64, self.random_probes as f64);
+        let (seq, rnd) = (
+            self.stats.elements_read as f64,
+            self.stats.random_probes as f64,
+        );
         // lint: allow — query count below 2^53.
         (seq * 0.0002 + rnd * 0.1) / self.queries.max(1) as f64
     }
 
     fn to_json(self) -> Json {
-        let mut obj = Json::obj();
-        for field in COUNTER_FIELDS {
-            obj = obj.field(field, self.get(field).unwrap_or(0));
-        }
-        obj
+        self.fields()
+            .fold(Json::obj(), |obj, (key, v)| obj.field(key, v))
     }
 
     fn from_json(v: &Json) -> Result<Self, String> {
+        let (queries, matches) = (u64_field(v, "queries")?, u64_field(v, "matches")?);
+        let mut stats = [0u64; SearchStats::FIELDS.len()];
+        for (i, (slot, key)) in stats.iter_mut().zip(SearchStats::FIELDS).enumerate() {
+            *slot = if i < MANDATORY_ON_READ {
+                u64_field(v, key)?
+            } else {
+                u64_field_or_zero(v, key)?
+            };
+        }
         Ok(Self {
-            queries: u64_field(v, "queries")?,
-            matches: u64_field(v, "matches")?,
-            elements_read: u64_field(v, "elements_read")?,
-            random_probes: u64_field(v, "random_probes")?,
-            elements_skipped: u64_field(v, "elements_skipped")?,
-            candidates_inserted: u64_field(v, "candidates_inserted")?,
-            candidate_scan_steps: u64_field(v, "candidate_scan_steps")?,
-            rounds: u64_field(v, "rounds")?,
-            records_scanned: u64_field(v, "records_scanned")?,
-            total_list_elements: u64_field(v, "total_list_elements")?,
-            // Within-version schema extension: reports written before the
-            // sharded cell landed lack these keys and still must parse.
-            shards_pruned: u64_field_or_zero(v, "shards_pruned")?,
-            shard_pruned_elements: u64_field_or_zero(v, "shard_pruned_elements")?,
-            // Same extension rule for the paged-serving counters.
-            pages_touched: u64_field_or_zero(v, "pages_touched")?,
-            page_cache_hits: u64_field_or_zero(v, "page_cache_hits")?,
-            page_cache_misses: u64_field_or_zero(v, "page_cache_misses")?,
+            queries,
+            matches,
+            stats: SearchStats::from_array(stats),
         })
     }
 }
@@ -271,8 +196,7 @@ impl CounterSection {
 /// Wall-clock statistics over the measured repetitions of one workload:
 /// min-of-k (the robust point estimate — the least-interfered-with run)
 /// plus median and MAD (median absolute deviation) to expose spread.
-/// Noisy by nature; `bench-diff` treats drift here as advisory within a
-/// band.
+/// Noisy by nature; `bench-diff` prints drift here and never fails on it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySection {
     /// Measured repetitions (after warmup).
@@ -769,19 +693,21 @@ mod tests {
         let counters = CounterSection {
             queries: 10,
             matches: 12,
-            elements_read: 500,
-            random_probes: 20,
-            elements_skipped: 100,
-            candidates_inserted: 50,
-            candidate_scan_steps: 75,
-            rounds: 30,
-            records_scanned: 0,
-            total_list_elements: 2000,
-            shards_pruned: 3,
-            shard_pruned_elements: 400,
-            pages_touched: 7,
-            page_cache_hits: 5,
-            page_cache_misses: 2,
+            stats: SearchStats {
+                elements_read: 500,
+                random_probes: 20,
+                elements_skipped: 100,
+                candidates_inserted: 50,
+                candidate_scan_steps: 75,
+                rounds: 30,
+                records_scanned: 0,
+                total_list_elements: 2000,
+                shards_pruned: 3,
+                shard_pruned_elements: 400,
+                pages_touched: 7,
+                page_cache_hits: 5,
+                page_cache_misses: 2,
+            },
         };
         let latency = LatencySection::from_samples(&[0.5, 0.4, 0.6]);
         BenchReport {
@@ -865,33 +791,29 @@ mod tests {
     }
 
     #[test]
-    fn counter_fields_cover_every_counter() {
+    fn fields_cover_every_counter_in_report_order() {
         let c = CounterSection {
             queries: 1,
             matches: 2,
-            elements_read: 3,
-            random_probes: 4,
-            elements_skipped: 5,
-            candidates_inserted: 6,
-            candidate_scan_steps: 7,
-            rounds: 8,
-            records_scanned: 9,
-            total_list_elements: 10,
-            shards_pruned: 11,
-            shard_pruned_elements: 12,
-            pages_touched: 13,
-            page_cache_hits: 14,
-            page_cache_misses: 15,
+            stats: SearchStats::from_array(std::array::from_fn(|i| 3 + i as u64)),
         };
-        let values: Vec<u64> = COUNTER_FIELDS
-            .iter()
-            .map(|f| c.get(f).expect("known field"))
-            .collect();
-        assert_eq!(
-            values,
-            vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]
-        );
-        assert_eq!(c.get("bogus"), None);
+        let keys: Vec<&str> = c.fields().map(|(k, _)| k).collect();
+        assert_eq!(&keys[..3], ["queries", "matches", "elements_read"]);
+        assert_eq!(keys.last(), Some(&"page_cache_misses"));
+        let values: Vec<u64> = c.fields().map(|(_, v)| v).collect();
+        assert_eq!(values, (1..=15).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn every_counter_that_was_mandatory_is_still_mandatory() {
+        for key in &SearchStats::FIELDS[..MANDATORY_ON_READ] {
+            let text = sample_report()
+                .to_json_string()
+                .replace(&format!("\"{key}\""), &format!("\"x_{key}\""));
+            let err = BenchReport::parse(&text).unwrap_err();
+            assert!(err.contains(key), "{key}: {err}");
+        }
+        assert_eq!(SearchStats::FIELDS[MANDATORY_ON_READ], "shards_pruned");
     }
 
     #[test]
@@ -906,8 +828,8 @@ mod tests {
             .replace("\"shard_pruned_elements\"", "\"x_shard_pruned_elements\"");
         let back = BenchReport::parse(&text).unwrap();
         let c = &back.workloads[0].algos[0].counters;
-        assert_eq!(c.shards_pruned, 0);
-        assert_eq!(c.shard_pruned_elements, 0);
+        assert_eq!(c.stats.shards_pruned, 0);
+        assert_eq!(c.stats.shard_pruned_elements, 0);
     }
 
     #[test]
@@ -921,9 +843,9 @@ mod tests {
             .replace("\"page_cache_misses\"", "\"x_page_cache_misses\"");
         let back = BenchReport::parse(&text).unwrap();
         let c = &back.workloads[0].algos[0].counters;
-        assert_eq!(c.pages_touched, 0);
-        assert_eq!(c.page_cache_hits, 0);
-        assert_eq!(c.page_cache_misses, 0);
+        assert_eq!(c.stats.pages_touched, 0);
+        assert_eq!(c.stats.page_cache_hits, 0);
+        assert_eq!(c.stats.page_cache_misses, 0);
     }
 
     #[test]

@@ -717,8 +717,8 @@ impl SearchReply {
     }
 }
 
-/// Engine + server metrics exposed by the `STATS` verb. Superset of
-/// [`MetricsSnapshot`] with serving-side counters.
+/// Engine + server metrics exposed by the `STATS` verb: the headline
+/// fields of a [`MetricsSnapshot`] plus serving-side counters.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WireStats {
     /// Queries served since startup/reset.
@@ -727,16 +727,10 @@ pub struct WireStats {
     pub budget_exceeded: u64,
     /// Total matches produced.
     pub matches: u64,
-    /// Total list elements read.
-    pub elements_read: u64,
-    /// Elements skipped by pruning.
-    pub elements_skipped: u64,
-    /// Random probes issued.
-    pub random_probes: u64,
-    /// Base/delta records scanned.
-    pub records_scanned: u64,
-    /// Total list elements in scope across queries.
-    pub total_list_elements: u64,
+    /// Σ access counters across queries. The frame carries five of them
+    /// (`wire_counters`: sorted reads, seeks skipped, random probes,
+    /// records scanned, the pruning denominator); the rest are 0 here.
+    pub totals: SearchStats,
     /// Mean pruning percentage across queries.
     pub mean_pruning_pct: f64,
     /// Query latency: 50th percentile, microseconds.
@@ -760,20 +754,38 @@ pub struct WireStats {
     pub draining: bool,
 }
 
+/// The [`SearchStats`] counters the `Stats` frame carries, in frame
+/// order. Fixed by protocol version 1: the frame has no room for the
+/// other eight, which stay server-side until the frame is next revised.
+fn wire_counters(stats: &mut SearchStats) -> [&mut u64; 5] {
+    [
+        &mut stats.elements_read,
+        &mut stats.elements_skipped,
+        &mut stats.random_probes,
+        &mut stats.records_scanned,
+        &mut stats.total_list_elements,
+    ]
+}
+
 impl WireStats {
     /// Seed the engine-side fields from a [`MetricsSnapshot`]; serving
-    /// counters start at zero for the caller to fill.
+    /// counters start at zero for the caller to fill. Only the counters
+    /// the frame carries are kept, so a `WireStats` survives
+    /// encode → decode unchanged.
     #[must_use]
     pub fn from_metrics(m: &MetricsSnapshot) -> WireStats {
+        let (mut all, mut totals) = (m.totals, SearchStats::default());
+        for (kept, v) in wire_counters(&mut totals)
+            .into_iter()
+            .zip(wire_counters(&mut all))
+        {
+            *kept = *v;
+        }
         WireStats {
             queries: m.queries,
             budget_exceeded: m.budget_exceeded,
             matches: m.matches,
-            elements_read: m.elements_read,
-            elements_skipped: m.elements_skipped,
-            random_probes: m.random_probes,
-            records_scanned: m.records_scanned,
-            total_list_elements: m.total_list_elements,
+            totals,
             mean_pruning_pct: m.mean_pruning_pct,
             p50_us: m.p50_us,
             p95_us: m.p95_us,
@@ -782,32 +794,13 @@ impl WireStats {
         }
     }
 
-    /// Reconstruct a [`SearchStats`] carrying the access counters (for
-    /// feeding serving runs into the BenchReport counter schema).
-    #[must_use]
-    pub fn to_search_stats(&self) -> SearchStats {
-        SearchStats {
-            elements_read: self.elements_read,
-            elements_skipped: self.elements_skipped,
-            random_probes: self.random_probes,
-            records_scanned: self.records_scanned,
-            total_list_elements: self.total_list_elements,
-            ..SearchStats::default()
-        }
-    }
-
     fn encode_body(&self, out: &mut Vec<u8>) {
-        for v in [
-            self.queries,
-            self.budget_exceeded,
-            self.matches,
-            self.elements_read,
-            self.elements_skipped,
-            self.random_probes,
-            self.records_scanned,
-            self.total_list_elements,
-        ] {
+        for v in [self.queries, self.budget_exceeded, self.matches] {
             write_varint(out, v);
+        }
+        let mut totals = self.totals;
+        for v in wire_counters(&mut totals) {
+            write_varint(out, *v);
         }
         out.extend_from_slice(&self.mean_pruning_pct.to_bits().to_le_bytes());
         for v in [
@@ -827,16 +820,8 @@ impl WireStats {
 
     fn decode_body(buf: &[u8], pos: &mut usize) -> Result<WireStats, WireDecodeError> {
         let mut s = WireStats::default();
-        for field in [
-            &mut s.queries,
-            &mut s.budget_exceeded,
-            &mut s.matches,
-            &mut s.elements_read,
-            &mut s.elements_skipped,
-            &mut s.random_probes,
-            &mut s.records_scanned,
-            &mut s.total_list_elements,
-        ] {
+        let headline = [&mut s.queries, &mut s.budget_exceeded, &mut s.matches];
+        for field in headline.into_iter().chain(wire_counters(&mut s.totals)) {
             *field = read_varint(buf, pos).ok_or(WireDecodeError::Truncated)?;
         }
         s.mean_pruning_pct = f64::from_bits(read_f64_bits(buf, pos)?);

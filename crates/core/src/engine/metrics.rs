@@ -10,7 +10,7 @@
 
 use crate::{SearchStats, SearchStatus};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Number of log₂ latency buckets: bucket `b` holds queries with latency
 /// in `[2^(b-1), 2^b)` microseconds (bucket 0 = sub-microsecond), so 40
@@ -24,15 +24,9 @@ const BUCKETS: usize = 40;
 pub struct EngineMetrics {
     queries: AtomicU64,
     budget_exceeded: AtomicU64,
-    elements_read: AtomicU64,
-    elements_skipped: AtomicU64,
-    random_probes: AtomicU64,
-    records_scanned: AtomicU64,
-    total_list_elements: AtomicU64,
     matches: AtomicU64,
-    pages_touched: AtomicU64,
-    page_cache_hits: AtomicU64,
-    page_cache_misses: AtomicU64,
+    /// Σ of every [`SearchStats`] counter, in [`SearchStats::FIELDS`] order.
+    totals: [AtomicU64; SearchStats::FIELDS.len()],
     /// Σ pruning_pct × 100 (centi-percent), for a cheap integer mean.
     sum_pruning_centi: AtomicU64,
     latency_us_sum: AtomicU64,
@@ -44,15 +38,8 @@ impl Default for EngineMetrics {
         Self {
             queries: AtomicU64::new(0),
             budget_exceeded: AtomicU64::new(0),
-            elements_read: AtomicU64::new(0),
-            elements_skipped: AtomicU64::new(0),
-            random_probes: AtomicU64::new(0),
-            records_scanned: AtomicU64::new(0),
-            total_list_elements: AtomicU64::new(0),
             matches: AtomicU64::new(0),
-            pages_touched: AtomicU64::new(0),
-            page_cache_hits: AtomicU64::new(0),
-            page_cache_misses: AtomicU64::new(0),
+            totals: std::array::from_fn(|_| AtomicU64::new(0)),
             sum_pruning_centi: AtomicU64::new(0),
             latency_us_sum: AtomicU64::new(0),
             hist: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -80,40 +67,40 @@ fn bucket_upper(b: usize) -> u64 {
 }
 
 impl EngineMetrics {
+    /// Serve one query under the metrics: time `serve`, and when it
+    /// succeeds record what `served` reads off its outcome — counters,
+    /// status and match count. Every engine entry point goes through
+    /// here, so this is the serving layer's one clock read (it feeds the
+    /// latency histogram, never the algorithm kernels); a failed request
+    /// records nothing.
+    pub(crate) fn observe<T, E>(
+        &self,
+        serve: impl FnOnce() -> Result<T, E>,
+        served: impl FnOnce(&T) -> (&SearchStats, SearchStatus, usize),
+    ) -> Result<T, E> {
+        let start = Instant::now();
+        let out = serve()?;
+        let (stats, status, matches) = served(&out);
+        self.record(stats, status, matches as u64, start.elapsed());
+        Ok(out)
+    }
+
     /// Record one finished query.
-    pub(crate) fn record(&self, stats: &SearchStats, status: SearchStatus, latency: Duration) {
+    fn record(&self, stats: &SearchStats, status: SearchStatus, matches: u64, latency: Duration) {
         self.queries.fetch_add(1, Ordering::Relaxed);
         if status == SearchStatus::BudgetExceeded {
             self.budget_exceeded.fetch_add(1, Ordering::Relaxed);
         }
-        self.elements_read
-            .fetch_add(stats.elements_read, Ordering::Relaxed);
-        self.elements_skipped
-            .fetch_add(stats.elements_skipped, Ordering::Relaxed);
-        self.random_probes
-            .fetch_add(stats.random_probes, Ordering::Relaxed);
-        self.records_scanned
-            .fetch_add(stats.records_scanned, Ordering::Relaxed);
-        self.total_list_elements
-            .fetch_add(stats.total_list_elements, Ordering::Relaxed);
-        self.pages_touched
-            .fetch_add(stats.pages_touched, Ordering::Relaxed);
-        self.page_cache_hits
-            .fetch_add(stats.page_cache_hits, Ordering::Relaxed);
-        self.page_cache_misses
-            .fetch_add(stats.page_cache_misses, Ordering::Relaxed);
+        self.matches.fetch_add(matches, Ordering::Relaxed);
+        for (total, v) in self.totals.iter().zip(stats.as_array()) {
+            total.fetch_add(v, Ordering::Relaxed);
+        }
         // lint: allow — pruning_pct ∈ [0, 100], ×100 fits u64 exactly.
         let centi = (stats.pruning_pct() * 100.0).round() as u64;
         self.sum_pruning_centi.fetch_add(centi, Ordering::Relaxed);
         let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
         self.latency_us_sum.fetch_add(us, Ordering::Relaxed);
         self.hist[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one match count (kept separate from [`record`](Self::record)
-    /// so the borrow of the result buffer need not outlive the stats).
-    pub(crate) fn record_matches(&self, n: u64) {
-        self.matches.fetch_add(n, Ordering::Relaxed);
     }
 
     /// A consistent-enough point-in-time copy of the counters. (Counters
@@ -131,14 +118,9 @@ impl EngineMetrics {
             queries,
             budget_exceeded: self.budget_exceeded.load(Ordering::Relaxed),
             matches: self.matches.load(Ordering::Relaxed),
-            elements_read: self.elements_read.load(Ordering::Relaxed),
-            elements_skipped: self.elements_skipped.load(Ordering::Relaxed),
-            random_probes: self.random_probes.load(Ordering::Relaxed),
-            records_scanned: self.records_scanned.load(Ordering::Relaxed),
-            total_list_elements: self.total_list_elements.load(Ordering::Relaxed),
-            pages_touched: self.pages_touched.load(Ordering::Relaxed),
-            page_cache_hits: self.page_cache_hits.load(Ordering::Relaxed),
-            page_cache_misses: self.page_cache_misses.load(Ordering::Relaxed),
+            totals: SearchStats::from_array(std::array::from_fn(|i| {
+                self.totals[i].load(Ordering::Relaxed)
+            })),
             mean_pruning_pct: if queries == 0 {
                 100.0
             } else {
@@ -154,21 +136,15 @@ impl EngineMetrics {
 
     /// Zero every counter (between benchmark phases).
     pub fn reset(&self) {
-        self.queries.store(0, Ordering::Relaxed);
-        self.budget_exceeded.store(0, Ordering::Relaxed);
-        self.matches.store(0, Ordering::Relaxed);
-        self.elements_read.store(0, Ordering::Relaxed);
-        self.elements_skipped.store(0, Ordering::Relaxed);
-        self.random_probes.store(0, Ordering::Relaxed);
-        self.records_scanned.store(0, Ordering::Relaxed);
-        self.total_list_elements.store(0, Ordering::Relaxed);
-        self.pages_touched.store(0, Ordering::Relaxed);
-        self.page_cache_hits.store(0, Ordering::Relaxed);
-        self.page_cache_misses.store(0, Ordering::Relaxed);
-        self.sum_pruning_centi.store(0, Ordering::Relaxed);
-        self.latency_us_sum.store(0, Ordering::Relaxed);
-        for b in &self.hist {
-            b.store(0, Ordering::Relaxed);
+        let scalars = [
+            &self.queries,
+            &self.budget_exceeded,
+            &self.matches,
+            &self.sum_pruning_centi,
+            &self.latency_us_sum,
+        ];
+        for cell in scalars.into_iter().chain(&self.totals).chain(&self.hist) {
+            cell.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -203,22 +179,9 @@ pub struct MetricsSnapshot {
     pub budget_exceeded: u64,
     /// Matches returned across all queries.
     pub matches: u64,
-    /// Σ sorted-list elements read.
-    pub elements_read: u64,
-    /// Σ elements bypassed by skip-list seeks.
-    pub elements_skipped: u64,
-    /// Σ random-access probes.
-    pub random_probes: u64,
-    /// Σ base-table records scanned.
-    pub records_scanned: u64,
-    /// Σ pruning denominators.
-    pub total_list_elements: u64,
-    /// Σ distinct snapshot pages faulted per query (paged engine only).
-    pub pages_touched: u64,
-    /// Σ page faults served from resident pool frames (paged engine only).
-    pub page_cache_hits: u64,
-    /// Σ page faults that read the snapshot file (paged engine only).
-    pub page_cache_misses: u64,
+    /// Σ of every per-query [`SearchStats`] counter — what folding each
+    /// outcome's `stats` with [`SearchStats::merge`] gives.
+    pub totals: SearchStats,
     /// Mean per-query pruning power (the Figure 7 metric), percent.
     pub mean_pruning_pct: f64,
     /// Σ per-query latency, microseconds.
@@ -254,43 +217,35 @@ impl MetricsSnapshot {
             self.p95_us,
             self.p99_us,
             self.mean_pruning_pct,
-            self.elements_read,
-            self.total_list_elements,
-            self.random_probes,
-            self.records_scanned,
-            self.elements_skipped,
-            self.pages_touched,
-            self.page_cache_hits,
-            self.page_cache_misses,
+            self.totals.elements_read,
+            self.totals.total_list_elements,
+            self.totals.random_probes,
+            self.totals.records_scanned,
+            self.totals.elements_skipped,
+            self.totals.pages_touched,
+            self.totals.page_cache_hits,
+            self.totals.page_cache_misses,
         )
     }
 
-    /// Machine-readable companion to [`render`](Self::render): one JSON
-    /// object with every counter and derived percentile, stable key
-    /// order (used by `setsim-cli bench --json` and the bench report
-    /// pipeline). Counter values are exact integers; the only float is
-    /// `mean_pruning_pct`, emitted with shortest-round-trip formatting.
+    /// Machine-readable companion to [`render`](Self::render): one flat
+    /// JSON object — `queries`, `budget_exceeded`, `matches`, every
+    /// [`SearchStats::FIELDS`] total in that order, `mean_pruning_pct`,
+    /// and a `latency_us` object (`mean`, `sum`, `p50`, `p95`, `p99`).
+    /// Used by `setsim-cli bench --json`. Counter values are exact
+    /// integers; the only float is `mean_pruning_pct`, emitted with
+    /// shortest-round-trip formatting.
     #[must_use]
     pub fn render_json(&self) -> String {
         let mean_us = self.latency_us_sum.checked_div(self.queries).unwrap_or(0);
         format!(
-            "{{\"queries\":{},\"budget_exceeded\":{},\"matches\":{},\
-             \"elements_read\":{},\"elements_skipped\":{},\"random_probes\":{},\
-             \"records_scanned\":{},\"total_list_elements\":{},\
-             \"pages_touched\":{},\"page_cache_hits\":{},\"page_cache_misses\":{},\
+            "{{\"queries\":{},\"budget_exceeded\":{},\"matches\":{},{},\
              \"mean_pruning_pct\":{},\"latency_us\":{{\"mean\":{},\"sum\":{},\
              \"p50\":{},\"p95\":{},\"p99\":{}}}}}",
             self.queries,
             self.budget_exceeded,
             self.matches,
-            self.elements_read,
-            self.elements_skipped,
-            self.random_probes,
-            self.records_scanned,
-            self.total_list_elements,
-            self.pages_touched,
-            self.page_cache_hits,
-            self.page_cache_misses,
+            self.totals.json_members(),
             self.mean_pruning_pct,
             mean_us,
             self.latency_us_sum,
@@ -331,20 +286,21 @@ mod tests {
         m.record(
             &stats(25, 100),
             SearchStatus::Complete,
+            3,
             Duration::from_micros(10),
         );
         m.record(
             &stats(0, 100),
             SearchStatus::BudgetExceeded,
+            0,
             Duration::from_micros(1000),
         );
-        m.record_matches(3);
         let s = m.snapshot();
         assert_eq!(s.queries, 2);
         assert_eq!(s.budget_exceeded, 1);
         assert_eq!(s.matches, 3);
-        assert_eq!(s.elements_read, 25);
-        assert_eq!(s.total_list_elements, 200);
+        assert_eq!(s.totals.elements_read, 25);
+        assert_eq!(s.totals.total_list_elements, 200);
         // Pruning: (75 + 100) / 2.
         assert!((s.mean_pruning_pct - 87.5).abs() < 1e-9);
         assert!(s.p50_us >= 10 && s.p50_us < 1000, "p50 = {}", s.p50_us);
@@ -368,12 +324,14 @@ mod tests {
             m.record(
                 &stats(0, 0),
                 SearchStatus::Complete,
+                0,
                 Duration::from_micros(1),
             );
         }
         m.record(
             &stats(0, 0),
             SearchStatus::Complete,
+            0,
             Duration::from_micros(1000),
         );
         let s = m.snapshot();
@@ -388,12 +346,13 @@ mod tests {
         m.record(
             &stats(1, 2),
             SearchStatus::Complete,
+            0,
             Duration::from_micros(5),
         );
         m.reset();
         let s = m.snapshot();
         assert_eq!(s.queries, 0);
-        assert_eq!(s.elements_read, 0);
+        assert_eq!(s.totals, SearchStats::default());
         assert_eq!(s.p50_us, 0);
     }
 
@@ -403,9 +362,9 @@ mod tests {
         m.record(
             &stats(10, 100),
             SearchStatus::Complete,
+            2,
             Duration::from_micros(7),
         );
-        m.record_matches(2);
         let json = m.snapshot().render_json();
         assert!(json.contains("\"queries\":1"), "{json}");
         assert!(json.contains("\"matches\":2"), "{json}");
@@ -424,6 +383,7 @@ mod tests {
         m.record(
             &stats(10, 100),
             SearchStatus::Complete,
+            0,
             Duration::from_micros(7),
         );
         let text = m.snapshot().render();

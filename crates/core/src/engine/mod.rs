@@ -41,7 +41,6 @@ use crate::{
     AlgoConfig, InvertedIndex, Match, PreparedQuery, SearchOutcome, SearchStats, SearchStatus, Tau,
 };
 use std::fmt;
-use std::time::Instant;
 
 /// Everything a selection algorithm needs for one query: the index, the
 /// prepared query and (validated) threshold, the armed [`Budget`], and the
@@ -354,31 +353,30 @@ impl<'c> QueryEngine<'c> {
     /// algorithm-struct construction: validation is typed (no panics) and
     /// the candidate structures come from the engine's warm scratch.
     pub fn search(&mut self, req: SearchRequest<'_>) -> Result<SearchOutcome, SearchError> {
-        // Serving boundary: feeds the metrics latency histogram, never
-        // the algorithm kernels. lint: allow no-wallclock
-        let start = Instant::now();
-        let out = execute(&self.index, &mut self.scratch, &req)?;
-        self.metrics.record(&out.stats, out.status, start.elapsed());
-        self.metrics.record_matches(out.results.len() as u64);
-        Ok(out)
+        self.metrics.observe(
+            || execute(&self.index, &mut self.scratch, &req),
+            SearchOutcome::served,
+        )
     }
 
     /// Run one request and borrow the results out of the scratch — the
     /// zero-allocation serving path (nothing is copied; the view dies at
     /// the next search).
     pub fn search_view(&mut self, req: SearchRequest<'_>) -> Result<SearchView<'_>, SearchError> {
-        // Serving boundary, as in `search`. lint: allow no-wallclock
-        let start = Instant::now();
-        let status = execute_into(&self.index, &mut self.scratch, &req)?;
-        self.metrics
-            .record(&self.scratch.stats, status, start.elapsed());
-        self.metrics
-            .record_matches(self.scratch.results.len() as u64);
-        Ok(SearchView {
-            results: self.scratch.results(),
-            stats: self.scratch.stats(),
-            status,
-        })
+        let (index, scratch) = (&self.index, &mut self.scratch);
+        self.metrics.observe(
+            move || {
+                // Moved, not reborrowed: the view outlives the closure.
+                let scratch = scratch;
+                let status = execute_into(index, scratch, &req)?;
+                Ok(SearchView {
+                    results: scratch.results(),
+                    stats: scratch.stats(),
+                    status,
+                })
+            },
+            |view| (view.stats, view.status, view.results.len()),
+        )
     }
 
     /// Run a batch of requests across `num_threads` workers with **work
@@ -396,15 +394,8 @@ impl<'c> QueryEngine<'c> {
         num_threads: usize,
     ) -> Vec<Result<SearchOutcome, SearchError>> {
         steal(&self.scratch_pool, num_threads, reqs, |scratch, req| {
-            // Per-request serving latency for the shared metrics
-            // histogram. lint: allow no-wallclock
-            let start = Instant::now();
-            let res = execute(&self.index, scratch, req);
-            if let Ok(out) = &res {
-                self.metrics.record(&out.stats, out.status, start.elapsed());
-                self.metrics.record_matches(out.results.len() as u64);
-            }
-            res
+            self.metrics
+                .observe(|| execute(&self.index, scratch, req), SearchOutcome::served)
         })
     }
 
@@ -492,38 +483,37 @@ impl ShardedEngine {
         req: &SearchRequest<'_>,
         num_threads: usize,
     ) -> Result<SearchOutcome, SearchError> {
-        // Serving boundary: feeds the metrics latency histogram, never
-        // the algorithm kernels. lint: allow no-wallclock
-        let start = Instant::now();
-        crate::ShardedIndex::validate(req)?;
-        let plan = self.index.plan(req.query, req.tau);
-        let shards = self.index.shards();
-        let per_shard = steal(
-            &self.scratch_pool,
-            num_threads,
-            &plan.surviving,
-            |scratch, (shard, fq)| {
-                let sreq = SearchRequest {
-                    query: fq,
-                    tau: req.tau,
-                    algorithm: req.algorithm,
-                    config: req.config,
-                    budget: req.budget,
-                };
-                match shards.get(*shard) {
-                    Some(sh) => execute(&sh.index, scratch, &sreq),
-                    None => unreachable!("plan indexes its own shard slice"),
+        self.metrics.observe(
+            || {
+                crate::ShardedIndex::validate(req)?;
+                let plan = self.index.plan(req.query, req.tau);
+                let shards = self.index.shards();
+                let per_shard = steal(
+                    &self.scratch_pool,
+                    num_threads,
+                    &plan.surviving,
+                    |scratch, (shard, fq)| {
+                        let sreq = SearchRequest {
+                            query: fq,
+                            tau: req.tau,
+                            algorithm: req.algorithm,
+                            config: req.config,
+                            budget: req.budget,
+                        };
+                        match shards.get(*shard) {
+                            Some(sh) => execute(&sh.index, scratch, &sreq),
+                            None => unreachable!("plan indexes its own shard slice"),
+                        }
+                    },
+                );
+                let mut outcomes = Vec::with_capacity(plan.surviving.len());
+                for (res, (shard, _)) in per_shard.into_iter().zip(&plan.surviving) {
+                    outcomes.push((*shard, res?));
                 }
+                Ok(self.index.gather(&plan, outcomes))
             },
-        );
-        let mut outcomes = Vec::with_capacity(plan.surviving.len());
-        for (res, (shard, _)) in per_shard.into_iter().zip(&plan.surviving) {
-            outcomes.push((*shard, res?));
-        }
-        let out = self.index.gather(&plan, outcomes);
-        self.metrics.record(&out.stats, out.status, start.elapsed());
-        self.metrics.record_matches(out.results.len() as u64);
-        Ok(out)
+            SearchOutcome::served,
+        )
     }
 
     /// Point-in-time serving metrics.

@@ -27,7 +27,9 @@
 
 use super::{execute_into, EngineMetrics, MetricsSnapshot, Scratch, SearchError, SearchRequest};
 use crate::index::ListPayload;
-use crate::snapshot::{decode_footer, read_list_blocks, window_blocks, ListRef, PageFetch};
+use crate::snapshot::{
+    check_stored_lengths, decode_footer, read_list_blocks, window_blocks, ListRef, PageFetch,
+};
 use crate::{
     InvertedIndex, PreparedQuery, QueryToken, SearchOutcome, SetCollection, SnapshotError, Tau,
 };
@@ -36,7 +38,6 @@ use setsim_tokenize::Token;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
-use std::time::Instant;
 
 /// What can go wrong serving a paged query: request validation (same
 /// typed errors as the heap engine) or snapshot I/O — a fault hitting a
@@ -212,61 +213,51 @@ impl PagedEngine {
     /// engine; [`SearchStats`](crate::SearchStats) additionally carries
     /// `pages_touched` / `page_cache_hits` / `page_cache_misses`.
     pub fn search(&mut self, req: SearchRequest<'_>) -> Result<SearchOutcome, PagedSearchError> {
-        // Serving boundary: feeds the metrics latency histogram, never
-        // the algorithm kernels. lint: allow no-wallclock
-        let start = Instant::now();
-        // Validate before faulting a single page (execute_into
-        // re-validates; both use the same predicates).
-        let Some(tau) = Tau::new(req.tau) else {
-            return Err(SearchError::InvalidTau(req.tau).into());
-        };
-        let hits0 = self.snap.hits();
-        let misses0 = self.snap.misses();
-        let num_sets = self.index.collection().len();
-        let len_q = req.query.len;
-        let mut touched: BTreeSet<u32> = BTreeSet::new();
-        let mut lists: Vec<(Token, ListPayload)> = Vec::with_capacity(req.query.tokens.len());
-        for qt in &req.query.tokens {
-            let Some(list) = find_list(&self.directory, qt.token) else {
-                // A query prepared by this engine only carries tokens the
-                // directory has lists for; anything else was prepared
-                // against a different index and must not be served.
-                return Err(PagedSearchError::ForeignQuery { token: qt.token });
-            };
-            let range = window_blocks(list, len_q, tau.get());
-            let mut pages = PooledPages {
-                snap: &mut self.snap,
-                touched: &mut touched,
-            };
-            let payload = read_list_blocks(&mut pages, list, range, num_sets)?;
-            // The heap load path cross-checks every stored length against
-            // the recomputed table; do the same for each faulted window,
-            // so a cross-wired file (checksums fine, pages from another
-            // index) is rejected at fault time, not served.
-            if let ListPayload::Postings(ps) = &payload {
-                for p in ps {
-                    if p.len.to_bits() != self.index.set_len(p.id).to_bits() {
-                        return Err(SnapshotError::Corrupt {
-                            detail: format!(
-                                "stored length of {} in list {} disagrees with the collection",
-                                p.id, qt.token.0
-                            ),
-                        }
-                        .into());
+        self.metrics.observe(
+            || {
+                // Validate before faulting a single page (execute_into
+                // re-validates; both use the same predicates).
+                let Some(tau) = Tau::new(req.tau) else {
+                    return Err(SearchError::InvalidTau(req.tau).into());
+                };
+                let hits0 = self.snap.hits();
+                let misses0 = self.snap.misses();
+                let num_sets = self.index.collection().len();
+                let len_q = req.query.len;
+                let mut touched: BTreeSet<u32> = BTreeSet::new();
+                let mut lists: Vec<(Token, ListPayload)> =
+                    Vec::with_capacity(req.query.tokens.len());
+                for qt in &req.query.tokens {
+                    let Some(list) = find_list(&self.directory, qt.token) else {
+                        // A query prepared by this engine only carries tokens the
+                        // directory has lists for; anything else was prepared
+                        // against a different index and must not be served.
+                        return Err(PagedSearchError::ForeignQuery { token: qt.token });
+                    };
+                    let range = window_blocks(list, len_q, tau.get());
+                    let mut pages = PooledPages {
+                        snap: &mut self.snap,
+                        touched: &mut touched,
+                    };
+                    let payload = read_list_blocks(&mut pages, list, range, num_sets)?;
+                    // The heap load path cross-checks every stored length against
+                    // the recomputed table; do the same for each faulted window,
+                    // so a cross-wired file (checksums fine, pages from another
+                    // index) is rejected at fault time, not served.
+                    if let ListPayload::Postings(ps) = &payload {
+                        check_stored_lengths(&self.index, qt.token, ps)?;
                     }
+                    lists.push((qt.token, payload));
                 }
-            }
-            lists.push((qt.token, payload));
-        }
-        self.index.replace_lists(lists);
-        execute_into(&self.index, &mut self.scratch, &req)?;
-        self.scratch.stats.pages_touched = touched.len() as u64;
-        self.scratch.stats.page_cache_hits = self.snap.hits() - hits0;
-        self.scratch.stats.page_cache_misses = self.snap.misses() - misses0;
-        let out = self.scratch.take_outcome();
-        self.metrics.record(&out.stats, out.status, start.elapsed());
-        self.metrics.record_matches(out.results.len() as u64);
-        Ok(out)
+                self.index.replace_lists(lists);
+                execute_into(&self.index, &mut self.scratch, &req)?;
+                self.scratch.stats.pages_touched = touched.len() as u64;
+                self.scratch.stats.page_cache_hits = self.snap.hits() - hits0;
+                self.scratch.stats.page_cache_misses = self.snap.misses() - misses0;
+                Ok(self.scratch.take_outcome())
+            },
+            SearchOutcome::served,
+        )
     }
 
     /// Point-in-time serving metrics (includes the page-fault counters).

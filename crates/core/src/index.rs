@@ -589,6 +589,59 @@ fn assemble_list(
     list
 }
 
+/// `(len, id)` ascending: the order every list is stored in.
+fn sort_by_len_id(postings: &mut [Posting]) {
+    postings.sort_by(|a, b| a.len.total_cmp(&b.len).then(a.id.cmp(&b.id)));
+}
+
+/// Invert `collection`: every token's postings, in set-id order (callers
+/// sort each list with [`sort_by_len_id`] as they consume it).
+fn raw_lists(collection: &SetCollection, lengths: &[f64]) -> HashMap<Token, Vec<Posting>> {
+    let mut raw: HashMap<Token, Vec<Posting>> = HashMap::new();
+    for (id, set) in collection.iter_sets() {
+        let len = lengths[id.index()];
+        for t in set.iter() {
+            raw.entry(t).or_default().push(Posting { id, len });
+        }
+    }
+    raw
+}
+
+/// Assemble each decoded payload into `lists`, returning the postings
+/// added. Id-only payloads (bitmap pages carry no lengths) get their
+/// lengths from `lengths` — the table every built posting is constructed
+/// from — and are sorted into `(len, id)` order first.
+fn insert_lists(
+    lists: &mut HashMap<Token, PostingList>,
+    sorted_lists: Vec<(Token, ListPayload)>,
+    options: &IndexOptions,
+    lengths: &[f64],
+) -> u64 {
+    let mut total_postings = 0u64;
+    for (token, payload) in sorted_lists {
+        let postings = match payload {
+            ListPayload::Postings(p) => p,
+            ListPayload::Ids(ids) => {
+                let mut p: Vec<Posting> = ids
+                    .into_iter()
+                    .map(|id| Posting {
+                        id: SetId(id),
+                        len: lengths[id as usize],
+                    })
+                    .collect();
+                sort_by_len_id(&mut p);
+                p
+            }
+        };
+        total_postings += postings.len() as u64;
+        lists.insert(
+            token,
+            assemble_list(token, postings, options, lengths.len()),
+        );
+    }
+    total_postings
+}
+
 /// The inverted-list index of Section III-B.
 ///
 /// One [`PostingList`] per token, each sorted by increasing set length —
@@ -613,19 +666,13 @@ impl<'c> InvertedIndex<'c> {
             .map(|(_, s)| weights.set_length(s))
             .collect();
 
-        let mut raw: HashMap<Token, Vec<Posting>> = HashMap::new();
-        for (id, set) in collection.iter_sets() {
-            let len = lengths[id.index()];
-            for t in set.iter() {
-                raw.entry(t).or_default().push(Posting { id, len });
-            }
-        }
+        let raw = raw_lists(collection, &lengths);
 
         let mut total_postings = 0u64;
         let mut lists = HashMap::with_capacity(raw.len());
         for (token, mut postings) in raw {
             total_postings += postings.len() as u64;
-            postings.sort_by(|a, b| a.len.total_cmp(&b.len).then(a.id.cmp(&b.id)));
+            sort_by_len_id(&mut postings);
             lists.insert(
                 token,
                 assemble_list(token, postings, &options, lengths.len()),
@@ -672,17 +719,11 @@ impl<'c> InvertedIndex<'c> {
             .iter_sets()
             .map(|(_, s)| weights.set_length(s))
             .collect();
-        let mut raw: HashMap<Token, Vec<Posting>> = HashMap::new();
-        for (id, set) in collection.iter_sets() {
-            let len = lengths[id.index()];
-            for t in set.iter() {
-                raw.entry(t).or_default().push(Posting { id, len });
-            }
-        }
+        let raw = raw_lists(&collection, &lengths);
         let mut sorted_lists: Vec<(Token, ListPayload)> = raw
             .into_iter()
             .map(|(t, mut postings)| {
-                postings.sort_by(|a, b| a.len.total_cmp(&b.len).then(a.id.cmp(&b.id)));
+                sort_by_len_id(&mut postings);
                 (t, ListPayload::Postings(postings))
             })
             .collect();
@@ -721,29 +762,8 @@ impl<'c> InvertedIndex<'c> {
             .iter_sets()
             .map(|(_, s)| weights.set_length(s))
             .collect();
-        let mut total_postings = 0u64;
         let mut lists = HashMap::with_capacity(sorted_lists.len());
-        for (token, payload) in sorted_lists {
-            let postings = match payload {
-                ListPayload::Postings(p) => p,
-                ListPayload::Ids(ids) => {
-                    let mut p: Vec<Posting> = ids
-                        .into_iter()
-                        .map(|id| Posting {
-                            id: SetId(id),
-                            len: lengths[id as usize],
-                        })
-                        .collect();
-                    p.sort_by(|a, b| a.len.total_cmp(&b.len).then(a.id.cmp(&b.id)));
-                    p
-                }
-            };
-            total_postings += postings.len() as u64;
-            lists.insert(
-                token,
-                assemble_list(token, postings, &options, lengths.len()),
-            );
-        }
+        let total_postings = insert_lists(&mut lists, sorted_lists, &options, &lengths);
         InvertedIndex {
             collection: CollectionHandle::Owned(collection),
             options,
@@ -762,28 +782,8 @@ impl<'c> InvertedIndex<'c> {
     /// deterministic [`assemble_list`] the build and load paths use.
     pub(crate) fn replace_lists(&mut self, sorted_lists: Vec<(Token, ListPayload)>) {
         self.lists.clear();
-        self.total_postings = 0;
-        for (token, payload) in sorted_lists {
-            let postings = match payload {
-                ListPayload::Postings(p) => p,
-                ListPayload::Ids(ids) => {
-                    let mut p: Vec<Posting> = ids
-                        .into_iter()
-                        .map(|id| Posting {
-                            id: SetId(id),
-                            len: self.lengths[id as usize],
-                        })
-                        .collect();
-                    p.sort_by(|a, b| a.len.total_cmp(&b.len).then(a.id.cmp(&b.id)));
-                    p
-                }
-            };
-            self.total_postings += postings.len() as u64;
-            self.lists.insert(
-                token,
-                assemble_list(token, postings, &self.options, self.lengths.len()),
-            );
-        }
+        self.total_postings =
+            insert_lists(&mut self.lists, sorted_lists, &self.options, &self.lengths);
     }
 
     /// Persist this index as a page-structured, checksummed snapshot file

@@ -60,6 +60,12 @@ impl SearchOutcome {
         }
     }
 
+    /// What the serving metrics record of this outcome (the projection
+    /// handed to `EngineMetrics::observe`): counters, status, match count.
+    pub(crate) fn served(&self) -> (&SearchStats, SearchStatus, usize) {
+        (&self.stats, self.status, self.results.len())
+    }
+
     /// Results sorted by descending score (ties by ascending id).
     pub fn sorted_by_score(mut self) -> Vec<Match> {
         self.results

@@ -23,7 +23,6 @@ use crate::SnapshotError;
 use std::ops::{Deref, DerefMut};
 use std::path::Path;
 use std::sync::{Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::Instant;
 
 /// A thread-safe, updatable serving engine: shared searches, exclusive
 /// mutations, and compaction that runs concurrently with both. See
@@ -120,17 +119,15 @@ impl MutableEngine {
 
     /// Run one search, recording serving metrics.
     pub fn search(&self, req: &MutableSearchRequest<'_>) -> Result<MutableOutcome, SearchError> {
-        // Serving boundary: latency is recorded here, outside the
-        // deterministic kernels. lint: allow no-wallclock
-        let start = Instant::now();
-        let mut scratch = self.scratch_pool.pop();
-        let res = self.read().search(&mut scratch, req);
-        if let Ok(out) = &res {
-            self.metrics.record(&out.stats, out.status, start.elapsed());
-            self.metrics.record_matches(out.results.len() as u64);
-        }
-        self.scratch_pool.push(scratch);
-        res
+        self.metrics.observe(
+            || {
+                let mut scratch = self.scratch_pool.pop();
+                let res = self.read().search(&mut scratch, req);
+                self.scratch_pool.push(scratch);
+                res
+            },
+            |out| (&out.stats, out.status, out.results.len()),
+        )
     }
 
     /// Insert a record, compacting afterwards if the budget trips.

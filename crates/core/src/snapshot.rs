@@ -1104,16 +1104,28 @@ fn load_index_impl(
     // (pages from one index with the footer of another, say) even though
     // every checksum passed.
     for (token, list) in index.iter_lists() {
-        for p in list.postings() {
-            if p.len.to_bits() != index.set_len(p.id).to_bits() {
-                return Err(corrupt(format!(
-                    "stored length of {} in list {} disagrees with the collection",
-                    p.id, token.0
-                )));
-            }
-        }
+        check_stored_lengths(&index, token, list.postings())?;
     }
     Ok(index)
+}
+
+/// Reject postings whose stored length is not bit-identical to the
+/// length `index` recomputed for that set (the cross-check of the load
+/// path and of every window the paged engine faults).
+pub(crate) fn check_stored_lengths(
+    index: &InvertedIndex<'_>,
+    token: Token,
+    postings: &[Posting],
+) -> Result<(), SnapshotError> {
+    for p in postings {
+        if p.len.to_bits() != index.set_len(p.id).to_bits() {
+            return Err(corrupt(format!(
+                "stored length of {} in list {} disagrees with the collection",
+                p.id, token.0
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// What [`verify`] found in a checksum-clean, logically consistent snapshot.

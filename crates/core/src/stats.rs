@@ -6,7 +6,7 @@
 /// (sequential) access, `random_probes` counts extendible-hash lookups
 /// (the TA family's per-element random I/O), and `total_list_elements` is
 /// the denominator for [`pruning_pct`](Self::pruning_pct).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Postings read by sorted access across all of the query's lists.
     pub elements_read: u64,
@@ -95,6 +95,63 @@ impl SearchStats {
         100.0 * (1.0 - self.elements_read as f64 / self.total_list_elements as f64)
     }
 
+    /// Every counter's name, in declaration order: the one list the
+    /// engine metrics, the wire `Stats` verb, the bench report and
+    /// `bench-diff` iterate. [`as_array`](Self::as_array) and
+    /// [`from_array`](Self::from_array) use the same order.
+    pub const FIELDS: [&'static str; 13] = [
+        "elements_read",
+        "random_probes",
+        "elements_skipped",
+        "candidates_inserted",
+        "candidate_scan_steps",
+        "rounds",
+        "records_scanned",
+        "total_list_elements",
+        "shards_pruned",
+        "shard_pruned_elements",
+        "pages_touched",
+        "page_cache_hits",
+        "page_cache_misses",
+    ];
+
+    /// Every counter by reference, in [`FIELDS`](Self::FIELDS) order: the
+    /// one field list behind both array views.
+    fn counters_mut(&mut self) -> [&mut u64; Self::FIELDS.len()] {
+        [
+            &mut self.elements_read,
+            &mut self.random_probes,
+            &mut self.elements_skipped,
+            &mut self.candidates_inserted,
+            &mut self.candidate_scan_steps,
+            &mut self.rounds,
+            &mut self.records_scanned,
+            &mut self.total_list_elements,
+            &mut self.shards_pruned,
+            &mut self.shard_pruned_elements,
+            &mut self.pages_touched,
+            &mut self.page_cache_hits,
+            &mut self.page_cache_misses,
+        ]
+    }
+
+    /// The counters as an array, in [`FIELDS`](Self::FIELDS) order.
+    #[must_use]
+    pub fn as_array(&self) -> [u64; Self::FIELDS.len()] {
+        let mut copy = *self;
+        copy.counters_mut().map(|c| *c)
+    }
+
+    /// Inverse of [`as_array`](Self::as_array).
+    #[must_use]
+    pub fn from_array(counters: [u64; Self::FIELDS.len()]) -> Self {
+        let mut stats = Self::default();
+        for (c, v) in stats.counters_mut().into_iter().zip(counters) {
+            *c = v;
+        }
+        stats
+    }
+
     /// Compact JSON object of every counter, in declaration order. All
     /// values are exact integers, so the output is byte-stable for a
     /// given counter state — machine-readable companion to the text
@@ -102,45 +159,35 @@ impl SearchStats {
     /// `setsim-cli bench --json`).
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"elements_read\":{},\"random_probes\":{},\"elements_skipped\":{},\
-             \"candidates_inserted\":{},\"candidate_scan_steps\":{},\"rounds\":{},\
-             \"records_scanned\":{},\"total_list_elements\":{},\
-             \"shards_pruned\":{},\"shard_pruned_elements\":{},\
-             \"pages_touched\":{},\"page_cache_hits\":{},\"page_cache_misses\":{}}}",
-            self.elements_read,
-            self.random_probes,
-            self.elements_skipped,
-            self.candidates_inserted,
-            self.candidate_scan_steps,
-            self.rounds,
-            self.records_scanned,
-            self.total_list_elements,
-            self.shards_pruned,
-            self.shard_pruned_elements,
-            self.pages_touched,
-            self.page_cache_hits,
-            self.page_cache_misses,
-        )
+        format!("{{{}}}", self.json_members())
+    }
+
+    /// `"name":value` for every counter, comma-separated, no braces: the
+    /// body of [`to_json`](Self::to_json), also spliced into the flat
+    /// [`MetricsSnapshot`](crate::MetricsSnapshot) object.
+    pub(crate) fn json_members(&self) -> String {
+        let pairs: Vec<String> = Self::FIELDS
+            .iter()
+            .zip(self.as_array())
+            .map(|(name, v)| format!("\"{name}\":{v}"))
+            .collect();
+        pairs.join(",")
     }
 
     /// Merge counters from another search (for workload aggregation).
     pub fn merge(&mut self, other: &SearchStats) {
-        self.elements_read += other.elements_read;
-        self.random_probes += other.random_probes;
-        self.elements_skipped += other.elements_skipped;
-        self.candidates_inserted += other.candidates_inserted;
-        self.candidate_scan_steps += other.candidate_scan_steps;
-        self.rounds += other.rounds;
-        self.records_scanned += other.records_scanned;
-        self.total_list_elements += other.total_list_elements;
-        self.shards_pruned += other.shards_pruned;
-        self.shard_pruned_elements += other.shard_pruned_elements;
-        self.pages_touched += other.pages_touched;
-        self.page_cache_hits += other.page_cache_hits;
-        self.page_cache_misses += other.page_cache_misses;
+        for (c, o) in self.counters_mut().into_iter().zip(other.as_array()) {
+            *c += o;
+        }
     }
 }
+
+// Every field is a `u64` counter and every counter has a name: growing the
+// struct without growing `FIELDS` (or the reverse) fails the build, and so
+// does a `counters_mut` of another length or one naming a field twice.
+const _: () = assert!(
+    std::mem::size_of::<SearchStats>() == SearchStats::FIELDS.len() * std::mem::size_of::<u64>()
+);
 
 #[cfg(test)]
 mod tests {

@@ -20,7 +20,7 @@ use setsim_core::api::{
     status_from_wire_code, status_wire_code, SearchCall, SearchReply, WireDecodeError, WireError,
     WireMatch, WireRequest, WireResponse, WireStats,
 };
-use setsim_core::{AlgorithmKind, ErrorCode, SearchStatus};
+use setsim_core::{AlgorithmKind, ErrorCode, SearchStats, SearchStatus};
 
 // ---------------------------------------------------------------------
 // Generators
@@ -122,7 +122,10 @@ fn arb_response(
         5 => WireResponse::Stats(WireStats {
             queries: id,
             budget_exceeded: id / 3,
-            elements_read: id.rotate_left(17),
+            totals: SearchStats {
+                elements_read: id.rotate_left(17),
+                ..SearchStats::default()
+            },
             mean_pruning_pct: arb_f64(id, (code % 251) as u8),
             p99_us: id % 100_000,
             shed: id % 7,

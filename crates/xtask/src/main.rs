@@ -11,9 +11,8 @@
 //! It also hosts the benchmark regression gate: `cargo xtask bench-diff
 //! <baseline.json> <candidate.json>` compares two `BENCH_*.json` reports
 //! produced by `setsim-bench harness`. Deterministic counter drift of any
-//! amount fails; wall-clock drift fails only beyond a configurable band
-//! (`--latency-band PCT`, default 15), or merely warns under
-//! `--latency-advisory` (for noisy shared CI runners).
+//! amount fails; wall-clock drift is printed and never fails (the
+//! wall-clock gate is `setsim-ladder`, see `BENCHMARK.json`).
 //!
 //! Subcommands:
 //! * `check` — fmt + clippy + analyze (the CI gate)
@@ -22,7 +21,7 @@
 //! * `lint` — alias for `analyze` (kept for muscle memory)
 //! * `fmt`   — rustfmt check only
 //! * `clippy` — clippy only
-//! * `bench-diff <baseline> <candidate> [--latency-band PCT] [--latency-advisory]`
+//! * `bench-diff <baseline> <candidate>`
 
 use std::path::Path;
 use std::process::{Command, ExitCode};
@@ -95,33 +94,11 @@ fn run_clippy(root: &Path) -> bool {
 }
 
 /// `cargo xtask bench-diff <baseline.json> <candidate.json>`: load two
-/// harness reports and apply the noise-aware gate from
-/// [`setsim_bench::diff`]. Counter drift of any amount fails; latency
-/// drift fails beyond the band unless `--latency-advisory`.
+/// harness reports and apply the gate from [`setsim_bench::diff`].
+/// Counter drift of any amount fails; latency drift is only printed.
 fn run_bench_diff(args: &[String]) -> bool {
-    let mut paths = Vec::new();
-    let mut opts = setsim_bench::diff::DiffOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--latency-band" => {
-                i += 1;
-                let Some(pct) = args.get(i).and_then(|v| v.parse::<f64>().ok()) else {
-                    eprintln!("--latency-band needs a numeric percentage");
-                    return false;
-                };
-                opts.latency_band_pct = pct;
-            }
-            "--latency-advisory" => opts.latency_advisory = true,
-            other => paths.push(other.to_string()),
-        }
-        i += 1;
-    }
-    let [baseline_path, candidate_path] = paths.as_slice() else {
-        eprintln!(
-            "usage: cargo xtask bench-diff <baseline.json> <candidate.json> \
-             [--latency-band PCT] [--latency-advisory]"
-        );
+    let [baseline_path, candidate_path] = args else {
+        eprintln!("usage: cargo xtask bench-diff <baseline.json> <candidate.json>");
         return false;
     };
     let load = |path: &str| -> Option<setsim_bench::report::BenchReport> {
@@ -143,10 +120,10 @@ fn run_bench_diff(args: &[String]) -> bool {
     let (Some(baseline), Some(candidate)) = (load(baseline_path), load(candidate_path)) else {
         return false;
     };
-    match setsim_bench::diff::diff(&baseline, &candidate, &opts) {
+    match setsim_bench::diff::diff(&baseline, &candidate) {
         Ok(outcome) => {
             print!("{}", outcome.report);
-            !outcome.failed(&opts)
+            !outcome.failed()
         }
         Err(e) => {
             eprintln!("bench-diff: reports are not comparable: {e}");

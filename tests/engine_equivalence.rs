@@ -11,7 +11,9 @@ mod common;
 use common::run;
 use setsim::core::{
     AlgoConfig, AlgorithmKind, Budget, CollectionBuilder, IndexOptions, InvertedIndex,
-    PreparedQuery, QueryEngine, SearchError, SearchRequest, SearchStatus, SetCollection,
+    MetricsSnapshot, MutableEngine, MutableIndex, MutableSearchRequest, PreparedQuery, QueryEngine,
+    SearchError, SearchRequest, SearchStats, SearchStatus, SetCollection, ShardedEngine,
+    ShardedIndex,
 };
 use setsim::tokenize::QGramTokenizer;
 
@@ -292,4 +294,113 @@ fn batch_surfaces_per_request_errors_without_failing_the_batch() {
     assert!(outs[0].is_ok());
     assert!(matches!(outs[1], Err(SearchError::InvalidTau(_))));
     assert!(outs[2].is_ok());
+}
+
+/// What a caller folding its own outcomes would compute.
+#[derive(Debug, Default)]
+struct Fold {
+    totals: SearchStats,
+    queries: u64,
+    matches: u64,
+    budget_exceeded: u64,
+}
+
+/// Drive one engine over the fixed request list — three query texts ×
+/// two thresholds × SF and iNRA, plus one request a zero budget cuts
+/// short — folding every outcome the way a caller would. `serve` returns
+/// what it read off the engine's outcome type.
+fn fold_requests(
+    mut serve: impl FnMut(&str, f64, AlgorithmKind, Budget) -> (SearchStats, SearchStatus, usize),
+) -> Fold {
+    let mut fold = Fold::default();
+    let mut take = |(stats, status, matches): (SearchStats, SearchStatus, usize)| {
+        fold.totals.merge(&stats);
+        fold.queries += 1;
+        fold.matches += matches as u64;
+        fold.budget_exceeded += u64::from(status == SearchStatus::BudgetExceeded);
+    };
+    for text in ["main street number 7", "maine st 3", "park avenue 41"] {
+        for tau in [0.5, 0.9] {
+            for kind in [AlgorithmKind::Sf, AlgorithmKind::INra] {
+                take(serve(text, tau, kind, Budget::unlimited()));
+            }
+        }
+    }
+    let starved = Budget::unlimited().with_max_elements_read(0);
+    take(serve("main street", 0.5, AlgorithmKind::Sf, starved));
+    fold
+}
+
+fn assert_metrics_are_the_fold(engine: &str, fold: &Fold, metrics: &MetricsSnapshot) {
+    for ((name, folded), recorded) in SearchStats::FIELDS
+        .iter()
+        .zip(fold.totals.as_array())
+        .zip(metrics.totals.as_array())
+    {
+        assert_eq!(recorded, folded, "{engine}: totals.{name}");
+    }
+    assert_eq!(metrics.queries, fold.queries, "{engine}: queries");
+    assert_eq!(metrics.matches, fold.matches, "{engine}: matches");
+    assert_eq!(
+        metrics.budget_exceeded, fold.budget_exceeded,
+        "{engine}: budget_exceeded"
+    );
+    assert!(fold.matches > 0 && fold.budget_exceeded == 1, "{engine}");
+}
+
+/// `engine.metrics().totals` is the `SearchStats::merge` fold of the
+/// outcomes the engine returned — every counter, on every engine.
+#[test]
+fn metrics_totals_equal_the_fold_of_outcome_stats_on_every_engine() {
+    let texts = street_corpus();
+    let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+    let collection = build(&refs);
+    let index = InvertedIndex::build(&collection, IndexOptions::default());
+    let snap = std::env::temp_dir().join(format!("setsim-engeq-{}.snap", std::process::id()));
+    index.save(&snap).expect("save snapshot");
+
+    let mut heap = QueryEngine::new(index);
+    let fold = fold_requests(|text, tau, kind, budget| {
+        let q = heap.prepare_query_str(text);
+        let req = SearchRequest::new(&q).tau(tau).algorithm(kind);
+        let out = heap.search(req.budget(budget)).expect("heap");
+        (out.stats, out.status, out.results.len())
+    });
+    assert_metrics_are_the_fold("heap", &fold, &heap.metrics());
+
+    let sharded =
+        ShardedEngine::new(ShardedIndex::build(&collection, 8, IndexOptions::default()).unwrap());
+    let fold = fold_requests(|text, tau, kind, budget| {
+        let q = sharded.prepare_query_str(text);
+        let req = SearchRequest::new(&q).tau(tau).algorithm(kind);
+        let out = sharded.search(&req.budget(budget)).expect("sharded");
+        (out.stats, out.status, out.results.len())
+    });
+    assert!(fold.totals.shards_pruned > 0, "no band pruned a shard");
+    assert!(fold.totals.shard_pruned_elements > 0);
+    assert_metrics_are_the_fold("sharded", &fold, &sharded.metrics());
+
+    let mut paged = QueryEngine::open_paged(&snap, 4).expect("open paged");
+    let fold = fold_requests(|text, tau, kind, budget| {
+        let q = paged.prepare_query_str(text);
+        let req = SearchRequest::new(&q).tau(tau).algorithm(kind);
+        let out = paged.search(req.budget(budget)).expect("paged");
+        (out.stats, out.status, out.results.len())
+    });
+    let _ = std::fs::remove_file(&snap);
+    assert!(fold.totals.page_cache_misses > 0, "no page was faulted");
+    assert_metrics_are_the_fold("paged", &fold, &paged.metrics());
+
+    let mutable = MutableEngine::new(
+        MutableIndex::from_collection(Box::new(build(&refs)), IndexOptions::default()).unwrap(),
+    );
+    mutable.insert("main street number 700");
+    let fold = fold_requests(|text, tau, kind, budget| {
+        let q = mutable.prepare_query_str(text);
+        let req = MutableSearchRequest::new(&q).tau(tau).algorithm(kind);
+        let out = mutable.search(&req.budget(budget)).expect("mutable");
+        (out.stats, out.status, out.results.len())
+    });
+    assert!(fold.totals.records_scanned > 0, "the delta was not scanned");
+    assert_metrics_are_the_fold("mutable", &fold, &mutable.metrics());
 }
