@@ -48,10 +48,10 @@ impl IdCursor<'_> {
 ///
 /// # Panics
 ///
-/// Panics if a non-empty query list supports no ascending-id access
-/// at all — a run-represented list built with
-/// `build_id_sorted_lists` disabled. Misconfiguration, not data: the
-/// engine builds indexes with the id order this baseline requires.
+/// Panics if a query list supports no ascending-id access at all — a
+/// run-represented list built with `build_id_sorted_lists` disabled.
+/// `execute_into` rejects such a request as `SearchError::Unsupported`
+/// before dispatching here.
 pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) {
     let index = ctx.index;
     let query = ctx.query;

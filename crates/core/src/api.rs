@@ -92,7 +92,8 @@ pub enum ErrorCode {
     ChecksumMismatch = 14,
     /// Bytes verify but do not decode to a valid structure.
     Corrupt = 15,
-    /// Operation unsupported by this build.
+    /// Operation unsupported by this build, or an algorithm the served
+    /// index lacks a structure for ([`SearchError::Unsupported`]).
     Unsupported = 16,
     /// Frame payload failed to decode (unknown tag, truncated body,
     /// trailing bytes, invalid value).
@@ -179,6 +180,7 @@ impl From<&SearchError> for ErrorCode {
         match err {
             SearchError::InvalidTau(_) => ErrorCode::InvalidTau,
             SearchError::QueryTooWide { .. } => ErrorCode::QueryTooWide,
+            SearchError::Unsupported { .. } => ErrorCode::Unsupported,
         }
     }
 }

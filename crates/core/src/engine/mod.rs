@@ -38,7 +38,8 @@ pub(crate) use scratch::{CandCell, PoolCand, SfCand};
 
 use crate::algorithms::{hybrid, inra, ita, merge, nra, scan, sf, ta, MAX_QUERY_LISTS};
 use crate::{
-    AlgoConfig, InvertedIndex, Match, PreparedQuery, SearchOutcome, SearchStats, SearchStatus, Tau,
+    AlgoConfig, InvertedIndex, Match, PostingList, PreparedQuery, SearchOutcome, SearchStats,
+    SearchStatus, Tau,
 };
 use std::fmt;
 
@@ -148,6 +149,15 @@ pub enum SearchError {
         /// The supported maximum ([`MAX_QUERY_LISTS`]).
         max: usize,
     },
+    /// A query list lacks a structure the requested algorithm reads: the
+    /// index was built, or saved, with `with_id_sorted_lists(false)`
+    /// (sort-by-id) or `with_hash_indexes(false)` (TA, iTA).
+    Unsupported {
+        /// The requested algorithm.
+        algorithm: AlgorithmKind,
+        /// The missing structure.
+        missing: &'static str,
+    },
 }
 
 impl fmt::Display for SearchError {
@@ -159,6 +169,11 @@ impl fmt::Display for SearchError {
             SearchError::QueryTooWide { lists, max } => {
                 write!(f, "query has {lists} lists; maximum supported is {max}")
             }
+            SearchError::Unsupported { algorithm, missing } => write!(
+                f,
+                "{} needs {missing}, which this index was built without",
+                algorithm.name()
+            ),
         }
     }
 }
@@ -256,6 +271,22 @@ pub fn execute_into(
             lists: req.query.num_lists(),
             max: MAX_QUERY_LISTS,
         });
+    }
+    let mut lists = req.query.tokens.iter().map(|qt| index.query_list(qt.token));
+    let missing = match req.algorithm {
+        AlgorithmKind::Merge if !lists.all(|l| l.id_postings().is_some()) => {
+            Some("id-sorted lists")
+        }
+        AlgorithmKind::Ta | AlgorithmKind::ITa
+            if !lists.all(PostingList::supports_random_access) =>
+        {
+            Some("hash indexes")
+        }
+        _ => None,
+    };
+    if let Some(missing) = missing {
+        let algorithm = req.algorithm;
+        return Err(SearchError::Unsupported { algorithm, missing });
     }
     scratch.begin();
     let mut ctx = SearchCtx {

@@ -322,7 +322,8 @@ impl PostingList {
     ///
     /// # Panics
     /// Panics if this is a [`ReprKind::Run`] list and the index was built
-    /// without hash indexes.
+    /// without hash indexes; `execute_into` rejects a TA/iTA request over
+    /// such a list as `SearchError::Unsupported` first.
     pub fn contains_id(&self, id: SetId, stats: &mut SearchStats) -> bool {
         stats.random_probes += 1;
         match self.repr {

@@ -978,7 +978,7 @@ mod tests {
 
     #[test]
     fn introducing_unwrap_into_core_lib_code_fails_the_check() {
-        // The acceptance criterion stated end-to-end: take a realistic
+        // The acceptance test stated end-to-end: take a realistic
         // library file shape, verify it passes, introduce an unwrap,
         // verify the check now fails.
         let clean = "use std::collections::HashMap;\n\npub fn lookup(m: &HashMap<u32, u32>, k: u32) -> Option<u32> {\n    m.get(&k).copied()\n}\n";

@@ -1,7 +1,8 @@
 //! Robustness suite: algorithms must return identical answers under every
 //! index-construction configuration (skip stride, hash page size, disabled
-//! structures), the tf-aware path must match its oracle on random inputs,
-//! and degenerate inputs must not break anything.
+//! structures) or refuse with a typed error, the tf-aware path must match
+//! its oracle on random inputs, and degenerate inputs must not break
+//! anything.
 
 mod common;
 
@@ -9,7 +10,8 @@ use common::run;
 use proptest::prelude::*;
 use setsim::core::tfsearch::{tf_scan, tf_sf, TfIndex};
 use setsim::core::{
-    AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, SetCollection,
+    AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, QueryEngine,
+    SearchError, SearchRequest, SetCollection,
 };
 use setsim::tokenize::QGramTokenizer;
 
@@ -186,5 +188,61 @@ fn very_long_record_does_not_blow_bounds() {
             run(&idx, AlgorithmKind::Hybrid, AlgoConfig::full(), &q, tau).ids_sorted(),
             oracle
         );
+    }
+}
+
+/// Switching a structure off, at build or carried in a snapshot, never
+/// turns a public request into a panic: every kind answers bit for bit as
+/// over the default index, or is refused as `SearchError::Unsupported` —
+/// sort-by-id without id-sorted lists, TA/iTA without hash indexes.
+#[test]
+fn disabled_structures_are_refused_never_panicked_on() {
+    use AlgorithmKind::{ITa, Merge, Ta};
+    let texts: Vec<String> = (0..60).map(|i| format!("main street {i}")).collect();
+    let collection = build(&texts);
+    let answer = |engine: &mut QueryEngine<'_>, kind, text, tau| {
+        let q = engine.prepare_query_str(text);
+        let out = engine.search(SearchRequest::new(&q).tau(tau).algorithm(kind))?;
+        let mut v: Vec<(u32, u64)> = out
+            .results
+            .iter()
+            .map(|m| (m.id.0, m.score.to_bits()))
+            .collect();
+        v.sort_unstable();
+        Ok::<_, SearchError>(v)
+    };
+    let default = IndexOptions::default();
+    let mut reference = QueryEngine::new(InvertedIndex::build(&collection, default.clone()));
+    for (i, (opts, refusable)) in [
+        (default.clone(), &[][..]),
+        (default.clone().with_hash_indexes(false), &[Ta, ITa][..]),
+        (default.clone().with_id_sorted_lists(false), &[Merge][..]),
+        (default.clone().with_skip_lists(false), &[][..]),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let built = InvertedIndex::build(&collection, opts.clone());
+        let path =
+            std::env::temp_dir().join(format!("setsim-robust-{}-{i}.snap", std::process::id()));
+        built.save(&path).expect("save");
+        let loaded = QueryEngine::open(&path).expect("open");
+        let _ = std::fs::remove_file(&path);
+        for mut engine in [QueryEngine::new(built), loaded] {
+            let mut refused = Vec::new();
+            for kind in AlgorithmKind::ALL {
+                for (text, tau) in [("main street", 0.5), ("main street 7", 0.8), ("xyzzy", 0.5)] {
+                    let want = answer(&mut reference, kind, text, tau).expect("default serves");
+                    match answer(&mut engine, kind, text, tau) {
+                        Err(SearchError::Unsupported { algorithm, .. }) if algorithm == kind => {
+                            refused.push(kind);
+                        }
+                        got => assert_eq!(got, Ok(want), "{opts:?} {kind:?} {text:?}"),
+                    }
+                }
+            }
+            refused.dedup();
+            assert_eq!(refused, refusable, "{opts:?}: refused kinds");
+        }
     }
 }
