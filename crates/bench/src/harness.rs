@@ -297,9 +297,9 @@ const DENSE_ROSTER: [Algo; 2] = [Algo::Sf, Algo::INra];
 /// against two indexes over one dense collection — the adaptive
 /// representation policy with block skipping (the kernel path) and the
 /// pre-kernel configuration (every list a sorted run, block skipping
-/// off, classic skip lists still on). Both variants of each algorithm
-/// report side by side, so `bench-diff` gates the representation
-/// machinery's counter win (fewer `elements_read`, more
+/// off, length seeks through the fence keys still on). Both variants of
+/// each algorithm report side by side, so `bench-diff` gates the
+/// representation machinery's counter win (fewer `elements_read`, more
 /// `elements_skipped`) exactly like any other deterministic counter.
 fn measure_dense_workload(corpus: &Corpus, config: &HarnessConfig) -> WorkloadReport {
     let tau = 0.8;

@@ -451,7 +451,7 @@ pub fn run(opts: &Options, lines: &[String]) -> Result<String, String> {
     match opts.command.as_str() {
         "topk" => {
             let q = index.prepare_query_str(opts.query.as_ref().expect("validated"));
-            let top = topk_nra(&index, &q, opts.k);
+            let top = topk_nra(&index, &q, opts.k).map_err(|e| e.to_string())?;
             writeln!(out, "top-{}:", opts.k).unwrap();
             for m in top.results.iter().take(opts.limit) {
                 let text = index.collection().text(m.id).unwrap();
@@ -1376,21 +1376,27 @@ mod tests {
         assert!(out.contains("applied ops: +1 -1 ~1"), "{out}");
 
         // Query the layered directory: upserted text is served, deleted
-        // record is gone.
-        let mut o = parse_args(&argv(&format!("query -d {} -q x --tau 0.4", dir.arg()))).unwrap();
-        o.query = Some("main street north".into());
-        let out = run(&o, &[]).unwrap();
-        assert!(out.contains("main street north"), "{out}");
-        let mut o = parse_args(&argv(&format!("query -d {} -q x --tau 0.9", dir.arg()))).unwrap();
-        o.query = Some("main st".into());
-        let out = run(&o, &[]).unwrap();
-        assert!(!out.contains("main st\n"), "deleted record served: {out}");
+        // record is gone — before compaction and after it.
+        let answers_hold = || {
+            let mut o =
+                parse_args(&argv(&format!("query -d {} -q x --tau 0.4", dir.arg()))).unwrap();
+            o.query = Some("main street north".into());
+            let out = run(&o, &[]).unwrap();
+            assert!(out.contains("main street north"), "{out}");
+            let mut o =
+                parse_args(&argv(&format!("query -d {} -q x --tau 0.9", dir.arg()))).unwrap();
+            o.query = Some("main st".into());
+            let out = run(&o, &[]).unwrap();
+            assert!(!out.contains("main st\n"), "deleted record served: {out}");
+        };
+        answers_hold();
 
         // Compact, then verify the fresh base with the snapshot tooling.
         let o = parse_args(&argv(&format!("compact -d {}", dir.arg()))).unwrap();
         let out = run(&o, &[]).unwrap();
         assert!(out.contains("compacted"), "{out}");
         assert!(out.contains("4 record(s)"), "{out}");
+        answers_hold();
         let base = dir.0.join("base.snap");
         let o = parse_args(&argv(&format!("snapshot verify -s {}", base.display()))).unwrap();
         let out = run(&o, &[]).unwrap();

@@ -22,7 +22,8 @@
 //!   so a block's *first* key bounds the best score any posting inside it
 //!   can contribute: block-max weight metadata is exactly the ascending
 //!   `first_key` array, and skipping every block whose first key exceeds a
-//!   target is sound.
+//!   target is sound. It is the one skip layer every posting list seeks
+//!   through.
 
 use crate::bitmap::DenseBitmap;
 
@@ -179,27 +180,32 @@ pub fn intersect_bitmaps(a: &DenseBitmap, b: &DenseBitmap) -> Vec<u32> {
 }
 
 /// Block-max directory over a sorted run: the first sort key of every
-/// `stride`-sized block. Because the run ascends, `first_keys` ascends,
-/// and (for posting lists keyed by `len`) the per-token contribution of
-/// every posting in block `b` is bounded by the weight at
-/// `first_keys[b]` — the block-max invariant the micro-tests pin down.
+/// `stride`-sized block, a flat array of fence keys whose offsets are
+/// implicit (`b · stride`). Because the run ascends, `first_keys`
+/// ascends, and (for posting lists keyed by `len` or `(len, id)`) the
+/// per-token contribution of every posting in block `b` is bounded by
+/// the weight at `first_keys[b]` — the block-max invariant the
+/// micro-tests pin down.
+///
+/// This is the skip layer of every run and bitmap posting list: a seek
+/// is one `partition_point` over the fences.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockMaxIndex {
+pub struct BlockMaxIndex<K> {
     stride: usize,
-    first_keys: Vec<u64>,
+    first_keys: Vec<K>,
 }
 
-impl BlockMaxIndex {
+impl<K: Ord + Copy> BlockMaxIndex<K> {
     /// Build over `keys`, the sort keys of a run in ascending order.
     ///
     /// # Panics
     /// Panics if `stride` is zero or `keys` is not ascending (posting
     /// runs are sorted by construction; a violation is an upstream bug).
     #[must_use]
-    pub fn build(keys: impl IntoIterator<Item = u64>, stride: usize) -> Self {
+    pub fn build(keys: impl IntoIterator<Item = K>, stride: usize) -> Self {
         assert!(stride > 0, "block stride must be positive");
         let mut first_keys = Vec::new();
-        let mut prev: Option<u64> = None;
+        let mut prev: Option<K> = None;
         for (i, k) in keys.into_iter().enumerate() {
             assert!(
                 prev.map_or(true, |p| p <= k),
@@ -228,7 +234,7 @@ impl BlockMaxIndex {
     /// First sort key of block `b` — equivalently, the key attaining the
     /// block's maximum contribution weight.
     #[must_use]
-    pub fn first_key(&self, b: usize) -> u64 {
+    pub fn first_key(&self, b: usize) -> K {
         self.first_keys[b]
     }
 
@@ -239,7 +245,7 @@ impl BlockMaxIndex {
     /// This is the start of the **last** block whose first key is below
     /// `min_key` (the boundary may fall anywhere inside that block), or 0.
     #[must_use]
-    pub fn seek_start(&self, min_key: u64) -> usize {
+    pub fn seek_start(&self, min_key: K) -> usize {
         let b = self.first_keys.partition_point(|&k| k < min_key);
         self.stride * b.saturating_sub(1)
     }
@@ -247,7 +253,7 @@ impl BlockMaxIndex {
     /// Heap footprint of the directory.
     #[must_use]
     pub fn size_bytes(&self) -> usize {
-        self.first_keys.len() * std::mem::size_of::<u64>() + std::mem::size_of::<usize>()
+        self.first_keys.len() * std::mem::size_of::<K>() + std::mem::size_of::<usize>()
     }
 }
 
@@ -420,25 +426,37 @@ mod tests {
             prop_assert_eq!(&intersect_bitmaps(&bm_a, &bm_b), &expect);
         }
 
+        /// `seek_start` equals the closed form "start of the block holding
+        /// the last key below the target" over both key shapes posting
+        /// lists use: `len` bits alone and `(len bits, id)` pairs. That
+        /// closed form is the predecessor of the target among the
+        /// every-stride keys, so it pins the exact offsets (and hence the
+        /// skipped/read counters) of every length and candidate seek.
         #[test]
         fn block_max_seek_sound_on_random_runs(
             n in 1usize..2000,
             seed in 0u64..1u64 << 48,
             stride in 1usize..64,
             target_frac in 0u32..120,
+            target_id in 0u32..2000,
         ) {
-            let keys: Vec<u64> = run(n, seed).iter().map(|&x| u64::from(x)).collect();
-            let bmx = BlockMaxIndex::build(keys.iter().copied(), stride);
-            let hi = keys.last().copied().unwrap_or(0) + 2;
-            let min_key = hi * u64::from(target_frac) / 100;
-            let start = bmx.seek_start(min_key);
-            prop_assert!(start <= keys.len().div_ceil(stride) * stride);
-            for &k in keys.iter().take(start.min(keys.len())) {
-                prop_assert!(k < min_key);
+            fn closed_form<K: Ord>(keys: &[K], stride: usize, t: &K) -> usize {
+                let b = keys.partition_point(|k| k < t);
+                if b == 0 { 0 } else { stride * ((b - 1) / stride) }
             }
-            let boundary = keys.partition_point(|&k| k < min_key);
-            prop_assert!(boundary >= start.min(boundary));
-            prop_assert!(boundary.saturating_sub(start) <= 2 * stride);
+            // Coarse lengths so equal-length ties (broken by id) are common.
+            let lens: Vec<u64> = run(n, seed).iter().map(|&x| u64::from(x / 4)).collect();
+            let pairs: Vec<(u64, u32)> =
+                lens.iter().enumerate().map(|(i, &l)| (l, i as u32)).collect();
+            let by_len = BlockMaxIndex::build(lens.iter().copied(), stride);
+            let by_pair = BlockMaxIndex::build(pairs.iter().copied(), stride);
+            let hi = lens.last().copied().unwrap_or(0) + 2;
+            let t = hi * u64::from(target_frac) / 100;
+            prop_assert_eq!(by_len.seek_start(t), closed_form(&lens, stride, &t));
+            let tp = (t, target_id);
+            prop_assert_eq!(by_pair.seek_start(tp), closed_form(&pairs, stride, &tp));
+            // A pair seek with id 0 lands where the len-only seek does.
+            prop_assert_eq!(by_pair.seek_start((t, 0)), by_len.seek_start(t));
         }
     }
 }

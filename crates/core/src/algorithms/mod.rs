@@ -53,14 +53,15 @@ pub struct AlgoConfig {
     /// Apply Theorem 1: seek lists to `τ·len(q)` and stop them past
     /// `len(q)/τ`. Disabling reproduces the "NLB" variants of Figure 8.
     pub length_bounding: bool,
-    /// Use the per-list skip lists for the initial seek. Disabling forces
-    /// a scan-and-discard of the prefix — the "NSL" variants of Figure 9.
+    /// Use the per-list skip layer (fence keys) for the initial seek.
+    /// Disabling forces a scan-and-discard of the prefix — the "NSL"
+    /// variants of Figure 9.
     /// Irrelevant unless `length_bounding` is on.
     pub use_skip_lists: bool,
     /// Let SF and iNRA jump forward *inside* the Theorem 1 window — over
     /// postings that provably cannot create or resolve a candidate — via
-    /// each list's skip layer (skip list or block-max directory). Skipped
-    /// elements are counted in `elements_skipped`, never read. Disabling
+    /// each list's fence keys. Skipped elements are counted in
+    /// `elements_skipped`, never read. Disabling
     /// reproduces the pre-kernel element-at-a-time behaviour exactly.
     pub block_skip: bool,
 }

@@ -13,13 +13,11 @@
 //!   individual runs; with a reasonable first guess it usually finishes in
 //!   one or two passes.
 
-use crate::algorithms::assert_query_width;
 use crate::algorithms::scan::exact_score;
-use crate::engine::{execute, Scratch};
+use crate::engine::{check_query_width, execute, DetHashMap, Scratch, SearchError};
 use crate::{
     InvertedIndex, Match, PreparedQuery, SearchOutcome, SearchRequest, SearchStats, SetId,
 };
-use std::collections::HashMap;
 
 /// Exhaustive top-k oracle: score everything, keep the best `k`
 /// (ties broken by ascending id).
@@ -41,14 +39,23 @@ pub fn topk_scan(index: &InvertedIndex<'_>, query: &PreparedQuery, k: usize) -> 
 
 /// NRA-style top-k: round-robin sorted access, candidates kept with lower
 /// and upper bounds, dynamic threshold = k-th best complete lower bound.
-pub fn topk_nra(index: &InvertedIndex<'_>, query: &PreparedQuery, k: usize) -> SearchOutcome {
-    assert_query_width(query);
+///
+/// # Errors
+/// [`SearchError::QueryTooWide`] if the query has more than
+/// [`MAX_QUERY_LISTS`](crate::MAX_QUERY_LISTS) lists (the width of the
+/// per-candidate seen-bitset).
+pub fn topk_nra(
+    index: &InvertedIndex<'_>,
+    query: &PreparedQuery,
+    k: usize,
+) -> Result<SearchOutcome, SearchError> {
+    check_query_width(query)?;
     let mut stats = SearchStats {
         total_list_elements: index.query_list_elements(query),
         ..Default::default()
     };
     if query.is_empty() || k == 0 {
-        return SearchOutcome::complete(Vec::new(), stats);
+        return Ok(SearchOutcome::complete(Vec::new(), stats));
     }
 
     struct Cand {
@@ -65,7 +72,7 @@ pub fn topk_nra(index: &InvertedIndex<'_>, query: &PreparedQuery, k: usize) -> S
     let n = lists.len();
     let mut pos = vec![0usize; n];
     let mut frontier = vec![f64::INFINITY; n];
-    let mut candidates: HashMap<u32, Cand> = HashMap::new();
+    let mut candidates: DetHashMap<u32, Cand> = DetHashMap::default();
     // Completed results, maintained as a sorted (descending) vector capped
     // at k — small k keeps this cheap.
     let mut best: Vec<Match> = Vec::new();
@@ -163,7 +170,7 @@ pub fn topk_nra(index: &InvertedIndex<'_>, query: &PreparedQuery, k: usize) -> S
         }
     }
 
-    SearchOutcome::complete(best, stats)
+    Ok(SearchOutcome::complete(best, stats))
 }
 
 /// SF-based top-k: geometric threshold descent. Starts at `tau_guess`,
@@ -208,7 +215,7 @@ pub fn topk_sf(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CollectionBuilder, IndexOptions};
+    use crate::{CollectionBuilder, IndexOptions, MAX_QUERY_LISTS};
     use setsim_tokenize::QGramTokenizer;
 
     fn setup(texts: &[&str]) -> crate::SetCollection {
@@ -240,7 +247,7 @@ mod tests {
             let q = idx.prepare_query_str(text);
             for k in [1, 2, 3, 5, 10] {
                 let oracle = topk_scan(&idx, &q, k);
-                let got = topk_nra(&idx, &q, k);
+                let got = topk_nra(&idx, &q, k).unwrap();
                 assert_topk_matches(&got.results, &oracle);
             }
         }
@@ -269,13 +276,26 @@ mod tests {
 
     #[test]
     fn k_zero_and_empty_query() {
-        let c = setup(&["abcd"]);
+        // 127 distinct characters pad to 129 distinct 3-grams.
+        let wide: String = (0..127u32)
+            .filter_map(|i| char::from_u32(0x4e00 + i))
+            .collect();
+        let c = setup(&["abcd", &wide]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("abcd");
-        assert!(topk_nra(&idx, &q, 0).results.is_empty());
+        assert!(topk_nra(&idx, &q, 0).unwrap().results.is_empty());
         assert!(topk_sf(&idx, &q, 0, 0.5).results.is_empty());
         let empty = idx.prepare_query_str("");
-        assert!(topk_nra(&idx, &empty, 3).results.is_empty());
+        assert!(topk_nra(&idx, &empty, 3).unwrap().results.is_empty());
+        let wide = idx.prepare_query_str(&wide);
+        assert_eq!(wide.num_lists(), MAX_QUERY_LISTS + 1);
+        assert_eq!(
+            topk_nra(&idx, &wide, 3).unwrap_err(),
+            SearchError::QueryTooWide {
+                lists: MAX_QUERY_LISTS + 1,
+                max: MAX_QUERY_LISTS
+            }
+        );
     }
 
     #[test]
@@ -283,7 +303,7 @@ mod tests {
         let c = setup(&["abcd", "zzzz"]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("abcd");
-        let got = topk_nra(&idx, &q, 10);
+        let got = topk_nra(&idx, &q, 10).unwrap();
         // Only one record overlaps the query at all.
         assert_eq!(got.results.len(), 1);
     }
@@ -293,7 +313,7 @@ mod tests {
         let c = setup(&["abcdef", "abcdeg", "abcxyz", "qrstuv"]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("abcdef");
-        let got = topk_nra(&idx, &q, 3);
+        let got = topk_nra(&idx, &q, 3).unwrap();
         for w in got.results.windows(2) {
             assert!(w[0].score >= w[1].score);
         }

@@ -417,7 +417,7 @@ pub struct SearchCall {
     pub algorithm: AlgorithmKind,
     /// Enable Theorem 1 length bounding on the base segment.
     pub length_bounding: bool,
-    /// Serve random probes through skip-list substrates.
+    /// Seek through each list's skip layer (fence keys).
     pub use_skip_lists: bool,
     /// Client-side cap on list elements + records read, folded into the
     /// engine [`Budget`] (the server may tighten it further).

@@ -34,7 +34,7 @@ pub use metrics::{EngineMetrics, MetricsSnapshot};
 pub use paged::{PagedEngine, PagedSearchError};
 pub(crate) use pool::{steal, ScratchPool};
 pub use scratch::Scratch;
-pub(crate) use scratch::{CandCell, PoolCand, SfCand};
+pub(crate) use scratch::{CandCell, DetHashMap, PoolCand, SfCand};
 
 use crate::algorithms::{hybrid, inra, ita, merge, nra, scan, sf, ta, MAX_QUERY_LISTS};
 use crate::{
@@ -180,6 +180,19 @@ impl fmt::Display for SearchError {
 
 impl std::error::Error for SearchError {}
 
+/// [`SearchError::QueryTooWide`] if `query` has more lists than the
+/// per-candidate bitsets of the width-limited algorithms (and NRA top-k)
+/// hold.
+pub(crate) fn check_query_width(query: &PreparedQuery) -> Result<(), SearchError> {
+    if query.num_lists() > MAX_QUERY_LISTS {
+        return Err(SearchError::QueryTooWide {
+            lists: query.num_lists(),
+            max: MAX_QUERY_LISTS,
+        });
+    }
+    Ok(())
+}
+
 /// One selection query, fully specified: the single public entry point of
 /// the serving layer. Build with [`SearchRequest::new`] plus the setters;
 /// the struct is `#[non_exhaustive]` so future knobs are non-breaking.
@@ -266,11 +279,8 @@ pub fn execute_into(
     let Some(tau) = Tau::new(req.tau) else {
         return Err(SearchError::InvalidTau(req.tau));
     };
-    if req.algorithm.width_limited() && req.query.num_lists() > MAX_QUERY_LISTS {
-        return Err(SearchError::QueryTooWide {
-            lists: req.query.num_lists(),
-            max: MAX_QUERY_LISTS,
-        });
+    if req.algorithm.width_limited() {
+        check_query_width(req.query)?;
     }
     let mut lists = req.query.tokens.iter().map(|qt| index.query_list(qt.token));
     let missing = match req.algorithm {

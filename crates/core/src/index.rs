@@ -1,5 +1,5 @@
 use crate::{PreparedQuery, QueryToken, SearchStats, SetCollection, SetId, TokenWeights};
-use setsim_collections::{BlockMaxIndex, DenseBitmap, ExtendibleHashMap, SkipList};
+use setsim_collections::{BlockMaxIndex, DenseBitmap, ExtendibleHashMap};
 use setsim_tokenize::{Token, TokenSet};
 use std::collections::HashMap;
 
@@ -30,14 +30,14 @@ pub struct Posting {
 pub enum ReprKind {
     /// A fixed-capacity array of at most [`INLINE_CAP`] postings, no
     /// auxiliary structures at all: the long tail of rare q-grams, where
-    /// a skip list and a hash directory cost more than the list itself.
+    /// fence keys and a hash directory cost more than the list itself.
     Inline,
-    /// The classic sorted run with a sparse skip list and an
-    /// extendible-hash id index — the paper's default layout.
+    /// The classic sorted run with sparse fence keys (the skip layer)
+    /// and an extendible-hash id index — the paper's default layout.
     Run,
-    /// A dense bitmap over set ids with per-block popcounts plus a
-    /// block-max directory over the `(len, id)` run — high-frequency
-    /// (low-idf) tokens whose lists cover a large fraction of the record
+    /// A dense bitmap over set ids with per-block popcounts plus fence
+    /// keys over the `(len, id)` run — high-frequency (low-idf) tokens
+    /// whose lists cover a large fraction of the record
     /// universe. Membership is a bit test; the id-sorted copy and the
     /// hash index disappear entirely.
     Bitmap,
@@ -96,13 +96,13 @@ fn select_repr(n: usize, num_records: usize, policy: ReprPolicy) -> ReprKind {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct IndexOptions {
-    /// Build a sparse skip list per weight-sorted list (enables O(log n)
-    /// length seeks; Figure 9 ablates this).
+    /// Build the skip layer of every run and bitmap list: sorted fence
+    /// keys, the `(len, id)` of every `skip_stride`-th posting, which
+    /// make length and candidate seeks one binary search (Figure 9
+    /// ablates this).
     pub build_skip_lists: bool,
-    /// One skip entry every `skip_stride` postings (the paper caps skip
+    /// One fence key every `skip_stride` postings (the paper caps skip
     /// lists at a small fraction of list size; sparsity is the same knob).
-    /// Also the block size of the bitmap representation's block-max
-    /// directory.
     pub skip_stride: usize,
     /// Build an extendible-hash id index per list (required by TA/iTA's
     /// random accesses; a large space cost in Figure 5). Only
@@ -133,14 +133,14 @@ impl Default for IndexOptions {
 }
 
 impl IndexOptions {
-    /// Toggle skip-list construction.
+    /// Toggle skip-layer (fence key) construction.
     #[must_use]
     pub fn with_skip_lists(mut self, on: bool) -> Self {
         self.build_skip_lists = on;
         self
     }
 
-    /// Set the skip-list stride (postings per skip entry).
+    /// Set the skip stride (postings per fence key).
     #[must_use]
     pub fn with_skip_stride(mut self, stride: usize) -> Self {
         self.skip_stride = stride;
@@ -246,17 +246,16 @@ pub struct PostingList {
     /// Sorted by id ascending, for the multiway merge baseline. Empty if
     /// not built or if the bitmap enumerates ids instead.
     by_id: Store,
-    /// Sparse `(len_bits, id) → offset into by_len` ([`ReprKind::Run`]).
-    skip: Option<SkipList<(u64, u32), u32>>,
     /// id membership for random access ([`ReprKind::Run`]).
     hash: Option<ExtendibleHashMap<u32, ()>>,
     /// Dense id membership + id-order enumeration ([`ReprKind::Bitmap`]).
     bitmap: Option<DenseBitmap>,
-    /// First `len`-bits per `skip_stride` block of `by_len` — the bitmap
-    /// representation's skip layer. The run ascends by `len`, so each
-    /// entry bounds its block's best contribution weight
-    /// (`w = idf²/(len·len_q)` falls as `len` grows): block-max metadata.
-    block_max: Option<BlockMaxIndex>,
+    /// The skip layer ([`ReprKind::Run`] and [`ReprKind::Bitmap`]): the
+    /// `(len_bits, id)` key of every `skip_stride`-th posting of
+    /// `by_len`, fence `j` sitting at offset `j · stride`. The run ascends
+    /// by `len`, so each fence bounds its block's best contribution
+    /// weight (`w = idf²/(len·len_q)` falls as `len` grows).
+    fences: Option<BlockMaxIndex<(u64, u32)>>,
 }
 
 /// Id-ordered view of a list for the sort-by-id merge: a materialized
@@ -356,27 +355,22 @@ impl PostingList {
 
     /// Offset of the first posting with `len ≥ min_len`.
     ///
-    /// With `use_skip` the seek jumps via the list's skip layer — the
-    /// sparse skip list for run lists, the block-max directory for bitmap
-    /// lists: bypassed postings are counted as `elements_skipped` and
-    /// only the ≤ stride postings walked after the jump count as reads.
-    /// Without it (or on inline lists, which carry no skip layer), the
-    /// prefix is scanned and discarded, every entry counting as a read —
-    /// exactly the contrast Figure 9 measures.
+    /// With `use_skip` the seek jumps via the list's fence keys to the
+    /// last fence below `min_len`: bypassed postings are counted as
+    /// `elements_skipped` and only the ≤ stride postings walked after the
+    /// jump count as reads. Without it (or on inline lists, which carry
+    /// no fences), the prefix is scanned and discarded, every entry
+    /// counting as a read — exactly the contrast Figure 9 measures.
     pub fn seek_len(&self, min_len: f64, use_skip: bool, stats: &mut SearchStats) -> usize {
         let postings = self.by_len.as_slice();
         let mut off = 0usize;
-        if use_skip {
-            if let Some(skip) = &self.skip {
-                if let Some((_, &o)) = skip.predecessor(&(min_len.to_bits(), 0)) {
-                    off = o as usize;
-                    stats.elements_skipped += off as u64;
-                }
-            } else if let Some(bmx) = &self.block_max {
-                if min_len > 0.0 {
-                    off = bmx.seek_start(min_len.to_bits());
-                    stats.elements_skipped += off as u64;
-                }
+        // Lengths are positive, so nothing lies below a target ≤ 0; the
+        // guard also keeps a negative target, whose bits sort above every
+        // length, from jumping.
+        if use_skip && min_len > 0.0 {
+            if let Some(fences) = &self.fences {
+                off = fences.seek_start((min_len.to_bits(), 0));
+                stats.elements_skipped += off as u64;
             }
         }
         while off < postings.len() && postings[off].len < min_len {
@@ -417,16 +411,16 @@ impl PostingList {
             }
             return off;
         }
-        if let Some(skip) = &self.skip {
-            if let Some((_, &o)) = skip.predecessor(&target) {
-                if o as usize > off {
-                    stats.elements_skipped += (o as usize - off) as u64;
-                    off = o as usize;
-                }
-            }
-        } else if let Some(bmx) = &self.block_max {
-            if len > 0.0 {
-                let start = bmx.seek_start(len.to_bits());
+        if len > 0.0 {
+            if let Some(fences) = &self.fences {
+                // Bitmap lists keep their len-only seek granularity (id
+                // 0): seeking them by the full key would move counters.
+                let fence_id = if self.repr == ReprKind::Bitmap {
+                    0
+                } else {
+                    id.0
+                };
+                let start = fences.seek_start((len.to_bits(), fence_id));
                 if start > off {
                     stats.elements_skipped += (start - off) as u64;
                     off = start;
@@ -466,19 +460,12 @@ impl PostingList {
     /// Sizes of the list's components in bytes:
     /// `(postings incl. bitmap, skip layer, hash)`. Postings count both
     /// sort orders if built; the bitmap's words and popcount directory
-    /// count as postings, the block-max directory as skip layer.
+    /// count as postings, the fence keys as skip layer.
     pub fn size_bytes(&self) -> (usize, usize, usize) {
         let posting = std::mem::size_of::<Posting>();
         let lists = (self.by_len.as_slice().len() + self.by_id.as_slice().len()) * posting
             + self.bitmap.as_ref().map_or(0, DenseBitmap::size_bytes);
-        let skip = self
-            .skip
-            .as_ref()
-            .map_or(0, setsim_collections::SkipList::size_bytes)
-            + self
-                .block_max
-                .as_ref()
-                .map_or(0, setsim_collections::BlockMaxIndex::size_bytes);
+        let skip = self.fences.as_ref().map_or(0, BlockMaxIndex::size_bytes);
         let hash = self
             .hash
             .as_ref()
@@ -509,32 +496,31 @@ impl CollectionHandle<'_> {
 /// its `(len, id)`-sorted postings. Shared by [`InvertedIndex::build`]
 /// and the snapshot load path so both produce bit-identical lists: the
 /// selected [`ReprKind`] is a pure function of `(list length,
-/// num_records, policy)`, and the id-sorted copy, the skip list (seeded
-/// per token, one entry per stride), the extendible-hash id index, the
-/// dense bitmap, and the block-max directory are all deterministic
-/// functions of the sorted postings alone.
+/// num_records, policy)`, and the id-sorted copy, the fence keys (one per
+/// stride), the extendible-hash id index and the dense bitmap are all
+/// deterministic functions of the sorted postings alone.
 ///
 /// # Panics
 ///
 /// Panics if the collection holds more than `u32::MAX` records — the
 /// bitmap universe (like [`SetId`] itself) is a `u32`.
-fn assemble_list(
-    token: Token,
-    by_len: Vec<Posting>,
-    options: &IndexOptions,
-    num_records: usize,
-) -> PostingList {
+fn assemble_list(by_len: Vec<Posting>, options: &IndexOptions, num_records: usize) -> PostingList {
     let repr = select_repr(by_len.len(), num_records, options.repr_policy);
     let stride = options.skip_stride.max(1);
     let mut list = PostingList {
         repr,
         by_len: Store::empty(),
         by_id: Store::empty(),
-        skip: None,
         hash: None,
         bitmap: None,
-        block_max: None,
+        fences: None,
     };
+    if options.build_skip_lists && repr != ReprKind::Inline {
+        list.fences = Some(BlockMaxIndex::build(
+            by_len.iter().map(|p| (p.len.to_bits(), p.id.0)),
+            stride,
+        ));
+    }
     match repr {
         ReprKind::Inline => {
             // No auxiliary structures: seeks and probes walk the few
@@ -552,13 +538,6 @@ fn assemble_list(
                 v.sort_by_key(|p| p.id);
                 list.by_id = Store::Heap(v);
             }
-            if options.build_skip_lists {
-                let mut sl = SkipList::with_seed(0x51c1_f1ed ^ u64::from(token.0));
-                for (off, p) in by_len.iter().enumerate().step_by(stride) {
-                    sl.insert((p.len.to_bits(), p.id.0), off as u32);
-                }
-                list.skip = Some(sl);
-            }
             if options.build_hash_indexes {
                 let mut h = ExtendibleHashMap::new(options.hash_bucket_capacity);
                 for p in &by_len {
@@ -571,19 +550,13 @@ fn assemble_list(
         ReprKind::Bitmap => {
             // The bitmap subsumes both the hash index (bit-test
             // membership) and the id-sorted copy (ascending set-bit
-            // enumeration); the block-max directory is the skip layer.
+            // enumeration).
             let mut ids: Vec<u32> = by_len.iter().map(|p| p.id.0).collect();
             ids.sort_unstable();
             list.bitmap = Some(DenseBitmap::from_sorted_ids(
                 &ids,
                 u32::try_from(num_records).expect("more than u32::MAX records"), // lint: allow — SetId is a u32, so a collection cannot exceed u32::MAX records; documented in # Panics
             ));
-            if options.build_skip_lists {
-                list.block_max = Some(BlockMaxIndex::build(
-                    by_len.iter().map(|p| p.len.to_bits()),
-                    stride,
-                ));
-            }
             list.by_len = Store::Heap(by_len);
         }
     }
@@ -635,10 +608,7 @@ fn insert_lists(
             }
         };
         total_postings += postings.len() as u64;
-        lists.insert(
-            token,
-            assemble_list(token, postings, options, lengths.len()),
-        );
+        lists.insert(token, assemble_list(postings, options, lengths.len()));
     }
     total_postings
 }
@@ -674,10 +644,7 @@ impl<'c> InvertedIndex<'c> {
         for (token, mut postings) in raw {
             total_postings += postings.len() as u64;
             sort_by_len_id(&mut postings);
-            lists.insert(
-                token,
-                assemble_list(token, postings, &options, lengths.len()),
-            );
+            lists.insert(token, assemble_list(postings, &options, lengths.len()));
         }
 
         Self {

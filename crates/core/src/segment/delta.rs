@@ -10,9 +10,8 @@
 //! weights (only compaction, which rebuilds everything, retires them).
 
 use crate::SearchStats;
-use setsim_collections::SkipList;
 use setsim_tokenize::{Token, TokenSet};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Key of a delta run entry: the record's stale normalized length (as
 /// monotone `f64` bits — lengths are non-negative) plus its delta slot to
@@ -42,15 +41,9 @@ pub(crate) struct DeltaSegment {
     /// All records since the last compaction, dead ones included.
     pub records: Vec<DeltaRecord>,
     /// Per-token sorted runs over the *alive* records.
-    runs: HashMap<Token, SkipList<RunKey, ()>>,
-    /// Cleared skip lists recycled across compaction cycles.
-    pool: Vec<SkipList<RunKey, ()>>,
+    runs: HashMap<Token, BTreeSet<RunKey>>,
     alive: usize,
 }
-
-/// Seed base for per-token run skip lists: deterministic tower shapes per
-/// token, so delta scan counters are reproducible run to run.
-const RUN_SEED: u64 = 0xde17_a5ee_5eed_0001;
 
 impl DeltaSegment {
     /// Append a record, indexing it in every token's run. Returns its slot.
@@ -58,12 +51,7 @@ impl DeltaSegment {
         let slot = self.records.len();
         let key = (record.stale_len.to_bits(), slot as u32);
         for t in record.set.iter() {
-            let run = self.runs.entry(t).or_insert_with(|| {
-                self.pool
-                    .pop()
-                    .unwrap_or_else(|| SkipList::with_seed(RUN_SEED ^ u64::from(t.0)))
-            });
-            run.insert(key, ());
+            self.runs.entry(t).or_default().insert(key);
         }
         self.records.push(record);
         self.alive += 1;
@@ -112,7 +100,7 @@ impl DeltaSegment {
             let Some(run) = self.runs.get(&t) else {
                 continue;
             };
-            for (&(bits, slot), _) in run.lower_bound(&lo_key) {
+            for &(bits, slot) in run.range(lo_key..) {
                 if bits > hi_bits {
                     break;
                 }
@@ -130,27 +118,6 @@ impl DeltaSegment {
             if r.alive {
                 out.push(slot as u32);
             }
-        }
-    }
-
-    /// Drop all records and runs, recycling the run arenas into the pool
-    /// for the next filling cycle (post-compaction reuse).
-    pub(crate) fn recycle(&mut self) -> Vec<SkipList<RunKey, ()>> {
-        let mut pool = std::mem::take(&mut self.pool);
-        for (_, mut run) in self.runs.drain() {
-            run.clear();
-            pool.push(run);
-        }
-        self.records.clear();
-        self.alive = 0;
-        pool
-    }
-
-    /// Seed the recycle pool (fresh segment after a compaction).
-    pub(crate) fn with_pool(pool: Vec<SkipList<RunKey, ()>>) -> Self {
-        Self {
-            pool,
-            ..Self::default()
         }
     }
 }
@@ -208,19 +175,5 @@ mod tests {
         let mut all = Vec::new();
         d.all_alive(&mut all, &mut SearchStats::default());
         assert_eq!(all, vec![1]);
-    }
-
-    #[test]
-    fn recycle_empties_and_pools() {
-        let mut d = DeltaSegment::default();
-        d.push(record(1, &[1, 2, 3], 1.0));
-        d.push(record(2, &[1], 2.0));
-        let pool = d.recycle();
-        assert_eq!(pool.len(), 3);
-        assert!(pool.iter().all(setsim_collections::SkipList::is_empty));
-        assert_eq!(d.footprint(), 0);
-        let mut d2 = DeltaSegment::with_pool(pool);
-        d2.push(record(3, &[7], 4.0));
-        assert_eq!(window(&d2, &[7], 3.0, 5.0), vec![0]);
     }
 }

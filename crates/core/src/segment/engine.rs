@@ -18,7 +18,6 @@ use super::{
     lockcheck, MutableIndex, MutableOutcome, MutableQuery, MutableSearchRequest, RecordId,
 };
 use crate::engine::{EngineMetrics, MetricsSnapshot, ScratchPool, SearchError};
-use crate::segment::delta::DeltaSegment;
 use crate::SnapshotError;
 use std::ops::{Deref, DerefMut};
 use std::path::Path;
@@ -232,9 +231,7 @@ impl MutableEngine {
         // under the write guard (a panic here would poison serving for
         // every thread).
         let tail: Vec<super::DeltaOp> = st.oplog.get(logged..).unwrap_or_default().to_vec();
-        let pool = st.delta.recycle();
         let mut fresh = MutableIndex::assemble(base, spec, ids, st.next_id, budget);
-        fresh.delta = DeltaSegment::with_pool(pool);
         for op in tail {
             // Tail ops were validated when first applied; replaying them
             // onto a segment holding the same live records cannot fail.

@@ -5,9 +5,9 @@
 //! (length-sorted lists, Theorem 1's length window under idf weights):
 //!
 //! * [`MutableIndex`] layers a small in-memory **delta segment** — an
-//!   append-only record arena with per-token stale-length-sorted skip-list
-//!   runs and a tombstone bitmap over the base — on top of an immutable
-//!   **base segment** (an ordinary [`InvertedIndex`], freshly built or
+//!   append-only record arena with per-token stale-length-sorted runs
+//!   (`BTreeSet`s) and a tombstone bitmap over the base — on top of an
+//!   immutable **base segment** (an ordinary [`InvertedIndex`], freshly built or
 //!   loaded from a snapshot).
 //! * Inserts, deletes, and upserts go to the delta; every record keeps a
 //!   stable [`RecordId`] across compactions.
@@ -871,10 +871,7 @@ impl MutableIndex {
     pub fn compact(&mut self) {
         let live = self.live_records();
         let (base, ids) = build_base(&self.spec, self.options.clone(), &live);
-        let pool = self.delta.recycle();
-        let mut fresh = Self::assemble(base, self.spec.clone(), ids, self.next_id, self.budget);
-        fresh.delta = DeltaSegment::with_pool(pool);
-        *self = fresh;
+        *self = Self::assemble(base, self.spec.clone(), ids, self.next_id, self.budget);
     }
 
     /// Compact (if needed) and surrender the base segment: a static

@@ -35,11 +35,11 @@
 //!    `τ` — the same one-sided slack every algorithm's emission test
 //!    grants, so no borderline match can be lost to banding.
 
-use crate::engine::{execute, Scratch};
+use crate::engine::{check_query_width, execute, Scratch};
 use crate::{
     IndexOptions, InvertedIndex, Match, PreparedQuery, QueryToken, SearchError, SearchOutcome,
     SearchRequest, SearchStats, SearchStatus, SetCollection, SetId, SnapshotError, Tau,
-    TokenWeights, MAX_QUERY_LISTS,
+    TokenWeights,
 };
 use setsim_storage::manifest::{
     sniff_manifest_magic, ManifestEntry, ShardEntry, ShardManifest, SHARD_MANIFEST_MAGIC,
@@ -421,11 +421,8 @@ impl ShardedIndex {
         if Tau::new(req.tau).is_none() {
             return Err(SearchError::InvalidTau(req.tau));
         }
-        if req.algorithm.width_limited() && req.query.num_lists() > MAX_QUERY_LISTS {
-            return Err(SearchError::QueryTooWide {
-                lists: req.query.num_lists(),
-                max: MAX_QUERY_LISTS,
-            });
+        if req.algorithm.width_limited() {
+            check_query_width(req.query)?;
         }
         Ok(())
     }

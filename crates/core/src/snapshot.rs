@@ -21,7 +21,7 @@
 //!   disk.
 //!
 //! Loading recomputes IDF weights, set lengths, id-sorted list copies,
-//! skip lists, and hash indexes with the same deterministic code the
+//! fence keys, and hash indexes with the same deterministic code the
 //! build path uses, so a loaded index answers every query bit-identically
 //! to the index that was saved (`tests/snapshot_equivalence.rs` enforces
 //! this across all eight algorithms). Decoded postings are cross-checked

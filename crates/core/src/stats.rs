@@ -12,7 +12,7 @@ pub struct SearchStats {
     pub elements_read: u64,
     /// Random-access probes (extendible hashing lookups) issued.
     pub random_probes: u64,
-    /// Postings stepped over by skip-list seeks (never materialized).
+    /// Postings stepped over by skip-layer seeks (never materialized).
     pub elements_skipped: u64,
     /// Candidates ever inserted into the candidate set.
     pub candidates_inserted: u64,

@@ -41,7 +41,7 @@ fn main() {
     let t_oracle = t.elapsed();
 
     let t = Instant::now();
-    let nra = topk_nra(&index, &query, k);
+    let nra = topk_nra(&index, &query, k).expect("a word query is narrow");
     let t_nra = t.elapsed();
 
     let t = Instant::now();

@@ -41,7 +41,7 @@ proptest! {
         let index = InvertedIndex::build(&collection, IndexOptions::default());
         let q = index.prepare_query_str(&query);
         let oracle = topk_scan(&index, &q, k);
-        let nra = topk_nra(&index, &q, k);
+        let nra = topk_nra(&index, &q, k).expect("word queries are narrow");
         let sf = topk_sf(&index, &q, k, 0.8);
         prop_assert_eq!(nra.results.len(), oracle.len(), "nra count");
         prop_assert_eq!(sf.results.len(), oracle.len(), "sf count");
@@ -100,7 +100,7 @@ fn topk_on_realistic_corpus() {
         let q = index.prepare_query_str(qtext);
         for k in [1, 5, 20] {
             let oracle = topk_scan(&index, &q, k);
-            let nra = topk_nra(&index, &q, k);
+            let nra = topk_nra(&index, &q, k).expect("word queries are narrow");
             assert_eq!(nra.results.len(), oracle.len());
             for (a, b) in nra.results.iter().zip(&oracle) {
                 assert!((a.score - b.score).abs() < 1e-9);
@@ -118,7 +118,7 @@ fn topk_consistent_with_threshold_search() {
     let index = InvertedIndex::build(&collection, IndexOptions::default());
     let q = index.prepare_query_str("record 042");
     let k = 7;
-    let top = topk_nra(&index, &q, k);
+    let top = topk_nra(&index, &q, k).expect("word queries are narrow");
     assert_eq!(top.results.len(), k);
     let kth = top.results[k - 1].score;
     let thresholded = run(
