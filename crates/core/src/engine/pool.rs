@@ -3,7 +3,6 @@
 //! shards, the parallel self-join steals record blocks).
 
 use super::Scratch;
-use crate::segment::lockcheck;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -11,9 +10,8 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 /// one (or starts a fresh one), runs any number of queries on it, and
 /// pushes it back so later searches reuse its capacity.
 ///
-/// The mutex is the innermost lock of the serving layer
-/// (`lockcheck::SCRATCH_POOL`); it is held only for the pop or push
-/// itself, never across a search.
+/// The mutex is a leaf: it is held only inside `pop` and `push`, which
+/// take no other lock, so it can never be part of a lock cycle.
 #[derive(Default)]
 pub(crate) struct ScratchPool {
     scratch_pool: Mutex<Vec<Scratch>>,
@@ -21,7 +19,6 @@ pub(crate) struct ScratchPool {
 
 impl ScratchPool {
     pub(crate) fn pop(&self) -> Scratch {
-        let _held = lockcheck::acquired(lockcheck::SCRATCH_POOL);
         // A worker can only poison the lock by panicking inside pop or
         // push; the pool (a plain Vec) stays structurally valid.
         let mut pool = self
@@ -32,7 +29,6 @@ impl ScratchPool {
     }
 
     pub(crate) fn push(&self, scratch: Scratch) {
-        let _held = lockcheck::acquired(lockcheck::SCRATCH_POOL);
         let mut pool = self
             .scratch_pool
             .lock()

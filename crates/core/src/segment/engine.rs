@@ -1,42 +1,34 @@
 //! The concurrent serving shell around [`MutableIndex`]: reader/writer
 //! locking, swap-surviving metrics, and online compaction.
 //!
-//! Lock order (always acquired in this order, never held across heavy
-//! work):
-//!
-//! 1. `compaction` — serializes compactions; held for the whole rebuild.
-//! 2. `state` — the index `RwLock`; searches take it shared, mutations
-//!    and the final compaction install take it exclusive, and the heavy
-//!    rebuild runs with **no** lock held at all, so searches and
-//!    mutations keep flowing throughout.
-//!
 //! Metrics and the scratch pool live *outside* the `RwLock`, so an atomic
 //! segment swap can neither reset nor double-count them — the counters
 //! belong to the engine, not to any one segment generation.
 
-use super::{
-    lockcheck, MutableIndex, MutableOutcome, MutableQuery, MutableSearchRequest, RecordId,
-};
+use super::{MutableIndex, MutableOutcome, MutableQuery, MutableSearchRequest, RecordId};
 use crate::engine::{EngineMetrics, MetricsSnapshot, ScratchPool, SearchError};
 use crate::SnapshotError;
-use std::ops::{Deref, DerefMut};
 use std::path::Path;
-use std::sync::{Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError,
+};
 
 /// A thread-safe, updatable serving engine: shared searches, exclusive
-/// mutations, and compaction that runs concurrently with both. See
-/// [`crate::segment`]'s module docs for the locking discipline.
+/// mutations, and compaction that runs concurrently with both.
 ///
-/// The canonical acquisition order below is machine-checked: statically
-/// by `cargo xtask analyze` (lock-discipline pass parses these two
-/// declarations) and at runtime by `lockcheck` under the `audit`
-/// feature. `drift_cache` (rank 2, inside [`MutableIndex`]) sits
-/// between `state` and `scratch_pool` (the mutex inside the engine's
-/// `ScratchPool`); neither has a lock field here, so only the runtime
-/// checker sees their edges.
+/// Two locks, always taken in this order:
 ///
-/// lock-order: compaction -> state -> scratch_pool
-/// lock-heavy: build_base, save, load, open
+/// 1. `compaction` — serializes compactions; held for the whole rebuild.
+/// 2. `state` — the index `RwLock`; searches take it shared, mutations
+///    and the final compaction install take it exclusive.
+///
+/// The types carry the order. The only code that holds both is the
+/// compaction body, which takes the `compaction` guard as an argument,
+/// so it cannot run without it. Every `state` guard is a statement
+/// temporary or a block-scoped local that never spans a `compaction`
+/// acquisition. The heavy rebuild holds `compaction` only, so searches
+/// and mutations keep flowing throughout; a unit test fails if a search
+/// cannot finish while the rebuild is in flight.
 pub struct MutableEngine {
     /// The current layered index; swapped wholesale by compaction.
     state: RwLock<MutableIndex>,
@@ -46,40 +38,6 @@ pub struct MutableEngine {
     metrics: EngineMetrics,
     /// Warm scratches shared by all searching threads.
     scratch_pool: ScratchPool,
-}
-
-/// Shared-state guard: the `RwLock` read guard plus its lock-order
-/// witness, so the audit-mode checker sees release at the same instant
-/// the lock is really released.
-struct StateReadGuard<'a> {
-    guard: RwLockReadGuard<'a, MutableIndex>,
-    _held: lockcheck::HeldToken,
-}
-
-impl Deref for StateReadGuard<'_> {
-    type Target = MutableIndex;
-    fn deref(&self) -> &MutableIndex {
-        &self.guard
-    }
-}
-
-/// Exclusive-state guard: write guard plus lock-order witness.
-struct StateWriteGuard<'a> {
-    guard: RwLockWriteGuard<'a, MutableIndex>,
-    _held: lockcheck::HeldToken,
-}
-
-impl Deref for StateWriteGuard<'_> {
-    type Target = MutableIndex;
-    fn deref(&self) -> &MutableIndex {
-        &self.guard
-    }
-}
-
-impl DerefMut for StateWriteGuard<'_> {
-    fn deref_mut(&mut self) -> &mut MutableIndex {
-        &mut self.guard
-    }
 }
 
 impl MutableEngine {
@@ -106,7 +64,6 @@ impl MutableEngine {
         // The snapshot must be a consistent view, so the read guard is
         // held across the IO by design; searches (shared) keep flowing,
         // only mutations queue behind the save.
-        // lint: allow lock-heavy
         self.read().save(dir)
     }
 
@@ -167,40 +124,41 @@ impl MutableEngine {
         if !self.read().needs_compaction() {
             return;
         }
-        let _serialize = match self.compaction.try_lock() {
+        let serialize = match self.compaction.try_lock() {
             Ok(g) => g,
-            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => return,
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(TryLockError::WouldBlock) => return,
         };
-        let _held = lockcheck::acquired(lockcheck::COMPACTION);
-        self.compact_impl(|| {});
+        self.compact_impl(&serialize, || {});
     }
 
     /// Compact now: merge delta + base into a fresh base segment with
-    /// exact recomputed idfs. The heavy rebuild holds no lock — searches
-    /// and mutations proceed concurrently; mutations that race the
+    /// exact recomputed idfs. The heavy rebuild does not hold the index
+    /// lock — searches and mutations proceed concurrently; mutations that race the
     /// rebuild are replayed from the op log before the atomic install.
     pub fn compact(&self) {
         self.compact_with_hook(|| {});
     }
 
     /// [`compact`](Self::compact) with a test hook invoked at the point
-    /// of maximum concurrency: after the pre-rebuild snapshot is taken
-    /// and every lock is released, before the rebuild begins. Tests use
-    /// it to interleave searches and mutations with an in-flight
-    /// compaction deterministically.
+    /// of maximum concurrency: the start of the rebuild, after the
+    /// pre-rebuild snapshot is taken and the `state` lock released. The
+    /// hook and the rebuild run under the same locks. Tests use it to
+    /// interleave searches and mutations with an in-flight compaction
+    /// deterministically.
     #[doc(hidden)]
     pub fn compact_with_hook(&self, hook: impl FnOnce()) {
-        let _serialize = self
+        let serialize = self
             .compaction
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let _held = lockcheck::acquired(lockcheck::COMPACTION);
-        self.compact_impl(hook);
+        self.compact_impl(&serialize, hook);
     }
 
-    /// The compaction body; caller holds the `compaction` mutex.
-    fn compact_impl(&self, hook: impl FnOnce()) {
+    /// The compaction body. Taking the `compaction` guard makes the
+    /// engine's one nested acquisition (`compaction`, then `state` at
+    /// install) impossible to reach without the outer lock.
+    fn compact_impl(&self, _compaction: &MutexGuard<'_, ()>, hook: impl FnOnce()) {
         // Snapshot the live corpus under the shared lock; searches keep
         // running, mutations briefly queue.
         let (live, spec, options, budget, logged) = {
@@ -216,16 +174,18 @@ impl MutableEngine {
                 st.oplog.len(),
             )
         };
-        hook();
         // The heavy part — re-tokenize, recompute exact idfs, rebuild the
-        // length-sorted lists — with no lock held.
-        let (base, ids) = super::build_base(&spec, options, &live);
+        // length-sorted lists — without the `state` lock.
+        let (base, ids) = {
+            hook();
+            super::build_base(&spec, options, &live)
+        };
         // Install: briefly exclusive. Mutations that landed since the
         // snapshot are exactly oplog[logged..]; replay them onto the
         // fresh segment so nothing is lost.
         let mut st = self.write();
         // `logged <= st.oplog.len()` always: only compaction truncates the
-        // op log, and the `compaction` mutex (held by our caller)
+        // op log, and the `compaction` mutex (whose guard we were handed)
         // serializes compactions — mutations can only have appended since
         // the snapshot. `get` keeps the impossible case from panicking
         // under the write guard (a panic here would poison serving for
@@ -243,7 +203,8 @@ impl MutableEngine {
     }
 
     /// Read-only access to the current index state (shared lock held for
-    /// the duration of `f`).
+    /// the duration of `f`, so `f` must not mutate or compact this
+    /// engine).
     pub fn with_index<R>(&self, f: impl FnOnce(&MutableIndex) -> R) -> R {
         f(&self.read())
     }
@@ -261,22 +222,16 @@ impl MutableEngine {
         self.metrics.reset();
     }
 
-    fn read(&self) -> StateReadGuard<'_> {
+    fn read(&self) -> RwLockReadGuard<'_, MutableIndex> {
         // A panicking holder cannot leave the index structurally torn in
         // a way readers could observe unsoundly (all updates are applied
         // under the exclusive lock, and compaction installs by whole-value
         // swap), so recover rather than propagate.
-        StateReadGuard {
-            guard: self.state.read().unwrap_or_else(PoisonError::into_inner),
-            _held: lockcheck::acquired(lockcheck::STATE),
-        }
+        self.state.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn write(&self) -> StateWriteGuard<'_> {
-        StateWriteGuard {
-            guard: self.state.write().unwrap_or_else(PoisonError::into_inner),
-            _held: lockcheck::acquired(lockcheck::STATE),
-        }
+    fn write(&self) -> RwLockWriteGuard<'_, MutableIndex> {
+        self.state.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -287,7 +242,8 @@ mod tests {
     use crate::{CollectionBuilder, IndexOptions};
     use setsim_tokenize::QGramTokenizer;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Barrier};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
 
     fn mutable(texts: &[&str]) -> MutableIndex {
         let mut b = CollectionBuilder::new(QGramTokenizer::new(3).with_padding('#'));
@@ -435,7 +391,7 @@ mod tests {
         let eng = Arc::new(engine_manual(CORPUS));
         let new_id = eng.insert("granite quay");
         let eng2 = Arc::clone(&eng);
-        // Hook runs at max concurrency: rebuild pending, no locks held.
+        // Hook runs at max concurrency: rebuild pending, `state` not held.
         let saw = AtomicBool::new(false);
         eng.compact_with_hook(|| {
             let ids = search_ids(&eng2, "granite quay", 0.8);
@@ -449,37 +405,31 @@ mod tests {
         assert!(search_ids(&eng, "granite quay", 0.8).contains(&new_id));
     }
 
-    /// Acceptance: a *threaded* searcher keeps querying while compaction
-    /// is in flight; compaction never blocks it.
+    /// The rebuild holds no `state` lock: a search started on another
+    /// thread while the rebuild is in flight finishes before the rebuild
+    /// does. The hook runs in the same block as `build_base`, so if that
+    /// block took the write lock the search would block until install
+    /// and `recv_timeout` would expire.
     #[test]
     fn threaded_searches_overlap_compaction() {
         let eng = Arc::new(engine_manual(CORPUS));
         let id = eng.insert("granite quay");
-        let start = Arc::new(Barrier::new(2));
-        let stop = Arc::new(AtomicBool::new(false));
-        let (eng2, start2, stop2) = (Arc::clone(&eng), Arc::clone(&start), Arc::clone(&stop));
-        let searcher = std::thread::spawn(move || {
-            start2.wait();
-            let mut hits = 0u64;
-            while !stop2.load(Ordering::SeqCst) {
-                if search_ids(&eng2, "granite quay", 0.8).contains(&id) {
-                    hits += 1;
-                }
-            }
-            hits
+        let eng2 = Arc::clone(&eng);
+        let mut searcher = None;
+        let mut mid_rebuild = None;
+        eng.compact_with_hook(|| {
+            let (tx, rx) = mpsc::channel();
+            searcher = Some(std::thread::spawn(move || {
+                let _ = tx.send(search_ids(&eng2, "granite quay", 0.8));
+            }));
+            mid_rebuild = Some(rx.recv_timeout(Duration::from_secs(10)));
         });
-        let (start3, stop3) = (Arc::clone(&start), Arc::clone(&stop));
-        eng.compact_with_hook(move || {
-            start3.wait();
-            // Let the searcher overlap the rebuild window for a bit.
-            for _ in 0..64 {
-                std::thread::yield_now();
-            }
-            stop3.store(false, Ordering::SeqCst);
-        });
-        stop.store(true, Ordering::SeqCst);
-        let hits = searcher.join().unwrap();
-        assert!(hits > 0, "searcher must make progress during compaction");
+        searcher.unwrap().join().unwrap();
+        let ids = mid_rebuild
+            .unwrap()
+            .expect("a search must finish while the rebuild is in flight");
+        assert!(ids.contains(&id), "mid-rebuild search must see the record");
+        assert!(eng.with_index(MutableIndex::pristine));
         assert!(search_ids(&eng, "granite quay", 0.8).contains(&id));
     }
 

@@ -24,7 +24,7 @@
 //!   with exact recomputed idfs.
 //! * [`MutableEngine`] adds the concurrent serving shell: reader/writer
 //!   locking, metrics that survive segment swaps, and **online
-//!   compaction** — the heavy rebuild runs with no locks held, searches
+//!   compaction** — the heavy rebuild runs without the index lock, searches
 //!   keep flowing, and the finished segment is swapped in atomically with
 //!   any racing mutations replayed from the op log.
 //! * [`MutableIndex::save`]/[`MutableIndex::open`] persist the whole
@@ -38,7 +38,6 @@ pub mod audit;
 mod delta;
 mod drift;
 mod engine;
-pub(crate) mod lockcheck;
 mod persist;
 
 pub use drift::DriftBudget;
@@ -57,7 +56,7 @@ use drift::DriftBounds;
 use setsim_tokenize::{Dictionary, Token, TokenMultiSet, TokenSet, Tokenizer, TokenizerSpec};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
 /// Process-global source of segment-state generations. Every
 /// [`MutableIndex::assemble`] stamps the fresh state from this counter,
@@ -278,9 +277,10 @@ pub struct MutableIndex {
     oplog: Vec<DeltaOp>,
     /// Compaction policy.
     budget: DriftBudget,
-    /// Lazily computed drift bounds; invalidated by every mutation
-    /// (each one moves `N`, hence every idf).
-    drift_cache: Mutex<Option<DriftBounds>>,
+    /// Lazily computed drift bounds: filled by the first reader, reset by
+    /// every mutation (each one moves `N`, hence every idf). Mutations
+    /// hold `&mut self`, so the reset needs no lock.
+    drift_cache: OnceLock<DriftBounds>,
     /// Generation stamp from [`NEXT_GENERATION`]: unique per assembled
     /// state, compared against [`MutableQuery::generation`] at search
     /// time to detect preparations that predate a compaction swap.
@@ -364,7 +364,7 @@ impl MutableIndex {
             next_id,
             oplog: Vec::new(),
             budget,
-            drift_cache: Mutex::new(Some(DriftBounds::identity())),
+            drift_cache: OnceLock::from(DriftBounds::identity()),
             generation: NEXT_GENERATION.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -628,21 +628,13 @@ impl MutableIndex {
     }
 
     fn invalidate_drift(&mut self) {
-        let _held = lockcheck::acquired(lockcheck::DRIFT_CACHE);
-        *lock_or_recover(&self.drift_cache) = None;
+        self.drift_cache = OnceLock::new();
     }
 
     /// Current drift bounds, recomputing the `O(vocabulary)` scan only
     /// when a mutation has invalidated the cache.
     fn drift_bounds(&self) -> DriftBounds {
-        let _held = lockcheck::acquired(lockcheck::DRIFT_CACHE);
-        let mut cache = lock_or_recover(&self.drift_cache);
-        if let Some(b) = *cache {
-            return b;
-        }
-        let b = self.compute_drift_bounds();
-        *cache = Some(b);
-        b
+        *self.drift_cache.get_or_init(|| self.compute_drift_bounds())
     }
 
     fn compute_drift_bounds(&self) -> DriftBounds {
@@ -908,12 +900,6 @@ pub(crate) fn build_base(
     let base = InvertedIndex::build_owned(Box::new(collection), options);
     let ids = records.iter().map(|(id, _)| *id).collect();
     (base, ids)
-}
-
-/// Lock a mutex, recovering the guard if a panicking holder poisoned it
-/// (the cached value is always safe to read or overwrite).
-fn lock_or_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -259,4 +259,32 @@ mod tests {
         assert_eq!(back.budget(), DriftBudget::default());
         assert!((back.drift_rel_err() - mi.drift_rel_err()).abs() < 1e-12);
     }
+
+    /// Every mutation resets the cached drift bounds: fill the cache,
+    /// mutate, and the next read must match an index that replays the
+    /// same op log from disk, and the uncached scan.
+    #[test]
+    fn every_mutation_resets_the_drift_cache() {
+        let dir = TempDir::new("driftcache");
+        let mut mi = mutable(&["main street", "park avenue", "wall street", "ocean drive"]);
+        let mutations: [&dyn Fn(&mut MutableIndex); 5] = [
+            &|mi| {
+                mi.insert("main street north");
+            },
+            &|mi| assert!(mi.delete(RecordId(1))),
+            &|mi| assert!(mi.upsert(RecordId(0), "harbor view")),
+            &|mi| assert!(mi.delete(RecordId(4))),
+            &|mi| assert!(mi.upsert(RecordId(2), "wall street east")),
+        ];
+        for (step, mutate) in mutations.iter().enumerate() {
+            let _ = mi.drift_rel_err();
+            mutate(&mut mi);
+            let after = mi.drift_rel_err();
+            mi.save(&dir.0).unwrap();
+            let replayed = MutableIndex::open(&dir.0).unwrap().drift_rel_err();
+            assert_eq!(after.to_bits(), replayed.to_bits(), "step {step}");
+            let uncached = mi.compute_drift_bounds().rel_err();
+            assert_eq!(after.to_bits(), uncached.to_bits(), "step {step}");
+        }
+    }
 }

@@ -34,10 +34,8 @@
 //!
 //! Concurrency in this file is deliberately boring: all hot-path serving
 //! state is lock-free atomics; the only mutex guards the join-handle
-//! list, touched on accept and shutdown.
-//!
-//! lock-order: conns
-//! lock-heavy: shutdown
+//! list. It is a leaf, taken on accept and shutdown with no other lock
+//! held, and shutdown releases it before joining the threads it drained.
 
 use setsim_core::api::{
     read_frame, write_frame, FrameReadError, SearchCall, SearchReply, WireError, WireRequest,

@@ -2,12 +2,10 @@
 //! gate, layered on the token engine ([`crate::lexer`] +
 //! [`crate::model`]).
 //!
-//! Three things run under this command:
+//! Two things run under this command:
 //!
-//! 1. the seven migrated custom lints ([`crate::lints`]),
-//! 2. the lock-discipline pass ([`lock`]) over `setsim-core`,
-//!    `setsim-cli`, `setsim-server`, and `setsim-storage`,
-//! 3. the panic-reachability pass ([`mod@panic`]) over `setsim-core`,
+//! 1. the nine custom lint rules ([`crate::lints`]),
+//! 2. the panic-reachability pass ([`mod@panic`]) over `setsim-core`,
 //!    `setsim-collections`, `setsim-storage` (where the paged buffer
 //!    pool's files are gated like the lock-guarded serving layer), and
 //!    `setsim-server` library code.
@@ -20,9 +18,8 @@
 //! `cargo xtask analyze --allows` prints the `lint: allow` marker
 //! inventory instead: every escape hatch in the tree with its file,
 //! line, and justification text, so stale markers can be audited
-//! mechanically (satellite of ISSUE 6; see DESIGN.md §13).
+//! mechanically (see DESIGN.md §13).
 
-pub mod lock;
 pub mod panic;
 
 use crate::lints::{self, Finding, ALLOW_MARKER};
@@ -90,17 +87,13 @@ pub fn collect(root: &Path) -> Result<Report, String> {
             .to_string_lossy()
             .replace('\\', "/");
         let lint_rules = lints::rules_for(&rel);
-        let lock_scope = lock::in_scope(&rel);
         let panic_scope = panic::in_scope(&rel);
-        if lint_rules.is_empty() && !lock_scope && !panic_scope {
+        if lint_rules.is_empty() && !panic_scope {
             continue;
         }
         let source = std::fs::read_to_string(&file).map_err(|e| format!("{rel}: {e}"))?;
         report.files_scanned += 1;
         report.findings.extend(lints::check_file(&rel, &source));
-        if lock_scope {
-            report.findings.extend(lock::check(&rel, &source));
-        }
         if panic_scope {
             let (findings, adv) = panic::check(&rel, &source);
             report.findings.extend(findings);
@@ -165,10 +158,7 @@ pub fn run(root: &Path, args: &[String]) -> bool {
         }
         return true;
     }
-    println!(
-        "==> analyze: custom lints + lock-discipline + panic-reachability \
-         (token engine)"
-    );
+    println!("==> analyze: custom lints + panic-reachability (token engine)");
     let report = match collect(root) {
         Ok(r) => r,
         Err(e) => {

@@ -14,15 +14,12 @@
 //!   `no-lossy-cast`, `paper-ref`, `no-unchecked-io`, `no-wallclock`,
 //!   `mutable-index`, `wire-api`, `sharding`, `paged-io`), on the token
 //!   stream.
-//! * [`analyze`] — the workspace passes behind `cargo xtask analyze`:
-//!   lock-discipline ([`analyze::lock`]) and panic-reachability
-//!   ([`analyze::panic`]), plus the orchestrator and the allow-marker
-//!   inventory.
+//! * [`analyze`] — the workspace pass behind `cargo xtask analyze`,
+//!   panic-reachability ([`analyze::panic`]), plus the orchestrator
+//!   that runs it beside the lints and the allow-marker inventory.
 //!
-//! The static lock pass is half of a contract whose other half lives in
-//! `setsim-core` (`segment::lockcheck`, `audit` feature): the same
-//! canonical lock order is asserted at runtime on every acquisition
-//! during the mutable-equivalence suites. DESIGN.md §13 documents both.
+//! Lock order is not linted: `setsim-core`'s serving engine has two
+//! locks and carries their order in its types (DESIGN.md §13).
 
 pub mod analyze;
 pub mod lexer;

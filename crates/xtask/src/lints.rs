@@ -88,7 +88,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Which rule fired (`no-unwrap`, `lock-order`, `panic-path`, …).
+    /// Which rule fired (`no-unwrap`, `panic-path`, `serving-index`, …).
     pub rule: &'static str,
     /// What went wrong and how to fix it.
     pub message: String,

@@ -3,9 +3,9 @@
 //! `cargo xtask check` is what CI runs and what a contributor runs before
 //! pushing: rustfmt in check mode, clippy with the workspace's curated
 //! deny-set (`[workspace.lints]` in the root manifest, escalated to
-//! errors), and `analyze` — the token-engine passes: the repo's seven
-//! custom lint rules plus the lock-discipline and panic-reachability
-//! passes (see [`xtask::analyze`]). `check` including `analyze` is what
+//! errors), and `analyze` — the token-engine passes: the repo's nine
+//! custom lint rules plus the panic-reachability pass (see
+//! [`xtask::analyze`]). `check` including `analyze` is what
 //! makes the gate unskippable.
 //!
 //! It also hosts the benchmark regression gate: `cargo xtask bench-diff
@@ -18,7 +18,6 @@
 //! * `check` — fmt + clippy + analyze (the CI gate)
 //! * `analyze [--allows]` — token-engine passes only (fast, no
 //!   compilation); `--allows` prints the `lint: allow` inventory instead
-//! * `lint` — alias for `analyze` (kept for muscle memory)
 //! * `fmt`   — rustfmt check only
 //! * `clippy` — clippy only
 //! * `bench-diff <baseline> <candidate>`
@@ -33,13 +32,13 @@ fn main() -> ExitCode {
     let root = analyze::workspace_root();
     let ok = match cmd {
         "check" => run_fmt(&root) & run_clippy(&root) & analyze::run(&root, &args[1..]),
-        "analyze" | "lint" => analyze::run(&root, &args[1..]),
+        "analyze" => analyze::run(&root, &args[1..]),
         "fmt" => run_fmt(&root),
         "clippy" => run_clippy(&root),
         "bench-diff" => run_bench_diff(&args[1..]),
         other => {
             eprintln!(
-                "unknown xtask command `{other}`; try: check | analyze | lint | fmt | clippy | bench-diff"
+                "unknown xtask command `{other}`; try: check | analyze | fmt | clippy | bench-diff"
             );
             return ExitCode::FAILURE;
         }

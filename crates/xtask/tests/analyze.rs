@@ -16,7 +16,7 @@
 //! `crates/xtask/`.
 
 use std::path::Path;
-use xtask::analyze::{self, lock, panic};
+use xtask::analyze::{self, panic};
 use xtask::lints;
 
 fn fixture(name: &str) -> String {
@@ -50,8 +50,8 @@ fn source_walk_finds_the_workspace() {
     }
 }
 
-/// The same gate CI runs: the committed tree is clean under all three
-/// passes (custom lints, lock-discipline, panic-reachability).
+/// The same gate CI runs: the committed tree is clean under the custom
+/// lints and the panic-reachability pass.
 #[test]
 fn committed_tree_passes_all_passes() {
     let root = analyze::workspace_root();
@@ -89,25 +89,6 @@ fn unwrap_injected_into_real_core_file_fails() {
     assert_eq!(findings[0].line, line_of_injection);
 }
 
-/// The ABBA fixture yields exactly one rank violation and one cycle.
-#[test]
-fn lock_cycle_fixture_yields_exact_findings() {
-    let src = fixture("lock_cycle.rs");
-    // Scoped as if it lived in the serving layer.
-    let findings = lock::check("crates/core/src/segment/engine.rs", &src);
-    let mut rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
-    rules.sort_unstable();
-    assert_eq!(rules, vec!["lock-cycle", "lock-order"], "{findings:?}");
-    let order = findings.iter().find(|f| f.rule == "lock-order").unwrap();
-    // `second` re-acquires `a` (rank 0) while holding `b` (rank 1).
-    assert_eq!(order.line, 21, "{order}");
-    let cycle = findings.iter().find(|f| f.rule == "lock-cycle").unwrap();
-    assert!(
-        cycle.message.contains("a -> b -> a") || cycle.message.contains("b -> a -> b"),
-        "{cycle}"
-    );
-}
-
 /// Token accuracy: `.unwrap()` inside string literals and comments —
 /// which the old line-based engine flagged — produces zero findings.
 #[test]
@@ -141,9 +122,7 @@ fn panic_fixture_yields_exact_findings() {
 /// tooling (where these fixtures live).
 #[test]
 fn pass_scopes_cover_serving_code_only() {
-    assert!(lock::in_scope("crates/core/src/segment/engine.rs"));
-    assert!(lock::in_scope("crates/cli/src/main.rs"));
-    assert!(!lock::in_scope("crates/xtask/tests/fixtures/lock_cycle.rs"));
+    assert!(panic::in_scope("crates/core/src/segment/engine.rs"));
     assert!(panic::in_scope("crates/collections/src/btree.rs"));
     assert!(!panic::in_scope(
         "crates/xtask/tests/fixtures/panic_paths.rs"
