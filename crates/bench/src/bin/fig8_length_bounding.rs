@@ -24,7 +24,7 @@ fn run_sql(sql: &SqlBaseline, queries: &[PreparedQuery], tau: f64) -> (f64, Sear
     let mut stats = SearchStats::default();
     let start = Instant::now();
     for q in queries {
-        stats.merge(&sql.search(q, tau).stats);
+        stats.merge(&sql.search(q, tau).expect("valid tau").stats);
     }
     (
         start.elapsed().as_secs_f64() * 1e3 / queries.len().max(1) as f64,

@@ -78,7 +78,8 @@ SCALEOUT OPTIONS:
   --taus T1,T2,..              threshold grid (default 0.5,0.8,0.95)
   --dir DIR                    sharded-snapshot cache directory: reopened
                                when present, written after a fresh build
-  --equivalence N              sharded-vs-unsharded differential over the
+  --equivalence N              every kind, sharded and unsharded, against
+                               the unsharded scan, bit for bit, over the
                                first N records (default 20000; 0 skips)
   --label L                    report label (default scaleout)
   --out FILE                   output path (default BENCH_<label>.json)

@@ -273,7 +273,8 @@ impl<'c> Engines<'c> {
                 .sql
                 .as_ref()
                 .expect("SQL baseline not built")
-                .search(q, tau);
+                .search(q, tau)
+                .expect("valid bench tau");
         };
         let req = SearchRequest::new(q)
             .tau(tau)

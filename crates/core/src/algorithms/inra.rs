@@ -191,7 +191,9 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>, config: AlgoConfig) {
                 if complete {
                     // Emit the order-canonical score, not the
                     // round-order partial sum (see canonical_score).
-                    let score = crate::algorithms::canonical_score(query, c.seen, c.len);
+                    let score = crate::algorithms::canonical_score(query, c.len, |i| {
+                        c.seen & (1u128 << i) != 0
+                    });
                     if crate::passes(score, tau) {
                         scratch.results.push(Match {
                             id: SetId(id),

@@ -76,17 +76,18 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) {
         })
         .collect();
 
-    // Heap of (Reverse(id), list index); `heads` holds the length of
-    // each list's current head so a popped entry scores without
-    // re-touching its source. Elements are counted when consumed
-    // (popped), exactly as the slice-only implementation did.
+    // Heap of (Reverse(id), Reverse(list index)): lists tied on an id pop
+    // in query-token order, so `dot` is canonical_score's sum and one
+    // division gives its bits. `heads` holds each list's current head
+    // length so a popped entry scores without re-touching its source.
+    // Elements are counted when consumed (popped).
     let heap = &mut scratch.heap;
     scratch.frontier.resize(cursors.len(), 0.0);
     let heads = &mut scratch.frontier;
     for (i, cur) in cursors.iter_mut().enumerate() {
         if let Some((id, len)) = cur.next(index) {
             heads[i] = len;
-            heap.push((Reverse(id), i));
+            heap.push((Reverse(id), Reverse(i)));
         }
     }
 
@@ -98,7 +99,7 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) {
         // Drain every list whose head is `id`, accumulating its score.
         let mut dot = 0.0;
         let mut len_s = 0.0;
-        while let Some(&(Reverse(head), i)) = heap.peek() {
+        while let Some(&(Reverse(head), Reverse(i))) = heap.peek() {
             if head != id {
                 break;
             }
@@ -108,7 +109,7 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) {
             len_s = heads[i];
             if let Some((next_id, next_len)) = cursors[i].next(index) {
                 heads[i] = next_len;
-                heap.push((Reverse(next_id), i));
+                heap.push((Reverse(next_id), Reverse(i)));
             }
         }
         let score = dot / (len_s * query.len);
@@ -190,8 +191,8 @@ mod tests {
         let oracle = run(&idx, AlgorithmKind::Scan, AlgoConfig::full(), &q, 0.5);
         assert_eq!(out.ids_sorted(), oracle.ids_sorted());
         for m in &out.results {
-            let expect = super::super::scan::exact_score(&idx, &q, m.id);
-            assert!((m.score - expect).abs() < 1e-12);
+            let expect = crate::algorithms::table_score(&idx, &q, m.id);
+            assert_eq!(m.score.to_bits(), expect.to_bits());
         }
     }
 
@@ -201,9 +202,10 @@ mod tests {
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("abcdef");
         let out = run(&idx, AlgorithmKind::Merge, AlgoConfig::full(), &q, 0.1);
+        assert!(!out.results.is_empty());
         for m in &out.results {
-            let expect = super::super::scan::exact_score(&idx, &q, m.id);
-            assert!((m.score - expect).abs() < 1e-12);
+            let expect = crate::algorithms::table_score(&idx, &q, m.id);
+            assert_eq!(m.score.to_bits(), expect.to_bits());
         }
     }
 }

@@ -5,8 +5,9 @@
 //! [`AlgorithmKind`](crate::AlgorithmKind) (plus an [`AlgoConfig`]) on a
 //! [`SearchRequest`](crate::SearchRequest) and run it through
 //! [`engine::execute`](crate::engine::execute). Every one of them returns
-//! exactly the sets with `I(q, s) ≥ τ` (the integration suite checks each
-//! against `AlgorithmKind::Scan`).
+//! exactly the sets that pass τ, each with the bits of its canonical
+//! score (DESIGN.md §1; the integration suites compare each against
+//! `AlgorithmKind::Scan` bit for bit).
 //!
 //! | `AlgorithmKind` | Section | Access pattern | Properties used |
 //! |---|---|---|---|
@@ -38,10 +39,7 @@ pub(crate) mod ta;
 /// Section IX).
 pub mod topk;
 
-#[cfg(feature = "audit")]
-pub(crate) use scan::exact_score;
-
-use crate::PreparedQuery;
+use crate::{InvertedIndex, PreparedQuery, SetId};
 
 /// Toggles for the property-based optimizations, matching the ablations of
 /// Figures 8 (Length Bounding) and 9 (skip lists). `#[non_exhaustive]` so
@@ -139,27 +137,42 @@ impl AlgoConfig {
 /// 128 lists is far beyond anything the paper's workloads produce.
 pub const MAX_QUERY_LISTS: usize = 128;
 
-/// Canonical emission score for a candidate whose matched query lists are
-/// the set bits of `seen`: sum the idf² weights **in query-token order**,
-/// then divide once by `len(s)·len(q)` — exactly the scan oracle's arithmetic
-/// shape. The algorithms discover a candidate's matches in traversal
-/// order (round-robin depth for NRA/iNRA/Hybrid, first-seen list for
-/// TA/iTA), and floating-point addition is not associative, so emitting
-/// the *accumulated* partial sum would leak traversal order into the
-/// reported bits. Routing every emission through this helper makes the
-/// reported score a pure function of the match set — which is what lets a
-/// length-banded [`ShardedIndex`](crate::ShardedIndex), whose shards
-/// traverse shorter lists in different orders, return bit-identical
-/// results to the unsharded index.
+/// The IDF score `I(q, s)`, computed the one way every emission reports
+/// it (DESIGN.md §1): `idf²` summed over the query tokens `s` contains
+/// (`contains(i)` for query token `i`) **in query-token order**, divided
+/// once by `len(s)·len(q)`; 0 if nothing matches. Floating-point addition
+/// is not associative, so a partial sum accumulated in an algorithm's own
+/// traversal order would leak that order into the last bits; reporting
+/// this value instead makes score and membership pure functions of
+/// (query, set), identical across algorithm, representation, shard count
+/// and paging. SF, sort-by-id and SQL accumulate the same sum in the same
+/// order and divide once; `engine::execute_into` debug-asserts the bits
+/// of every emission against [`table_score`].
 #[inline]
-pub(crate) fn canonical_score(query: &PreparedQuery, seen: u128, len_s: f64) -> f64 {
+pub(crate) fn canonical_score(
+    query: &PreparedQuery,
+    len_s: f64,
+    mut contains: impl FnMut(usize) -> bool,
+) -> f64 {
     let mut dot = 0.0;
     for (i, qt) in query.tokens.iter().enumerate() {
-        if seen & (1u128 << i) != 0 {
+        if contains(i) {
             dot += qt.idf_sq;
         }
     }
+    if dot == 0.0 {
+        return 0.0;
+    }
     dot / (len_s * query.len)
+}
+
+/// [`canonical_score`] of database set `id`, read from the base table:
+/// the scan oracle's score, and what every other emission must equal.
+pub(crate) fn table_score(index: &InvertedIndex<'_>, query: &PreparedQuery, id: SetId) -> f64 {
+    let set = index.collection().set(id);
+    canonical_score(query, index.set_len(id), |i| {
+        set.contains(query.tokens[i].token)
+    })
 }
 
 pub(crate) fn assert_query_width(query: &PreparedQuery) {

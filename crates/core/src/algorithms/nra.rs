@@ -106,7 +106,7 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) {
                 if complete {
                     // Emit the order-canonical score, not the
                     // round-order partial sum (see canonical_score).
-                    let score = canonical_score(query, c.seen, c.len);
+                    let score = canonical_score(query, c.len, |i| c.seen & (1u128 << i) != 0);
                     if crate::passes(score, tau) {
                         scratch.results.push(Match {
                             id: SetId(id),
@@ -203,9 +203,10 @@ mod tests {
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("abcdef");
         let out = run(&idx, AlgorithmKind::Nra, AlgoConfig::full(), &q, 0.1);
+        assert!(!out.results.is_empty());
         for m in &out.results {
-            let expect = super::super::scan::exact_score(&idx, &q, m.id);
-            assert!((m.score - expect).abs() < 1e-9, "{m:?}");
+            let expect = crate::algorithms::table_score(&idx, &q, m.id);
+            assert_eq!(m.score.to_bits(), expect.to_bits(), "{m:?}");
         }
     }
 

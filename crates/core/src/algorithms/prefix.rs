@@ -21,9 +21,10 @@
 //! against the base table, and the filter weakens rapidly as `τ_min`
 //! drops (prefixes approach whole sets).
 
-use crate::algorithms::scan::exact_score;
+use crate::algorithms::table_score;
 use crate::{
-    passes, validate_tau, InvertedIndex, Match, PreparedQuery, SearchOutcome, SearchStats, SetId,
+    passes, InvertedIndex, Match, PreparedQuery, SearchError, SearchOutcome, SearchStats, SetId,
+    Tau,
 };
 use setsim_tokenize::Token;
 use std::collections::HashMap;
@@ -40,10 +41,10 @@ impl PrefixFilterIndex {
     /// Build the filter over the same collection as `index`, valid for
     /// thresholds down to `tau_min`.
     ///
-    /// # Panics
-    /// Panics if `tau_min` is outside `(0, 1]`.
-    pub fn build(index: &InvertedIndex<'_>, tau_min: f64) -> Self {
-        validate_tau(tau_min);
+    /// # Errors
+    /// [`SearchError::InvalidTau`] if `tau_min` is outside `(0, 1]`.
+    pub fn build(index: &InvertedIndex<'_>, tau_min: f64) -> Result<Self, SearchError> {
+        Tau::try_from(tau_min)?;
         let weights = index.weights();
         let mut lists: HashMap<Token, Vec<SetId>> = HashMap::new();
         let mut prefix_postings = 0u64;
@@ -66,11 +67,11 @@ impl PrefixFilterIndex {
                 }
             }
         }
-        Self {
+        Ok(Self {
             tau_min,
             lists,
             prefix_postings,
-        }
+        })
     }
 
     /// The minimum threshold this filter supports.
@@ -86,6 +87,9 @@ impl PrefixFilterIndex {
     /// Run a selection: candidate generation over the prefix lists, then
     /// exact verification against the base table.
     ///
+    /// # Errors
+    /// [`SearchError::InvalidTau`] if `tau` is outside `(0, 1]`.
+    ///
     /// # Panics
     /// Panics if `tau < tau_min` (the filter would lose results).
     pub fn search(
@@ -93,8 +97,8 @@ impl PrefixFilterIndex {
         index: &InvertedIndex<'_>,
         query: &PreparedQuery,
         tau: f64,
-    ) -> SearchOutcome {
-        validate_tau(tau);
+    ) -> Result<SearchOutcome, SearchError> {
+        Tau::try_from(tau)?;
         assert!(
             tau >= self.tau_min - 1e-12,
             "filter built for tau >= {}, asked for {tau}",
@@ -106,7 +110,7 @@ impl PrefixFilterIndex {
         };
         let mut results = Vec::new();
         if query.is_empty() {
-            return SearchOutcome::complete(results, stats);
+            return Ok(SearchOutcome::complete(results, stats));
         }
         let mut candidates: Vec<SetId> = Vec::new();
         for qt in &query.tokens {
@@ -119,12 +123,12 @@ impl PrefixFilterIndex {
         candidates.dedup();
         for id in candidates {
             stats.candidate_scan_steps += 1;
-            let score = exact_score(index, query, id);
+            let score = table_score(index, query, id);
             if passes(score, tau) {
                 results.push(Match { id, score });
             }
         }
-        SearchOutcome::complete(results, stats)
+        Ok(SearchOutcome::complete(results, stats))
     }
 }
 
@@ -152,13 +156,17 @@ mod tests {
             "maine",
         ]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
-        let filter = PrefixFilterIndex::build(&idx, 0.5);
+        let filter = PrefixFilterIndex::build(&idx, 0.5).unwrap();
         for text in ["main street", "maine", "park avenue"] {
             let q = idx.prepare_query_str(text);
             for tau in [0.5, 0.7, 0.9, 1.0] {
                 let oracle = run(&idx, AlgorithmKind::Scan, AlgoConfig::full(), &q, tau);
-                let got = filter.search(&idx, &q, tau);
-                assert_eq!(got.ids_sorted(), oracle.ids_sorted(), "q={text} tau={tau}");
+                let got = filter.search(&idx, &q, tau).unwrap();
+                assert_eq!(
+                    got.bits_sorted(),
+                    oracle.bits_sorted(),
+                    "q={text} tau={tau}"
+                );
             }
         }
     }
@@ -169,8 +177,8 @@ mod tests {
         let refs: Vec<&str> = texts.iter().map(std::string::String::as_str).collect();
         let c = setup(&refs);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
-        let strict = PrefixFilterIndex::build(&idx, 0.9);
-        let loose = PrefixFilterIndex::build(&idx, 0.3);
+        let strict = PrefixFilterIndex::build(&idx, 0.9).unwrap();
+        let loose = PrefixFilterIndex::build(&idx, 0.3).unwrap();
         assert!(strict.prefix_postings() < idx.total_postings());
         assert!(
             strict.prefix_postings() < loose.prefix_postings(),
@@ -184,7 +192,7 @@ mod tests {
     fn below_tau_min_panics() {
         let c = setup(&["abcdef"]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
-        let filter = PrefixFilterIndex::build(&idx, 0.8);
+        let filter = PrefixFilterIndex::build(&idx, 0.8).unwrap();
         let q = idx.prepare_query_str("abcdef");
         let _ = filter.search(&idx, &q, 0.5);
     }
@@ -193,9 +201,9 @@ mod tests {
     fn empty_query() {
         let c = setup(&["abcdef"]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
-        let filter = PrefixFilterIndex::build(&idx, 0.5);
+        let filter = PrefixFilterIndex::build(&idx, 0.5).unwrap();
         let q = idx.prepare_query_str("");
-        assert!(filter.search(&idx, &q, 0.5).results.is_empty());
+        assert!(filter.search(&idx, &q, 0.5).unwrap().results.is_empty());
     }
 
     #[test]
@@ -204,10 +212,10 @@ mod tests {
         let refs: Vec<&str> = texts.iter().map(std::string::String::as_str).collect();
         let c = setup(&refs);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
-        let filter = PrefixFilterIndex::build(&idx, 1.0);
+        let filter = PrefixFilterIndex::build(&idx, 1.0).unwrap();
         for text in ["word007", "word042"] {
             let q = idx.prepare_query_str(text);
-            let out = filter.search(&idx, &q, 1.0);
+            let out = filter.search(&idx, &q, 1.0).unwrap();
             assert_eq!(out.results.len(), 1, "{text}");
         }
     }

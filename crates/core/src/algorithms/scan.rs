@@ -1,5 +1,6 @@
+use crate::algorithms::canonical_score;
 use crate::engine::SearchCtx;
-use crate::{InvertedIndex, Match, PreparedQuery, SearchStatus, SetId};
+use crate::{Match, SearchStatus};
 
 /// Exhaustive scan: scores every database set directly from the base
 /// table. `O(N · |q|)`, no index structures used.
@@ -27,45 +28,19 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) {
         // records_scanned so the pruning invariant
         // elements_read ≤ total_list_elements holds.
         scratch.stats.records_scanned += 1;
-        let len_s = index.set_len(id);
-        if len_s == 0.0 {
-            continue;
-        }
-        let mut dot = 0.0;
-        for qt in &query.tokens {
-            if set.contains(qt.token) {
-                dot += qt.idf_sq;
-            }
-        }
-        let score = dot / (len_s * query.len);
+        let score = canonical_score(query, index.set_len(id), |i| {
+            set.contains(query.tokens[i].token)
+        });
         if crate::passes(score, tau) {
             scratch.results.push(Match { id, score });
         }
     }
 }
 
-/// Exact IDF score of one set against a prepared query (used by tests and
-/// the top-k oracle).
-pub(crate) fn exact_score(index: &InvertedIndex<'_>, query: &PreparedQuery, id: SetId) -> f64 {
-    let set = index.collection().set(id);
-    let len_s = index.set_len(id);
-    if len_s == 0.0 || query.len == 0.0 {
-        return 0.0;
-    }
-    let dot: f64 = query
-        .tokens
-        .iter()
-        .filter(|qt| set.contains(qt.token))
-        .map(|qt| qt.idf_sq)
-        .sum();
-    dot / (len_s * query.len)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::algorithms::test_support::run;
-    use crate::{AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions};
+    use crate::{AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, SetId};
     use setsim_tokenize::QGramTokenizer;
 
     fn setup(texts: &[&str]) -> crate::SetCollection {
@@ -82,7 +57,7 @@ mod tests {
         let out = run(&idx, AlgorithmKind::Scan, AlgoConfig::full(), &q, 0.99);
         assert_eq!(out.results.len(), 1);
         assert_eq!(out.results[0].id, SetId(0));
-        assert!((out.results[0].score - 1.0).abs() < 1e-9);
+        assert!(crate::passes(out.results[0].score, 1.0));
     }
 
     #[test]
@@ -119,8 +94,10 @@ mod tests {
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("abcdef");
         let out = run(&idx, AlgorithmKind::Scan, AlgoConfig::full(), &q, 0.0001);
+        assert_eq!(out.results.len(), 2);
         for m in &out.results {
-            assert!((exact_score(&idx, &q, m.id) - m.score).abs() < 1e-12);
+            let exact = crate::algorithms::table_score(&idx, &q, m.id);
+            assert_eq!(exact.to_bits(), m.score.to_bits());
         }
     }
 }

@@ -113,7 +113,7 @@ pub fn par_self_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::scan::exact_score;
+    use crate::algorithms::table_score;
     use crate::{CollectionBuilder, IndexOptions};
     use setsim_tokenize::QGramTokenizer;
 
@@ -123,16 +123,16 @@ mod tests {
         b.build()
     }
 
-    /// O(n²) oracle.
-    fn join_oracle(index: &InvertedIndex<'_>, tau: f64) -> Vec<(u32, u32)> {
+    /// O(n²) oracle: `(a, b, score bits)` for every qualifying pair.
+    fn join_oracle(index: &InvertedIndex<'_>, tau: f64) -> Vec<(u32, u32, u64)> {
         let n = index.collection().len();
         let mut out = Vec::new();
         for i in 0..n {
             let q = index.prepare_query(index.collection().set(SetId(i as u32)), 0);
             for j in (i + 1)..n {
-                let s = exact_score(index, &q, SetId(j as u32));
-                if s >= tau - 1e-9 * tau {
-                    out.push((i as u32, j as u32));
+                let s = table_score(index, &q, SetId(j as u32));
+                if crate::passes(s, tau) {
+                    out.push((i as u32, j as u32, s.to_bits()));
                 }
             }
         }
@@ -152,11 +152,11 @@ mod tests {
         ]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         for tau in [0.4, 0.6, 0.9] {
-            let got: Vec<(u32, u32)> = self_join(&idx, AlgorithmKind::Sf, tau)
+            let got: Vec<(u32, u32, u64)> = self_join(&idx, AlgorithmKind::Sf, tau)
                 .unwrap()
                 .pairs
                 .iter()
-                .map(|p| (p.a.0, p.b.0))
+                .map(|p| (p.a.0, p.b.0, p.score.to_bits()))
                 .collect();
             let want = join_oracle(&idx, tau);
             assert_eq!(got, want, "tau={tau}");
@@ -170,7 +170,7 @@ mod tests {
         let out = self_join(&idx, AlgorithmKind::Sf, 1.0).unwrap();
         assert_eq!(out.pairs.len(), 1);
         assert_eq!((out.pairs[0].a.0, out.pairs[0].b.0), (0, 1));
-        assert!((out.pairs[0].score - 1.0).abs() < 1e-9);
+        assert!(crate::passes(out.pairs[0].score, 1.0));
     }
 
     #[test]

@@ -57,8 +57,8 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>, config: AlgoConfig) {
     for i in 0..n {
         if budget.exceeded(&scratch.stats) {
             scratch.status = SearchStatus::BudgetExceeded;
-            // Partial lower-bound sums are not exact scores: a
-            // truncated SF run must not emit them.
+            // Partial sums are not scores: a truncated SF run must
+            // not emit them.
             return;
         }
         scratch.stats.rounds += 1;
@@ -130,19 +130,19 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>, config: AlgoConfig) {
                 let c = scratch.sf_cands[ci];
                 ci += 1;
                 scratch.stats.candidate_scan_steps += 1;
-                let upper = c.lower + scratch.suffix[i + 1] / (c.len * query.len);
+                let upper = (c.dot + scratch.suffix[i + 1]) / (c.len * query.len);
                 if !safely_below(upper, tau) {
                     scratch.sf_merged.push(c);
                 }
             }
-            let w = query.tokens[i].idf_sq / (p.len * query.len);
+            let idf_sq = query.tokens[i].idf_sq;
             if ci < scratch.sf_cands.len()
                 && key(scratch.sf_cands[ci].len, scratch.sf_cands[ci].id) == key(p.len, p.id)
             {
                 // Existing candidate found in list i.
                 let mut c = scratch.sf_cands[ci];
                 ci += 1;
-                c.lower += w;
+                c.dot += idf_sq;
                 scratch.sf_merged.push(c);
             } else if p.len <= lambda_i {
                 // New candidate admissible in list i.
@@ -150,7 +150,7 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>, config: AlgoConfig) {
                 scratch.sf_merged.push(SfCand {
                     id: p.id,
                     len: p.len,
-                    lower: w,
+                    dot: idf_sq,
                 });
             }
         }
@@ -160,7 +160,7 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>, config: AlgoConfig) {
             let c = scratch.sf_cands[ci];
             ci += 1;
             scratch.stats.candidate_scan_steps += 1;
-            let upper = c.lower + scratch.suffix[i + 1] / (c.len * query.len);
+            let upper = (c.dot + scratch.suffix[i + 1]) / (c.len * query.len);
             if !safely_below(upper, tau) {
                 scratch.sf_merged.push(c);
             }
@@ -174,13 +174,12 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>, config: AlgoConfig) {
         }
     }
 
+    // Lists run in query-token order: one division gives canonical_score.
     for ci in 0..scratch.sf_cands.len() {
         let c = scratch.sf_cands[ci];
-        if crate::passes(c.lower, tau) {
-            scratch.results.push(Match {
-                id: c.id,
-                score: c.lower,
-            });
+        let score = c.dot / (c.len * query.len);
+        if crate::passes(score, tau) {
+            scratch.results.push(Match { id: c.id, score });
         }
     }
 }
@@ -237,9 +236,10 @@ mod tests {
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("abcdef");
         let out = run(&idx, AlgorithmKind::Sf, AlgoConfig::full(), &q, 0.1);
+        assert!(!out.results.is_empty());
         for m in &out.results {
-            let expect = super::super::scan::exact_score(&idx, &q, m.id);
-            assert!((m.score - expect).abs() < 1e-9);
+            let expect = crate::algorithms::table_score(&idx, &q, m.id);
+            assert_eq!(m.score.to_bits(), expect.to_bits());
         }
     }
 

@@ -2,26 +2,28 @@
 //!
 //! The database of sets is materialized as a q-gram table in First Normal
 //! Form — one row per `(id, token, len, weight)` with
-//! `weight = idf(token)²/len(s)` — under a clustered composite B+-tree on
+//! `weight = idf(token)²` — under a clustered composite B+-tree on
 //! `(token, len, id)`. A similarity selection is then the plan
 //!
 //! ```sql
-//! SELECT Q.id, SUM(Q.weight) AS partial
+//! SELECT Q.id, SUM(Q.weight) / (Q.len · len(q)) AS score
 //! FROM   qgrams Q
 //! WHERE  Q.token IN (q¹ … qⁿ)
 //!   AND  Q.len BETWEEN τ·len(q) AND len(q)/τ   -- Length Boundedness
-//! GROUP  BY Q.id
-//! HAVING SUM(Q.weight) ≥ τ·len(q)
+//! GROUP  BY Q.id, Q.len
+//! HAVING score ≥ τ
 //! ```
 //!
 //! executed as one clustered index range scan per query token feeding a
 //! hash aggregate. The `len` predicate is pushed into the index scan —
 //! this is how "existing solutions take advantage of semantic properties"
-//! and what Figure 8 switches off for the SQL NLB variant.
+//! and what Figure 8 switches off for the SQL NLB variant. The scans run
+//! in query-token order and the aggregate sums in input order, so the one
+//! division gives the canonical score's bits (DESIGN.md §1).
 
 use crate::{
-    properties, validate_tau, Match, PreparedQuery, SearchOutcome, SearchStats, SetCollection,
-    SetId, TokenWeights,
+    properties, Match, PreparedQuery, SearchError, SearchOutcome, SearchStats, SetCollection,
+    SetId, Tau, TokenWeights,
 };
 use setsim_relational::{exec, ColumnType, Schema, Table, TableIndex, Value};
 
@@ -29,6 +31,8 @@ use setsim_relational::{exec, ColumnType, Schema, Table, TableIndex, Value};
 pub struct SqlBaseline {
     table: Table,
     index: TableIndex,
+    /// `len(s)` per set id (the base table's length column).
+    lengths: Vec<f64>,
     /// Rows scanned and aggregated are counted per query.
     length_bounding: bool,
 }
@@ -54,8 +58,10 @@ impl SqlBaseline {
             ("weight", ColumnType::Float),
         ]);
         let mut table = Table::new("qgrams", schema);
+        let mut lengths = Vec::with_capacity(collection.len());
         for (id, set) in collection.iter_sets() {
             let len = weights.set_length(set);
+            lengths.push(len);
             if len == 0.0 {
                 continue;
             }
@@ -65,7 +71,7 @@ impl SqlBaseline {
                     Value::Int(i64::from(id.0)),
                     Value::Int(i64::from(t.0)),
                     Value::Float(len),
-                    Value::Float(idf * idf / len),
+                    Value::Float(idf * idf),
                 ]);
             }
         }
@@ -73,17 +79,21 @@ impl SqlBaseline {
         Self {
             table,
             index,
+            lengths,
             length_bounding,
         }
     }
 
     /// Run the similarity selection plan.
-    pub fn search(&self, query: &PreparedQuery, tau: f64) -> SearchOutcome {
-        validate_tau(tau);
+    ///
+    /// # Errors
+    /// [`SearchError::InvalidTau`] if `tau` is outside `(0, 1]`.
+    pub fn search(&self, query: &PreparedQuery, tau: f64) -> Result<SearchOutcome, SearchError> {
+        Tau::try_from(tau)?;
         let mut stats = SearchStats::default();
         let mut results = Vec::new();
         if query.is_empty() {
-            return SearchOutcome::complete(results, stats);
+            return Ok(SearchOutcome::complete(results, stats));
         }
         let (len_lo, len_hi) = properties::length_bounds(tau, query.len);
         let lo = len_lo * (1.0 - crate::EPS_REL);
@@ -111,22 +121,19 @@ impl SqlBaseline {
                 .len() as u64;
         }
 
-        // GROUP BY id, SUM(weight); HAVING SUM ≥ τ·len(q).
+        // GROUP BY id, SUM(weight); one division; HAVING score ≥ τ.
         let aggregated = exec::hash_aggregate_sum(scanned.into_iter(), 0, 3);
         for row in aggregated {
-            let partial = row[1].as_float();
-            let score = partial / query.len;
+            let Ok(id) = u32::try_from(row[0].as_int()) else {
+                unreachable!("set ids originate from u32")
+            };
+            let id = SetId(id);
+            let score = row[1].as_float() / (self.lengths[id.index()] * query.len);
             if crate::passes(score, tau) {
-                let Ok(id) = u32::try_from(row[0].as_int()) else {
-                    unreachable!("set ids originate from u32")
-                };
-                results.push(Match {
-                    id: SetId(id),
-                    score,
-                });
+                results.push(Match { id, score });
             }
         }
-        SearchOutcome::complete(results, stats)
+        Ok(SearchOutcome::complete(results, stats))
     }
 
     /// Rows in the q-gram table.
@@ -141,9 +148,9 @@ impl SqlBaseline {
 
     /// A static rendering of the plan's SQL, for documentation and logs.
     pub fn sql_text(&self) -> &'static str {
-        "SELECT Q.id, SUM(Q.weight) FROM qgrams Q \
+        "SELECT Q.id, SUM(Q.weight) / (Q.len * ?) AS score FROM qgrams Q \
          WHERE Q.token IN (?) AND Q.len BETWEEN ? AND ? \
-         GROUP BY Q.id HAVING SUM(Q.weight) >= ?"
+         GROUP BY Q.id, Q.len HAVING score >= ?"
     }
 }
 
@@ -176,10 +183,14 @@ mod tests {
             let q = idx.prepare_query_str(text);
             for tau in [0.3, 0.6, 0.9, 1.0] {
                 let oracle = run(&idx, AlgorithmKind::Scan, AlgoConfig::full(), &q, tau);
-                let got = sql.search(&q, tau);
-                assert_eq!(got.ids_sorted(), oracle.ids_sorted(), "q={text} tau={tau}");
-                let got_nlb = sql_nlb.search(&q, tau);
-                assert_eq!(got_nlb.ids_sorted(), oracle.ids_sorted());
+                let got = sql.search(&q, tau).unwrap();
+                assert_eq!(
+                    got.bits_sorted(),
+                    oracle.bits_sorted(),
+                    "q={text} tau={tau}"
+                );
+                let got_nlb = sql_nlb.search(&q, tau).unwrap();
+                assert_eq!(got_nlb.bits_sorted(), oracle.bits_sorted());
             }
         }
     }
@@ -193,8 +204,8 @@ mod tests {
         let with = SqlBaseline::build(&c, idx.weights());
         let without = SqlBaseline::build_with(&c, idx.weights(), false, 64);
         let q = idx.prepare_query_str(&"ab".repeat(25));
-        let a = with.search(&q, 0.9);
-        let b = without.search(&q, 0.9);
+        let a = with.search(&q, 0.9).unwrap();
+        let b = without.search(&q, 0.9).unwrap();
         assert_eq!(a.ids_sorted(), b.ids_sorted());
         assert!(a.stats.elements_read < b.stats.elements_read);
     }
@@ -214,7 +225,7 @@ mod tests {
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let sql = SqlBaseline::build(&c, idx.weights());
         let q = idx.prepare_query_str("");
-        assert!(sql.search(&q, 0.5).results.is_empty());
+        assert!(sql.search(&q, 0.5).unwrap().results.is_empty());
     }
 
     #[test]

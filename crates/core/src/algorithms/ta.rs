@@ -1,3 +1,4 @@
+use crate::algorithms::canonical_score;
 use crate::engine::SearchCtx;
 use crate::{safely_below, Match, SearchStatus};
 
@@ -53,17 +54,11 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) {
             if !scratch.seen.insert(p.id.0) {
                 continue;
             }
-            // Complete the score by probing every other list,
-            // summing in query-token order (not first-seen-list
-            // order) so the emitted bits are traversal-independent —
-            // see `canonical_score` in the algorithms module.
-            let mut dot = 0.0;
-            for (j, l) in lists.iter().enumerate() {
-                if j == i || l.contains_id(p.id, &mut scratch.stats) {
-                    dot += query.tokens[j].idf_sq;
-                }
-            }
-            let score = dot / (p.len * query.len);
+            // Complete the score by probing every other list.
+            let stats = &mut scratch.stats;
+            let score = canonical_score(query, p.len, |j| {
+                j == i || lists[j].contains_id(p.id, stats)
+            });
             if crate::passes(score, tau) {
                 scratch.results.push(Match { id: p.id, score });
             }

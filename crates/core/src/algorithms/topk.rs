@@ -13,10 +13,11 @@
 //!   individual runs; with a reasonable first guess it usually finishes in
 //!   one or two passes.
 
-use crate::algorithms::scan::exact_score;
+use crate::algorithms::{canonical_score, table_score};
 use crate::engine::{check_query_width, execute, DetHashMap, Scratch, SearchError};
 use crate::{
-    InvertedIndex, Match, PreparedQuery, SearchOutcome, SearchRequest, SearchStats, SetId,
+    safely_below, InvertedIndex, Match, PreparedQuery, SearchOutcome, SearchRequest, SearchStats,
+    SetId, Tau,
 };
 
 /// Exhaustive top-k oracle: score everything, keep the best `k`
@@ -27,7 +28,7 @@ pub fn topk_scan(index: &InvertedIndex<'_>, query: &PreparedQuery, k: usize) -> 
             let id = SetId(i as u32);
             Match {
                 id,
-                score: exact_score(index, query, id),
+                score: table_score(index, query, id),
             }
         })
         .filter(|m| m.score > 0.0)
@@ -38,12 +39,16 @@ pub fn topk_scan(index: &InvertedIndex<'_>, query: &PreparedQuery, k: usize) -> 
 }
 
 /// NRA-style top-k: round-robin sorted access, candidates kept with lower
-/// and upper bounds, dynamic threshold = k-th best complete lower bound.
+/// and upper bounds, dynamic threshold = k-th best canonical score. A
+/// candidate or the unseen frontier is dropped only when its bound is
+/// safely below that threshold, so every reported score is a canonical
+/// score and the top-k scores equal [`topk_scan`]'s bit for bit.
 ///
 /// # Errors
 /// [`SearchError::QueryTooWide`] if the query has more than
 /// [`MAX_QUERY_LISTS`](crate::MAX_QUERY_LISTS) lists (the width of the
-/// per-candidate seen-bitset).
+/// per-candidate seen-bitset); [`SearchError::ForeignQuery`] if it was
+/// prepared against another index.
 pub fn topk_nra(
     index: &InvertedIndex<'_>,
     query: &PreparedQuery,
@@ -64,11 +69,14 @@ pub fn topk_nra(
         seen: u128,
     }
 
-    let lists: Vec<&[crate::Posting]> = query
+    let lists = query
         .tokens
         .iter()
-        .map(|qt| index.query_list(qt.token).postings())
-        .collect();
+        .map(|qt| match index.list(qt.token) {
+            Some(list) => Ok(list.postings()),
+            None => Err(SearchError::ForeignQuery { token: qt.token }),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let n = lists.len();
     let mut pos = vec![0usize; n];
     let mut frontier = vec![f64::INFINITY; n];
@@ -132,7 +140,7 @@ pub fn topk_nra(
             if complete {
                 let m = Match {
                     id: SetId(id),
-                    score: c.lower,
+                    score: canonical_score(query, c.len, |i| c.seen & (1u128 << i) != 0),
                 };
                 let at = best
                     .binary_search_by(|b| m.score.total_cmp(&b.score).then(b.id.cmp(&m.id)))
@@ -141,7 +149,7 @@ pub fn topk_nra(
                 best.truncate(k.max(best.len().min(k)));
                 best.truncate(k);
                 to_remove.push(id);
-            } else if best.len() == k && upper < tau {
+            } else if best.len() == k && safely_below(upper, tau) {
                 to_remove.push(id);
             }
         }
@@ -162,7 +170,7 @@ pub fn topk_nra(
                 }
             })
             .sum();
-        if best.len() == k && candidates.is_empty() && f < threshold(&best) {
+        if best.len() == k && candidates.is_empty() && safely_below(f, threshold(&best)) {
             break;
         }
         if !any_read {
@@ -178,35 +186,30 @@ pub fn topk_nra(
 /// threshold until at least `k` results are found (or the floor is hit),
 /// then keeps the best `k`.
 ///
-/// # Panics
-/// Panics if `tau_guess` is outside `(0, 1]`.
+/// # Errors
+/// [`SearchError::InvalidTau`] if `tau_guess` is outside `(0, 1]`;
+/// [`SearchError::ForeignQuery`] if the query was prepared against
+/// another index.
 pub fn topk_sf(
     index: &InvertedIndex<'_>,
     query: &PreparedQuery,
     k: usize,
     tau_guess: f64,
-) -> SearchOutcome {
-    assert!(
-        tau_guess > 0.0 && tau_guess <= 1.0,
-        "initial guess must be in (0, 1]"
-    );
+) -> Result<SearchOutcome, SearchError> {
+    let mut tau = Tau::try_from(tau_guess)?.get();
     let mut stats = SearchStats::default();
     if query.is_empty() || k == 0 {
-        return SearchOutcome::complete(Vec::new(), stats);
+        return Ok(SearchOutcome::complete(Vec::new(), stats));
     }
     let mut scratch = Scratch::default();
-    let mut tau = tau_guess;
     loop {
-        let req = SearchRequest::new(query).tau(tau);
-        let Ok(out) = execute(index, &mut scratch, &req) else {
-            unreachable!("tau stays in (0, 1] and SF has no width limit")
-        };
+        let out = execute(index, &mut scratch, &SearchRequest::new(query).tau(tau))?;
         stats.merge(&out.stats);
         if out.results.len() >= k || tau <= 1e-6 {
             let mut results = out.results;
             results.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
             results.truncate(k);
-            return SearchOutcome::complete(results, stats);
+            return Ok(SearchOutcome::complete(results, stats));
         }
         tau *= 0.5;
     }
@@ -227,8 +230,8 @@ mod tests {
     fn assert_topk_matches(got: &[Match], want: &[Match]) {
         assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(want) {
-            // Scores must agree; ids may differ only on exact ties.
-            assert!((g.score - w.score).abs() < 1e-9, "{g:?} vs {w:?}");
+            // Scores must agree to the bit; ids may differ only on ties.
+            assert_eq!(g.score.to_bits(), w.score.to_bits(), "{g:?} vs {w:?}");
         }
     }
 
@@ -268,7 +271,7 @@ mod tests {
             let q = idx.prepare_query_str(text);
             for k in [1, 3, 5] {
                 let oracle = topk_scan(&idx, &q, k);
-                let got = topk_sf(&idx, &q, k, 0.9);
+                let got = topk_sf(&idx, &q, k, 0.9).unwrap();
                 assert_topk_matches(&got.results, &oracle);
             }
         }
@@ -284,7 +287,7 @@ mod tests {
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let q = idx.prepare_query_str("abcd");
         assert!(topk_nra(&idx, &q, 0).unwrap().results.is_empty());
-        assert!(topk_sf(&idx, &q, 0, 0.5).results.is_empty());
+        assert!(topk_sf(&idx, &q, 0, 0.5).unwrap().results.is_empty());
         let empty = idx.prepare_query_str("");
         assert!(topk_nra(&idx, &empty, 3).unwrap().results.is_empty());
         let wide = idx.prepare_query_str(&wide);

@@ -181,6 +181,9 @@ impl From<&SearchError> for ErrorCode {
             SearchError::InvalidTau(_) => ErrorCode::InvalidTau,
             SearchError::QueryTooWide { .. } => ErrorCode::QueryTooWide,
             SearchError::Unsupported { .. } => ErrorCode::Unsupported,
+            // The server prepares every query against the index it serves,
+            // so a foreign query there is a server fault.
+            SearchError::ForeignQuery { .. } => ErrorCode::Internal,
         }
     }
 }

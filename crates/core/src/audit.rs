@@ -25,24 +25,25 @@
 //! 3. **Theorem 1** — no emitted result's length may fall outside
 //!    [`length_bounds`](properties::length_bounds)`(τ, len(q))`.
 //! 4. **Differential oracle check** — the outcome is compared against the
-//!    exhaustive scan-oracle answer: no missing ids, no
-//!    spurious ids, no duplicated ids, exact scores. Scores within
-//!    floating-point slack of τ are knife-edge cases where either answer
-//!    is acceptable (summation order may legitimately differ).
+//!    exhaustive scan-oracle answer with no tolerance: exactly the sets
+//!    whose canonical score passes τ, each with that score's bits
+//!    (DESIGN.md §1), none emitted twice.
 //!
 //! The checks re-derive everything from the base collection, so the audit
 //! is `O(N·|q|)` per query — this is a verification harness for tests and
 //! CI (`cargo test --workspace --features audit`), not a production path.
 
+use crate::algorithms::table_score;
 use crate::engine::{execute, Scratch, SearchError, SearchRequest};
-use crate::{properties, InvertedIndex, PreparedQuery, SearchOutcome, SetId};
+use crate::{properties, InvertedIndex, PreparedQuery, SearchOutcome, SetId, Tau};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 pub use crate::segment::audit::{AuditedMutableIndex, MutableReport, MutableViolation};
 
-/// Relative slack for audit comparisons, matching the one-sided slack the
-/// algorithms themselves are allowed (`EPS_REL` in the crate root).
+/// Relative slack of the property-bound checks (Magnitude Boundedness,
+/// Theorem 1), matching the one-sided slack of the algorithms' own bounds
+/// (`EPS_REL` in the crate root). The oracle check compares bits.
 const AUDIT_EPS: f64 = 1e-9;
 
 /// One invariant violation found during an audited search.
@@ -79,21 +80,21 @@ pub enum Violation {
         /// The admissible window.
         window: (f64, f64),
     },
-    /// The algorithm emitted a set the oracle scores clearly below τ.
+    /// The algorithm emitted a set whose canonical score does not pass τ.
     FalsePositive {
         /// The spurious result.
         id: SetId,
         /// Its true score.
         score: f64,
     },
-    /// The algorithm missed a set the oracle scores clearly at or above τ.
+    /// The algorithm missed a set whose canonical score passes τ.
     FalseNegative {
         /// The missing set.
         id: SetId,
         /// Its true score.
         score: f64,
     },
-    /// A result's reported score differs from the exact score.
+    /// A result's reported score is not the canonical score, bit for bit.
     WrongScore {
         /// The result with the wrong score.
         id: SetId,
@@ -348,13 +349,7 @@ impl<'i, 'c> AuditedIndex<'i, 'c> {
                 continue;
             }
             let contains_all = query.tokens.iter().all(|qt| set.contains(qt.token));
-            let dot: f64 = query
-                .tokens
-                .iter()
-                .filter(|qt| set.contains(qt.token))
-                .map(|qt| qt.idf_sq)
-                .sum();
-            let actual = dot / (len_s * query.len);
+            let actual = table_score(self.index, query, id);
             let bound = properties::max_score(list_mass, len_s, query.len);
             if actual > bound * (1.0 + AUDIT_EPS) {
                 report.violations.push(Violation::MagnitudeBound {
@@ -398,9 +393,9 @@ impl<'i, 'c> AuditedIndex<'i, 'c> {
         }
     }
 
-    /// Differential check: re-derive every score from the base collection
-    /// and demand set-equality with the outcome away from the knife edge,
-    /// exact scores, and no duplicate ids.
+    /// Differential check: re-derive every canonical score from the base
+    /// collection and demand exactly the passing ids, each with the
+    /// canonical score's bits, and no duplicate ids.
     fn check_against_oracle(
         &self,
         query: &PreparedQuery,
@@ -418,28 +413,25 @@ impl<'i, 'c> AuditedIndex<'i, 'c> {
                     .push(Violation::DuplicateResult { id: m.id });
             }
         }
-        // Scores within this band of tau are knife-edge: summation order
-        // legitimately decides them, so either answer is accepted.
-        let band = AUDIT_EPS * tau.max(1.0);
         for (id, _) in collection.iter_sets() {
-            let exact = crate::algorithms::exact_score(self.index, query, id);
+            let exact = table_score(self.index, query, id);
             match emitted.get(&id) {
                 Some(&reported) => {
-                    if (reported - exact).abs() > band {
+                    if reported.to_bits() != exact.to_bits() {
                         report.violations.push(Violation::WrongScore {
                             id,
                             reported,
                             exact,
                         });
                     }
-                    if exact < tau - band {
+                    if !crate::passes(exact, tau) {
                         report
                             .violations
                             .push(Violation::FalsePositive { id, score: exact });
                     }
                 }
                 None => {
-                    if exact >= tau + band {
+                    if crate::passes(exact, tau) {
                         report
                             .violations
                             .push(Violation::FalseNegative { id, score: exact });
@@ -458,24 +450,21 @@ impl<'i, 'c> AuditedIndex<'i, 'c> {
 /// that loads but would return wrong answers is caught here.
 ///
 /// Returns one [`Report`] per query; load failures surface as the usual
-/// typed [`SnapshotError`](crate::SnapshotError).
-///
-/// # Panics
-/// Panics if `tau` is outside `(0, 1]`.
+/// typed [`SnapshotError`](crate::SnapshotError). The threshold arrives
+/// validated, so no request can be refused.
 pub fn audit_snapshot(
     path: &std::path::Path,
     queries: &[&str],
-    tau: f64,
+    tau: Tau,
 ) -> Result<Vec<Report>, crate::SnapshotError> {
-    crate::validate_tau(tau);
     let index = InvertedIndex::load(path)?;
     let audited = AuditedIndex::new(&index);
     let mut reports = Vec::with_capacity(queries.len());
     for q in queries {
         let prepared = index.prepare_query_str(q);
-        let req = SearchRequest::new(&prepared).tau(tau);
+        let req = SearchRequest::new(&prepared).tau(tau.get());
         let Ok((_, report)) = audited.search_audited(&req) else {
-            unreachable!("tau was validated above and SF has no width limit")
+            unreachable!("tau is validated, SF has no width limit, and the query was prepared here")
         };
         reports.push(report);
     }

@@ -38,9 +38,9 @@ pub(crate) use scratch::{CandCell, DetHashMap, PoolCand, SfCand};
 
 use crate::algorithms::{hybrid, inra, ita, merge, nra, scan, sf, ta, MAX_QUERY_LISTS};
 use crate::{
-    AlgoConfig, InvertedIndex, Match, PostingList, PreparedQuery, SearchOutcome, SearchStats,
-    SearchStatus, Tau,
+    AlgoConfig, InvertedIndex, Match, PreparedQuery, SearchOutcome, SearchStats, SearchStatus, Tau,
 };
+use setsim_tokenize::Token;
 use std::fmt;
 
 /// Everything a selection algorithm needs for one query: the index, the
@@ -158,6 +158,13 @@ pub enum SearchError {
         /// The missing structure.
         missing: &'static str,
     },
+    /// The prepared query carries a token the index has no list for: it
+    /// was prepared against a different index. Re-prepare it with the
+    /// serving engine's `prepare_query_str`.
+    ForeignQuery {
+        /// The token with no list.
+        token: Token,
+    },
 }
 
 impl fmt::Display for SearchError {
@@ -173,6 +180,12 @@ impl fmt::Display for SearchError {
                 f,
                 "{} needs {missing}, which this index was built without",
                 algorithm.name()
+            ),
+            SearchError::ForeignQuery { token } => write!(
+                f,
+                "prepared-query token {} has no list in this index; the query was \
+                 prepared against a different index",
+                token.0
             ),
         }
     }
@@ -252,6 +265,17 @@ impl<'q> SearchRequest<'q> {
         self.budget = budget;
         self
     }
+
+    /// The checks that need no index — τ in `(0, 1]`, and no more lists
+    /// than a width-limited algorithm's bitsets hold — made by every
+    /// engine before it touches a list, so all refuse the same requests.
+    pub(crate) fn validate(&self) -> Result<Tau, SearchError> {
+        let tau = Tau::try_from(self.tau)?;
+        if self.algorithm.width_limited() {
+            check_query_width(self.query)?;
+        }
+        Ok(tau)
+    }
 }
 
 /// Borrowed view of a finished query's results, valid until the scratch's
@@ -276,25 +300,20 @@ pub fn execute_into(
     scratch: &mut Scratch,
     req: &SearchRequest<'_>,
 ) -> Result<SearchStatus, SearchError> {
-    let Some(tau) = Tau::new(req.tau) else {
-        return Err(SearchError::InvalidTau(req.tau));
-    };
-    if req.algorithm.width_limited() {
-        check_query_width(req.query)?;
-    }
-    let mut lists = req.query.tokens.iter().map(|qt| index.query_list(qt.token));
-    let missing = match req.algorithm {
-        AlgorithmKind::Merge if !lists.all(|l| l.id_postings().is_some()) => {
-            Some("id-sorted lists")
-        }
-        AlgorithmKind::Ta | AlgorithmKind::ITa
-            if !lists.all(PostingList::supports_random_access) =>
-        {
-            Some("hash indexes")
-        }
-        _ => None,
-    };
-    if let Some(missing) = missing {
+    let tau = req.validate()?;
+    // Every algorithm reads each query token's list: check once that
+    // they all exist, and hold what the requested algorithm needs.
+    for qt in &req.query.tokens {
+        let Some(list) = index.list(qt.token) else {
+            return Err(SearchError::ForeignQuery { token: qt.token });
+        };
+        let missing = match req.algorithm {
+            AlgorithmKind::Merge if list.id_postings().is_none() => "id-sorted lists",
+            AlgorithmKind::Ta | AlgorithmKind::ITa if !list.supports_random_access() => {
+                "hash indexes"
+            }
+            _ => continue,
+        };
         let algorithm = req.algorithm;
         return Err(SearchError::Unsupported { algorithm, missing });
     }
@@ -316,6 +335,12 @@ pub fn execute_into(
         AlgorithmKind::Sf => sf::search(&mut ctx, req.config),
         AlgorithmKind::Hybrid => hybrid::search(&mut ctx, req.config),
     }
+    debug_assert!(
+        scratch.results.iter().all(|m| m.score.to_bits()
+            == crate::algorithms::table_score(index, req.query, m.id).to_bits()),
+        "{} emitted a score that is not the canonical score",
+        req.algorithm.name()
+    );
     Ok(scratch.status())
 }
 
@@ -526,7 +551,7 @@ impl ShardedEngine {
     ) -> Result<SearchOutcome, SearchError> {
         self.metrics.observe(
             || {
-                crate::ShardedIndex::validate(req)?;
+                req.validate()?;
                 let plan = self.index.plan(req.query, req.tau);
                 let shards = self.index.shards();
                 let per_shard = steal(

@@ -16,7 +16,8 @@
 //! same [`PostingList`](crate::PostingList) structures the heap engine
 //! serves, so all eight algorithms run unmodified — and, because a block
 //! is dropped only when its band's score upper bound is *safely* below τ
-//! (the exact complement of the emission predicate), the result set is
+//! (the prune slack, which lies strictly outside the pass rule's), no
+//! posting of a passing set is dropped and the result set is
 //! bit-identical to the heap engine's (`tests/snapshot_equivalence.rs`).
 //!
 //! Every page fault is CRC-verified by the pool; damage in a faulted
@@ -31,7 +32,7 @@ use crate::snapshot::{
     check_stored_lengths, decode_footer, read_list_blocks, window_blocks, ListRef, PageFetch,
 };
 use crate::{
-    InvertedIndex, PreparedQuery, QueryToken, SearchOutcome, SetCollection, SnapshotError, Tau,
+    InvertedIndex, PreparedQuery, QueryToken, SearchOutcome, SetCollection, SnapshotError,
 };
 use setsim_storage::PagedSnapshot;
 use setsim_tokenize::Token;
@@ -50,13 +51,6 @@ pub enum PagedSearchError {
     Search(SearchError),
     /// A page fault or window decode failed; the query produced nothing.
     Snapshot(SnapshotError),
-    /// The prepared query carries a token this snapshot has no directory
-    /// entry for: it was prepared against a different index. Re-prepare
-    /// with [`PagedEngine::prepare_query_str`] on the serving engine.
-    ForeignQuery {
-        /// The token with no directory entry.
-        token: Token,
-    },
 }
 
 impl fmt::Display for PagedSearchError {
@@ -64,12 +58,6 @@ impl fmt::Display for PagedSearchError {
         match self {
             PagedSearchError::Search(e) => e.fmt(f),
             PagedSearchError::Snapshot(e) => e.fmt(f),
-            PagedSearchError::ForeignQuery { token } => write!(
-                f,
-                "prepared-query token {} has no directory entry; the query was \
-                 prepared against a different snapshot",
-                token.0
-            ),
         }
     }
 }
@@ -79,7 +67,6 @@ impl std::error::Error for PagedSearchError {
         match self {
             PagedSearchError::Search(e) => Some(e),
             PagedSearchError::Snapshot(e) => Some(e),
-            PagedSearchError::ForeignQuery { .. } => None,
         }
     }
 }
@@ -217,9 +204,7 @@ impl PagedEngine {
             || {
                 // Validate before faulting a single page (execute_into
                 // re-validates; both use the same predicates).
-                let Some(tau) = Tau::new(req.tau) else {
-                    return Err(SearchError::InvalidTau(req.tau).into());
-                };
+                let tau = req.validate()?;
                 let hits0 = self.snap.hits();
                 let misses0 = self.snap.misses();
                 let num_sets = self.index.collection().len();
@@ -232,7 +217,7 @@ impl PagedEngine {
                         // A query prepared by this engine only carries tokens the
                         // directory has lists for; anything else was prepared
                         // against a different index and must not be served.
-                        return Err(PagedSearchError::ForeignQuery { token: qt.token });
+                        return Err(SearchError::ForeignQuery { token: qt.token }.into());
                     };
                     let range = window_blocks(list, len_q, tau.get());
                     let mut pages = PooledPages {

@@ -93,12 +93,14 @@ pub(crate) struct CandCell {
 }
 
 /// A candidate in SF's sorted candidate list (sorted by `(len, id)`, the
-/// same order as every inverted list).
+/// same order as every inverted list). `dot` is the undivided `Σ idf²`
+/// over the lists it was found in so far, summed in list order — which is
+/// query-token order, so at the end it is `canonical_score`'s numerator.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SfCand {
     pub(crate) id: SetId,
     pub(crate) len: f64,
-    pub(crate) lower: f64,
+    pub(crate) dot: f64,
 }
 
 /// A candidate in Hybrid's pool.
@@ -224,8 +226,8 @@ pub struct Scratch {
     pub(crate) suffix: Vec<f64>,
     /// Hybrid's candidate pool.
     pub(crate) pool: Pool,
-    /// Sort-by-id merge heap.
-    pub(crate) heap: BinaryHeap<(Reverse<u32>, usize)>,
+    /// Sort-by-id merge heap: `(id, list)`, both popped ascending.
+    pub(crate) heap: BinaryHeap<(Reverse<u32>, Reverse<usize>)>,
 }
 
 impl Scratch {

@@ -828,7 +828,8 @@ impl<'c> InvertedIndex<'c> {
     ///
     /// # Panics
     /// Panics if `token` has no list — i.e. the query was prepared
-    /// against a different index.
+    /// against a different index. `engine::execute_into` refuses such a
+    /// query as `SearchError::ForeignQuery` before any algorithm runs.
     pub(crate) fn query_list(&self, token: Token) -> &PostingList {
         let Some(list) = self.lists.get(&token) else {
             panic!("prepared-query token {token:?} has no inverted list; was the query prepared against this index?")

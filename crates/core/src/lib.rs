@@ -112,11 +112,16 @@ pub use shard::{LengthBand, ShardedIndex};
 pub use stats::SearchStats;
 pub use weights::TokenWeights;
 
-/// Relative slack used in pruning and boundary comparisons so that
-/// floating-point summation order can never cause a true result to be
-/// pruned. All slack is one-sided: it may keep a borderline candidate a
-/// little longer, never discard one early.
+/// Relative slack of every pruning bound and length window, so that the
+/// rounding in a bound can never prune a set that passes. All slack is
+/// one-sided: it may keep a borderline candidate a little longer, never
+/// discard one early.
 pub(crate) const EPS_REL: f64 = 1e-9;
+
+/// Relative slack of the pass rule: strictly inside the prune slack, and
+/// wide enough that an exact duplicate (canonical score 1 up to a few
+/// ulps) passes at `τ = 1`.
+const PASS_REL: f64 = 1e-12;
 
 /// True if `upper` is strictly below `tau` even after granting the
 /// floating-point slack — i.e. it is safe to prune.
@@ -125,21 +130,32 @@ pub(crate) fn safely_below(upper: f64, tau: f64) -> bool {
     upper < tau - tau.abs() * EPS_REL - 1e-12
 }
 
-/// True if a completed score qualifies for reporting. The complement of
-/// [`safely_below`]: a score within floating-point slack of `tau` passes,
-/// so an exact match (whose score is 1 up to summation order) is always
-/// reported at `tau = 1` regardless of which algorithm summed it.
+/// The pass rule, applied to the canonical score only, so membership is
+/// a pure function of (query, set, τ) whichever algorithm ran (DESIGN.md
+/// §1).
 #[inline]
 pub(crate) fn passes(score: f64, tau: f64) -> bool {
-    !safely_below(score, tau)
+    score >= tau - tau * PASS_REL
 }
 
-/// Validate a selection threshold. The IDF score is normalized to `[0, 1]`,
-/// so thresholds outside `(0, 1]` are programming errors.
-#[inline]
-pub(crate) fn validate_tau(tau: f64) {
-    assert!(
-        tau > 0.0 && tau <= 1.0 && tau.is_finite(),
-        "threshold must lie in (0, 1], got {tau}"
-    );
+#[cfg(test)]
+mod tests {
+    use super::{passes, safely_below, EPS_REL, PASS_REL};
+
+    #[test]
+    fn pass_slack_lies_strictly_inside_prune_slack() {
+        for tau in [f64::MIN_POSITIVE, 1e-12, 0.3, 0.7, 0.999, 1.0] {
+            let line = tau - tau * PASS_REL;
+            let below = f64::from_bits(line.to_bits() - 1);
+            assert!(passes(line, tau) && !passes(below, tau), "tau={tau}");
+            // A bound that undershoots a passing score by far more than
+            // any summation error still does not prune it.
+            assert!(
+                !safely_below(line * (1.0 - EPS_REL / 2.0), tau),
+                "tau={tau}"
+            );
+        }
+        // An exact duplicate's score is 1 up to a few ulps.
+        assert!(passes(f64::from_bits(1f64.to_bits() - 64), 1.0));
+    }
 }

@@ -16,7 +16,7 @@
 //!
 //! This module provides the arithmetic; the algorithms apply it.
 
-use crate::PreparedQuery;
+use crate::{PreparedQuery, SearchError};
 
 /// A similarity threshold validated to lie in `(0, 1]`.
 ///
@@ -41,6 +41,15 @@ impl Tau {
     #[must_use]
     pub fn get(self) -> f64 {
         self.0
+    }
+}
+
+/// The typed check every public entry point that takes a raw τ makes.
+impl TryFrom<f64> for Tau {
+    type Error = SearchError;
+
+    fn try_from(tau: f64) -> Result<Self, SearchError> {
+        Self::new(tau).ok_or(SearchError::InvalidTau(tau))
     }
 }
 

@@ -56,13 +56,6 @@ impl PreparedQuery {
         self.tokens.is_empty()
     }
 
-    /// The contribution of token `i`'s list for a set of length `len_s`:
-    /// `w_i(s) = idf(q_i)² / (len_s · len(q))`.
-    #[inline]
-    pub fn weight(&self, i: usize, len_s: f64) -> f64 {
-        self.tokens[i].idf_sq / (len_s * self.len)
-    }
-
     /// Suffix sums of `idf²` in list order: `suffix(i) = Σ_{j ≥ i} idf²`.
     /// `suffix(0) = idf_sq_total`. Used for the λᵢ cutoffs of SF/Hybrid and
     /// for Magnitude Boundedness.
@@ -129,13 +122,6 @@ mod tests {
         );
         assert!((with.len - 5.0).abs() < 1e-12);
         assert!((with.idf_sq_total - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weight_formula() {
-        let pq = q(&[2.0]); // len = 2
-                            // w = 4 / (len_s * 2)
-        assert!((pq.weight(0, 4.0) - 0.5).abs() < 1e-12);
     }
 
     #[test]

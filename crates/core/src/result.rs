@@ -79,6 +79,18 @@ impl SearchOutcome {
         ids.sort_unstable();
         ids
     }
+
+    /// `(id, score bits)` pairs sorted by id: the answer in the form the
+    /// exactness contract compares (DESIGN.md §1).
+    pub fn bits_sorted(&self) -> Vec<(SetId, u64)> {
+        let mut rows: Vec<(SetId, u64)> = self
+            .results
+            .iter()
+            .map(|m| (m.id, m.score.to_bits()))
+            .collect();
+        rows.sort_unstable();
+        rows
+    }
 }
 
 #[cfg(test)]

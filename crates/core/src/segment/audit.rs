@@ -6,8 +6,10 @@
 //! cannot check:
 //!
 //! 1. **Oracle agreement under mutation** — after any interleaving of
-//!    inserts, deletes, and upserts, a search must agree with a naive
-//!    exhaustive scan of the *live* records under the *live* idf weights.
+//!    inserts, deletes, and upserts, a search must agree exactly with a
+//!    naive exhaustive scan of the *live* records under the *live* idf
+//!    weights: the passing records, each with its canonical live score's
+//!    bits (DESIGN.md §1).
 //! 2. **Widened-window soundness** — the base pass and the delta run
 //!    seeks both prune by the Theorem 1 window at the drift-widened
 //!    threshold `τ′ = τ / D`, computed in *stale* coordinates. The claim
@@ -26,32 +28,28 @@
 use super::{Loc, MutableIndex, MutableOutcome, MutableSearchRequest, RecordId};
 use crate::engine::Scratch;
 use crate::properties::length_bounds;
-use crate::SetId;
+use crate::{passes, SetId};
 use std::collections::HashMap;
 use std::fmt;
-
-/// Relative slack for audit comparisons (matches the static auditor).
-const AUDIT_EPS: f64 = 1e-9;
 
 /// One violation found while auditing a mutable index.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MutableViolation {
-    /// The search missed a live record the oracle scores clearly at or
-    /// above τ.
+    /// The search missed a live record whose live score passes τ.
     FalseNegative {
         /// The missing record.
         record: RecordId,
         /// Its true live score.
         score: f64,
     },
-    /// The search emitted a record the oracle scores clearly below τ.
+    /// The search emitted a record whose live score does not pass τ.
     FalsePositive {
         /// The spurious record.
         record: RecordId,
         /// Its true live score.
         score: f64,
     },
-    /// A result's reported score differs from the exact live score.
+    /// A result's reported score is not the exact live score, bit for bit.
     WrongScore {
         /// The offending record.
         record: RecordId,
@@ -246,20 +244,17 @@ impl<'a> AuditedMutableIndex<'a> {
                     .push(MutableViolation::DuplicateResult { record: m.record });
             }
         }
-        // Scores within this band of tau are knife-edge: summation order
-        // legitimately decides them, so either answer is accepted.
-        let band = AUDIT_EPS * tau.max(1.0);
         for &(record, exact) in &oracle {
             match emitted.get(&record.0) {
                 Some(&reported) => {
-                    if (reported - exact).abs() > band {
+                    if reported.to_bits() != exact.to_bits() {
                         report.violations.push(MutableViolation::WrongScore {
                             record,
                             reported,
                             exact,
                         });
                     }
-                    if exact < tau - band {
+                    if !passes(exact, tau) {
                         report.violations.push(MutableViolation::FalsePositive {
                             record,
                             score: exact,
@@ -267,7 +262,7 @@ impl<'a> AuditedMutableIndex<'a> {
                     }
                 }
                 None => {
-                    if exact >= tau + band {
+                    if passes(exact, tau) {
                         report.violations.push(MutableViolation::FalseNegative {
                             record,
                             score: exact,
@@ -285,7 +280,7 @@ impl<'a> AuditedMutableIndex<'a> {
             let tau_wide = tau / mi.drift_bounds().widening_factor();
             let window = length_bounds(tau_wide, req.query.stale.len);
             for &(record, exact) in &oracle {
-                if exact < tau + band {
+                if !passes(exact, tau) {
                     continue;
                 }
                 report.window_checks += 1;

@@ -43,13 +43,14 @@ mod persist;
 pub use drift::DriftBudget;
 pub use engine::MutableEngine;
 
+use crate::algorithms::canonical_score;
 use crate::engine::{execute as engine_execute, Budget, Scratch, SearchError, SearchRequest};
 use crate::properties::length_bounds;
 use crate::query::QueryToken;
 use crate::weights::count_to_f64;
 use crate::{
     passes, AlgoConfig, AlgorithmKind, IndexOptions, InvertedIndex, PreparedQuery, SearchStats,
-    SearchStatus, SetCollection, SetId, SnapshotError, TokenWeights,
+    SearchStatus, SetCollection, SetId, SnapshotError, Tau, TokenWeights,
 };
 use delta::{DeltaRecord, DeltaSegment};
 use drift::DriftBounds;
@@ -610,21 +611,12 @@ impl MutableIndex {
             .sqrt()
     }
 
-    /// Exact live score of a candidate set against the live-prepared
-    /// query (same summation shape as the static algorithms: dot product
-    /// in descending-idf query order, then length normalization).
+    /// Exact live score of a candidate set: the canonical score against
+    /// the live-prepared query and the set's live length.
     fn live_score(&self, live: &PreparedQuery, set: &TokenSet) -> f64 {
-        let mut dot = 0.0;
-        for qt in &live.tokens {
-            if set.contains(qt.token) {
-                dot += qt.idf_sq;
-            }
-        }
-        let len_s = self.live_set_length(set);
-        if len_s <= 0.0 || live.len <= 0.0 {
-            return 0.0;
-        }
-        dot / (len_s * live.len)
+        canonical_score(live, self.live_set_length(set), |i| {
+            set.contains(live.tokens[i].token)
+        })
     }
 
     fn invalidate_drift(&mut self) {
@@ -730,10 +722,7 @@ impl MutableIndex {
         scratch: &mut Scratch,
         req: &MutableSearchRequest<'_>,
     ) -> Result<MutableOutcome, SearchError> {
-        let tau = req.tau;
-        if !(tau > 0.0 && tau <= 1.0 && tau.is_finite()) {
-            return Err(SearchError::InvalidTau(tau));
-        }
+        let tau = Tau::try_from(req.tau)?.get();
         // A preparation from an earlier segment state carries coordinates
         // this state cannot interpret: compaction re-sorts set ids and
         // re-freezes the base weights, so scoring with it would be wrong
@@ -1087,6 +1076,40 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].0, a);
         assert_matches_oracle(&mi, "hello world", 0.2);
+    }
+
+    /// The layered state's score residual against a rebuild over the same
+    /// live records is length summation order under the layered index's
+    /// own dictionary, never score arithmetic: with the rebuild's `len(s)`
+    /// and `len(q)` substituted, the live re-score reproduces the rebuild
+    /// scan's bits for every live record.
+    #[test]
+    fn layered_score_residual_is_only_length_summation_order() {
+        let mut mi = mutable(CORPUS);
+        for t in ["main street west", "mainstream", "park avenue south"] {
+            mi.insert(t);
+        }
+        mi.delete(RecordId(3));
+        mi.upsert(RecordId(0), "main streets");
+        let live = mi.live_records();
+        let texts: Vec<&str> = live.iter().map(|(_, t)| t.as_str()).collect();
+        let fresh = InvertedIndex::build_owned(collection(&texts), IndexOptions::default());
+        for query in ["main street", "park avenue", "mainstream plaza"] {
+            let mut q = mi.prepare_query_str(query).live;
+            let fq = fresh.prepare_query_str(query);
+            q.len = fq.len;
+            for (sid, (rid, _)) in live.iter().enumerate() {
+                let set = match mi.loc[&rid.0] {
+                    Loc::Base(b) => mi.base.collection().set(b),
+                    Loc::Delta(slot) => &mi.delta.records[slot].set,
+                };
+                let sid = SetId(sid as u32);
+                let got =
+                    canonical_score(&q, fresh.set_len(sid), |i| set.contains(q.tokens[i].token));
+                let want = crate::algorithms::table_score(&fresh, &fq, sid);
+                assert_eq!(got.to_bits(), want.to_bits(), "{query:?} {rid}");
+            }
+        }
     }
 
     #[test]

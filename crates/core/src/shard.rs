@@ -32,14 +32,14 @@
 //!    `I(q, s) ≤ min(len(q)/len(s), len(s)/len(q))`; maximizing over a
 //!    band `[lo, hi]` gives the pruning bound used here, and a shard is
 //!    only skipped when that bound is *safely below* (`safely_below`)
-//!    `τ` — the same one-sided slack every algorithm's emission test
-//!    grants, so no borderline match can be lost to banding.
+//!    `τ` — the prune slack every algorithm's bounds use, strictly below
+//!    the pass line (DESIGN.md §1), so no passing match is lost to
+//!    banding.
 
-use crate::engine::{check_query_width, execute, Scratch};
+use crate::engine::{execute, Scratch};
 use crate::{
     IndexOptions, InvertedIndex, Match, PreparedQuery, QueryToken, SearchError, SearchOutcome,
-    SearchRequest, SearchStats, SearchStatus, SetCollection, SetId, SnapshotError, Tau,
-    TokenWeights,
+    SearchRequest, SearchStats, SearchStatus, SetCollection, SetId, SnapshotError, TokenWeights,
 };
 use setsim_storage::manifest::{
     sniff_manifest_magic, ManifestEntry, ShardEntry, ShardManifest, SHARD_MANIFEST_MAGIC,
@@ -415,18 +415,6 @@ impl ShardedIndex {
         self.prepare_query(&known, unknown)
     }
 
-    /// Validate a request exactly as the single-index engine does, so a
-    /// sharded search rejects the same requests with the same errors.
-    pub(crate) fn validate(req: &SearchRequest<'_>) -> Result<(), SearchError> {
-        if Tau::new(req.tau).is_none() {
-            return Err(SearchError::InvalidTau(req.tau));
-        }
-        if req.algorithm.width_limited() {
-            check_query_width(req.query)?;
-        }
-        Ok(())
-    }
-
     /// Resolve the band table: decide per shard whether its whole band is
     /// safely below `tau` (prune — counters only, no posting access) or
     /// must be searched (compute its filtered query).
@@ -499,7 +487,7 @@ impl ShardedIndex {
         scratch: &mut Scratch,
         req: &SearchRequest<'_>,
     ) -> Result<SearchOutcome, SearchError> {
-        Self::validate(req)?;
+        req.validate()?;
         let plan = self.plan(req.query, req.tau);
         let mut outcomes = Vec::with_capacity(plan.surviving.len());
         for (shard, fq) in &plan.surviving {

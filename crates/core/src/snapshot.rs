@@ -777,9 +777,9 @@ fn read_list_postings<F: PageFetch>(
 /// Block `i` covers lengths `[first_key_i, first_key_{i+1}]` (the last
 /// block is unbounded above); [`crate::LengthBand::score_upper_bound`]
 /// bounds the score of every set in that band, and a block is dropped
-/// only when that bound is *safely* below `tau` — the exact complement
-/// of the emission predicate, so window decoding is bit-identical to
-/// whole-list decoding. Bitmap lists key blocks by word index, not
+/// only when that bound is *safely* below `tau` — the prune slack,
+/// strictly below the pass line (DESIGN.md §1), so window decoding is
+/// bit-identical to whole-list decoding. Bitmap lists key blocks by word index, not
 /// length, and always return the full range.
 pub(crate) fn window_blocks(list: &ListRef, len_q: f64, tau: f64) -> std::ops::Range<usize> {
     let n = list.blocks.len();

@@ -1,46 +1,63 @@
-use super::{TfIndex, TfQuery};
-use crate::{passes, safely_below, validate_tau, Match, SearchOutcome, SearchStats, SetId};
+use super::{TfIndex, TfQuery, TfQueryToken};
+use crate::{passes, safely_below, Match, SearchError, SearchOutcome, SearchStats, SetId, Tau};
+
+/// `tf_q·tf_s·idf²`: token `qt`'s term against a set holding it `tf_s` times.
+#[inline]
+fn tf_term(qt: &TfQueryToken, tf_s: u32) -> f64 {
+    f64::from(qt.tf_q) * f64::from(tf_s) * qt.idf_sq
+}
+
+/// The tf-aware cosine `T(q, s)` of set `id`, computed one way: its
+/// query tokens' terms summed in query-token order, divided once by
+/// `‖s‖·‖q‖`. The tf counterpart of the IDF path's `canonical_score`:
+/// [`tf_scan`] reports it, and [`tf_sf`]'s emissions equal it bit for bit.
+fn tf_score(index: &TfIndex<'_>, query: &TfQuery, id: SetId) -> f64 {
+    let m = index.collection().multiset(id);
+    let mut dot = 0.0;
+    for qt in &query.tokens {
+        dot += tf_term(qt, m.tf(qt.token));
+    }
+    if dot == 0.0 {
+        return 0.0;
+    }
+    dot / (index.norm(id) * query.norm)
+}
 
 /// Exhaustive TF/IDF-cosine selection (the oracle).
-pub fn tf_scan(index: &TfIndex<'_>, query: &TfQuery, tau: f64) -> SearchOutcome {
-    validate_tau(tau);
+///
+/// # Errors
+/// [`SearchError::InvalidTau`] if `tau` is outside `(0, 1]`.
+pub fn tf_scan(
+    index: &TfIndex<'_>,
+    query: &TfQuery,
+    tau: f64,
+) -> Result<SearchOutcome, SearchError> {
+    Tau::try_from(tau)?;
     let mut stats = SearchStats::default();
     let mut results = Vec::new();
     if query.is_empty() || query.norm == 0.0 {
-        return SearchOutcome::complete(results, stats);
+        return Ok(SearchOutcome::complete(results, stats));
     }
-    let collection = index.collection();
-    for i in 0..collection.len() {
+    for i in 0..index.collection().len() {
         let id = SetId(i as u32);
         // Base-table access, not a sorted list read: counted in
         // records_scanned so elements_read ≤ total_list_elements holds.
         stats.records_scanned += 1;
-        let norm_s = index.norm(id);
-        if norm_s == 0.0 {
-            continue;
-        }
-        let m = collection.multiset(id);
-        let dot: f64 = query
-            .tokens
-            .iter()
-            .map(|qt| {
-                let tf_s = m.tf(qt.token);
-                f64::from(qt.tf_q) * f64::from(tf_s) * qt.idf_sq
-            })
-            .sum();
-        let score = dot / (norm_s * query.norm);
+        let score = tf_score(index, query, id);
         if passes(score, tau) {
             results.push(Match { id, score });
         }
     }
-    SearchOutcome::complete(results, stats)
+    Ok(SearchOutcome::complete(results, stats))
 }
 
 #[derive(Debug, Clone, Copy)]
 struct Cand {
     id: SetId,
     norm: f64,
-    lower: f64,
+    /// Undivided `Σ tf_q·tf_s·idf²` over the lists the set was found in,
+    /// in list order (= query-token order): `tf_score`'s numerator.
+    dot: f64,
 }
 
 #[inline]
@@ -59,16 +76,17 @@ fn key(norm: f64, id: SetId) -> (u64, u32) {
 /// (tf-free) exact `idf²`, so slightly more candidates survive until their
 /// actual tf contributions resolve them.
 ///
-/// Exact results, boosted pruning.
+/// Exact results, boosted pruning: every emitted score is [`tf_scan`]'s,
+/// bit for bit.
 ///
-/// # Panics
-/// Panics if `tau` is outside `(0, 1]`.
-pub fn tf_sf(index: &TfIndex<'_>, query: &TfQuery, tau: f64) -> SearchOutcome {
-    validate_tau(tau);
+/// # Errors
+/// [`SearchError::InvalidTau`] if `tau` is outside `(0, 1]`.
+pub fn tf_sf(index: &TfIndex<'_>, query: &TfQuery, tau: f64) -> Result<SearchOutcome, SearchError> {
+    Tau::try_from(tau)?;
     let mut stats = SearchStats::default();
     let mut results = Vec::new();
     if query.is_empty() || query.norm == 0.0 {
-        return SearchOutcome::complete(results, stats);
+        return Ok(SearchOutcome::complete(results, stats));
     }
     let n = query.num_lists();
     let (norm_lo, norm_hi) = query.norm_bounds(tau);
@@ -84,7 +102,8 @@ pub fn tf_sf(index: &TfIndex<'_>, query: &TfQuery, tau: f64) -> SearchOutcome {
     let mut cands: Vec<Cand> = Vec::new();
     for i in 0..n {
         stats.rounds += 1;
-        let Some(list) = index.list(query.tokens[i].token) else {
+        let qt = &query.tokens[i];
+        let Some(list) = index.list(qt.token) else {
             unreachable!("prepared tf-query tokens always have lists")
         };
         let postings = list.postings();
@@ -92,7 +111,6 @@ pub fn tf_sf(index: &TfIndex<'_>, query: &TfQuery, tau: f64) -> SearchOutcome {
         let start = list.seek_norm(lo_seek);
         stats.elements_skipped += start as u64;
         let mu = lambdas[i].min(hi_cut);
-        let w_factor = f64::from(query.tokens[i].tf_q) * query.tokens[i].idf_sq;
 
         let mut merged: Vec<Cand> = Vec::with_capacity(cands.len());
         let mut ci = 0usize;
@@ -118,23 +136,23 @@ pub fn tf_sf(index: &TfIndex<'_>, query: &TfQuery, tau: f64) -> SearchOutcome {
                 let c = cands[ci];
                 ci += 1;
                 stats.candidate_scan_steps += 1;
-                let upper = c.lower + suffix[i + 1] / (c.norm * query.norm);
+                let upper = (c.dot + suffix[i + 1]) / (c.norm * query.norm);
                 if !safely_below(upper, tau) {
                     merged.push(c);
                 }
             }
-            let w = w_factor * f64::from(p.tf) / (p.norm * query.norm);
+            let term = tf_term(qt, p.tf);
             if ci < cands.len() && key(cands[ci].norm, cands[ci].id) == key(p.norm, p.id) {
                 let mut c = cands[ci];
                 ci += 1;
-                c.lower += w;
+                c.dot += term;
                 merged.push(c);
             } else if p.norm <= lambdas[i] {
                 stats.candidates_inserted += 1;
                 merged.push(Cand {
                     id: p.id,
                     norm: p.norm,
-                    lower: w,
+                    dot: term,
                 });
             }
         }
@@ -142,7 +160,7 @@ pub fn tf_sf(index: &TfIndex<'_>, query: &TfQuery, tau: f64) -> SearchOutcome {
             let c = cands[ci];
             ci += 1;
             stats.candidate_scan_steps += 1;
-            let upper = c.lower + suffix[i + 1] / (c.norm * query.norm);
+            let upper = (c.dot + suffix[i + 1]) / (c.norm * query.norm);
             if !safely_below(upper, tau) {
                 merged.push(c);
             }
@@ -150,14 +168,13 @@ pub fn tf_sf(index: &TfIndex<'_>, query: &TfQuery, tau: f64) -> SearchOutcome {
         cands = merged;
     }
     for c in cands {
-        if passes(c.lower, tau) {
-            results.push(Match {
-                id: c.id,
-                score: c.lower,
-            });
+        let score = c.dot / (c.norm * query.norm);
+        debug_assert_eq!(score.to_bits(), tf_score(index, query, c.id).to_bits());
+        if passes(score, tau) {
+            results.push(Match { id: c.id, score });
         }
     }
-    SearchOutcome::complete(results, stats)
+    Ok(SearchOutcome::complete(results, stats))
 }
 
 #[cfg(test)]
@@ -177,17 +194,13 @@ mod tests {
         for qtext in queries {
             let q = idx.prepare_query_str(qtext);
             for &tau in taus {
-                let oracle = tf_scan(&idx, &q, tau);
-                let got = tf_sf(&idx, &q, tau);
-                assert_eq!(got.ids_sorted(), oracle.ids_sorted(), "q={qtext} tau={tau}");
-                // Exact scores.
-                let mut want: Vec<_> = oracle.results.clone();
-                want.sort_by_key(|m| m.id);
-                let mut have = got.results.clone();
-                have.sort_by_key(|m| m.id);
-                for (a, b) in have.iter().zip(&want) {
-                    assert!((a.score - b.score).abs() < 1e-9);
-                }
+                let oracle = tf_scan(&idx, &q, tau).unwrap();
+                let got = tf_sf(&idx, &q, tau).unwrap();
+                assert_eq!(
+                    got.bits_sorted(),
+                    oracle.bits_sorted(),
+                    "q={qtext} tau={tau}"
+                );
             }
         }
     }
@@ -236,9 +249,9 @@ mod tests {
         let c = words(&["main main st", "main st"]);
         let idx = TfIndex::build(&c);
         let q = idx.prepare_query_str("main main st");
-        let out = tf_scan(&idx, &q, 0.01).sorted_by_score();
+        let out = tf_scan(&idx, &q, 0.01).unwrap().sorted_by_score();
         assert_eq!(out[0].id, SetId(0));
-        assert!((out[0].score - 1.0).abs() < 1e-9);
+        assert!(passes(out[0].score, 1.0));
         assert!(out[1].score < 1.0 - 1e-6);
     }
 
@@ -251,7 +264,7 @@ mod tests {
             .enumerate()
         {
             let q = idx.prepare_query_str(text);
-            let out = tf_sf(&idx, &q, 1.0);
+            let out = tf_sf(&idx, &q, 1.0).unwrap();
             assert!(
                 out.results.iter().any(|m| m.id.index() == texts_i),
                 "self match lost for {text:?}"
@@ -271,7 +284,7 @@ mod tests {
         let c = words(&refs);
         let idx = TfIndex::build(&c);
         let q = idx.prepare_query_str("needle word");
-        let out = tf_sf(&idx, &q, 0.8);
+        let out = tf_sf(&idx, &q, 0.8).unwrap();
         assert!(!out.results.is_empty());
         assert!(
             out.stats.elements_read < out.stats.total_list_elements,
@@ -284,16 +297,7 @@ mod tests {
         let c = words(&["alpha"]);
         let idx = TfIndex::build(&c);
         let q = idx.prepare_query_str("");
-        assert!(tf_sf(&idx, &q, 0.5).results.is_empty());
-        assert!(tf_scan(&idx, &q, 0.5).results.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold")]
-    fn invalid_tau_panics() {
-        let c = words(&["alpha"]);
-        let idx = TfIndex::build(&c);
-        let q = idx.prepare_query_str("alpha");
-        let _ = tf_sf(&idx, &q, 0.0);
+        assert!(tf_sf(&idx, &q, 0.5).unwrap().results.is_empty());
+        assert!(tf_scan(&idx, &q, 0.5).unwrap().results.is_empty());
     }
 }

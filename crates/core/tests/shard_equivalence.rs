@@ -1,8 +1,9 @@
 //! Property-based equivalence suite for the length-banded sharded index.
 //!
-//! The invariant under test is the contract stated in DESIGN.md §16: for
-//! **any** corpus and **any** shard count, a [`ShardedIndex`] must answer
-//! every selection query with the *exact bits* the unsharded
+//! The invariant under test is the exactness contract of DESIGN.md §1, as
+//! §16 applies it to sharding: for **any** corpus and **any** shard
+//! count, a [`ShardedIndex`] must answer every selection query with the
+//! *exact bits* the unsharded
 //! [`InvertedIndex`] produces — same result ids, same `f64` score bits —
 //! for all eight algorithms across a τ grid. The suite also drives the
 //! degenerate band shapes (all records one length, fewer records than
@@ -64,34 +65,10 @@ fn collection(texts: &[&str]) -> SetCollection {
     b.build()
 }
 
-/// `(global id, score bits)` rows, id-sorted — the bit-exact comparison
-/// key. Sharded results come back grouped by shard, so both sides are
-/// sorted before comparing.
-fn key(results: &[setsim_core::Match]) -> Vec<(u32, u64)> {
-    let mut rows: Vec<(u32, u64)> = results
-        .iter()
-        .map(|m| (m.id.0, m.score.to_bits()))
-        .collect();
-    rows.sort_unstable();
-    rows
-}
-
-fn baseline_rows(
-    index: &InvertedIndex<'_>,
-    query: &str,
-    tau: f64,
-    kind: AlgorithmKind,
-) -> Vec<(u32, u64)> {
-    let q = index.prepare_query_str(query);
-    let req = SearchRequest::new(&q).tau(tau).algorithm(kind);
-    let out = execute(index, &mut Scratch::default(), &req).expect("baseline search");
-    key(&out.results)
-}
-
-/// Assert the sharded index matches the unsharded baseline bit-for-bit
-/// on every algorithm × τ × query cell, and that the merged stats keep
-/// the three-way access partition. Returns an error string for
-/// prop_assert.
+/// Assert every algorithm on the sharded index returns the unsharded
+/// scan's `(id, score bits)` set on every τ × query cell, and that the
+/// merged stats keep the three-way access partition. Returns an error
+/// string for prop_assert.
 fn check_equivalence(
     sharded: &ShardedIndex,
     baseline: &InvertedIndex<'_>,
@@ -107,13 +84,18 @@ fn check_equivalence(
                     bq.len, sq.len
                 ));
             }
+            let scan = SearchRequest::new(&bq)
+                .tau(tau)
+                .algorithm(AlgorithmKind::Scan);
+            let want = execute(baseline, &mut Scratch::default(), &scan)
+                .expect("baseline scan")
+                .bits_sorted();
             for kind in AlgorithmKind::ALL {
-                let want = baseline_rows(baseline, query, tau, kind);
                 let req = SearchRequest::new(&sq).tau(tau).algorithm(kind);
                 let out = sharded
                     .search(&req)
                     .map_err(|e| format!("{label}: {kind:?} τ={tau} q={query:?}: {e:?}"))?;
-                let got = key(&out.results);
+                let got = out.bits_sorted();
                 if got != want {
                     return Err(format!(
                         "{label}: {kind:?} τ={tau} q={query:?}: {got:?} != baseline {want:?}"
@@ -250,8 +232,8 @@ fn engine_scatter_matches_sequential_search() {
                     .search_with_threads(&SearchRequest::new(&sq).tau(tau), threads)
                     .expect("parallel");
                 assert_eq!(
-                    key(&par.results),
-                    key(&seq.results),
+                    par.bits_sorted(),
+                    seq.bits_sorted(),
                     "threads={threads} τ={tau} q={query:?}"
                 );
                 assert_eq!(par.stats.shards_pruned, seq.stats.shards_pruned);

@@ -43,8 +43,15 @@ fn main() {
     for tau in [0.9, 0.6, 0.3] {
         let t = Instant::now();
         // lint: allow — the TF/IDF subsystem has its own index and no engine path.
-        let out = tf_sf(&index, &query, tau);
+        let out = tf_sf(&index, &query, tau).expect("tau lies in (0, 1]");
         let elapsed = t.elapsed();
+        let oracle = tf_scan(&index, &query, tau).expect("tau lies in (0, 1]");
+        // The exhaustive oracle agrees, score bits included.
+        assert_eq!(
+            oracle.bits_sorted(),
+            out.bits_sorted(),
+            "boosted SF must match the oracle"
+        );
         let results = out.sorted_by_score();
         println!(
             "\ntau = {tau}: {} match(es) in {elapsed:.2?}",
@@ -53,19 +60,14 @@ fn main() {
         for m in &results {
             println!("  {:5.3}  {:?}", m.score, collection.text(m.id).unwrap());
         }
-        // The exhaustive oracle agrees.
-        let oracle = tf_scan(&index, &query, tau);
-        assert_eq!(
-            oracle.results.len(),
-            results.len(),
-            "boosted SF must match the oracle"
-        );
     }
 
     // IDF (set semantics) cannot tell these apart; TF/IDF can.
     let a = index.prepare_query_str("do be do be do");
     // lint: allow — the TF/IDF subsystem has its own index and no engine path.
-    let out = tf_sf(&index, &a, 0.99).sorted_by_score();
+    let out = tf_sf(&index, &a, 0.99)
+        .expect("tau lies in (0, 1]")
+        .sorted_by_score();
     println!(
         "\nself-query of {:?} at tau=0.99 finds only itself: {:?}",
         "do be do be do",

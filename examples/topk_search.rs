@@ -9,7 +9,7 @@
 //! ```
 
 use setsim::core::algorithms::topk::{topk_nra, topk_scan, topk_sf};
-use setsim::core::{CollectionBuilder, IndexOptions, InvertedIndex};
+use setsim::core::{CollectionBuilder, IndexOptions, InvertedIndex, Match};
 use setsim::datagen::{Corpus, CorpusConfig};
 use setsim::tokenize::QGramTokenizer;
 use std::time::Instant;
@@ -45,7 +45,7 @@ fn main() {
     let t_nra = t.elapsed();
 
     let t = Instant::now();
-    let sf = topk_sf(&index, &query, k, 0.9);
+    let sf = topk_sf(&index, &query, k, 0.9).expect("0.9 lies in (0, 1]");
     let t_sf = t.elapsed();
 
     println!("\ntop-{k} for {query_word:?}:");
@@ -67,16 +67,14 @@ fn main() {
                 .unwrap_or_default(),
         );
     }
-    for (i, want) in oracle.iter().enumerate() {
-        assert!(
-            (want.score - nra.results[i].score).abs() < 1e-9,
-            "nra disagrees with oracle at rank {i}"
-        );
-        assert!(
-            (want.score - sf.results[i].score).abs() < 1e-9,
-            "sf disagrees with oracle at rank {i}"
-        );
-    }
+    // Every rank's score agrees to the bit (ids may differ only on ties).
+    let bits = |ms: &[Match]| ms.iter().map(|m| m.score.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&nra.results),
+        bits(&oracle),
+        "nra disagrees with oracle"
+    );
+    assert_eq!(bits(&sf.results), bits(&oracle), "sf disagrees with oracle");
     println!("\nall three agree.");
     println!(
         "timing: scan {t_oracle:.2?}, nra-topk {t_nra:.2?} ({} elements), sf-topk {t_sf:.2?} ({} elements)",

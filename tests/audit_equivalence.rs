@@ -65,7 +65,9 @@ fn paper_algorithms_audit_clean_on_generated_corpus() {
                     );
                     // The self-match must be among the results at every tau.
                     assert!(
-                        out.results.iter().any(|m| (m.score - 1.0).abs() < 1e-9),
+                        out.results
+                            .iter()
+                            .any(|m| collection.text(m.id) == Some(qtext.as_str())),
                         "{} lost the self-match for {qtext:?} at tau {tau}",
                         kind.name()
                     );

@@ -1,7 +1,8 @@
 //! The serving layer returns exactly what the paper's contract demands.
 //!
 //! Every `AlgorithmKind` × `AlgoConfig` ablation, routed through
-//! `QueryEngine::search`, must match the scan oracle; scratch reuse must
+//! `QueryEngine::search`, must match the scan oracle bit for bit (the
+//! exactness contract, DESIGN.md §1); scratch reuse must
 //! leak nothing between queries; work-stealing batches must
 //! come back in request order under adversarially skewed query costs; and
 //! budgets must produce typed, sound partial outcomes — never panics.
@@ -9,11 +10,15 @@
 mod common;
 
 use common::run;
+use setsim::core::algorithms::prefix::PrefixFilterIndex;
+use setsim::core::algorithms::sql::SqlBaseline;
+use setsim::core::algorithms::topk::topk_sf;
+use setsim::core::tfsearch::{tf_scan, tf_sf, TfIndex};
 use setsim::core::{
-    AlgoConfig, AlgorithmKind, Budget, CollectionBuilder, IndexOptions, InvertedIndex,
+    AlgoConfig, AlgorithmKind, Budget, CollectionBuilder, IndexOptions, InvertedIndex, Match,
     MetricsSnapshot, MutableEngine, MutableIndex, MutableSearchRequest, PreparedQuery, QueryEngine,
-    SearchError, SearchRequest, SearchStats, SearchStatus, SetCollection, ShardedEngine,
-    ShardedIndex,
+    ReprKind, ReprPolicy, Scratch, SearchError, SearchOutcome, SearchRequest, SearchStats,
+    SearchStatus, SetCollection, SetId, ShardedEngine, ShardedIndex,
 };
 use setsim::tokenize::QGramTokenizer;
 
@@ -33,47 +38,6 @@ fn street_corpus() -> Vec<String> {
     texts.push("main street".into());
     texts.push("completely unrelated".into());
     texts
-}
-
-#[test]
-fn engine_matches_oracle_for_every_kind_and_ablation() {
-    let texts = street_corpus();
-    let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-    let collection = build(&refs);
-    let index = InvertedIndex::build(&collection, IndexOptions::default());
-    let mut engine = QueryEngine::new(index);
-    let configs = [
-        AlgoConfig::full(),
-        AlgoConfig::no_length_bounding(),
-        AlgoConfig::no_skip_lists(),
-    ];
-    for qtext in ["main street", "park avenue 3", "mane stret", "xyzzy"] {
-        let q = engine.prepare_query_str(qtext);
-        for tau in [0.35, 0.7, 1.0] {
-            let oracle = run(
-                engine.index(),
-                AlgorithmKind::Scan,
-                AlgoConfig::full(),
-                &q,
-                tau,
-            )
-            .ids_sorted();
-            for kind in AlgorithmKind::ALL {
-                for cfg in configs {
-                    let via_engine = engine
-                        .search(SearchRequest::new(&q).tau(tau).algorithm(kind).config(cfg))
-                        .expect("valid request");
-                    assert_eq!(via_engine.status, SearchStatus::Complete);
-                    assert_eq!(
-                        via_engine.ids_sorted(),
-                        oracle,
-                        "engine vs oracle: {} cfg={cfg:?} q={qtext:?} tau={tau}",
-                        kind.name()
-                    );
-                }
-            }
-        }
-    }
 }
 
 #[test]
@@ -216,27 +180,17 @@ fn budget_truncated_results_are_a_sound_subset_of_the_oracle() {
                 )
                 .expect("valid request");
             // Whether or not the cap tripped, every reported match must be
-            // a true match with its exact score.
-            for m in &out.results {
-                let reference = oracle
-                    .results
-                    .iter()
-                    .find(|o| o.id == m.id)
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "{} cap={cap}: reported {:?} which the oracle rejects",
-                            kind.name(),
-                            m.id
-                        )
-                    });
+            // a true match with its exact score bits.
+            let want = oracle.bits_sorted();
+            for row in out.bits_sorted() {
                 assert!(
-                    (m.score - reference.score).abs() < 1e-9,
-                    "{} cap={cap}: inexact score under truncation",
+                    want.contains(&row),
+                    "{} cap={cap}: reported {row:?}, which the oracle does not",
                     kind.name()
                 );
             }
             if out.status == SearchStatus::Complete {
-                assert_eq!(out.ids_sorted(), oracle.ids_sorted());
+                assert_eq!(out.bits_sorted(), want);
             }
         }
     }
@@ -264,14 +218,32 @@ fn expired_deadline_returns_typed_partial_outcome() {
 fn invalid_tau_is_a_typed_error_not_a_panic() {
     let collection = build(&["main street", "park avenue"]);
     let index = InvertedIndex::build(&collection, IndexOptions::default());
-    let mut engine = QueryEngine::new(index);
-    let q = engine.prepare_query_str("main street");
+    let q = index.prepare_query_str("main street");
+    let tf_index = TfIndex::build(&collection);
+    let tf_q = tf_index.prepare_query_str("main street");
+    let sql = SqlBaseline::build(&collection, index.weights());
+    let filter = PrefixFilterIndex::build(&index, 0.5).expect("valid tau_min");
+    let mut engine = QueryEngine::new(InvertedIndex::build(&collection, IndexOptions::default()));
+    // Every public entry point that takes a raw τ.
     for bad in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
-        match engine.search(SearchRequest::new(&q).tau(bad)) {
-            Err(SearchError::InvalidTau(t)) => {
-                assert!(t.is_nan() == bad.is_nan() && (bad.is_nan() || t == bad));
-            }
-            other => panic!("tau={bad}: expected InvalidTau, got {other:?}"),
+        for (what, got) in [
+            (
+                "engine",
+                engine.search(SearchRequest::new(&q).tau(bad)).map(drop),
+            ),
+            ("tf_scan", tf_scan(&tf_index, &tf_q, bad).map(drop)),
+            ("tf_sf", tf_sf(&tf_index, &tf_q, bad).map(drop)),
+            ("SQL", sql.search(&q, bad).map(drop)),
+            (
+                "prefix build",
+                PrefixFilterIndex::build(&index, bad).map(drop),
+            ),
+            ("prefix search", filter.search(&index, &q, bad).map(drop)),
+            ("topk_sf", topk_sf(&index, &q, 3, bad).map(drop)),
+        ] {
+            let refused =
+                matches!(got, Err(SearchError::InvalidTau(t)) if t.to_bits() == bad.to_bits());
+            assert!(refused, "{what} at tau={bad}: {got:?}");
         }
     }
     // The error spells out the contract.
@@ -403,4 +375,124 @@ fn metrics_totals_equal_the_fold_of_outcome_stats_on_every_engine() {
     });
     assert!(fold.totals.records_scanned > 0, "the delta was not scanned");
     assert_metrics_are_the_fold("mutable", &fold, &mutable.metrics());
+}
+
+/// The largest τ ≤ 1 at which the scan still returns `id` for `q`: the
+/// pass rule's own edge for that set's score `s`, found by bisecting the
+/// bits of `[s, s·(1 + 1e-9)]`.
+fn pass_edge(index: &InvertedIndex<'_>, q: &PreparedQuery, id: SetId, s: f64) -> f64 {
+    let keeps = |tau: f64| {
+        let out = run(index, AlgorithmKind::Scan, AlgoConfig::full(), q, tau);
+        out.results.iter().any(|m| m.id == id)
+    };
+    let (mut lo, mut hi) = (s.to_bits(), (s * (1.0 + 1e-9)).min(1.0).to_bits());
+    if keeps(f64::from_bits(hi)) {
+        return f64::from_bits(hi);
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if keeps(f64::from_bits(mid)) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    f64::from_bits(lo)
+}
+
+/// The exactness contract (DESIGN.md §1) at its knife edge. Thresholds
+/// are set to the bits of real canonical scores, to the pass rule's own
+/// edge for each such score, and to the floats either side of both;
+/// exact-duplicate records are queried at τ = 1. At every such
+/// τ, all eight algorithms (through `QueryEngine::search`, under every
+/// `AlgoConfig` ablation) and the SQL baseline, under the adaptive and
+/// the forced-run representation policies, through the heap, sharded (1
+/// and 8 bands), paged (pool of 2 pages) and pristine mutable engines,
+/// return the scan's `(id, score bits)` set.
+#[test]
+fn thresholds_on_actual_scores_get_one_answer_from_every_leg() {
+    let texts = street_corpus();
+    let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+    let collection = build(&refs);
+    let oracle = InvertedIndex::build(&collection, IndexOptions::default());
+    let scan = |text: &str, tau: f64| {
+        let q = oracle.prepare_query_str(text);
+        run(&oracle, AlgorithmKind::Scan, AlgoConfig::full(), &q, tau)
+    };
+    let next = |x: f64, step: i64| f64::from_bits(x.to_bits().wrapping_add_signed(step));
+    let mut cells = vec![("xyzzy", 0.35)];
+    for text in ["main street", "park avenue 41", "mane stret"] {
+        let mut scored = scan(text, f64::MIN_POSITIVE).results;
+        scored.sort_by(|a, b| a.score.total_cmp(&b.score));
+        for frac in [0.5, 0.9, 1.0] {
+            let m = scored[((scored.len() - 1) as f64 * frac) as usize];
+            let edge = pass_edge(&oracle, &oracle.prepare_query_str(text), m.id, m.score);
+            for t in [m.score, edge] {
+                let taus = [next(t, -1), t, next(t, 1)];
+                cells.extend(
+                    taus.into_iter()
+                        .filter(|&tau| tau <= 1.0)
+                        .map(|tau| (text, tau)),
+                );
+            }
+        }
+    }
+    for text in ["maine st 0", "maine st 3", "maine st 6"] {
+        assert!(scan(text, 1.0).results.len() > 1, "{text:?} has duplicates");
+        cells.push((text, 1.0));
+    }
+
+    let configs = [
+        AlgoConfig::full(),
+        AlgoConfig::no_length_bounding(),
+        AlgoConfig::no_skip_lists(),
+    ];
+    for policy in [ReprPolicy::Adaptive, ReprPolicy::Force(ReprKind::Run)] {
+        let opts = IndexOptions::default().with_repr_policy(policy);
+        let heap = InvertedIndex::build(&collection, opts.clone());
+        let sql = SqlBaseline::build(&collection, heap.weights());
+        let sharded = [1, 8].map(|n| ShardedIndex::build(&collection, n, opts.clone()).unwrap());
+        let snap = std::env::temp_dir().join(format!("setsim-edge-{}.snap", std::process::id()));
+        heap.save(&snap).expect("save snapshot");
+        let mut paged = QueryEngine::open_paged(&snap, 2).expect("open paged");
+        let _ = std::fs::remove_file(&snap);
+        let mut engine = QueryEngine::new(heap);
+        let mutable = MutableIndex::from_collection(Box::new(build(&refs)), opts).unwrap();
+        for &(text, tau) in &cells {
+            let want = scan(text, tau).bits_sorted();
+            let check = |leg: &str, got: SearchOutcome| {
+                assert_eq!(got.status, SearchStatus::Complete);
+                assert_eq!(
+                    got.bits_sorted(),
+                    want,
+                    "{leg} under {policy:?}, q={text:?}, tau={tau:e}"
+                );
+            };
+            let q = engine.prepare_query_str(text);
+            check("SQL", sql.search(&q, tau).expect("valid tau"));
+            let mq = mutable.prepare_query_str(text);
+            for kind in AlgorithmKind::ALL {
+                let req = SearchRequest::new(&q).tau(tau).algorithm(kind);
+                for cfg in configs {
+                    check(kind.name(), engine.search(req.config(cfg)).expect("heap"));
+                }
+                for index in &sharded {
+                    check("sharded", index.search(&req).expect("sharded"));
+                }
+                check("paged", paged.search(req).expect("paged"));
+                let mreq = MutableSearchRequest::new(&mq).tau(tau).algorithm(kind);
+                let out = mutable
+                    .search(&mut Scratch::default(), &mreq)
+                    .expect("mutable");
+                let results = out.results.iter().map(|m| Match {
+                    id: SetId(m.record.0 as u32),
+                    score: m.score,
+                });
+                check(
+                    "pristine mutable",
+                    SearchOutcome::complete(results.collect(), out.stats),
+                );
+            }
+        }
+    }
 }

@@ -1,12 +1,10 @@
-//! The central correctness property: every algorithm — sort-by-id merge,
-//! TA, NRA, iTA, iNRA, SF, Hybrid, and the SQL baseline — returns exactly
-//! the sets the exhaustive scan returns, for arbitrary collections,
-//! queries, thresholds, and property-toggle configurations.
-//!
-//! Scores within floating-point slack of τ are treated as "don't care":
-//! different summation orders may legitimately disagree at the knife edge
-//! (see `EPS_REL` in setsim-core); everything clearly above or below must
-//! match exactly.
+//! The central correctness property, the exactness contract of DESIGN.md
+//! §1: every algorithm — sort-by-id merge, TA, NRA, iTA, iNRA, SF, Hybrid,
+//! and the SQL baseline — returns exactly the `(id, score bits)` set the
+//! exhaustive scan returns, for arbitrary collections, queries,
+//! thresholds, and property-toggle configurations. There is no tolerance
+//! band: every algorithm reports the one canonical score and decides
+//! membership on it.
 
 mod common;
 
@@ -14,8 +12,7 @@ use common::run;
 use proptest::prelude::*;
 use setsim::core::algorithms::sql::SqlBaseline;
 use setsim::core::{
-    AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, PreparedQuery,
-    SearchOutcome, SetCollection, SetId,
+    AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, SetCollection, SetId,
 };
 use setsim::tokenize::QGramTokenizer;
 
@@ -36,50 +33,6 @@ fn build(texts: &[String]) -> SetCollection {
         b.add(t);
     }
     b.build()
-}
-
-/// Partition the database by the oracle into clearly-in / clearly-out /
-/// boundary ids, then check an algorithm's result set against it.
-fn check_outcome(
-    index: &InvertedIndex<'_>,
-    query: &PreparedQuery,
-    tau: f64,
-    outcome: &SearchOutcome,
-    name: &str,
-) -> Result<(), TestCaseError> {
-    let mut oracle_scores = vec![0.0f64; index.collection().len()];
-    // Recompute all scores via a tau low enough to return everything > 0.
-    let all = run(index, AlgorithmKind::Scan, AlgoConfig::full(), query, 1e-9);
-    for m in &all.results {
-        oracle_scores[m.id.index()] = m.score;
-    }
-    let band = 1e-9 * tau.max(1.0);
-    let got: std::collections::HashSet<u32> = outcome.results.iter().map(|m| m.id.0).collect();
-    for (i, &s) in oracle_scores.iter().enumerate() {
-        if (s - tau).abs() <= band {
-            continue; // knife-edge: either answer acceptable
-        }
-        if s >= tau {
-            prop_assert!(
-                got.contains(&(i as u32)),
-                "{name}: missing id {i} with score {s} >= tau {tau}"
-            );
-        } else {
-            prop_assert!(
-                !got.contains(&(i as u32)),
-                "{name}: spurious id {i} with score {s} < tau {tau}"
-            );
-        }
-    }
-    // Reported scores must be exact.
-    for m in &outcome.results {
-        prop_assert!(
-            (m.score - oracle_scores[m.id.index()]).abs() < 1e-9,
-            "{name}: wrong score for {:?}",
-            m.id
-        );
-    }
-    Ok(())
 }
 
 /// Random short words over a small alphabet: high gram collision rate,
@@ -112,13 +65,16 @@ proptest! {
             AlgoConfig::no_length_bounding(),
         ][cfg_idx];
 
+        let oracle = run(&index, AlgorithmKind::Scan, cfg, &q, tau).bits_sorted();
         // Kinds without property toggles ignore `cfg`.
         for kind in LIST_KINDS {
-            check_outcome(&index, &q, tau, &run(&index, kind, cfg, &q, tau), kind.name())?;
+            let got = run(&index, kind, cfg, &q, tau).bits_sorted();
+            prop_assert_eq!(got, oracle.clone(), "{} at tau {}", kind.name(), tau);
         }
 
         let sql = SqlBaseline::build(&collection, index.weights());
-        check_outcome(&index, &q, tau, &sql.search(&q, tau), "SQL")?;
+        let got = sql.search(&q, tau).expect("valid tau").bits_sorted();
+        prop_assert_eq!(got, oracle, "SQL at tau {}", tau);
     }
 
     #[test]
@@ -171,12 +127,16 @@ fn realistic_corpus_agreement() {
     for qtext in queries {
         let q = index.prepare_query_str(qtext);
         for tau in [0.5, 0.75, 0.95] {
-            let oracle = run(&index, AlgorithmKind::Scan, AlgoConfig::full(), &q, tau).ids_sorted();
+            let oracle =
+                run(&index, AlgorithmKind::Scan, AlgoConfig::full(), &q, tau).bits_sorted();
             for kind in LIST_KINDS {
-                let got = run(&index, kind, AlgoConfig::full(), &q, tau).ids_sorted();
+                let got = run(&index, kind, AlgoConfig::full(), &q, tau).bits_sorted();
                 assert_eq!(got, oracle, "{} at tau {tau}", kind.name());
             }
-            assert_eq!(sql.search(&q, tau).ids_sorted(), oracle);
+            assert_eq!(
+                sql.search(&q, tau).expect("valid tau").bits_sorted(),
+                oracle
+            );
         }
     }
 }

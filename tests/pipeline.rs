@@ -127,7 +127,7 @@ fn sql_pipeline_end_to_end() {
     for qtext in corpus.words().take(10) {
         let q = index.prepare_query_str(qtext);
         let oracle = run(&index, AlgorithmKind::Scan, AlgoConfig::full(), &q, 0.7).ids_sorted();
-        assert_eq!(sql.search(&q, 0.7).ids_sorted(), oracle);
+        assert_eq!(sql.search(&q, 0.7).expect("valid tau").ids_sorted(), oracle);
     }
 }
 

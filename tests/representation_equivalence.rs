@@ -8,8 +8,9 @@
 //! sets and scores must be **bit-identical** to the sorted-run baseline —
 //! the pre-kernel representation — because all three representations
 //! assemble the same `(len, id)`-sorted posting runs and only change the
-//! auxiliary access structures around them. A naive-scan oracle band
-//! check guards the baseline itself, and the read/skip counters must
+//! auxiliary access structures around them. Every algorithm under every
+//! policy must equal the naive scan over the run baseline bit for bit
+//! (the exactness contract, DESIGN.md §1), and the read/skip counters must
 //! partition each list (`read + skipped ≤ total`) under every policy.
 //!
 //! The same differential runs through [`MutableIndex`] with interleaved
@@ -21,8 +22,7 @@ use common::run;
 use proptest::prelude::*;
 use setsim::core::{
     AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, MutableIndex,
-    MutableSearchRequest, PreparedQuery, ReprKind, ReprPolicy, Scratch, SearchOutcome,
-    SetCollection,
+    MutableSearchRequest, ReprKind, ReprPolicy, Scratch, SetCollection,
 };
 use setsim::tokenize::QGramTokenizer;
 
@@ -45,86 +45,6 @@ fn build(texts: &[String]) -> SetCollection {
 
 fn options(policy: ReprPolicy) -> IndexOptions {
     IndexOptions::default().with_repr_policy(policy)
-}
-
-/// `(id, score-bits)` fingerprint, order-normalized — equality means the
-/// two outcomes are bit-identical as answer sets.
-fn fingerprint(out: &SearchOutcome) -> Vec<(u32, u64)> {
-    let mut v: Vec<(u32, u64)> = out
-        .results
-        .iter()
-        .map(|m| (m.id.0, m.score.to_bits()))
-        .collect();
-    v.sort_unstable();
-    v
-}
-
-/// Per-algorithm fingerprints of one differential run.
-type AlgoPrints = Vec<(&'static str, Vec<(u32, u64)>)>;
-
-/// Run all eight algorithms, checking counter sanity on each outcome.
-fn run_all(
-    index: &InvertedIndex<'_>,
-    q: &PreparedQuery,
-    tau: f64,
-    cfg: AlgoConfig,
-) -> Result<AlgoPrints, TestCaseError> {
-    let mut prints = Vec::with_capacity(AlgorithmKind::ALL.len());
-    for kind in AlgorithmKind::ALL {
-        // Kinds without property toggles ignore `cfg`.
-        let (name, out) = (kind.name(), run(index, kind, cfg, q, tau));
-        prop_assert!(
-            out.stats.elements_read + out.stats.elements_skipped <= out.stats.total_list_elements,
-            "{name}: read {} + skipped {} exceeds total {}",
-            out.stats.elements_read,
-            out.stats.elements_skipped,
-            out.stats.total_list_elements
-        );
-        prints.push((name, fingerprint(&out)));
-    }
-    Ok(prints)
-}
-
-/// Band check against the naive scan: outside the knife-edge band the id
-/// sets must agree exactly, and reported scores must be exact.
-fn check_against_oracle(
-    index: &InvertedIndex<'_>,
-    q: &PreparedQuery,
-    tau: f64,
-    prints: &[(&'static str, Vec<(u32, u64)>)],
-) -> Result<(), TestCaseError> {
-    let all = run(index, AlgorithmKind::Scan, AlgoConfig::full(), q, 1e-9);
-    let mut scores = vec![0.0f64; index.collection().len()];
-    for m in &all.results {
-        scores[m.id.index()] = m.score;
-    }
-    let band = 1e-9 * tau.max(1.0);
-    for (name, print) in prints {
-        let got: std::collections::HashMap<u32, u64> = print.iter().copied().collect();
-        for (i, &s) in scores.iter().enumerate() {
-            if (s - tau).abs() <= band {
-                continue;
-            }
-            prop_assert_eq!(
-                got.contains_key(&(i as u32)),
-                s >= tau,
-                "{}: id {} with oracle score {} vs tau {}",
-                name,
-                i,
-                s,
-                tau
-            );
-        }
-        for (id, bits) in print {
-            prop_assert!(
-                (f64::from_bits(*bits) - scores[*id as usize]).abs() < 1e-9,
-                "{}: wrong score for id {}",
-                name,
-                id
-            );
-        }
-    }
-    Ok(())
 }
 
 /// Random short words over a small alphabet: high gram collision rate
@@ -158,20 +78,26 @@ proptest! {
         let collection = build(&texts);
         let baseline = InvertedIndex::build(&collection, options(POLICIES[0].1));
         let q = baseline.prepare_query_str(&query);
-        let base_prints = run_all(&baseline, &q, tau, cfg)?;
-        check_against_oracle(&baseline, &q, tau, &base_prints)?;
-
-        for (name, policy) in &POLICIES[1..] {
+        let oracle = run(&baseline, AlgorithmKind::Scan, cfg, &q, tau).bits_sorted();
+        for (name, policy) in &POLICIES {
             let index = InvertedIndex::build(&collection, options(*policy));
-            let q2 = index.prepare_query_str(&query);
-            let prints = run_all(&index, &q2, tau, cfg)?;
-            for ((alg, base), (_, got)) in base_prints.iter().zip(&prints) {
+            let q = index.prepare_query_str(&query);
+            for kind in AlgorithmKind::ALL {
+                // Kinds without property toggles ignore `cfg`.
+                let out = run(&index, kind, cfg, &q, tau);
+                let stats = out.stats;
+                prop_assert!(
+                    stats.elements_read + stats.elements_skipped <= stats.total_list_elements,
+                    "{}: counters do not partition the lists: {:?}",
+                    kind.name(),
+                    stats
+                );
                 prop_assert_eq!(
-                    base,
-                    got,
-                    "{} diverges from the run baseline under the {} policy \
+                    out.bits_sorted(),
+                    oracle.clone(),
+                    "{} diverges from the run baseline's scan under the {} policy \
                      (tau={}, block_skip={})",
-                    alg,
+                    kind.name(),
                     name,
                     tau,
                     block_skip
@@ -276,7 +202,7 @@ fn adaptive_policy_selects_bitmaps_on_dense_tokens_and_skips_blocks() {
         &q,
         0.9,
     );
-    assert_eq!(fingerprint(&out), fingerprint(&no_skip));
+    assert_eq!(out.bits_sorted(), no_skip.bits_sorted());
     assert!(
         out.stats.elements_skipped > 0,
         "dense window should engage the skip layer: {:?}",

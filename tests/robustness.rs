@@ -8,10 +8,11 @@ mod common;
 
 use common::run;
 use proptest::prelude::*;
+use setsim::core::algorithms::topk::{topk_nra, topk_sf};
 use setsim::core::tfsearch::{tf_scan, tf_sf, TfIndex};
 use setsim::core::{
-    AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, QueryEngine,
-    SearchError, SearchRequest, SetCollection,
+    AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, PagedSearchError,
+    QueryEngine, SearchError, SearchRequest, SetCollection,
 };
 use setsim::tokenize::QGramTokenizer;
 
@@ -48,7 +49,7 @@ proptest! {
         let reference = {
             let idx = InvertedIndex::build(&collection, IndexOptions::default());
             let q = idx.prepare_query_str(&query);
-            run(&idx, AlgorithmKind::Scan, AlgoConfig::full(), &q, tau).ids_sorted()
+            run(&idx, AlgorithmKind::Scan, AlgoConfig::full(), &q, tau).bits_sorted()
         };
         let variants = [
             IndexOptions::default()
@@ -67,7 +68,7 @@ proptest! {
                 run(&idx, AlgorithmKind::INra, AlgoConfig::full(), &q, tau),
                 run(&idx, AlgorithmKind::Hybrid, AlgoConfig::full(), &q, tau),
             ] {
-                prop_assert_eq!(out.ids_sorted(), reference.clone(), "opts {:?}", opts);
+                prop_assert_eq!(out.bits_sorted(), reference.clone(), "opts {:?}", opts);
             }
         }
     }
@@ -88,30 +89,9 @@ proptest! {
         let collection = b.build();
         let idx = TfIndex::build(&collection);
         let q = idx.prepare_query_str(&query);
-        let oracle = tf_scan(&idx, &q, tau);
-        let got = tf_sf(&idx, &q, tau);
-        // Knife-edge scores may flip either way; compare off-boundary ids.
-        let mut scores = vec![0.0f64; collection.len()];
-        for m in &tf_scan(&idx, &q, 1e-9).results {
-            scores[m.id.index()] = m.score;
-        }
-        let band = 1e-9 * tau.max(1.0);
-        let got_ids: std::collections::HashSet<u32> =
-            got.results.iter().map(|m| m.id.0).collect();
-        for (i, &s) in scores.iter().enumerate() {
-            if (s - tau).abs() <= band {
-                continue;
-            }
-            prop_assert_eq!(
-                got_ids.contains(&(i as u32)),
-                s >= tau,
-                "id {} score {} tau {}",
-                i,
-                s,
-                tau
-            );
-        }
-        let _ = oracle;
+        let oracle = tf_scan(&idx, &q, tau).expect("valid tau").bits_sorted();
+        let got = tf_sf(&idx, &q, tau).expect("valid tau").bits_sorted();
+        prop_assert_eq!(got, oracle, "tau {}", tau);
     }
 }
 
@@ -166,7 +146,8 @@ fn unicode_records_work_end_to_end() {
     let q = idx.prepare_query_str("日本語テキスト");
     let out = run(&idx, AlgorithmKind::Sf, AlgoConfig::full(), &q, 0.5).sorted_by_score();
     assert_eq!(c.text(out[0].id), Some("日本語テキスト"));
-    assert!((out[0].score - 1.0).abs() < 1e-9);
+    let exact = run(&idx, AlgorithmKind::Sf, AlgoConfig::full(), &q, 1.0);
+    assert_eq!(exact.ids_sorted(), vec![out[0].id]);
     // The near-duplicate Japanese string should score above the German ones.
     assert_eq!(c.text(out[1].id), Some("日本語テスト"));
 }
@@ -203,13 +184,7 @@ fn disabled_structures_are_refused_never_panicked_on() {
     let answer = |engine: &mut QueryEngine<'_>, kind, text, tau| {
         let q = engine.prepare_query_str(text);
         let out = engine.search(SearchRequest::new(&q).tau(tau).algorithm(kind))?;
-        let mut v: Vec<(u32, u64)> = out
-            .results
-            .iter()
-            .map(|m| (m.id.0, m.score.to_bits()))
-            .collect();
-        v.sort_unstable();
-        Ok::<_, SearchError>(v)
+        Ok::<_, SearchError>(out.bits_sorted())
     };
     let default = IndexOptions::default();
     let mut reference = QueryEngine::new(InvertedIndex::build(&collection, default.clone()));
@@ -244,5 +219,36 @@ fn disabled_structures_are_refused_never_panicked_on() {
             refused.dedup();
             assert_eq!(refused, refusable, "{opts:?}: refused kinds");
         }
+    }
+}
+
+/// A query prepared against one index and searched on another is refused
+/// as `SearchError::ForeignQuery` by the heap and paged engines and by
+/// both top-k searches.
+#[test]
+fn query_prepared_on_another_index_is_a_typed_error() {
+    let a = build(&["main street".to_string(), "xylophone quartet".to_string()]);
+    let b = build(&["main street".to_string()]);
+    let q = InvertedIndex::build(&a, IndexOptions::default()).prepare_query_str("xylophone");
+    let index_b = InvertedIndex::build(&b, IndexOptions::default());
+    let path = std::env::temp_dir().join(format!("setsim-foreign-{}.snap", std::process::id()));
+    index_b.save(&path).expect("save");
+    let mut paged = QueryEngine::open_paged(&path, 2).expect("open paged");
+    let _ = std::fs::remove_file(&path);
+    let foreign = |e: &SearchError| matches!(e, SearchError::ForeignQuery { .. });
+    assert!(topk_nra(&index_b, &q, 3).is_err_and(|e| foreign(&e)));
+    assert!(topk_sf(&index_b, &q, 3, 0.5).is_err_and(|e| foreign(&e)));
+    let mut heap = QueryEngine::new(index_b);
+    for kind in AlgorithmKind::ALL {
+        let req = SearchRequest::new(&q).tau(0.5).algorithm(kind);
+        assert!(
+            heap.search(req).is_err_and(|e| foreign(&e)),
+            "heap {kind:?}"
+        );
+        let paged_err = paged.search(req).unwrap_err();
+        assert!(
+            matches!(paged_err, PagedSearchError::Search(e) if foreign(&e)),
+            "paged {kind:?}"
+        );
     }
 }

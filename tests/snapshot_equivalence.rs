@@ -4,7 +4,8 @@
 //! A generated corpus is indexed, saved, and reloaded cold; then every
 //! one of the eight selection algorithms is run over a τ grid on both
 //! engines, and the result sets, the reported scores (to the bit), and
-//! the `SearchStatus` must match exactly. The snapshot layer recomputes
+//! the `SearchStatus` must match exactly (the exactness contract,
+//! DESIGN.md §1). The snapshot layer recomputes
 //! weights, skip lists, and hash indexes at load, so any nondeterminism
 //! or decode drift shows up here as a query-visible diff.
 
@@ -13,7 +14,7 @@ mod common;
 use common::run;
 use setsim::core::{
     AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, PagedEngine,
-    QueryEngine, SearchRequest, SearchStatus, SetCollection,
+    QueryEngine, SearchRequest, SearchStatus, SetCollection, SetId,
 };
 use setsim::datagen::{Corpus, CorpusConfig};
 use setsim::tokenize::QGramTokenizer;
@@ -57,16 +58,10 @@ fn fingerprint(
     text: &str,
     tau: f64,
     kind: AlgorithmKind,
-) -> (Vec<(u32, u64)>, SearchStatus) {
+) -> (Vec<(SetId, u64)>, SearchStatus) {
     let q = engine.prepare_query_str(text);
     let out = run(engine.index(), kind, AlgoConfig::full(), &q, tau);
-    let mut v: Vec<(u32, u64)> = out
-        .results
-        .iter()
-        .map(|m| (m.id.0, m.score.to_bits()))
-        .collect();
-    v.sort_unstable();
-    (v, out.status)
+    (out.bits_sorted(), out.status)
 }
 
 /// Paged-engine fingerprint, additionally checking the access-partition
@@ -77,7 +72,7 @@ fn fingerprint_paged(
     text: &str,
     tau: f64,
     kind: AlgorithmKind,
-) -> (Vec<(u32, u64)>, SearchStatus) {
+) -> (Vec<(SetId, u64)>, SearchStatus) {
     let q = engine.prepare_query_str(text);
     let out = engine
         .search(SearchRequest::new(&q).tau(tau).algorithm(kind))
@@ -97,13 +92,7 @@ fn fingerprint_paged(
             "a non-empty paged query must fault at least one page"
         );
     }
-    let mut v: Vec<(u32, u64)> = out
-        .results
-        .iter()
-        .map(|m| (m.id.0, m.score.to_bits()))
-        .collect();
-    v.sort_unstable();
-    (v, out.status)
+    (out.bits_sorted(), out.status)
 }
 
 #[test]
