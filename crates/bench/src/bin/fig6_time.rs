@@ -41,7 +41,6 @@ fn result_counts(columns: &[WorkloadReport]) -> String {
         .map(|w| {
             w.algo(Algo::Sf.name()).map_or_else(
                 || "-".to_string(),
-                // lint: allow — counters well below 2^53.
                 |a| format!("{:.0}", a.counters.matches as f64 / w.queries.max(1) as f64),
             )
         })

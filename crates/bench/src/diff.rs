@@ -172,7 +172,6 @@ fn pct_delta(b: u64, c: u64) -> String {
     if b == 0 {
         return "was 0".to_string();
     }
-    // lint: allow — counters below 2^53, exact in f64.
     format!("{:+.1}%", 100.0 * (c as f64 - b as f64) / b as f64)
 }
 

@@ -356,7 +356,6 @@ fn measure_dense_workload(corpus: &Corpus, config: &HarnessConfig) -> WorkloadRe
                 let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
                 stats = pass_stats;
                 matches = pass_matches;
-                // lint: allow — workload sizes well below 2^53.
                 samples.push(elapsed_ms / queries.len().max(1) as f64);
             }
             algos.push(AlgoReport {
@@ -428,7 +427,6 @@ fn measure_sharded_workload(
             let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
             stats = pass_stats;
             matches = pass_matches;
-            // lint: allow — workload sizes well below 2^53.
             samples.push(elapsed_ms / queries.len().max(1) as f64);
         }
         algos.push(AlgoReport {
@@ -498,7 +496,6 @@ fn measure_paged_workload(
             let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
             stats = pass_stats;
             matches = pass_matches;
-            // lint: allow — workload sizes well below 2^53.
             samples.push(elapsed_ms / queries.len().max(1) as f64);
         }
         algos.push(AlgoReport {

@@ -84,10 +84,7 @@ impl Json {
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT_INT => {
-                // lint: allow — fract()==0 and range-checked above, exact.
-                Some(*n as u64)
-            }
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT_INT => Some(*n as u64),
             _ => None,
         }
     }
@@ -178,8 +175,8 @@ impl From<f64> for Json {
 
 impl From<u64> for Json {
     fn from(n: u64) -> Json {
-        // lint: allow — counters stay far below 2^53 in practice; the
-        // writer emits the integer fast path for exact values.
+        // Counters stay far below 2^53 in practice; the writer emits the
+        // integer fast path for exact values.
         Json::Num(n as f64)
     }
 }
@@ -217,7 +214,6 @@ fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() <= MAX_EXACT_INT {
-        // lint: allow — fract()==0 and |n| ≤ 2^53, exact in i64.
         let _ = write!(out, "{}", n as i64);
     } else {
         let _ = write!(out, "{n}");

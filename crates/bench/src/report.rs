@@ -161,12 +161,10 @@ impl CounterSection {
     /// probe) — counter-derived, hence deterministic.
     #[must_use]
     pub fn modeled_disk_ms_per_query(&self) -> f64 {
-        // lint: allow — counters well below 2^53, exact in f64.
         let (seq, rnd) = (
             self.stats.elements_read as f64,
             self.stats.random_probes as f64,
         );
-        // lint: allow — query count below 2^53.
         (seq * 0.0002 + rnd * 0.1) / self.queries.max(1) as f64
     }
 
@@ -233,7 +231,6 @@ impl TailSection {
         let pick = |p: f64| {
             // Nearest-rank: ceil(p·n) clamped into range, 1-indexed.
             let n = sorted.len();
-            // lint: allow — sample counts well below 2^53.
             let rank = (p * n as f64).ceil() as usize;
             sorted[rank.clamp(1, n) - 1]
         };
@@ -610,7 +607,6 @@ pub fn measure_workload(
             let start = Instant::now();
             last = run_pass(engines, algo, config, queries, tau);
             let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-            // lint: allow — workload sizes well below 2^53.
             samples.push(elapsed_ms / queries.len().max(1) as f64);
         }
         reports.push(AlgoReport {

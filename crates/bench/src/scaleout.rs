@@ -162,9 +162,7 @@ pub fn run(cfg: &ScaleoutConfig) -> Result<ScaleoutOutcome, String> {
             stats.merge(&out.stats);
         }
         let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-        // lint: allow — query and shard counts well below 2^53.
         let visits = (query_texts.len() * num_shards) as f64;
-        // lint: allow — counter below 2^53.
         let fraction = if visits > 0.0 {
             stats.shards_pruned as f64 / visits
         } else {
@@ -179,8 +177,7 @@ pub fn run(cfg: &ScaleoutConfig) -> Result<ScaleoutOutcome, String> {
                 name: "SF".to_string(),
                 counters: CounterSection::from_stats(&stats, query_texts.len() as u64, matches),
                 latency: LatencySection::from_samples(&[
-                    // lint: allow — query count below 2^53.
-                    elapsed_ms / query_texts.len().max(1) as f64,
+                    elapsed_ms / query_texts.len().max(1) as f64
                 ]),
             }],
         });

@@ -12,7 +12,7 @@ const fn build_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
     while i < 256 {
-        let mut crc = i as u32; // lint: allow — i < 256, exact
+        let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
@@ -42,7 +42,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[must_use]
 pub fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
     for &b in data {
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize; // lint: allow — masked to 8 bits, exact
+        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
         crc = (crc >> 8) ^ CRC_TABLE[idx];
     }
     crc

@@ -181,6 +181,7 @@ impl CompressedList {
     /// produced by [`Self::encode`] in this process (the codec is not a
     /// persistence format), so truncation means memory corruption — not
     /// a condition to propagate.
+    #[allow(clippy::panic)] // why: the contract is the `# Panics` section above
     fn decode_block(&self, b: usize, out: &mut Vec<CodecEntry>) {
         let (_, offset, count) = self.directory[b];
         let mut pos = offset as usize;

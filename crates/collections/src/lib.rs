@@ -31,6 +31,16 @@
 //! representation) and [`kernels`] (galloping seeks, block-at-a-time
 //! intersections, and the [`BlockMaxIndex`] fences above).
 
+// Library-code policy (DESIGN.md §13). Unit tests are exempt through
+// `clippy.toml`'s `allow-*-in-tests`.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::missing_panics_doc
+)]
+
 pub mod bitmap;
 pub mod checksum;
 pub mod codec;

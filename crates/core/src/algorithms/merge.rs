@@ -52,6 +52,7 @@ impl IdCursor<'_> {
 /// run-represented list built with `build_id_sorted_lists` disabled.
 /// `execute_into` rejects such a request as `SearchError::Unsupported`
 /// before dispatching here.
+#[allow(clippy::panic)] // why: the contract is the `# Panics` section above
 pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) {
     let index = ctx.index;
     let query = ctx.query;

@@ -88,10 +88,9 @@ impl PrefixFilterIndex {
     /// exact verification against the base table.
     ///
     /// # Errors
-    /// [`SearchError::InvalidTau`] if `tau` is outside `(0, 1]`.
-    ///
-    /// # Panics
-    /// Panics if `tau < tau_min` (the filter would lose results).
+    /// [`SearchError::InvalidTau`] if `tau` is outside `(0, 1]`;
+    /// [`SearchError::BelowTauMin`] if `tau < tau_min` (the filter would
+    /// lose results).
     pub fn search(
         &self,
         index: &InvertedIndex<'_>,
@@ -99,11 +98,12 @@ impl PrefixFilterIndex {
         tau: f64,
     ) -> Result<SearchOutcome, SearchError> {
         Tau::try_from(tau)?;
-        assert!(
-            tau >= self.tau_min - 1e-12,
-            "filter built for tau >= {}, asked for {tau}",
-            self.tau_min
-        );
+        if tau < self.tau_min - 1e-12 {
+            return Err(SearchError::BelowTauMin {
+                tau,
+                tau_min: self.tau_min,
+            });
+        }
         let mut stats = SearchStats {
             total_list_elements: index.query_list_elements(query),
             ..Default::default()
@@ -188,13 +188,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "filter built for tau")]
-    fn below_tau_min_panics() {
+    fn below_tau_min_is_an_error() {
         let c = setup(&["abcdef"]);
         let idx = InvertedIndex::build(&c, IndexOptions::default());
         let filter = PrefixFilterIndex::build(&idx, 0.8).unwrap();
         let q = idx.prepare_query_str("abcdef");
-        let _ = filter.search(&idx, &q, 0.5);
+        assert_eq!(
+            filter.search(&idx, &q, 0.5).unwrap_err(),
+            SearchError::BelowTauMin {
+                tau: 0.5,
+                tau_min: 0.8
+            }
+        );
+        assert!(filter.search(&idx, &q, 0.8).is_ok());
     }
 
     #[test]

@@ -178,7 +178,7 @@ impl fmt::Display for ErrorCode {
 impl From<&SearchError> for ErrorCode {
     fn from(err: &SearchError) -> ErrorCode {
         match err {
-            SearchError::InvalidTau(_) => ErrorCode::InvalidTau,
+            SearchError::InvalidTau(_) | SearchError::BelowTauMin { .. } => ErrorCode::InvalidTau,
             SearchError::QueryTooWide { .. } => ErrorCode::QueryTooWide,
             SearchError::Unsupported { .. } => ErrorCode::Unsupported,
             // The server prepares every query against the index it serves,
@@ -1331,6 +1331,13 @@ mod tests {
     fn error_codes_are_stable_and_shared() {
         assert_eq!(
             ErrorCode::from(&SearchError::InvalidTau(1.5)),
+            ErrorCode::InvalidTau
+        );
+        assert_eq!(
+            ErrorCode::from(&SearchError::BelowTauMin {
+                tau: 0.5,
+                tau_min: 0.8
+            }),
             ErrorCode::InvalidTau
         );
         assert_eq!(ErrorCode::InvalidTau.as_u16(), 1);

@@ -452,6 +452,7 @@ impl<'i, 'c> AuditedIndex<'i, 'c> {
 /// Returns one [`Report`] per query; load failures surface as the usual
 /// typed [`SnapshotError`](crate::SnapshotError). The threshold arrives
 /// validated, so no request can be refused.
+#[allow(clippy::disallowed_methods)] // why: auditing a snapshot file is decoding it whole
 pub fn audit_snapshot(
     path: &std::path::Path,
     queries: &[&str],

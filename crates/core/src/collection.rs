@@ -44,6 +44,7 @@ impl CollectionBuilder {
     ///
     /// # Panics
     /// Panics if the collection outgrows the `u32` id space.
+    #[allow(clippy::panic)] // why: the contract is the `# Panics` section above
     pub fn add(&mut self, text: &str) -> SetId {
         let Ok(raw) = u32::try_from(self.texts.len()) else {
             panic!("collection overflowed the u32 id space")

@@ -64,12 +64,14 @@ impl Budget {
     /// Arm the budget at query start: resolve the deadline against the
     /// clock and fold the limits into a cheap-to-check form.
     pub(crate) fn arm(&self) -> ArmedBudget {
+        // why: a deadline budget is by definition a wall-clock feature;
+        // the clock is read once, at arm time.
+        #[allow(clippy::disallowed_methods)]
+        let deadline = self.time_limit.map(|l| Instant::now() + l);
         ArmedBudget {
             limited: !self.is_unlimited(),
             max_work: self.max_elements_read.unwrap_or(u64::MAX),
-            // A deadline budget is by definition a wall-clock feature; the
-            // clock is read once, at arm time. lint: allow no-wallclock
-            deadline: self.time_limit.map(|l| Instant::now() + l),
+            deadline,
         }
     }
 }
@@ -100,8 +102,9 @@ impl ArmedBudget {
             return true;
         }
         match self.deadline {
-            // Deadline checkpoint, reached only when the caller explicitly
-            // asked for a time-limited search. lint: allow no-wallclock
+            // why: a deadline checkpoint, reached only when the caller
+            // explicitly asked for a time-limited search.
+            #[allow(clippy::disallowed_methods)]
             Some(d) => Instant::now() >= d,
             None => false,
         }

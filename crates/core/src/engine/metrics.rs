@@ -52,7 +52,6 @@ fn bucket_of(us: u64) -> usize {
     if us == 0 {
         0
     } else {
-        // lint: allow — bit width of a u64 is at most 64, exact in usize.
         ((64 - us.leading_zeros()) as usize).min(BUCKETS - 1)
     }
 }
@@ -78,6 +77,7 @@ impl EngineMetrics {
         serve: impl FnOnce() -> Result<T, E>,
         served: impl FnOnce(&T) -> (&SearchStats, SearchStatus, usize),
     ) -> Result<T, E> {
+        #[allow(clippy::disallowed_methods)] // why: latency is what this module measures
         let start = Instant::now();
         let out = serve()?;
         let (stats, status, matches) = served(&out);
@@ -95,7 +95,7 @@ impl EngineMetrics {
         for (total, v) in self.totals.iter().zip(stats.as_array()) {
             total.fetch_add(v, Ordering::Relaxed);
         }
-        // lint: allow — pruning_pct ∈ [0, 100], ×100 fits u64 exactly.
+        // pruning_pct ∈ [0, 100], so ×100 fits a u64 exactly.
         let centi = (stats.pruning_pct() * 100.0).round() as u64;
         self.sum_pruning_centi.fetch_add(centi, Ordering::Relaxed);
         let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
@@ -124,7 +124,6 @@ impl EngineMetrics {
             mean_pruning_pct: if queries == 0 {
                 100.0
             } else {
-                // lint: allow — u64 counts well below 2^53; exact in f64.
                 self.sum_pruning_centi.load(Ordering::Relaxed) as f64 / (100.0 * queries as f64)
             },
             latency_us_sum: self.latency_us_sum.load(Ordering::Relaxed),
@@ -156,8 +155,8 @@ fn percentile(hist: &[u64], total: u64, q: f64) -> u64 {
     if total == 0 {
         return 0;
     }
-    // lint: allow — ceil of a value ≤ total (a u64); exact enough for a
-    // rank, and clamped below.
+    // The ceil of a value ≤ total (a u64): exact enough for a rank, and
+    // clamped below.
     let target = ((q * total as f64).ceil() as u64).clamp(1, total);
     let mut cum = 0u64;
     for (b, &count) in hist.iter().enumerate() {

@@ -22,10 +22,21 @@
 //! never a panic — and budget-exceeded queries return an exact-but-partial
 //! [`SearchOutcome`] tagged [`SearchStatus::BudgetExceeded`].
 
+// Runs while a guard is held, where a panic poisons the lock (or strands
+// a pool frame) for every other thread (DESIGN.md §13).
+#![deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)]
+
+// why: the deny above governs this file's guard-holding code; the
+// submodules index against lengths they computed themselves.
+#[allow(clippy::indexing_slicing, clippy::integer_division_remainder_used)]
 mod budget;
+#[allow(clippy::indexing_slicing, clippy::integer_division_remainder_used)]
 mod metrics;
+#[allow(clippy::indexing_slicing, clippy::integer_division_remainder_used)]
 mod paged;
+#[allow(clippy::indexing_slicing, clippy::integer_division_remainder_used)]
 mod pool;
+#[allow(clippy::indexing_slicing, clippy::integer_division_remainder_used)]
 mod scratch;
 
 pub(crate) use budget::ArmedBudget;
@@ -165,6 +176,15 @@ pub enum SearchError {
         /// The token with no list.
         token: Token,
     },
+    /// The threshold is below the `τ_min` a prefix filter was built for:
+    /// its prefixes were cut for `τ_min`, so a lower `τ` could lose
+    /// results.
+    BelowTauMin {
+        /// The requested threshold.
+        tau: f64,
+        /// The filter's minimum supported threshold.
+        tau_min: f64,
+    },
 }
 
 impl fmt::Display for SearchError {
@@ -187,6 +207,9 @@ impl fmt::Display for SearchError {
                  prepared against a different index",
                 token.0
             ),
+            SearchError::BelowTauMin { tau, tau_min } => {
+                write!(f, "filter built for tau >= {tau_min}, asked for {tau}")
+            }
         }
     }
 }
@@ -378,9 +401,10 @@ impl QueryEngine<'static> {
     /// — bad magic, unsupported version, checksum mismatch, truncation,
     /// or malformed contents. A file that fails validation never
     /// produces an engine.
+    // why: the sanctioned single-file cold-start path; segment directories
+    // go through `MutableEngine::open`.
+    #[allow(clippy::disallowed_methods)]
     pub fn open(path: &std::path::Path) -> Result<Self, crate::SnapshotError> {
-        // open() IS the sanctioned single-file cold-start path; segment
-        // directories go through MutableEngine::open. lint: allow
         Ok(QueryEngine::new(InvertedIndex::load(path)?))
     }
 }
@@ -511,8 +535,6 @@ impl ShardedEngine {
     /// file is length- and CRC-verified against the `MANIFEST` before a
     /// byte of it is decoded.
     pub fn open(dir: &std::path::Path) -> Result<Self, crate::SnapshotError> {
-        // The sanctioned cold-start path for shard directories, like
-        // QueryEngine::open for single files. lint: allow
         Ok(Self::new(crate::ShardedIndex::open(dir)?))
     }
 

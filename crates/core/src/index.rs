@@ -323,6 +323,7 @@ impl PostingList {
     /// Panics if this is a [`ReprKind::Run`] list and the index was built
     /// without hash indexes; `execute_into` rejects a TA/iTA request over
     /// such a list as `SearchError::Unsupported` first.
+    #[allow(clippy::panic)] // why: the contract is the `# Panics` section above
     pub fn contains_id(&self, id: SetId, stats: &mut SearchStats) -> bool {
         stats.random_probes += 1;
         match self.repr {
@@ -553,10 +554,11 @@ fn assemble_list(by_len: Vec<Posting>, options: &IndexOptions, num_records: usiz
             // enumeration).
             let mut ids: Vec<u32> = by_len.iter().map(|p| p.id.0).collect();
             ids.sort_unstable();
-            list.bitmap = Some(DenseBitmap::from_sorted_ids(
-                &ids,
-                u32::try_from(num_records).expect("more than u32::MAX records"), // lint: allow — SetId is a u32, so a collection cannot exceed u32::MAX records; documented in # Panics
-            ));
+            // why: SetId is a u32, so a collection cannot exceed u32::MAX
+            // records; documented in `# Panics`.
+            #[allow(clippy::expect_used)]
+            let universe = u32::try_from(num_records).expect("more than u32::MAX records");
+            list.bitmap = Some(DenseBitmap::from_sorted_ids(&ids, universe));
             list.by_len = Store::Heap(by_len);
         }
     }
@@ -830,6 +832,7 @@ impl<'c> InvertedIndex<'c> {
     /// Panics if `token` has no list — i.e. the query was prepared
     /// against a different index. `engine::execute_into` refuses such a
     /// query as `SearchError::ForeignQuery` before any algorithm runs.
+    #[allow(clippy::panic)] // why: the contract is the `# Panics` section above
     pub(crate) fn query_list(&self, token: Token) -> &PostingList {
         let Some(list) = self.lists.get(&token) else {
             panic!("prepared-query token {token:?} has no inverted list; was the query prepared against this index?")

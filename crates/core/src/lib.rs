@@ -68,6 +68,18 @@
 //!     .any(|m| collection.text(m.id) == Some("main street")));
 //! ```
 
+// Library-code policy (DESIGN.md §13). Unit tests are exempt through
+// `clippy.toml`'s `allow-*-in-tests`, and may build indexes and read
+// clocks directly.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::missing_panics_doc
+)]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
+
 pub mod algorithms;
 pub mod api;
 #[cfg(feature = "audit")]

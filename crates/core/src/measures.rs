@@ -11,6 +11,9 @@
 //! inverted-list algorithms (its semantic properties are what the paper's
 //! algorithms exploit); the others are evaluated by exhaustive scoring.
 
+// Scoring arithmetic: every numeric conversion is exact or typed.
+#![deny(clippy::as_conversions)]
+
 use crate::{SetCollection, SetId, TokenWeights};
 use setsim_tokenize::TokenMultiSet;
 

@@ -16,6 +16,9 @@
 //!
 //! This module provides the arithmetic; the algorithms apply it.
 
+// Scoring arithmetic: every numeric conversion is exact or typed.
+#![deny(clippy::as_conversions)]
+
 use crate::{PreparedQuery, SearchError};
 
 /// A similarity threshold validated to lie in `(0, 1]`.
@@ -126,7 +129,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, &idf)| QueryToken {
-                token: Token(i as u32),
+                token: Token(u32::try_from(i).unwrap()),
                 idf,
                 idf_sq: idf * idf,
             })

@@ -212,10 +212,13 @@ impl<'a> AuditedMutableIndex<'a> {
         scratch: &mut Scratch,
         req: &MutableSearchRequest<'_>,
     ) -> (MutableOutcome, MutableReport) {
+        // why: the audit harness (dev/CI only) wants invalid requests to
+        // fail loudly, not flow into a vacuous report.
+        #[allow(clippy::expect_used)]
         let outcome = self
             .index
             .search(scratch, req)
-            .expect("audited request must be valid"); // lint: allow — the audit harness (dev/CI only) wants invalid requests to fail loudly, not flow into a vacuous report
+            .expect("audited request must be valid");
         let report = self.audit_outcome(req, &outcome);
         (outcome, report)
     }
@@ -361,8 +364,6 @@ impl<'a> AuditedMutableIndex<'a> {
             ));
         }
         for (i, &have) in mi.df_live.iter().enumerate() {
-            // lint: allow — enumerate index of a Vec<u32> is within u32 by
-            // construction (dictionary ids are u32).
             let want = df.get(&(i as u32)).copied().unwrap_or(0);
             if have != want {
                 drift(format!(

@@ -5,6 +5,10 @@
 //! segment swap can neither reset nor double-count them — the counters
 //! belong to the engine, not to any one segment generation.
 
+// Runs while a guard is held, where a panic poisons the lock (or strands
+// a pool frame) for every other thread (DESIGN.md §13).
+#![deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)]
+
 use super::{MutableIndex, MutableOutcome, MutableQuery, MutableSearchRequest, RecordId};
 use crate::engine::{EngineMetrics, MetricsSnapshot, ScratchPool, SearchError};
 use crate::SnapshotError;
@@ -195,9 +199,12 @@ impl MutableEngine {
         for op in tail {
             // Tail ops were validated when first applied; replaying them
             // onto a segment holding the same live records cannot fail.
+            // why: failure here means the op log itself is corrupt;
+            // propagating would install a state missing acknowledged writes.
+            #[allow(clippy::expect_used)]
             fresh
                 .replay(op)
-                .expect("compaction replay of validated op log tail"); // lint: allow — failure here means the op log itself is corrupt; propagating would install a state missing acknowledged writes
+                .expect("compaction replay of validated op log tail");
         }
         *st = fresh;
     }

@@ -296,6 +296,7 @@ impl MutableIndex {
     /// tokenizer has no serializable [`TokenizerSpec`] — compaction must
     /// re-tokenize and persistence must record the tokenizer, the same
     /// requirement snapshots make.
+    #[allow(clippy::disallowed_methods)] // why: the segment layer is the sanctioned constructor
     pub fn from_collection(
         collection: Box<SetCollection>,
         options: IndexOptions,
@@ -872,6 +873,7 @@ impl MutableIndex {
 /// [`CollectionBuilder`](crate::CollectionBuilder) exactly, so a
 /// compacted segment is bit-identical to a from-scratch rebuild over the
 /// same texts.
+#[allow(clippy::disallowed_methods)] // why: the segment layer is the sanctioned constructor
 pub(crate) fn build_base(
     spec: &TokenizerSpec,
     options: IndexOptions,

@@ -75,6 +75,7 @@ impl MutableIndex {
     /// Open a segment directory written by [`save`](Self::save): verify
     /// every file against the manifest checksums, load the base segment,
     /// and replay the delta log to rebuild the in-memory delta.
+    #[allow(clippy::disallowed_methods)] // why: the segment layer is the sanctioned loader
     pub fn open(dir: &Path) -> Result<Self, SnapshotError> {
         let manifest = SegmentManifest::read(dir)?;
         // Verify both referenced files in full before decoding anything.

@@ -1,3 +1,6 @@
+// Scoring arithmetic: every numeric conversion is exact or typed.
+#![deny(clippy::as_conversions)]
+
 use crate::SetCollection;
 use setsim_tokenize::{Token, TokenSet};
 
@@ -7,12 +10,13 @@ use setsim_tokenize::{Token, TokenSet};
 /// addressable memory, both far below 2⁵³ — the range in which every
 /// integer has an exact `f64` representation — so the cast cannot round.
 #[inline]
+#[allow(clippy::as_conversions)] // why: exact below 2^53, guarded by the debug_assert
 pub(crate) fn count_to_f64(n: usize) -> f64 {
     debug_assert!(
         n < (1usize << 53),
         "count exceeds the f64 exact-integer range"
     );
-    n as f64 // lint: allow — exact below 2^53, guarded by the debug_assert above
+    n as f64
 }
 
 /// Per-token idf weights and document statistics for a collection.

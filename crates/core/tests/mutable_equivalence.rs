@@ -10,6 +10,9 @@
 //! [`SCORE_EPS`] in the layered state. Both states are checked per
 //! generated op sequence.
 
+// Tests may build indexes directly (`clippy.toml` forbids it in the library).
+#![allow(clippy::disallowed_methods)]
+
 use setsim_core::engine::{execute, AlgorithmKind, Scratch, SearchRequest};
 use setsim_core::{
     CollectionBuilder, DriftBudget, IndexOptions, InvertedIndex, MutableIndex,

@@ -11,6 +11,9 @@
 //! multi-threaded [`ShardedEngine`] scatter path against the sequential
 //! one.
 
+// Tests may build indexes directly (`clippy.toml` forbids it in the library).
+#![allow(clippy::disallowed_methods)]
+
 use setsim_core::engine::{execute, AlgorithmKind, Scratch, SearchRequest};
 use setsim_core::{
     CollectionBuilder, IndexOptions, InvertedIndex, SetCollection, ShardedEngine, ShardedIndex,

@@ -37,6 +37,18 @@
 //! list. It is a leaf, taken on accept and shutdown with no other lock
 //! held, and shutdown releases it before joining the threads it drained.
 
+// Library-code policy (DESIGN.md §13): a panic in a connection thread
+// kills the connection, one in the accept loop kills the listener.
+#![deny(
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::missing_panics_doc
+)]
+// Runs while a guard is held, where a panic poisons the lock (or strands
+// a pool frame) for every other thread (DESIGN.md §13).
+#![deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)]
+
 use setsim_core::api::{
     read_frame, write_frame, FrameReadError, SearchCall, SearchReply, WireError, WireRequest,
     WireResponse, WireStats, PROTOCOL_VERSION,
@@ -334,17 +346,13 @@ fn next_frame(
     shared: &Shared,
     drain_deadline: &mut Option<Instant>,
 ) -> FrameEvent {
-    // Serving boundary: timeouts and drain windows are inherently
-    // wall-clock features. lint: allow no-wallclock
     let idle_since = Instant::now();
     let mut probe = [0u8; 1];
     loop {
         if shared.stop.load(Ordering::Relaxed) && drain_deadline.is_none() {
-            // lint: allow no-wallclock
             *drain_deadline = Some(Instant::now() + shared.cfg.drain_grace);
         }
         if let Some(deadline) = *drain_deadline {
-            // lint: allow no-wallclock
             if Instant::now() >= deadline {
                 return FrameEvent::Done;
             }
@@ -374,7 +382,6 @@ fn next_frame(
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                // lint: allow no-wallclock
                 if Instant::now().duration_since(idle_since) > shared.cfg.idle_timeout {
                     return FrameEvent::Done;
                 }

@@ -3,6 +3,9 @@
 //! quotas, deadline propagation, zero-downtime compaction, and the
 //! graceful-drain guarantee (no accepted in-flight query is lost).
 
+// Tests may hand-roll wire bytes (`clippy.toml` forbids it in serving code).
+#![allow(clippy::disallowed_methods)]
+
 use setsim_core::api::{write_frame, SearchCall, WireRequest, WireResponse, PROTOCOL_VERSION};
 use setsim_core::{
     AlgorithmKind, Budget, CollectionBuilder, ErrorCode, IndexOptions, MutableEngine, MutableIndex,

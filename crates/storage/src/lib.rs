@@ -24,6 +24,17 @@
 //!   experiment (`disk_io_model`) prices the tallies of exactly this
 //!   path.
 
+// Library-code policy (DESIGN.md §13): I/O errors propagate as
+// `SnapshotError::Io`, never unwrap. Unit tests are exempt through
+// `clippy.toml`'s `allow-*-in-tests`.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::missing_panics_doc
+)]
+
 mod disk;
 pub mod manifest;
 pub mod pagedsnap;

@@ -20,6 +20,10 @@
 //!   design (the eager `verify_all_pages` sweep exists for operators
 //!   who want the whole file checked up front).
 
+// Runs while a guard is held, where a panic poisons the lock (or strands
+// a pool frame) for every other thread (DESIGN.md §13).
+#![deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)]
+
 use crate::pool::BufferPool;
 use crate::snapshot::{SnapshotError, SnapshotLayout, SnapshotReader, PAGE_CRC_LEN};
 use crate::{DiskStats, PageId};
@@ -92,8 +96,10 @@ impl PagedSnapshot {
     /// caches nothing.
     pub fn page(&mut self, id: u32) -> Result<&[u8], SnapshotError> {
         let sealed = self.pool.get_verified(&mut self.reader, PageId(id))?;
-        // lint: allow — a page that verified is at least PAGE_CRC_LEN long.
-        Ok(&sealed[..sealed.len() - PAGE_CRC_LEN])
+        // why: a page that verified is at least PAGE_CRC_LEN long.
+        #[allow(clippy::indexing_slicing)]
+        let body = &sealed[..sealed.len() - PAGE_CRC_LEN];
+        Ok(body)
     }
 
     /// Verify every posting page (the eager integrity sweep), reading

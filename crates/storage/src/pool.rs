@@ -1,3 +1,7 @@
+// Runs while a guard is held, where a panic poisons the lock (or strands
+// a pool frame) for every other thread (DESIGN.md §13).
+#![deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)]
+
 use crate::snapshot::{page_checksum_ok, SnapshotError, SnapshotRegion};
 use crate::PageId;
 use std::collections::HashMap;
@@ -158,8 +162,9 @@ impl BufferPool {
     pub fn poison_resident(&mut self, id: PageId) -> bool {
         match self.frames.get_mut(&id) {
             Some(f) if !f.data.is_empty() => {
-                // lint: allow — index 0 of a frame proved non-empty above.
-                f.data[0] ^= 0xFF;
+                #[allow(clippy::indexing_slicing)] // why: the frame is non-empty (match guard)
+                let first = &mut f.data[0];
+                *first ^= 0xFF;
                 true
             }
             _ => false,
@@ -188,7 +193,6 @@ impl BufferPool {
         if total == 0 {
             0.0
         } else {
-            // lint: allow — f64 division, divisor proved non-zero above.
             self.hits as f64 / total as f64
         }
     }

@@ -1,12 +1,12 @@
 //! `cargo xtask` — the workspace's single analysis entry point.
 //!
 //! `cargo xtask check` is what CI runs and what a contributor runs before
-//! pushing: rustfmt in check mode, clippy with the workspace's curated
-//! deny-set (`[workspace.lints]` in the root manifest, escalated to
-//! errors), and `analyze` — the token-engine passes: the repo's nine
-//! custom lint rules plus the panic-reachability pass (see
-//! [`xtask::analyze`]). `check` including `analyze` is what
-//! makes the gate unskippable.
+//! pushing: rustfmt in check mode, then clippy over every target with
+//! every feature (so the `audit`-gated code is linted too) and warnings
+//! escalated to errors. Clippy carries the whole lint policy: the
+//! workspace floor in the root manifest's `[workspace.lints]`, each
+//! crate's `clippy.toml`, and the `#![deny(..)]` attributes at the top of
+//! the crates and files they govern (DESIGN.md §13).
 //!
 //! It also hosts the benchmark regression gate: `cargo xtask bench-diff
 //! <baseline.json> <candidate.json>` compares two `BENCH_*.json` reports
@@ -15,31 +15,26 @@
 //! wall-clock gate is `setsim-ladder`, see `BENCHMARK.json`).
 //!
 //! Subcommands:
-//! * `check` — fmt + clippy + analyze (the CI gate)
-//! * `analyze [--allows]` — token-engine passes only (fast, no
-//!   compilation); `--allows` prints the `lint: allow` inventory instead
+//! * `check` — fmt + clippy (the CI gate)
 //! * `fmt`   — rustfmt check only
 //! * `clippy` — clippy only
 //! * `bench-diff <baseline> <candidate>`
 
 use std::path::Path;
 use std::process::{Command, ExitCode};
-use xtask::analyze;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map_or("check", String::as_str);
-    let root = analyze::workspace_root();
+    // The workspace root: two levels above this crate's manifest.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let ok = match cmd {
-        "check" => run_fmt(&root) & run_clippy(&root) & analyze::run(&root, &args[1..]),
-        "analyze" => analyze::run(&root, &args[1..]),
+        "check" => run_fmt(&root) & run_clippy(&root),
         "fmt" => run_fmt(&root),
         "clippy" => run_clippy(&root),
         "bench-diff" => run_bench_diff(&args[1..]),
         other => {
-            eprintln!(
-                "unknown xtask command `{other}`; try: check | analyze | fmt | clippy | bench-diff"
-            );
+            eprintln!("unknown xtask command `{other}`; try: check | fmt | clippy | bench-diff");
             return ExitCode::FAILURE;
         }
     };
@@ -79,12 +74,13 @@ fn run_fmt(root: &Path) -> bool {
 fn run_clippy(root: &Path) -> bool {
     run_step(
         root,
-        "clippy (workspace lints as errors)",
+        "clippy (every target and feature, warnings as errors)",
         "cargo",
         &[
             "clippy",
             "--workspace",
             "--all-targets",
+            "--all-features",
             "--",
             "-D",
             "warnings",

@@ -42,7 +42,6 @@ fn main() {
 
     for tau in [0.9, 0.6, 0.3] {
         let t = Instant::now();
-        // lint: allow — the TF/IDF subsystem has its own index and no engine path.
         let out = tf_sf(&index, &query, tau).expect("tau lies in (0, 1]");
         let elapsed = t.elapsed();
         let oracle = tf_scan(&index, &query, tau).expect("tau lies in (0, 1]");
@@ -64,7 +63,6 @@ fn main() {
 
     // IDF (set semantics) cannot tell these apart; TF/IDF can.
     let a = index.prepare_query_str("do be do be do");
-    // lint: allow — the TF/IDF subsystem has its own index and no engine path.
     let out = tf_sf(&index, &a, 0.99)
         .expect("tau lies in (0, 1]")
         .sorted_by_score();

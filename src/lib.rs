@@ -54,3 +54,6 @@ pub use setsim_datagen as datagen;
 pub use setsim_relational as relational;
 pub use setsim_storage as storage;
 pub use setsim_tokenize as tokenize;
+
+#[cfg(test)]
+mod lints;
