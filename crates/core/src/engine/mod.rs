@@ -143,6 +143,20 @@ impl AlgorithmKind {
             AlgorithmKind::Nra | AlgorithmKind::INra | AlgorithmKind::Hybrid
         )
     }
+
+    /// True for kinds that probe lists by id (TA, iTA): each run list
+    /// must carry its extendible-hash index
+    /// ([`IndexOptions::build_hash_indexes`](crate::IndexOptions)).
+    pub(crate) fn reads_hash_indexes(self) -> bool {
+        matches!(self, AlgorithmKind::Ta | AlgorithmKind::ITa)
+    }
+
+    /// True for the kind that enumerates lists in id order (sort-by-id
+    /// merge): each non-bitmap list must carry its id-sorted copy
+    /// ([`IndexOptions::build_id_sorted_lists`](crate::IndexOptions)).
+    pub(crate) fn reads_id_sorted_lists(self) -> bool {
+        matches!(self, AlgorithmKind::Merge)
+    }
 }
 
 /// Why a request was rejected before any search work ran.
@@ -330,12 +344,12 @@ pub fn execute_into(
         let Some(list) = index.list(qt.token) else {
             return Err(SearchError::ForeignQuery { token: qt.token });
         };
-        let missing = match req.algorithm {
-            AlgorithmKind::Merge if list.id_postings().is_none() => "id-sorted lists",
-            AlgorithmKind::Ta | AlgorithmKind::ITa if !list.supports_random_access() => {
-                "hash indexes"
-            }
-            _ => continue,
+        let missing = if req.algorithm.reads_id_sorted_lists() && list.id_postings().is_none() {
+            "id-sorted lists"
+        } else if req.algorithm.reads_hash_indexes() && !list.supports_random_access() {
+            "hash indexes"
+        } else {
+            continue;
         };
         let algorithm = req.algorithm;
         return Err(SearchError::Unsupported { algorithm, missing });

@@ -12,15 +12,26 @@
 //! the directory's fence keys first ([`crate::snapshot::window_blocks`])
 //! and faults only the pages the surviving blocks live on, through a
 //! [`PagedSnapshot`] whose pool caps resident posting-page memory at
-//! `pool_pages × page_size`. The decoded windows are assembled into the
-//! same [`PostingList`](crate::PostingList) structures the heap engine
-//! serves, so all eight algorithms run unmodified — and, because a block
-//! is dropped only when its band's score upper bound is *safely* below τ
-//! (the prune slack, which lies strictly outside the pass rule's), no
-//! posting of a passing set is dropped and the result set is
-//! bit-identical to the heap engine's (`tests/snapshot_equivalence.rs`).
+//! `pool_pages × page_size`. Bitmap lists key their blocks by word index,
+//! not length, so they fault whole; their ids are then filtered set by set
+//! with the same bound ([`LengthBand::may_reach`] on the one-point band
+//! `[len(s), len(s)]`). The decoded windows are assembled into the same
+//! [`PostingList`](crate::PostingList) structures the heap engine serves,
+//! so all eight algorithms run unmodified — and, because a block or set
+//! is dropped only when its score upper bound is *safely* below τ (the
+//! prune slack, which lies strictly outside the pass rule's), no posting
+//! of a passing set is dropped and the result set is bit-identical to the
+//! heap engine's (`tests/snapshot_equivalence.rs`).
 //!
-//! Every page fault is CRC-verified by the pool; damage in a faulted
+//! The windows are assembled per request, with only the auxiliary
+//! structures the requested algorithm reads
+//! ([`IndexOptions::for_algorithm`](crate::IndexOptions)): the
+//! extendible hash for TA and iTA, the id-sorted copy for the sort-by-id
+//! merge, and each only where the snapshot's options carry it — so an SF
+//! query builds neither, and a request the heap engine would refuse for a
+//! missing structure is refused here too.
+//!
+//! Every page access is CRC-verified once by the pool; damage in a faulted
 //! page surfaces as a typed [`SnapshotError::ChecksumMismatch`] naming
 //! the exact page, at fault time — never a panic, never a silent read.
 //! Damage in pages no query faults is invisible by design (run
@@ -32,11 +43,11 @@ use crate::snapshot::{
     check_stored_lengths, decode_footer, read_list_blocks, window_blocks, ListRef, PageFetch,
 };
 use crate::{
-    InvertedIndex, PreparedQuery, QueryToken, SearchOutcome, SetCollection, SnapshotError,
+    InvertedIndex, LengthBand, PreparedQuery, QueryToken, SearchOutcome, SetCollection, SetId,
+    SnapshotError,
 };
 use setsim_storage::PagedSnapshot;
 use setsim_tokenize::Token;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
 
@@ -83,16 +94,16 @@ impl From<SnapshotError> for PagedSearchError {
     }
 }
 
-/// Page fetcher over the pooled snapshot that records every distinct
-/// page a query touches (the `pages_touched` counter).
+/// Page fetcher over the pooled snapshot that records every page a query
+/// fetches; the distinct count is the `pages_touched` counter.
 struct PooledPages<'a> {
     snap: &'a mut PagedSnapshot,
-    touched: &'a mut BTreeSet<u32>,
+    touched: &'a mut Vec<u32>,
 }
 
 impl PageFetch for PooledPages<'_> {
     fn fetch(&mut self, id: u32) -> Result<&[u8], SnapshotError> {
-        self.touched.insert(id);
+        self.touched.push(id);
         self.snap.page(id)
     }
 }
@@ -110,6 +121,8 @@ pub struct PagedEngine {
     /// The footer's per-list block directory, token-ascending.
     directory: Vec<ListRef>,
     snap: PagedSnapshot,
+    /// The current query's page fetches, reused across queries.
+    touched: Vec<u32>,
     scratch: Scratch,
     metrics: EngineMetrics,
 }
@@ -134,6 +147,7 @@ impl PagedEngine {
             index,
             directory,
             snap,
+            touched: Vec::new(),
             scratch: Scratch::default(),
             metrics: EngineMetrics::default(),
         })
@@ -209,7 +223,7 @@ impl PagedEngine {
                 let misses0 = self.snap.misses();
                 let num_sets = self.index.collection().len();
                 let len_q = req.query.len;
-                let mut touched: BTreeSet<u32> = BTreeSet::new();
+                self.touched.clear();
                 let mut lists: Vec<(Token, ListPayload)> =
                     Vec::with_capacity(req.query.tokens.len());
                 for qt in &req.query.tokens {
@@ -222,21 +236,36 @@ impl PagedEngine {
                     let range = window_blocks(list, len_q, tau.get());
                     let mut pages = PooledPages {
                         snap: &mut self.snap,
-                        touched: &mut touched,
+                        touched: &mut self.touched,
                     };
-                    let payload = read_list_blocks(&mut pages, list, range, num_sets)?;
-                    // The heap load path cross-checks every stored length against
-                    // the recomputed table; do the same for each faulted window,
-                    // so a cross-wired file (checksums fine, pages from another
-                    // index) is rejected at fault time, not served.
-                    if let ListPayload::Postings(ps) = &payload {
-                        check_stored_lengths(&self.index, qt.token, ps)?;
+                    let mut payload = read_list_blocks(&mut pages, list, range, num_sets)?;
+                    match &mut payload {
+                        // The heap load path cross-checks every stored length
+                        // against the recomputed table; do the same for each
+                        // faulted window, so a cross-wired file (checksums fine,
+                        // pages from another index) is rejected at fault time,
+                        // not served.
+                        ListPayload::Postings(ps) => {
+                            check_stored_lengths(&self.index, qt.token, ps)?;
+                        }
+                        // A bitmap list faulted whole (and was validated whole):
+                        // keep only the sets inside the Theorem 1 window.
+                        ListPayload::Ids(ids) => ids.retain(|&id| {
+                            let len = self.index.set_len(SetId(id));
+                            let point = LengthBand {
+                                min_len: len,
+                                max_len: len,
+                            };
+                            point.may_reach(len_q, tau.get())
+                        }),
                     }
                     lists.push((qt.token, payload));
                 }
-                self.index.replace_lists(lists);
+                self.index.replace_lists(lists, req.algorithm);
                 execute_into(&self.index, &mut self.scratch, &req)?;
-                self.scratch.stats.pages_touched = touched.len() as u64;
+                self.touched.sort_unstable();
+                self.touched.dedup();
+                self.scratch.stats.pages_touched = self.touched.len() as u64;
                 self.scratch.stats.page_cache_hits = self.snap.hits() - hits0;
                 self.scratch.stats.page_cache_misses = self.snap.misses() - misses0;
                 Ok(self.scratch.take_outcome())

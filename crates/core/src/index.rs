@@ -1,4 +1,6 @@
-use crate::{PreparedQuery, QueryToken, SearchStats, SetCollection, SetId, TokenWeights};
+use crate::{
+    AlgorithmKind, PreparedQuery, QueryToken, SearchStats, SetCollection, SetId, TokenWeights,
+};
 use setsim_collections::{BlockMaxIndex, DenseBitmap, ExtendibleHashMap};
 use setsim_tokenize::{Token, TokenSet};
 use std::collections::HashMap;
@@ -173,6 +175,19 @@ impl IndexOptions {
     pub fn with_repr_policy(mut self, policy: ReprPolicy) -> Self {
         self.repr_policy = policy;
         self
+    }
+
+    /// These options minus the auxiliary structures `kind` never reads:
+    /// the hash index survives only for TA/iTA, the id-sorted copy only
+    /// for the sort-by-id merge, and neither is granted where `self`
+    /// lacks it. The paged engine assembles each request's windows with
+    /// this, and `execute_into` refuses by the same two predicates.
+    pub(crate) fn for_algorithm(&self, kind: AlgorithmKind) -> IndexOptions {
+        IndexOptions {
+            build_hash_indexes: self.build_hash_indexes && kind.reads_hash_indexes(),
+            build_id_sorted_lists: self.build_id_sorted_lists && kind.reads_id_sorted_lists(),
+            ..self.clone()
+        }
     }
 }
 
@@ -566,8 +581,10 @@ fn assemble_list(by_len: Vec<Posting>, options: &IndexOptions, num_records: usiz
 }
 
 /// `(len, id)` ascending: the order every list is stored in.
+/// Lengths are non-negative, so their bit patterns order like the values,
+/// and `(len, id)` is unique within a list, so an unstable sort is exact.
 fn sort_by_len_id(postings: &mut [Posting]) {
-    postings.sort_by(|a, b| a.len.total_cmp(&b.len).then(a.id.cmp(&b.id)));
+    postings.sort_unstable_by_key(|p| (p.len.to_bits(), p.id.0));
 }
 
 /// Invert `collection`: every token's postings, in set-id order (callers
@@ -749,11 +766,17 @@ impl<'c> InvertedIndex<'c> {
     /// weights, lengths, and options stay fixed (they came from the
     /// snapshot footer once, at open), while the lists hold only the
     /// current query's Theorem 1 windows. Assembly is the same
-    /// deterministic [`assemble_list`] the build and load paths use.
-    pub(crate) fn replace_lists(&mut self, sorted_lists: Vec<(Token, ListPayload)>) {
+    /// deterministic [`assemble_list`] the build and load paths use, with
+    /// only the structures `kind` reads
+    /// ([`IndexOptions::for_algorithm`]).
+    pub(crate) fn replace_lists(
+        &mut self,
+        sorted_lists: Vec<(Token, ListPayload)>,
+        kind: AlgorithmKind,
+    ) {
+        let options = self.options.for_algorithm(kind);
         self.lists.clear();
-        self.total_postings =
-            insert_lists(&mut self.lists, sorted_lists, &self.options, &self.lengths);
+        self.total_postings = insert_lists(&mut self.lists, sorted_lists, &options, &self.lengths);
     }
 
     /// Persist this index as a page-structured, checksummed snapshot file

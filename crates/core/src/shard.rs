@@ -80,6 +80,15 @@ impl LengthBand {
             1.0
         }
     }
+
+    /// False only when every set in this band scores *safely* below `tau`
+    /// against a length-`len_q` query (Theorem 1, with the prune slack of
+    /// DESIGN.md §1). The one length-window predicate: applied to a shard's
+    /// band, to a snapshot block's fence-key band, and to the one-point
+    /// band `[len(s), len(s)]` of a set on a bitmap list.
+    pub(crate) fn may_reach(&self, len_q: f64, tau: f64) -> bool {
+        !crate::safely_below(self.score_upper_bound(len_q), tau)
+    }
 }
 
 /// One length band's independent index plus its local→global id map.
@@ -423,14 +432,13 @@ impl ShardedIndex {
         let mut shards_pruned = 0u64;
         let mut shard_pruned_elements = 0u64;
         for (i, shard) in self.shards.iter().enumerate() {
-            let upper = shard.band.score_upper_bound(query.len);
-            if crate::safely_below(upper, tau) {
+            if shard.band.may_reach(query.len, tau) {
+                surviving.push((i, filter_query(&shard.index, query)));
+            } else {
                 shards_pruned += 1;
                 // List lengths come from the shard's list directory —
                 // metadata, not postings.
                 shard_pruned_elements += shard.index.query_list_elements(query);
-            } else {
-                surviving.push((i, filter_query(&shard.index, query)));
             }
         }
         ShardPlan {

@@ -779,8 +779,10 @@ fn read_list_postings<F: PageFetch>(
 /// bounds the score of every set in that band, and a block is dropped
 /// only when that bound is *safely* below `tau` — the prune slack,
 /// strictly below the pass line (DESIGN.md §1), so window decoding is
-/// bit-identical to whole-list decoding. Bitmap lists key blocks by word index, not
-/// length, and always return the full range.
+/// bit-identical to whole-list decoding. Bitmap lists key blocks by word
+/// index, not length, and always return the full range; the paged engine
+/// then filters their ids set by set with the same predicate
+/// ([`crate::LengthBand::may_reach`]).
 pub(crate) fn window_blocks(list: &ListRef, len_q: f64, tau: f64) -> std::ops::Range<usize> {
     let n = list.blocks.len();
     if list.encoding == ListEncoding::BitmapWords {
@@ -796,7 +798,7 @@ pub(crate) fn window_blocks(list: &ListRef, len_q: f64, tau: f64) -> std::ops::R
                 None => f64::INFINITY,
             },
         };
-        if !crate::safely_below(band.score_upper_bound(len_q), tau) {
+        if band.may_reach(len_q, tau) {
             first = first.min(i);
             last = i + 1;
         }

@@ -37,7 +37,8 @@ impl PageSource for crate::SnapshotReader {
 ///
 /// [`get_verified`](Self::get_verified) is the one fetch: it checks the
 /// page's embedded checksum (see [`seal_page`](crate::snapshot::seal_page))
-/// on every access. A resident frame that fails verification is **not** a
+/// once on every access — the resident frame on a hit, the source copy on
+/// a miss. A resident frame that fails verification is **not** a
 /// hit: it is evicted and the page re-read from the source as a miss, so
 /// the hit ratio never counts reads that had to fall back to the source.
 pub struct BufferPool {
@@ -84,29 +85,11 @@ impl BufferPool {
         }
     }
 
-    /// Read `id` from the source into a frame, evicting first if needed.
-    fn admit<S: PageSource + ?Sized>(
-        &mut self,
-        src: &mut S,
-        id: PageId,
-        clock: u64,
-    ) -> Result<(), SnapshotError> {
-        self.evict_if_full();
-        let data = src.read_sealed_page(id)?;
-        self.frames.insert(
-            id,
-            Frame {
-                data,
-                last_used: clock,
-            },
-        );
-        Ok(())
-    }
-
     /// Fetch a CRC-sealed page through the cache, verifying the embedded
-    /// checksum on every access. Generic over the [`PageSource`] backing
-    /// the pool — in production the real-file
-    /// [`SnapshotReader`](crate::SnapshotReader).
+    /// checksum exactly once per access: a hit checks the resident frame,
+    /// a miss checks the copy just read from the source before admitting
+    /// it. Generic over the [`PageSource`] backing the pool — in
+    /// production the real-file [`SnapshotReader`](crate::SnapshotReader).
     ///
     /// A resident frame that fails verification does **not** count as a
     /// hit: the stale frame is evicted (tallied in
@@ -122,31 +105,31 @@ impl BufferPool {
         self.clock += 1;
         let clock = self.clock;
         let resident = self.frames.get(&id).map(|f| page_checksum_ok(&f.data));
-        match resident {
-            Some(true) => self.hits += 1,
-            Some(false) => {
+        if resident == Some(true) {
+            self.hits += 1;
+        } else {
+            if resident.is_some() {
                 // The frame went bad while cached: not a hit.
                 self.checksum_evictions += 1;
                 self.frames.remove(&id);
-                self.misses += 1;
-                self.admit(disk, id, clock)?;
             }
-            None => {
-                self.misses += 1;
-                self.admit(disk, id, clock)?;
+            self.misses += 1;
+            self.evict_if_full();
+            let data = disk.read_sealed_page(id)?;
+            if !page_checksum_ok(&data) {
+                // The authoritative disk copy is damaged: never admit it,
+                // so the bad bytes cannot later be served as a hit.
+                return Err(SnapshotError::ChecksumMismatch {
+                    region: SnapshotRegion::Page(id.0),
+                });
             }
-        }
-        let admitted_ok = self
-            .frames
-            .get(&id)
-            .is_some_and(|f| page_checksum_ok(&f.data));
-        if !admitted_ok {
-            // The authoritative disk copy is damaged: drop it so the
-            // bad bytes cannot later be served as a "verified" hit.
-            self.frames.remove(&id);
-            return Err(SnapshotError::ChecksumMismatch {
-                region: SnapshotRegion::Page(id.0),
-            });
+            self.frames.insert(
+                id,
+                Frame {
+                    data,
+                    last_used: clock,
+                },
+            );
         }
         let f = self.frames.entry(id).or_insert_with(|| Frame {
             data: Box::new([]),

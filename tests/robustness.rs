@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use setsim::core::algorithms::topk::{topk_nra, topk_sf};
 use setsim::core::tfsearch::{tf_scan, tf_sf, TfIndex};
 use setsim::core::{
-    AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, PagedSearchError,
-    QueryEngine, SearchError, SearchRequest, SetCollection,
+    AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, PagedEngine,
+    PagedSearchError, QueryEngine, SearchError, SearchRequest, SetCollection, SetId,
 };
 use setsim::tokenize::QGramTokenizer;
 
@@ -179,15 +179,43 @@ fn very_long_record_does_not_blow_bounds() {
 #[test]
 fn disabled_structures_are_refused_never_panicked_on() {
     use AlgorithmKind::{ITa, Merge, Ta};
+    type Served = Result<Vec<(SetId, u64)>, SearchError>;
     let texts: Vec<String> = (0..60).map(|i| format!("main street {i}")).collect();
     let collection = build(&texts);
-    let answer = |engine: &mut QueryEngine<'_>, kind, text, tau| {
+    fn answer(engine: &mut QueryEngine<'_>, kind: AlgorithmKind, text: &str, tau: f64) -> Served {
         let q = engine.prepare_query_str(text);
         let out = engine.search(SearchRequest::new(&q).tau(tau).algorithm(kind))?;
-        Ok::<_, SearchError>(out.bits_sorted())
-    };
+        Ok(out.bits_sorted())
+    }
+    fn answer_paged(engine: &mut PagedEngine, kind: AlgorithmKind, text: &str, tau: f64) -> Served {
+        let q = engine.prepare_query_str(text);
+        match engine.search(SearchRequest::new(&q).tau(tau).algorithm(kind)) {
+            Ok(out) => Ok(out.bits_sorted()),
+            Err(PagedSearchError::Search(e)) => Err(e),
+            Err(e) => panic!("paged snapshot error: {e}"),
+        }
+    }
     let default = IndexOptions::default();
     let mut reference = QueryEngine::new(InvertedIndex::build(&collection, default.clone()));
+    // Every kind on every probe query: each answer equals the default
+    // index's, or is a typed refusal naming the kind; returns the refused
+    // kinds in order.
+    let mut refusals = |serve: &mut dyn FnMut(AlgorithmKind, &str, f64) -> Served| {
+        let mut refused = Vec::new();
+        for kind in AlgorithmKind::ALL {
+            for (text, tau) in [("main street", 0.5), ("main street 7", 0.8), ("xyzzy", 0.5)] {
+                let want = answer(&mut reference, kind, text, tau).expect("default serves");
+                match serve(kind, text, tau) {
+                    Err(SearchError::Unsupported { algorithm, .. }) if algorithm == kind => {
+                        refused.push(kind);
+                    }
+                    got => assert_eq!(got, Ok(want), "{kind:?} {text:?}"),
+                }
+            }
+        }
+        refused.dedup();
+        refused
+    };
     for (i, (opts, refusable)) in [
         (default.clone(), &[][..]),
         (default.clone().with_hash_indexes(false), &[Ta, ITa][..]),
@@ -202,23 +230,17 @@ fn disabled_structures_are_refused_never_panicked_on() {
             std::env::temp_dir().join(format!("setsim-robust-{}-{i}.snap", std::process::id()));
         built.save(&path).expect("save");
         let loaded = QueryEngine::open(&path).expect("open");
+        // The paged engine builds only the structures each request's
+        // algorithm reads: that scoping must neither grant a structure
+        // the snapshot lacks nor refuse one it has.
+        let mut paged = QueryEngine::open_paged(&path, 4).expect("open paged");
         let _ = std::fs::remove_file(&path);
         for mut engine in [QueryEngine::new(built), loaded] {
-            let mut refused = Vec::new();
-            for kind in AlgorithmKind::ALL {
-                for (text, tau) in [("main street", 0.5), ("main street 7", 0.8), ("xyzzy", 0.5)] {
-                    let want = answer(&mut reference, kind, text, tau).expect("default serves");
-                    match answer(&mut engine, kind, text, tau) {
-                        Err(SearchError::Unsupported { algorithm, .. }) if algorithm == kind => {
-                            refused.push(kind);
-                        }
-                        got => assert_eq!(got, Ok(want), "{opts:?} {kind:?} {text:?}"),
-                    }
-                }
-            }
-            refused.dedup();
+            let refused = refusals(&mut |kind, text, tau| answer(&mut engine, kind, text, tau));
             assert_eq!(refused, refusable, "{opts:?}: refused kinds");
         }
+        let refused = refusals(&mut |kind, text, tau| answer_paged(&mut paged, kind, text, tau));
+        assert_eq!(refused, refusable, "{opts:?}: refused kinds, paged");
     }
 }
 

@@ -298,8 +298,8 @@ fn paged_engine_with_tiny_pool_matches_heap_engine() {
 }
 
 /// The paged window prune must stay bit-identical across every on-disk
-/// representation (runs, inline entries, bitmaps — which cannot be
-/// window-pruned and are decoded whole) and across the legacy format.
+/// representation (runs, inline entries, bitmaps — which fault whole and
+/// are then cut to the window set by set) and across the legacy format.
 #[test]
 fn paged_engine_matches_heap_for_every_representation_policy_and_legacy() {
     use setsim::core::snapshot::{save_legacy_format, DEFAULT_PAGE_SIZE};
@@ -343,6 +343,57 @@ fn paged_engine_matches_heap_for_every_representation_policy_and_legacy() {
             }
         }
     }
+}
+
+/// Bitmap lists fault whole (their blocks key word indexes, not lengths),
+/// but the paged engine keeps only the sets inside the query's Theorem 1
+/// window: at a selective τ the served lists hold fewer postings than the
+/// whole lists, and every algorithm still answers exactly as the heap
+/// engine does.
+#[test]
+fn paged_bitmap_lists_are_cut_to_the_theorem_1_window() {
+    use setsim::core::{ReprKind, ReprPolicy};
+
+    // One shared prefix, suffixes of growing length: the sets' lengths
+    // spread far on both sides of the query's.
+    let mut b = CollectionBuilder::new(QGramTokenizer::new(3).with_padding('#'));
+    for i in 0..120 {
+        b.add(&format!("main street {}{i}", "ab".repeat(i % 12)));
+    }
+    let collection = b.build();
+    let options = IndexOptions::default().with_repr_policy(ReprPolicy::Force(ReprKind::Bitmap));
+    let built = InvertedIndex::build(&collection, options);
+    let t = TempFile(temp_snap("bitmap-window"));
+    built.save_with_page_size(&t.0, 512).expect("save");
+    let mut heap = QueryEngine::new(built);
+    let mut paged = QueryEngine::open_paged(&t.0, 4).expect("paged open");
+
+    let text = "main street 0";
+    let tau = 0.9;
+    for kind in AlgorithmKind::ALL {
+        assert_eq!(
+            fingerprint(&heap, text, tau, kind),
+            fingerprint_paged(&mut paged, text, tau, kind),
+            "{}",
+            kind.name()
+        );
+    }
+    let q = heap.prepare_query_str(text);
+    let whole = heap
+        .search(SearchRequest::new(&q).tau(tau))
+        .expect("heap serves");
+    assert!(!whole.results.is_empty(), "the probe query must match");
+    let q = paged.prepare_query_str(text);
+    let window = paged
+        .search(SearchRequest::new(&q).tau(tau))
+        .expect("paged serves");
+    assert_eq!(window.bits_sorted(), whole.bits_sorted());
+    assert!(
+        window.stats.total_list_elements < whole.stats.total_list_elements,
+        "bitmap windows hold {} postings, the whole lists {}",
+        window.stats.total_list_elements,
+        whole.stats.total_list_elements
+    );
 }
 
 /// A legacy-format snapshot — the byte layout produced before the
