@@ -12,13 +12,13 @@
 //! the directory's fence keys first ([`crate::snapshot::window_blocks`])
 //! and faults only the pages the surviving blocks live on, through a
 //! [`PagedSnapshot`] whose pool caps resident posting-page memory at
-//! `pool_pages × page_size`. Bitmap lists key their blocks by word index,
-//! not length, so they fault whole; their ids are then filtered set by set
-//! with the same bound ([`LengthBand::may_reach`] on the one-point band
-//! `[len(s), len(s)]`). The decoded windows are assembled into the same
+//! `pool_pages × page_size`. Every list is stored in `(len, id)` order —
+//! dense lists too, which the heap index serves as bitmaps — so every
+//! window is a contiguous block range, decoded block by block and already
+//! in serving order. The decoded windows are assembled into the same
 //! [`PostingList`](crate::PostingList) structures the heap engine serves,
-//! so all eight algorithms run unmodified — and, because a block or set
-//! is dropped only when its score upper bound is *safely* below τ (the
+//! so all eight algorithms run unmodified — and, because a block is
+//! dropped only when its score upper bound is *safely* below τ (the
 //! prune slack, which lies strictly outside the pass rule's), no posting
 //! of a passing set is dropped and the result set is bit-identical to the
 //! heap engine's (`tests/snapshot_equivalence.rs`).
@@ -38,13 +38,11 @@
 //! [`crate::snapshot::verify`] for an eager sweep).
 
 use super::{execute_into, EngineMetrics, MetricsSnapshot, Scratch, SearchError, SearchRequest};
-use crate::index::ListPayload;
 use crate::snapshot::{
     check_stored_lengths, decode_footer, read_list_blocks, window_blocks, ListRef, PageFetch,
 };
 use crate::{
-    InvertedIndex, LengthBand, PreparedQuery, QueryToken, SearchOutcome, SetCollection, SetId,
-    SnapshotError,
+    InvertedIndex, Posting, PreparedQuery, QueryToken, SearchOutcome, SetCollection, SnapshotError,
 };
 use setsim_storage::PagedSnapshot;
 use setsim_tokenize::Token;
@@ -224,7 +222,7 @@ impl PagedEngine {
                 let num_sets = self.index.collection().len();
                 let len_q = req.query.len;
                 self.touched.clear();
-                let mut lists: Vec<(Token, ListPayload)> =
+                let mut lists: Vec<(Token, Vec<Posting>)> =
                     Vec::with_capacity(req.query.tokens.len());
                 for qt in &req.query.tokens {
                     let Some(list) = find_list(&self.directory, qt.token) else {
@@ -238,28 +236,14 @@ impl PagedEngine {
                         snap: &mut self.snap,
                         touched: &mut self.touched,
                     };
-                    let mut payload = read_list_blocks(&mut pages, list, range, num_sets)?;
-                    match &mut payload {
-                        // The heap load path cross-checks every stored length
-                        // against the recomputed table; do the same for each
-                        // faulted window, so a cross-wired file (checksums fine,
-                        // pages from another index) is rejected at fault time,
-                        // not served.
-                        ListPayload::Postings(ps) => {
-                            check_stored_lengths(&self.index, qt.token, ps)?;
-                        }
-                        // A bitmap list faulted whole (and was validated whole):
-                        // keep only the sets inside the Theorem 1 window.
-                        ListPayload::Ids(ids) => ids.retain(|&id| {
-                            let len = self.index.set_len(SetId(id));
-                            let point = LengthBand {
-                                min_len: len,
-                                max_len: len,
-                            };
-                            point.may_reach(len_q, tau.get())
-                        }),
-                    }
-                    lists.push((qt.token, payload));
+                    let postings = read_list_blocks(&mut pages, list, range, num_sets)?;
+                    // The heap load path cross-checks every stored length
+                    // against the recomputed table; do the same for each
+                    // faulted window, so a cross-wired file (checksums fine,
+                    // pages from another index) is rejected at fault time,
+                    // not served.
+                    check_stored_lengths(&self.index, qt.token, &postings)?;
+                    lists.push((qt.token, postings));
                 }
                 self.index.replace_lists(lists, req.algorithm);
                 execute_into(&self.index, &mut self.scratch, &req)?;

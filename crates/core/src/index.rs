@@ -191,18 +191,6 @@ impl IndexOptions {
     }
 }
 
-/// A decoded list body handed to [`InvertedIndex::assemble_owned`]:
-/// either full `(len, id)`-sorted postings (run/inline page encodings)
-/// or bare ascending ids (bitmap pages, whose lengths are recomputed
-/// from the collection — the ids must already be validated against the
-/// record count).
-pub(crate) enum ListPayload {
-    /// `(len, id)`-sorted postings.
-    Postings(Vec<Posting>),
-    /// Strictly ascending set ids; lengths come from the length table.
-    Ids(Vec<u32>),
-}
-
 /// Posting storage: a fixed inline array for lists that fit
 /// [`INLINE_CAP`], a heap vector otherwise. The inline arm is what makes
 /// [`ReprKind::Inline`] real — a rare-gram list occupies its slot in the
@@ -600,34 +588,18 @@ fn raw_lists(collection: &SetCollection, lengths: &[f64]) -> HashMap<Token, Vec<
     raw
 }
 
-/// Assemble each decoded payload into `lists`, returning the postings
-/// added. Id-only payloads (bitmap pages carry no lengths) get their
-/// lengths from `lengths` — the table every built posting is constructed
-/// from — and are sorted into `(len, id)` order first.
+/// Assemble each `(len, id)`-sorted list into `lists`, returning the
+/// postings added.
 fn insert_lists(
     lists: &mut HashMap<Token, PostingList>,
-    sorted_lists: Vec<(Token, ListPayload)>,
+    sorted_lists: Vec<(Token, Vec<Posting>)>,
     options: &IndexOptions,
-    lengths: &[f64],
+    num_records: usize,
 ) -> u64 {
     let mut total_postings = 0u64;
-    for (token, payload) in sorted_lists {
-        let postings = match payload {
-            ListPayload::Postings(p) => p,
-            ListPayload::Ids(ids) => {
-                let mut p: Vec<Posting> = ids
-                    .into_iter()
-                    .map(|id| Posting {
-                        id: SetId(id),
-                        len: lengths[id as usize],
-                    })
-                    .collect();
-                sort_by_len_id(&mut p);
-                p
-            }
-        };
+    for (token, postings) in sorted_lists {
         total_postings += postings.len() as u64;
-        lists.insert(token, assemble_list(postings, options, lengths.len()));
+        lists.insert(token, assemble_list(postings, options, num_records));
     }
     total_postings
 }
@@ -707,11 +679,11 @@ impl<'c> InvertedIndex<'c> {
             .map(|(_, s)| weights.set_length(s))
             .collect();
         let raw = raw_lists(&collection, &lengths);
-        let mut sorted_lists: Vec<(Token, ListPayload)> = raw
+        let mut sorted_lists: Vec<(Token, Vec<Posting>)> = raw
             .into_iter()
             .map(|(t, mut postings)| {
                 sort_by_len_id(&mut postings);
-                (t, ListPayload::Postings(postings))
+                (t, postings)
             })
             .collect();
         sorted_lists.sort_by_key(|(t, _)| *t);
@@ -719,17 +691,14 @@ impl<'c> InvertedIndex<'c> {
     }
 
     /// Reassemble an index around an owned collection from decoded
-    /// list payloads (the snapshot load path). Weights, set lengths, and
-    /// every per-list auxiliary structure are recomputed with the same
-    /// deterministic code the build path uses, so a loaded index is
-    /// bit-identical to the one that was saved. Id-only payloads (bitmap
-    /// pages carry no lengths) get their lengths from the recomputed
-    /// length table — the same table every built posting is constructed
-    /// from.
+    /// `(len, id)`-sorted lists (the snapshot load path). Weights, set
+    /// lengths, and every per-list representation and auxiliary structure
+    /// are recomputed with the same deterministic code the build path
+    /// uses, so a loaded index is bit-identical to the one that was saved.
     pub(crate) fn assemble_owned(
         collection: Box<SetCollection>,
         options: IndexOptions,
-        sorted_lists: Vec<(Token, ListPayload)>,
+        sorted_lists: Vec<(Token, Vec<Posting>)>,
     ) -> InvertedIndex<'static> {
         let weights = TokenWeights::compute(&collection);
         Self::assemble_owned_with_weights(collection, options, sorted_lists, weights)
@@ -742,7 +711,7 @@ impl<'c> InvertedIndex<'c> {
     pub(crate) fn assemble_owned_with_weights(
         collection: Box<SetCollection>,
         options: IndexOptions,
-        sorted_lists: Vec<(Token, ListPayload)>,
+        sorted_lists: Vec<(Token, Vec<Posting>)>,
         weights: TokenWeights,
     ) -> InvertedIndex<'static> {
         let lengths: Vec<f64> = collection
@@ -750,7 +719,7 @@ impl<'c> InvertedIndex<'c> {
             .map(|(_, s)| weights.set_length(s))
             .collect();
         let mut lists = HashMap::with_capacity(sorted_lists.len());
-        let total_postings = insert_lists(&mut lists, sorted_lists, &options, &lengths);
+        let total_postings = insert_lists(&mut lists, sorted_lists, &options, lengths.len());
         InvertedIndex {
             collection: CollectionHandle::Owned(collection),
             options,
@@ -761,7 +730,7 @@ impl<'c> InvertedIndex<'c> {
         }
     }
 
-    /// Swap in a fresh set of decoded list payloads, dropping whatever
+    /// Swap in a fresh set of decoded lists, dropping whatever
     /// lists were present. The paged engine's per-query path: collection,
     /// weights, lengths, and options stay fixed (they came from the
     /// snapshot footer once, at open), while the lists hold only the
@@ -771,12 +740,13 @@ impl<'c> InvertedIndex<'c> {
     /// ([`IndexOptions::for_algorithm`]).
     pub(crate) fn replace_lists(
         &mut self,
-        sorted_lists: Vec<(Token, ListPayload)>,
+        sorted_lists: Vec<(Token, Vec<Posting>)>,
         kind: AlgorithmKind,
     ) {
         let options = self.options.for_algorithm(kind);
         self.lists.clear();
-        self.total_postings = insert_lists(&mut self.lists, sorted_lists, &options, &self.lengths);
+        self.total_postings =
+            insert_lists(&mut self.lists, sorted_lists, &options, self.lengths.len());
     }
 
     /// Persist this index as a page-structured, checksummed snapshot file

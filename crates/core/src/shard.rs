@@ -84,8 +84,7 @@ impl LengthBand {
     /// False only when every set in this band scores *safely* below `tau`
     /// against a length-`len_q` query (Theorem 1, with the prune slack of
     /// DESIGN.md §1). The one length-window predicate: applied to a shard's
-    /// band, to a snapshot block's fence-key band, and to the one-point
-    /// band `[len(s), len(s)]` of a set on a bitmap list.
+    /// band and to a snapshot block's fence-key band.
     pub(crate) fn may_reach(&self, len_q: f64, tau: f64) -> bool {
         !crate::safely_below(self.score_upper_bound(len_q), tau)
     }

@@ -328,8 +328,8 @@ fn paged_serving_faults_exactly_the_damaged_pages_it_touches() {
     QueryEngine::open_paged(&t.0, 2).expect("pristine bytes open paged");
 }
 
-/// The bitmap and inline page encodings introduce new byte layouts
-/// (raw 12-byte posting entries, packed bitmap words, the footer's
+/// Forced representations change the byte layout (inline lists as raw
+/// 12-byte posting entries, bitmap lists as run blocks, the footer's
 /// representation extension). The same fault model must hold for them:
 /// every single-byte flip and every truncation is a typed rejection —
 /// never a panic, never a silently different index.

@@ -186,10 +186,12 @@ fn empty_and_single_record_indexes_serve_after_reload() {
 
 /// Per-representation round trips: under each forced (and the adaptive)
 /// representation policy, a loaded index must carry the same per-list
-/// representations as the one saved — inline and bitmap lists go through
-/// their own page encodings — and answer every algorithm bit-identically.
+/// representations as the one saved — inline lists go through their own
+/// page encoding, bitmap lists are run blocks on disk and re-derived at
+/// load — and answer every algorithm bit-identically.
 #[test]
 fn every_representation_policy_round_trips_bit_identically() {
+    use setsim::collections::DenseBitmap;
     use setsim::core::{ReprKind, ReprPolicy};
 
     let (corpus, collection) = corpus_collection();
@@ -212,12 +214,20 @@ fn every_representation_policy_round_trips_bit_identically() {
         for tok in 0..collection.dict().len() as u32 {
             let tok = setsim::tokenize::Token(tok);
             match (built.list(tok), loaded.list(tok)) {
-                (Some(b), Some(l)) => assert_eq!(
-                    b.repr(),
-                    l.repr(),
-                    "policy {name}: representation drifted for token {}",
-                    tok.0
-                ),
+                (Some(b), Some(l)) => {
+                    assert_eq!(
+                        b.repr(),
+                        l.repr(),
+                        "policy {name}: representation drifted for token {}",
+                        tok.0
+                    );
+                    assert_eq!(
+                        b.bitmap().map(DenseBitmap::words),
+                        l.bitmap().map(DenseBitmap::words),
+                        "policy {name}: bitmap drifted for token {}",
+                        tok.0
+                    );
+                }
                 (None, None) => {}
                 _ => panic!("policy {name}: token {} present on one side only", tok.0),
             }
@@ -297,9 +307,9 @@ fn paged_engine_with_tiny_pool_matches_heap_engine() {
     assert!(nonempty > 0, "workload degenerate: all results empty");
 }
 
-/// The paged window prune must stay bit-identical across every on-disk
-/// representation (runs, inline entries, bitmaps — which fault whole and
-/// are then cut to the window set by set) and across the legacy format.
+/// The paged window prune must stay bit-identical across every
+/// in-memory representation policy (inline lists stored as raw entries,
+/// run and bitmap lists as run blocks) and across the legacy format.
 #[test]
 fn paged_engine_matches_heap_for_every_representation_policy_and_legacy() {
     use setsim::core::snapshot::{save_legacy_format, DEFAULT_PAGE_SIZE};
@@ -345,13 +355,15 @@ fn paged_engine_matches_heap_for_every_representation_policy_and_legacy() {
     }
 }
 
-/// Bitmap lists fault whole (their blocks key word indexes, not lengths),
-/// but the paged engine keeps only the sets inside the query's Theorem 1
-/// window: at a selective τ the served lists hold fewer postings than the
-/// whole lists, and every algorithm still answers exactly as the heap
-/// engine does.
+/// Dense lists are stored as `(len, id)` run blocks like every other
+/// list, so the paged engine faults only the blocks of a query's
+/// Theorem 1 window even where the heap index serves the list as a
+/// bitmap: at a selective τ it decodes fewer postings and touches fewer
+/// pages than the whole lists hold, and every algorithm still answers
+/// exactly as the heap engine does.
 #[test]
-fn paged_bitmap_lists_are_cut_to_the_theorem_1_window() {
+fn paged_dense_lists_fault_only_their_window() {
+    use setsim::core::snapshot::verify;
     use setsim::core::{ReprKind, ReprPolicy};
 
     // One shared prefix, suffixes of growing length: the sets' lengths
@@ -363,8 +375,14 @@ fn paged_bitmap_lists_are_cut_to_the_theorem_1_window() {
     let collection = b.build();
     let options = IndexOptions::default().with_repr_policy(ReprPolicy::Force(ReprKind::Bitmap));
     let built = InvertedIndex::build(&collection, options);
-    let t = TempFile(temp_snap("bitmap-window"));
-    built.save_with_page_size(&t.0, 512).expect("save");
+    let t = TempFile(temp_snap("dense-window"));
+    // Pages of 64 bytes hold a few dozen postings: the shared-prefix
+    // lists, which hold every set, span several blocks and pages.
+    built.save_with_page_size(&t.0, 64).expect("save");
+    assert!(
+        verify(&t.0).expect("clean snapshot").min_pool_pages > 2,
+        "workload degenerate: no list spans several pages"
+    );
     let mut heap = QueryEngine::new(built);
     let mut paged = QueryEngine::open_paged(&t.0, 4).expect("paged open");
 
@@ -384,15 +402,30 @@ fn paged_bitmap_lists_are_cut_to_the_theorem_1_window() {
         .expect("heap serves");
     assert!(!whole.results.is_empty(), "the probe query must match");
     let q = paged.prepare_query_str(text);
+    // At a τ this low every block may reach the query: the windows are
+    // the whole lists, and their pages the whole lists' page span.
+    let all = paged
+        .search(SearchRequest::new(&q).tau(1e-3))
+        .expect("paged serves");
+    assert_eq!(
+        all.stats.total_list_elements,
+        whole.stats.total_list_elements
+    );
     let window = paged
         .search(SearchRequest::new(&q).tau(tau))
         .expect("paged serves");
     assert_eq!(window.bits_sorted(), whole.bits_sorted());
     assert!(
         window.stats.total_list_elements < whole.stats.total_list_elements,
-        "bitmap windows hold {} postings, the whole lists {}",
+        "dense windows hold {} postings, the whole lists {}",
         window.stats.total_list_elements,
         whole.stats.total_list_elements
+    );
+    assert!(
+        window.stats.pages_touched < all.stats.pages_touched,
+        "dense windows touch {} pages, the whole lists span {}",
+        window.stats.pages_touched,
+        all.stats.pages_touched
     );
 }
 
