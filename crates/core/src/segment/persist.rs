@@ -232,6 +232,33 @@ mod tests {
     }
 
     #[test]
+    fn open_rejects_a_base_with_bitmap_word_pages_as_unsupported() {
+        // Segment directories saved by older builds carry the retired
+        // bitmap-word page kind in their base snapshot; open must name
+        // it, not report corruption or panic.
+        let dir = TempDir::new("tag2");
+        let mut mi = mutable(&["main street", "park avenue"]);
+        mi.insert("ocean drive");
+        mi.save(&dir.0).unwrap();
+        let base_path = dir.0.join(setsim_storage::manifest::BASE_FILE);
+        crate::snapshot::retag_last_list_as_bitmap_words(&base_path);
+        let mut manifest = setsim_storage::SegmentManifest::read(&dir.0).unwrap();
+        manifest.base = setsim_storage::manifest::ManifestEntry::describe(
+            &base_path,
+            setsim_storage::manifest::BASE_FILE,
+        )
+        .unwrap();
+        manifest.write(&dir.0).unwrap();
+        let Err(err) = MutableIndex::open(&dir.0) else {
+            panic!("a base with bitmap-word pages must not open");
+        };
+        assert!(
+            matches!(&err, SnapshotError::Unsupported { detail } if detail.contains("bitmap-word pages")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn open_rejects_id_table_mismatch() {
         let dir = TempDir::new("idmismatch");
         let mi = mutable(&["main street", "park avenue"]);
