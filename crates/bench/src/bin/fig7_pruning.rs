@@ -103,7 +103,7 @@ fn main() {
         .find(|a| *a != "--json")
         .map_or("all", String::as_str);
     let (corpus, collection) = word_collection(scale);
-    let engines = Engines::build_with(&collection, setsim_core::IndexOptions::default(), false);
+    let engines = Engines::build(&collection);
     if !json {
         println!(
             "# Figure 7: pruning power ({} sets, {} postings)",

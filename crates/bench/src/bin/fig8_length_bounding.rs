@@ -36,7 +36,7 @@ fn main() {
     let (scale, _) = scale_from_args();
     let (corpus, collection) = word_collection(scale);
     let engines = Engines::build(&collection);
-    let sql_nlb = SqlBaseline::build_with(&collection, engines.index.weights(), false, 64);
+    let sql_nlb = SqlBaseline::build_with(&collection, engines.index.weights(), false);
     println!(
         "# Figure 8: effect of Length Bounding ({} sets)",
         collection.len()
@@ -51,7 +51,7 @@ fn main() {
         let mut with = Vec::new();
         let mut without = Vec::new();
         for &tau in &taus {
-            let (ms, _) = run_sql(engines.sql.as_ref().unwrap(), &queries, tau);
+            let (ms, _) = run_sql(&engines.sql, &queries, tau);
             with.push(format!("{ms:.3}"));
             let (ms, _) = run_sql(&sql_nlb, &queries, tau);
             without.push(format!("{ms:.3}"));
@@ -92,7 +92,7 @@ fn main() {
     for (bi, bucket) in LengthBucket::PAPER.iter().enumerate() {
         let wl = workload(&corpus, *bucket, 0, QUERIES, 82 + bi as u64);
         let queries = prepare_queries(&engines.index, &wl);
-        let (ms, _) = run_sql(engines.sql.as_ref().unwrap(), &queries, 0.8);
+        let (ms, _) = run_sql(&engines.sql, &queries, 0.8);
         rows_b[0].1.push(format!("{ms:.3}"));
         let (ms, _) = run_sql(&sql_nlb, &queries, 0.8);
         rows_b[1].1.push(format!("{ms:.3}"));

@@ -20,7 +20,7 @@ const ABLATED: [Algo; 4] = [Algo::INra, Algo::ITa, Algo::Sf, Algo::Hybrid];
 fn main() {
     let (scale, _) = scale_from_args();
     let (corpus, collection) = word_collection(scale);
-    let engines = Engines::build_with(&collection, setsim_core::IndexOptions::default(), false);
+    let engines = Engines::build(&collection);
     println!(
         "# Figure 9: effect of skip lists ({} sets)",
         collection.len()

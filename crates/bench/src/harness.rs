@@ -313,11 +313,10 @@ fn measure_dense_workload(corpus: &Corpus, config: &HarnessConfig) -> WorkloadRe
         builder.add(t);
     }
     let collection = builder.build();
-    let adaptive = Engines::build_with(&collection, IndexOptions::default(), false);
+    let adaptive = Engines::build(&collection);
     let run_only = Engines::build_with(
         &collection,
         IndexOptions::default().with_repr_policy(ReprPolicy::Force(ReprKind::Run)),
-        false,
     );
     debug_assert!(
         adaptive

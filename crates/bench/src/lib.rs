@@ -230,8 +230,8 @@ impl Algo {
 pub struct Engines<'c> {
     /// The inverted-list index.
     pub index: InvertedIndex<'c>,
-    /// The relational baseline (None to skip building it).
-    pub sql: Option<SqlBaseline>,
+    /// The SQL baseline.
+    pub sql: SqlBaseline,
     /// Warm scratch shared across runs, so workload timings measure the
     /// algorithms rather than per-query allocation.
     scratch: RefCell<Scratch>,
@@ -240,18 +240,13 @@ pub struct Engines<'c> {
 impl<'c> Engines<'c> {
     /// Build index + SQL baseline with default options.
     pub fn build(collection: &'c SetCollection) -> Self {
-        Self::build_with(collection, setsim_core::IndexOptions::default(), true)
+        Self::build_with(collection, setsim_core::IndexOptions::default())
     }
 
-    /// Build with explicit index options; `with_sql` controls whether the
-    /// relational baseline is materialized.
-    pub fn build_with(
-        collection: &'c SetCollection,
-        options: setsim_core::IndexOptions,
-        with_sql: bool,
-    ) -> Self {
+    /// Build with explicit index options.
+    pub fn build_with(collection: &'c SetCollection, options: setsim_core::IndexOptions) -> Self {
         let index = InvertedIndex::build(collection, options);
-        let sql = with_sql.then(|| SqlBaseline::build(collection, index.weights()));
+        let sql = SqlBaseline::build(collection, index.weights());
         Self {
             index,
             sql,
@@ -260,7 +255,7 @@ impl<'c> Engines<'c> {
     }
 
     /// Run one algorithm on one prepared query (through the engine's
-    /// warm-scratch execution path; SQL runs its own relational plan).
+    /// warm-scratch execution path; SQL runs its own query plan).
     pub fn run(
         &self,
         algo: Algo,
@@ -269,12 +264,7 @@ impl<'c> Engines<'c> {
         tau: f64,
     ) -> SearchOutcome {
         let Some(kind) = algo.kind() else {
-            return self
-                .sql
-                .as_ref()
-                .expect("SQL baseline not built")
-                .search(q, tau)
-                .expect("valid bench tau");
+            return self.sql.search(q, tau).expect("valid bench tau");
         };
         let req = SearchRequest::new(q)
             .tau(tau)

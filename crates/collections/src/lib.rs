@@ -15,12 +15,9 @@
 //!   ("does set `s` appear in list `i`?") with at most one simulated page
 //!   read. Bucket pages have a fixed capacity; the directory doubles on
 //!   demand, mirroring the large space overhead reported in Figure 5.
-//! * [`BPlusTree`] — an order-configurable B+-tree with leaf links, the
-//!   clustered composite index `(token, len, id) → weight` behind the
-//!   relational (SQL) baseline of Section III-A.
 //!
-//! All three are deterministic and expose `size_bytes` estimates used by
-//! the index-size experiment (Figure 5).
+//! Both are deterministic and expose `size_bytes` estimates used by the
+//! index-size experiment (Figure 5).
 
 //! A further substrate, [`codec`]-level compression, reflects how such
 //! lists are actually laid out on disk: delta + varint encoded blocks with
@@ -46,11 +43,9 @@ pub mod checksum;
 pub mod codec;
 pub mod kernels;
 
-mod btree;
 mod extendible;
 
 pub use bitmap::{DenseBitmap, SetBits};
-pub use btree::BPlusTree;
 pub use checksum::crc32;
 pub use codec::{CodecEntry, CompressedList};
 pub use extendible::ExtendibleHashMap;

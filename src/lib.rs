@@ -8,8 +8,8 @@
 //! The individual pieces live in focused crates and are re-exported here:
 //!
 //! * [`tokenize`] — q-gram/word tokenizers and token interning.
-//! * [`collections`] — skip list, extendible hashing, B+-tree substrates.
-//! * [`relational`] — the mini relational engine behind the SQL baseline.
+//! * [`collections`] — fence keys, extendible hashing, dense bitmaps,
+//!   the block codec and intersection kernels.
 //! * [`storage`] — the checksummed snapshot container behind
 //!   `InvertedIndex::save`/`load`, the verifying LRU buffer pool and
 //!   demand-paged snapshot reader behind `QueryEngine::open_paged`, and
@@ -51,7 +51,6 @@
 pub use setsim_collections as collections;
 pub use setsim_core as core;
 pub use setsim_datagen as datagen;
-pub use setsim_relational as relational;
 pub use setsim_storage as storage;
 pub use setsim_tokenize as tokenize;
 
