@@ -407,6 +407,7 @@ fn run_scaleout(args: &[String]) {
             100.0 * fraction
         );
     }
+    print_placements(&outcome);
 
     if expect_majority {
         let at_08 = outcome
@@ -427,6 +428,41 @@ fn run_scaleout(args: &[String]) {
                 std::process::exit(1);
             }
         }
+    }
+}
+
+/// Per τ: served latency, forced inline vs scatter time over all queries
+/// and how many queries the scatter ran faster; then the inline-vs-scatter
+/// table by surviving mass.
+fn print_placements(outcome: &scaleout::ScaleoutOutcome) {
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
+    for ((tau, ps), w) in outcome.placements.iter().zip(&outcome.report.workloads) {
+        let served_us = w.algos[0].latency.median_ms_per_query * 1e3;
+        let inline: Vec<f64> = ps.iter().map(|p| p.inline_us).collect();
+        let scatter: Vec<f64> = ps.iter().map(|p| p.scatter_us).collect();
+        let faster = ps.iter().filter(|p| p.scatter_us < p.inline_us).count();
+        eprintln!(
+            "  tau={tau}: served {served_us:.1} us/query; forced inline {:.1} vs scatter \
+             {:.1} us; scatter faster on {faster}/{}",
+            mean(&inline),
+            mean(&scatter),
+            ps.len(),
+        );
+    }
+    let all: Vec<_> = outcome
+        .placements
+        .iter()
+        .flat_map(|(_, ps)| ps.iter().copied())
+        .collect();
+    eprintln!(
+        "  inline vs scatter by surviving mass (median of best-of-{} us, every tau):",
+        scaleout::PLACEMENT_REPS
+    );
+    for row in scaleout::crossover(&all) {
+        eprintln!(
+            "    mass >= {:>9}: {:>4} queries, inline {:>9.1}, scatter {:>9.1}",
+            row.lo, row.queries, row.inline_us, row.scatter_us
+        );
     }
 }
 

@@ -382,7 +382,7 @@ const SHARDED_SHARDS: usize = 8;
 
 /// Measure the sharded scatter-gather cell: the harness corpus behind a
 /// [`ShardedIndex`] with [`SHARDED_SHARDS`] length bands, every query
-/// served through the [`ShardedEngine`] scatter path. The per-shard
+/// served through the [`ShardedEngine`]. The per-shard
 /// gather merges stats in deterministic plan order, so the counters —
 /// including the new `shards_pruned` / `shard_pruned_elements` — stay a
 /// pure function of (scale, seed, grid) and `bench-diff` gates the
@@ -528,10 +528,10 @@ fn paged_pass(path: &Path, pool: usize, queries: &[String], tau: f64) -> (Search
     (stats, matches)
 }
 
-/// One pass of the sharded cell: every query through the scatter engine,
-/// on one worker. NRA and iNRA scan their candidate hash table in table
-/// order, which depends on the table's capacity — on which queries that
-/// pooled scratch served before. One worker makes that history the query
+/// One pass of the sharded cell: every query through the sharded engine,
+/// on one worker (the calling thread). NRA and iNRA scan their candidate
+/// hash table in table order, which depends on the table's capacity — on
+/// which queries that pooled scratch served before. One worker makes that history the query
 /// stream; with several, thread scheduling decides which scratch meets
 /// which shard and the bookkeeping counters drift between same-seed runs.
 fn sharded_pass(

@@ -16,6 +16,12 @@
 //!   (query, shard) visits the Theorem 1 band check pruned is recorded;
 //!   `--expect-majority-pruned` turns "τ = 0.8 prunes most shards" into
 //!   an exit code.
+//! * **Placement** — after every τ cell's served pass has been timed,
+//!   each query is timed again with its shards forced inline and forced
+//!   scattered (best of [`PLACEMENT_REPS`]), beside the surviving mass
+//!   its plan carried. [`crossover`] buckets those timings by mass: the
+//!   table that shows whether any query would gain from a scatter
+//!   ([`ShardedEngine::search`] runs every query inline).
 //! * **Equivalence** — a prefix of the same record stream (so the small
 //!   corpus is literally the head of the large one) is indexed both
 //!   sharded and unsharded, and every roster algorithm, on either index,
@@ -98,6 +104,64 @@ fn qgram_spec() -> TokenizerSpec {
     }
 }
 
+/// Timed passes per query and placement; the best one counts.
+pub const PLACEMENT_REPS: usize = 3;
+
+/// One query of one τ cell: its plan's surviving mass and what running it
+/// inline and scattered cost.
+#[derive(Debug, Clone, Copy)]
+pub struct QueryPlacement {
+    /// Query-list postings in the surviving shards
+    /// (`total_list_elements − shard_pruned_elements`).
+    pub mass: u64,
+    /// Best µs with every surviving shard on the calling thread.
+    pub inline_us: f64,
+    /// Best µs scattered across every available core.
+    pub scatter_us: f64,
+}
+
+/// One row of the inline-vs-scatter table: the queries whose mass lies
+/// in `[lo, 2·lo)` (`lo` 0 holds mass 0 and 1).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CrossoverRow {
+    /// Lower mass bound of the bucket (a power of two, or 0).
+    pub lo: u64,
+    /// Queries in the bucket.
+    pub queries: usize,
+    /// Median best inline µs.
+    pub inline_us: f64,
+    /// Median best scatter µs.
+    pub scatter_us: f64,
+}
+
+/// Bucket `placements` by the power of two below their mass and take
+/// each bucket's median inline and scatter time, ascending by mass.
+#[must_use]
+pub fn crossover(placements: &[QueryPlacement]) -> Vec<CrossoverRow> {
+    let mut buckets: std::collections::BTreeMap<u64, (Vec<f64>, Vec<f64>)> =
+        std::collections::BTreeMap::new();
+    for p in placements {
+        let lo = if p.mass < 2 { 0 } else { 1 << p.mass.ilog2() };
+        let (inline, scatter) = buckets.entry(lo).or_default();
+        inline.push(p.inline_us);
+        scatter.push(p.scatter_us);
+    }
+    buckets
+        .into_iter()
+        .map(|(lo, (mut inline, mut scatter))| CrossoverRow {
+            lo,
+            queries: inline.len(),
+            inline_us: median(&mut inline),
+            scatter_us: median(&mut scatter),
+        })
+        .collect()
+}
+
+fn median(v: &mut [f64]) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
 /// What one run produced, beyond the report file.
 #[derive(Debug)]
 pub struct ScaleoutOutcome {
@@ -114,6 +178,8 @@ pub struct ScaleoutOutcome {
     pub equivalence_checked: bool,
     /// Whether the index was reopened from `dir` instead of built.
     pub opened_from_cache: bool,
+    /// Per τ, in `taus` order: every query's mass and placement timings.
+    pub placements: Vec<(f64, Vec<QueryPlacement>)>,
 }
 
 /// Run the scale-out cell. `Err` is a human-readable failure: snapshot
@@ -183,6 +249,15 @@ pub fn run(cfg: &ScaleoutConfig) -> Result<ScaleoutOutcome, String> {
         });
     }
 
+    // After the served passes, so they run exactly as they would without
+    // this extra timing.
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let placements = cfg
+        .taus
+        .iter()
+        .map(|&tau| Ok((tau, time_placements(&engine, &query_texts, tau, threads)?)))
+        .collect::<Result<Vec<_>, String>>()?;
+
     let report = BenchReport {
         schema_version: SCHEMA_VERSION,
         label: cfg.label.clone(),
@@ -200,7 +275,40 @@ pub fn run(cfg: &ScaleoutConfig) -> Result<ScaleoutOutcome, String> {
         pruned_fraction,
         equivalence_checked,
         opened_from_cache,
+        placements,
     })
+}
+
+/// Time every query of a τ cell forced inline and forced scattered across
+/// `threads` workers.
+fn time_placements(
+    engine: &ShardedEngine,
+    query_texts: &[String],
+    tau: f64,
+    threads: usize,
+) -> Result<Vec<QueryPlacement>, String> {
+    let fail = |e: setsim_core::SearchError| format!("placement query failed at tau={tau}: {e}");
+    let mut out = Vec::with_capacity(query_texts.len());
+    for text in query_texts {
+        let q = engine.prepare_query_str(text);
+        let req = SearchRequest::new(&q).tau(tau).algorithm(AlgorithmKind::Sf);
+        let stats = engine.search(&req).map_err(fail)?.stats;
+        let best = |workers: usize| -> Result<f64, String> {
+            let mut best = f64::INFINITY;
+            for _ in 0..PLACEMENT_REPS {
+                let start = Instant::now();
+                engine.search_with_threads(&req, workers).map_err(fail)?;
+                best = best.min(start.elapsed().as_secs_f64() * 1e6);
+            }
+            Ok(best)
+        };
+        out.push(QueryPlacement {
+            mass: stats.total_list_elements - stats.shard_pruned_elements,
+            inline_us: best(1)?,
+            scatter_us: best(threads)?,
+        });
+    }
+    Ok(out)
 }
 
 /// Reopen the sharded index from the cache directory when possible,
@@ -316,6 +424,19 @@ mod tests {
             "tau=0.8 must prune the majority of shard visits, got {:.2}",
             at_08.1
         );
+        // Every query is placed once per τ, and the mass table covers
+        // every query.
+        assert_eq!(out.placements.len(), 3);
+        let all: Vec<QueryPlacement> = out
+            .placements
+            .iter()
+            .flat_map(|(_, ps)| ps.iter().copied())
+            .collect();
+        assert_eq!(all.len(), 3 * 8);
+        assert!(all.iter().all(|p| p.inline_us > 0.0 && p.scatter_us > 0.0));
+        let rows = crossover(&all);
+        assert_eq!(rows.iter().map(|r| r.queries).sum::<usize>(), all.len());
+        assert!(rows.windows(2).all(|w| w[0].lo < w[1].lo));
     }
 
     #[test]

@@ -516,17 +516,26 @@ impl<'c> QueryEngine<'c> {
 }
 
 /// Serving engine over a [`ShardedIndex`](crate::ShardedIndex): resolves
-/// the band table, **scatters** the surviving shards across a
-/// work-stealing worker pool (the same idiom as
-/// [`QueryEngine::search_batch`], stealing shards instead of requests),
-/// and **gathers** the per-shard outcomes into one result set that is
-/// bit-identical to searching the unsharded index.
+/// the band table, runs the surviving shards, and **gathers** the
+/// per-shard outcomes into one result set that is bit-identical to
+/// searching the unsharded index.
 ///
 /// Skipped shards are charged to [`SearchStats::shards_pruned`] /
 /// [`SearchStats::shard_pruned_elements`](crate::SearchStats) without a
 /// single posting access, which is the whole point of length banding:
 /// at high thresholds most shards fall outside the Theorem 1 window
 /// `[τ·len(q), len(q)/τ]` and scale-out is nearly free.
+///
+/// [`search`](Self::search) runs the surviving shards one after another
+/// on the calling thread: on the 2-vCPU host it was measured on,
+/// spawning and joining workers cost more than the shard searches of
+/// nearly every query, heavy ones included (EXPERIMENTS.md, *Inline, not
+/// scatter*).
+/// [`search_with_threads`](Self::search_with_threads) **scatters** them
+/// across a work-stealing worker pool instead (the same idiom as
+/// [`QueryEngine::search_batch`], stealing shards instead of requests).
+/// Either way the gather folds outcomes in shard order, so results, stats
+/// and status do not depend on the thread count.
 pub struct ShardedEngine {
     index: crate::ShardedIndex,
     metrics: EngineMetrics,
@@ -571,14 +580,14 @@ impl ShardedEngine {
         self.index.prepare_query_str(text)
     }
 
-    /// Run one request, scattering surviving shards across all available
-    /// cores.
+    /// Run one request, its surviving shards in order on the calling
+    /// thread.
     pub fn search(&self, req: &SearchRequest<'_>) -> Result<SearchOutcome, SearchError> {
-        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        self.search_with_threads(req, threads)
+        self.search_with_threads(req, 1)
     }
 
-    /// [`search`](Self::search) with an explicit worker count. One warm
+    /// [`search`](Self::search) with an explicit worker count: one worker
+    /// runs the shards on the calling thread, more scatter them. One warm
     /// scratch per worker, drawn from (and returned to) the engine pool.
     pub fn search_with_threads(
         &self,
@@ -589,24 +598,17 @@ impl ShardedEngine {
             || {
                 req.validate()?;
                 let plan = self.index.plan(req.query, req.tau);
-                let shards = self.index.shards();
+                if num_threads <= 1 || plan.surviving.len() <= 1 {
+                    let mut scratch = self.scratch_pool.pop();
+                    let out = self.index.search_planned(&mut scratch, &plan, req);
+                    self.scratch_pool.push(scratch);
+                    return out;
+                }
                 let per_shard = steal(
                     &self.scratch_pool,
                     num_threads,
                     &plan.surviving,
-                    |scratch, (shard, fq)| {
-                        let sreq = SearchRequest {
-                            query: fq,
-                            tau: req.tau,
-                            algorithm: req.algorithm,
-                            config: req.config,
-                            budget: req.budget,
-                        };
-                        match shards.get(*shard) {
-                            Some(sh) => execute(&sh.index, scratch, &sreq),
-                            None => unreachable!("plan indexes its own shard slice"),
-                        }
-                    },
+                    |scratch, (shard, fq)| self.index.search_shard(scratch, *shard, fq, req),
                 );
                 let mut outcomes = Vec::with_capacity(plan.surviving.len());
                 for (res, (shard, _)) in per_shard.into_iter().zip(&plan.surviving) {

@@ -27,9 +27,10 @@
 //! structures the requested algorithm reads
 //! ([`IndexOptions::for_algorithm`](crate::IndexOptions)): the
 //! extendible hash for TA and iTA, the id-sorted copy for the sort-by-id
-//! merge, and each only where the snapshot's options carry it — so an SF
-//! query builds neither, and a request the heap engine would refuse for a
-//! missing structure is refused here too.
+//! merge, and each only where the snapshot's options carry it; a dense
+//! list's bitmap, which stands in for both, only for those three kinds.
+//! So an SF query builds none of them, and a request the heap engine
+//! would refuse for a missing structure is refused here too.
 //!
 //! Every page access is CRC-verified once by the pool; damage in a faulted
 //! page surfaces as a typed [`SnapshotError::ChecksumMismatch`] naming

@@ -181,7 +181,9 @@ impl IndexOptions {
     /// the hash index survives only for TA/iTA, the id-sorted copy only
     /// for the sort-by-id merge, and neither is granted where `self`
     /// lacks it. The paged engine assembles each request's windows with
-    /// this, and `execute_into` refuses by the same two predicates.
+    /// this (and skips the dense bitmap, which stands in for both, for
+    /// every other kind: [`InvertedIndex::replace_lists`]), and
+    /// `execute_into` refuses by the same predicates.
     pub(crate) fn for_algorithm(&self, kind: AlgorithmKind) -> IndexOptions {
         IndexOptions {
             build_hash_indexes: self.build_hash_indexes && kind.reads_hash_indexes(),
@@ -290,9 +292,9 @@ impl PostingList {
         self.by_id.as_slice()
     }
 
-    /// Id-ordered view for the merge baseline, or `None` if the index
-    /// was built without id-sorted lists (and this list is not a bitmap,
-    /// which needs no copy).
+    /// Id-ordered view for the merge baseline, or `None` if the list has
+    /// neither its id-sorted copy nor its bitmap (a bitmap list needs no
+    /// copy).
     pub fn id_postings(&self) -> Option<IdPostings<'_>> {
         if let Some(bm) = &self.bitmap {
             return Some(IdPostings::Bitmap(bm));
@@ -303,7 +305,8 @@ impl PostingList {
         None
     }
 
-    /// The dense bitmap, when this list is [`ReprKind::Bitmap`].
+    /// The dense bitmap, when this list is [`ReprKind::Bitmap`] and it
+    /// was built.
     pub fn bitmap(&self) -> Option<&DenseBitmap> {
         self.bitmap.as_ref()
     }
@@ -323,9 +326,12 @@ impl PostingList {
     /// lists consult the extendible hash.
     ///
     /// # Panics
-    /// Panics if this is a [`ReprKind::Run`] list and the index was built
-    /// without hash indexes; `execute_into` rejects a TA/iTA request over
-    /// such a list as `SearchError::Unsupported` first.
+    /// Panics if the list lacks the structure its representation probes
+    /// with ([`supports_random_access`](Self::supports_random_access) is
+    /// false): a [`ReprKind::Run`] list of an index built without hash
+    /// indexes, or a paged window assembled for a kind that never probes.
+    /// `execute_into` rejects a TA/iTA request over such a list as
+    /// `SearchError::Unsupported` first.
     #[allow(clippy::panic)] // why: the contract is the `# Panics` section above
     pub fn contains_id(&self, id: SetId, stats: &mut SearchStats) -> bool {
         stats.random_probes += 1;
@@ -333,7 +339,7 @@ impl PostingList {
             ReprKind::Inline => self.by_len.as_slice().iter().any(|p| p.id == id),
             ReprKind::Bitmap => match &self.bitmap {
                 Some(bm) => bm.contains(id.0),
-                None => unreachable!("bitmap representation always carries its bitmap"),
+                None => panic!("random access requires the list's dense bitmap"),
             },
             ReprKind::Run => {
                 let Some(hash) = self.hash.as_ref() else {
@@ -345,11 +351,15 @@ impl PostingList {
     }
 
     /// True if this list supports random access ([`contains_id`]
-    /// will not panic). Inline and bitmap lists always do.
+    /// will not panic). Inline lists always do.
     ///
     /// [`contains_id`]: Self::contains_id
     pub fn supports_random_access(&self) -> bool {
-        !matches!(self.repr, ReprKind::Run) || self.hash.is_some()
+        match self.repr {
+            ReprKind::Inline => true,
+            ReprKind::Bitmap => self.bitmap.is_some(),
+            ReprKind::Run => self.hash.is_some(),
+        }
     }
 
     /// True if this list carries an extendible-hash id index.
@@ -502,13 +512,20 @@ impl CollectionHandle<'_> {
 /// selected [`ReprKind`] is a pure function of `(list length,
 /// num_records, policy)`, and the id-sorted copy, the fence keys (one per
 /// stride), the extendible-hash id index and the dense bitmap are all
-/// deterministic functions of the sorted postings alone.
+/// deterministic functions of the sorted postings alone. Without
+/// `bitmaps` a [`ReprKind::Bitmap`] list keeps its representation but
+/// not its bitmap, so seeks and counters do not move.
 ///
 /// # Panics
 ///
 /// Panics if the collection holds more than `u32::MAX` records — the
 /// bitmap universe (like [`SetId`] itself) is a `u32`.
-fn assemble_list(by_len: Vec<Posting>, options: &IndexOptions, num_records: usize) -> PostingList {
+fn assemble_list(
+    by_len: Vec<Posting>,
+    options: &IndexOptions,
+    bitmaps: bool,
+    num_records: usize,
+) -> PostingList {
     let repr = select_repr(by_len.len(), num_records, options.repr_policy);
     let stride = options.skip_stride.max(1);
     let mut list = PostingList {
@@ -551,7 +568,7 @@ fn assemble_list(by_len: Vec<Posting>, options: &IndexOptions, num_records: usiz
             }
             list.by_len = Store::Heap(by_len);
         }
-        ReprKind::Bitmap => {
+        ReprKind::Bitmap if bitmaps => {
             // The bitmap subsumes both the hash index (bit-test
             // membership) and the id-sorted copy (ascending set-bit
             // enumeration).
@@ -564,6 +581,7 @@ fn assemble_list(by_len: Vec<Posting>, options: &IndexOptions, num_records: usiz
             list.bitmap = Some(DenseBitmap::from_sorted_ids(&ids, universe));
             list.by_len = Store::Heap(by_len);
         }
+        ReprKind::Bitmap => list.by_len = Store::Heap(by_len),
     }
     list
 }
@@ -588,18 +606,22 @@ fn raw_lists(collection: &SetCollection, lengths: &[f64]) -> HashMap<Token, Vec<
     raw
 }
 
-/// Assemble each `(len, id)`-sorted list into `lists`, returning the
-/// postings added.
+/// Assemble each `(len, id)`-sorted list into `lists` (dense lists with
+/// their bitmap if `bitmaps`), returning the postings added.
 fn insert_lists(
     lists: &mut HashMap<Token, PostingList>,
     sorted_lists: Vec<(Token, Vec<Posting>)>,
     options: &IndexOptions,
+    bitmaps: bool,
     num_records: usize,
 ) -> u64 {
     let mut total_postings = 0u64;
     for (token, postings) in sorted_lists {
         total_postings += postings.len() as u64;
-        lists.insert(token, assemble_list(postings, options, num_records));
+        lists.insert(
+            token,
+            assemble_list(postings, options, bitmaps, num_records),
+        );
     }
     total_postings
 }
@@ -635,7 +657,10 @@ impl<'c> InvertedIndex<'c> {
         for (token, mut postings) in raw {
             total_postings += postings.len() as u64;
             sort_by_len_id(&mut postings);
-            lists.insert(token, assemble_list(postings, &options, lengths.len()));
+            lists.insert(
+                token,
+                assemble_list(postings, &options, true, lengths.len()),
+            );
         }
 
         Self {
@@ -719,7 +744,7 @@ impl<'c> InvertedIndex<'c> {
             .map(|(_, s)| weights.set_length(s))
             .collect();
         let mut lists = HashMap::with_capacity(sorted_lists.len());
-        let total_postings = insert_lists(&mut lists, sorted_lists, &options, lengths.len());
+        let total_postings = insert_lists(&mut lists, sorted_lists, &options, true, lengths.len());
         InvertedIndex {
             collection: CollectionHandle::Owned(collection),
             options,
@@ -737,16 +762,23 @@ impl<'c> InvertedIndex<'c> {
     /// current query's Theorem 1 windows. Assembly is the same
     /// deterministic [`assemble_list`] the build and load paths use, with
     /// only the structures `kind` reads
-    /// ([`IndexOptions::for_algorithm`]).
+    /// ([`IndexOptions::for_algorithm`]): dense lists get their bitmap
+    /// only for the kinds that probe by id or enumerate in id order.
     pub(crate) fn replace_lists(
         &mut self,
         sorted_lists: Vec<(Token, Vec<Posting>)>,
         kind: AlgorithmKind,
     ) {
         let options = self.options.for_algorithm(kind);
+        let bitmaps = kind.reads_hash_indexes() || kind.reads_id_sorted_lists();
         self.lists.clear();
-        self.total_postings =
-            insert_lists(&mut self.lists, sorted_lists, &options, self.lengths.len());
+        self.total_postings = insert_lists(
+            &mut self.lists,
+            sorted_lists,
+            &options,
+            bitmaps,
+            self.lengths.len(),
+        );
     }
 
     /// Persist this index as a page-structured, checksummed snapshot file
@@ -1077,6 +1109,52 @@ mod tests {
             let (_, skip, hash) = l.size_bytes();
             assert_eq!(skip, 0);
             assert_eq!(hash, 0);
+        }
+    }
+
+    /// Windows assembled for a kind that never probes by id or merges in
+    /// id order keep every bitmap list's representation (so seeks and
+    /// counters do not move) but skip its bitmap, and say so truthfully:
+    /// no random access, no id-ordered view, and `execute_into` refuses
+    /// TA/iTA and the merge over such lists instead of reaching the
+    /// missing bitmap.
+    #[test]
+    fn window_bitmaps_are_built_only_for_kinds_that_read_them() {
+        let texts: Vec<String> = (0..40).map(|i| format!("abc{i:02}")).collect();
+        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let (c, o) = index_of(
+            &refs,
+            IndexOptions::default().with_repr_policy(ReprPolicy::Force(ReprKind::Bitmap)),
+        );
+        let q = InvertedIndex::build(&c, o.clone()).prepare_query_str("abc07");
+        let windows = |kind| {
+            let mut idx = InvertedIndex::build(&c, o.clone());
+            let sorted = idx
+                .lists
+                .iter()
+                .map(|(t, l)| (*t, l.postings().to_vec()))
+                .collect();
+            idx.replace_lists(sorted, kind);
+            idx
+        };
+        let lean = windows(AlgorithmKind::Sf);
+        for kind in AlgorithmKind::ALL {
+            let idx = windows(kind);
+            let reads = kind.reads_hash_indexes() || kind.reads_id_sorted_lists();
+            for l in idx.lists.values() {
+                assert_eq!(l.repr(), ReprKind::Bitmap);
+                assert_eq!(l.bitmap().is_some(), reads, "{kind:?}");
+                assert_eq!(l.supports_random_access(), reads, "{kind:?}");
+                assert_eq!(l.id_postings().is_some(), reads, "{kind:?}");
+            }
+            let mut scratch = crate::Scratch::default();
+            let req = crate::SearchRequest::new(&q).tau(0.5).algorithm(kind);
+            assert!(crate::engine::execute_into(&idx, &mut scratch, &req).is_ok());
+            let refused = matches!(
+                crate::engine::execute_into(&lean, &mut scratch, &req),
+                Err(crate::SearchError::Unsupported { .. })
+            );
+            assert_eq!(refused, reads, "{kind:?}");
         }
     }
 

@@ -368,10 +368,6 @@ impl ShardedIndex {
         &self.options
     }
 
-    pub(crate) fn shards(&self) -> &[Shard] {
-        &self.shards
-    }
-
     /// Map a shard-local match back to its global [`SetId`].
     pub(crate) fn to_global(&self, shard: usize, m: Match) -> Match {
         Match {
@@ -478,11 +474,11 @@ impl ShardedIndex {
         }
     }
 
-    /// Run one request sequentially across the surviving shards (the
-    /// parallel scatter lives in
-    /// [`ShardedEngine`](crate::engine::ShardedEngine)). Results are the
-    /// unsharded index's matches exactly, in per-shard emission order
-    /// with shards ascending by band.
+    /// Run one request sequentially across the surviving shards
+    /// ([`ShardedEngine::search`](crate::engine::ShardedEngine::search)
+    /// runs this same path; its `search_with_threads` can scatter it).
+    /// Results are the unsharded index's matches exactly, in per-shard
+    /// emission order with shards ascending by band.
     pub fn search(&self, req: &SearchRequest<'_>) -> Result<SearchOutcome, SearchError> {
         let mut scratch = Scratch::default();
         self.search_with_scratch(&mut scratch, req)
@@ -496,19 +492,42 @@ impl ShardedIndex {
     ) -> Result<SearchOutcome, SearchError> {
         req.validate()?;
         let plan = self.plan(req.query, req.tau);
+        self.search_planned(scratch, &plan, req)
+    }
+
+    /// Search every surviving shard of `plan` in order on one scratch and
+    /// gather the outcomes: the sequential half of
+    /// [`search_with_scratch`](Self::search_with_scratch), which the
+    /// engine runs whenever it does not scatter.
+    pub(crate) fn search_planned(
+        &self,
+        scratch: &mut Scratch,
+        plan: &ShardPlan,
+        req: &SearchRequest<'_>,
+    ) -> Result<SearchOutcome, SearchError> {
         let mut outcomes = Vec::with_capacity(plan.surviving.len());
         for (shard, fq) in &plan.surviving {
-            let sreq = SearchRequest {
-                query: fq,
-                tau: req.tau,
-                algorithm: req.algorithm,
-                config: req.config,
-                budget: req.budget,
-            };
-            let out = execute(&self.shards[*shard].index, scratch, &sreq)?;
-            outcomes.push((*shard, out));
+            outcomes.push((*shard, self.search_shard(scratch, *shard, fq, req)?));
         }
-        Ok(self.gather(&plan, outcomes))
+        Ok(self.gather(plan, outcomes))
+    }
+
+    /// Run `req` against one shard with its filtered query `fq`.
+    pub(crate) fn search_shard(
+        &self,
+        scratch: &mut Scratch,
+        shard: usize,
+        fq: &PreparedQuery,
+        req: &SearchRequest<'_>,
+    ) -> Result<SearchOutcome, SearchError> {
+        let sreq = SearchRequest {
+            query: fq,
+            tau: req.tau,
+            algorithm: req.algorithm,
+            config: req.config,
+            budget: req.budget,
+        };
+        execute(&self.shards[shard].index, scratch, &sreq)
     }
 
     /// True if `dir` holds a sharded-index directory (its `MANIFEST`
@@ -732,7 +751,7 @@ mod tests {
         let c = collection(&refs);
         let sharded = ShardedIndex::build(&c, 4, IndexOptions::default()).unwrap();
         assert_eq!(sharded.num_records(), texts.len());
-        let total: usize = sharded.shards().iter().map(|s| s.ids.len()).sum();
+        let total: usize = sharded.shards.iter().map(|s| s.ids.len()).sum();
         assert_eq!(total, texts.len());
         // Bands are disjoint and ascending.
         let bands = sharded.bands();

@@ -14,7 +14,7 @@
 // Tests may build indexes directly (`clippy.toml` forbids it in the library).
 #![allow(clippy::disallowed_methods)]
 
-use setsim_core::engine::{execute, AlgorithmKind, Scratch, SearchRequest};
+use setsim_core::engine::{execute, AlgorithmKind, Budget, Scratch, SearchRequest};
 use setsim_core::{
     CollectionBuilder, IndexOptions, InvertedIndex, SetCollection, ShardedEngine, ShardedIndex,
 };
@@ -209,10 +209,12 @@ fn empty_corpus_round_trips() {
     check_equivalence(&reopened, &baseline, "empty reopened").expect("equivalence");
 }
 
-/// The multi-threaded [`ShardedEngine`] scatter path returns the same
-/// bits as the sequential [`ShardedIndex::search`] path — worker count
-/// and steal order must not leak into results (gather is slot-ordered)
-/// — and records pruned shards in its metrics.
+/// [`ShardedEngine::search`] (inline) and the multi-threaded scatter path
+/// return what the sequential [`ShardedIndex::search`] path does: the
+/// same bits in the same order, the same stats and status, budgeted
+/// requests included — worker count and steal order must not leak into
+/// results (gather is slot-ordered) — and record pruned shards in their
+/// metrics.
 #[test]
 fn engine_scatter_matches_sequential_search() {
     let texts: Vec<&str> = POOL.iter().copied().cycle().take(40).collect();
@@ -224,24 +226,35 @@ fn engine_scatter_matches_sequential_search() {
 
     let engine = ShardedEngine::new(ShardedIndex::build(&c, 8, IndexOptions::default()).unwrap());
     let mut saw_pruning = false;
+    let in_order = |out: &setsim_core::SearchOutcome| -> Vec<(u32, u64)> {
+        out.results
+            .iter()
+            .map(|m| (m.id.0, m.score.to_bits()))
+            .collect()
+    };
     for query in QUERIES {
         for &tau in &TAUS {
             let sq = engine.prepare_query_str(query);
-            let seq = sharded
-                .search(&SearchRequest::new(&sq).tau(tau))
-                .expect("sequential");
-            for threads in [1, 2, 7] {
-                let par = engine
-                    .search_with_threads(&SearchRequest::new(&sq).tau(tau), threads)
-                    .expect("parallel");
-                assert_eq!(
-                    par.bits_sorted(),
-                    seq.bits_sorted(),
-                    "threads={threads} τ={tau} q={query:?}"
-                );
-                assert_eq!(par.stats.shards_pruned, seq.stats.shards_pruned);
-                if par.stats.shards_pruned > 0 {
-                    saw_pruning = true;
+            for budget in [
+                Budget::unlimited(),
+                Budget::default().with_max_elements_read(3),
+            ] {
+                let req = SearchRequest::new(&sq).tau(tau).budget(budget);
+                let seq = sharded.search(&req).expect("sequential");
+                // `None` is `search`, which runs inline.
+                for threads in [None, Some(1), Some(2), Some(7)] {
+                    let par = match threads {
+                        None => engine.search(&req),
+                        Some(n) => engine.search_with_threads(&req, n),
+                    }
+                    .expect("engine");
+                    let ctx = format!("threads={threads:?} τ={tau} q={query:?} {budget:?}");
+                    assert_eq!(in_order(&par), in_order(&seq), "{ctx}");
+                    assert_eq!(par.stats, seq.stats, "{ctx}");
+                    assert_eq!(par.status, seq.status, "{ctx}");
+                    if par.stats.shards_pruned > 0 {
+                        saw_pruning = true;
+                    }
                 }
             }
         }
