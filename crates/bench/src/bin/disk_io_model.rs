@@ -26,7 +26,7 @@ use setsim_bench::{
     prepare_queries, scale_from_args, word_collection, workload, Scale, TempSnapshot,
 };
 use setsim_core::{
-    AlgorithmKind, IndexOptions, InvertedIndex, PagedSearchError, PreparedQuery, QueryEngine,
+    AlgorithmKind, IndexOptions, InvertedIndex, PreparedQuery, QueryEngine, SearchError,
     SearchRequest, SnapshotError,
 };
 use setsim_datagen::LengthBucket;
@@ -55,7 +55,7 @@ fn replay(
     queries: &[PreparedQuery],
     kind: AlgorithmKind,
     passes: usize,
-) -> Result<Replay, PagedSearchError> {
+) -> Result<Replay, SearchError> {
     let mut engine = QueryEngine::open_paged(path, pool_pages)?;
     let mut r = Replay {
         disk: DiskStats::default(),

@@ -24,8 +24,8 @@ use crate::{
 };
 use setsim_core::{
     AlgoConfig, AlgorithmKind, CollectionBuilder, DriftBudget, IndexOptions, InvertedIndex,
-    MutableIndex, MutableSearchRequest, PreparedQuery, QueryEngine, RecordId, ReprKind, ReprPolicy,
-    Scratch, SearchRequest, SearchStats, SetCollection, ShardedEngine, ShardedIndex,
+    MutableIndex, PreparedQuery, QueryEngine, RecordId, ReprKind, ReprPolicy, Scratch,
+    SearchRequest, SearchStats, SetCollection, ShardedEngine, ShardedIndex,
 };
 use setsim_datagen::{Corpus, LengthBucket};
 use setsim_tokenize::QGramTokenizer;
@@ -272,7 +272,7 @@ fn mixed_pass(
             mi.compact();
         }
         let q = mi.prepare_query_str(text);
-        let req = MutableSearchRequest::new(&q).tau(tau).algorithm(kind);
+        let req = SearchRequest::new(&q).tau(tau).algorithm(kind);
         let out = mi.search(&mut scratch, &req).expect("mixed-cell search");
         matches += out.results.len() as u64;
         stats.merge(&out.stats);

@@ -215,18 +215,26 @@ pub fn run(cfg: &ScaleoutConfig) -> Result<ScaleoutOutcome, String> {
     let mut workloads = Vec::with_capacity(cfg.taus.len());
     let mut pruned_fraction = Vec::with_capacity(cfg.taus.len());
     for &tau in &cfg.taus {
-        let mut stats = SearchStats::default();
-        let mut matches = 0u64;
+        let pass = || -> Result<(SearchStats, u64), String> {
+            let mut stats = SearchStats::default();
+            let mut matches = 0u64;
+            for text in &query_texts {
+                let q = engine.prepare_query_str(text);
+                let req = SearchRequest::new(&q).tau(tau).algorithm(AlgorithmKind::Sf);
+                let out = engine
+                    .search(&req)
+                    .map_err(|e| format!("scaleout query failed at tau={tau}: {e}"))?;
+                matches += out.results.len() as u64;
+                stats.merge(&out.stats);
+            }
+            Ok((stats, matches))
+        };
+        // One untimed pass first, so the timed pass does not measure
+        // cold caches (the first τ after a build read ≈60 % slower than
+        // the same pass warm). Counters come from the timed pass only.
+        pass()?;
         let start = Instant::now();
-        for text in &query_texts {
-            let q = engine.prepare_query_str(text);
-            let req = SearchRequest::new(&q).tau(tau).algorithm(AlgorithmKind::Sf);
-            let out = engine
-                .search(&req)
-                .map_err(|e| format!("scaleout query failed at tau={tau}: {e}"))?;
-            matches += out.results.len() as u64;
-            stats.merge(&out.stats);
-        }
+        let (stats, matches) = pass()?;
         let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
         let visits = (query_texts.len() * num_shards) as f64;
         let fraction = if visits > 0.0 {
@@ -263,7 +271,7 @@ pub fn run(cfg: &ScaleoutConfig) -> Result<ScaleoutOutcome, String> {
         label: cfg.label.clone(),
         scale: "scaleout".to_string(),
         seed: cfg.seed,
-        warmup: 0,
+        warmup: 1,
         reps: 1,
         env: EnvFingerprint::capture(),
         workloads,

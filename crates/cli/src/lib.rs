@@ -31,8 +31,7 @@
 //! * `setsim-cli query -s SNAP --paged [--pool-pages N] -q TEXT` — serve
 //!   the query demand-paged from the snapshot: footer-only open, posting
 //!   pages faulted per query through a bounded buffer pool, bit-identical
-//!   results to the full-load path (falls back to a full load if the
-//!   paged open fails).
+//!   results to the full-load path.
 //! * `setsim-cli serve {-i FILE | -d DIR} [--addr HOST:PORT]
 //!   [--inflight N]` — serve the index over TCP with the wire-stable
 //!   protocol (`setsim-core::api`, DESIGN.md §14).
@@ -51,9 +50,9 @@
 use setsim_core::algorithms::selfjoin::par_self_join;
 use setsim_core::algorithms::topk::topk_nra;
 use setsim_core::{
-    AlgorithmKind, CollectionBuilder, IndexOptions, MutableEngine, MutableIndex,
-    MutableSearchRequest, PreparedQuery, QueryEngine, RecordId, Scratch, SearchCall, SearchRequest,
-    SetCollection, ShardedEngine, ShardedIndex, PROTOCOL_VERSION,
+    AlgorithmKind, CollectionBuilder, IndexOptions, MutableEngine, MutableIndex, PreparedQuery,
+    QueryEngine, RecordId, Scratch, SearchCall, SearchRequest, SetCollection, ShardedEngine,
+    ShardedIndex, PROTOCOL_VERSION,
 };
 use setsim_server::{Client, ServerConfig, ServerHandle};
 use setsim_tokenize::{QGramTokenizer, TokenizerSpec, WordTokenizer};
@@ -204,8 +203,7 @@ query -s serves straight from a snapshot file. With --paged the engine
 decodes only the snapshot footer at open and faults posting pages per
 query through a buffer pool of --pool-pages frames, so an index larger
 than RAM serves with bounded resident memory and results bit-identical
-to the full-load path; if the paged open fails the query falls back to
-a full load automatically. 'snapshot verify' prints the page count and
+to the full-load path. 'snapshot verify' prints the page count and
 the minimum viable pool size so operators can size --pool-pages.
 
 shard partitions FILE into length-banded shards (one snapshot per band
@@ -617,54 +615,46 @@ fn run_sharded_query(opts: &Options, dir: &Path) -> Result<String, String> {
 }
 
 /// Serve one query straight from a snapshot file. With `--paged` the
-/// demand-paged engine is tried first (footer-only open, pages faulted
-/// per query through a `--pool-pages`-frame pool); if that open fails
-/// the query falls back to a full heap load, so `--paged` can never
-/// make a servable snapshot unservable. Results are bit-identical
-/// either way; the paged path additionally reports page-fault counters.
+/// demand-paged engine serves it (footer-only open, pages faulted per
+/// query through a `--pool-pages`-frame pool); otherwise the snapshot is
+/// loaded whole. Results are bit-identical either way; the paged path
+/// additionally reports page-fault counters.
 fn run_snapshot_query(opts: &Options) -> Result<String, String> {
     let kind = algorithm(&opts.algo)?;
     let path = Path::new(opts.snapshot.as_ref().expect("validated"));
-    let text = opts.query.as_ref().expect("validated");
     let mut out = String::new();
-    if opts.paged {
-        match QueryEngine::open_paged(path, opts.pool_pages) {
-            Ok(mut engine) => {
-                let q = engine.prepare_query_str(text);
-                let outcome = engine
-                    .search(SearchRequest::new(&q).tau(opts.tau).algorithm(kind))
-                    .map_err(|e| e.to_string())?;
-                writeln!(
-                    out,
-                    "paged snapshot: {} page(s), pool {} frame(s), {} resident",
-                    engine.num_pages(),
-                    engine.pool_pages(),
-                    engine.resident_pages()
-                )
-                .unwrap();
-                let (touched, hits, misses) = (
-                    outcome.stats.pages_touched,
-                    outcome.stats.page_cache_hits,
-                    outcome.stats.page_cache_misses,
-                );
-                write_matches(&mut out, opts, "", &outcome.sorted_by_score(), |m| {
-                    let text = engine.index().collection().text(m.id).expect("valid id");
-                    (m.score, text.to_string())
-                });
-                writeln!(
-                    out,
-                    "pages touched: {touched} ({hits} hit(s), {misses} miss(es))"
-                )
-                .unwrap();
-                return Ok(out);
-            }
-            Err(e) => {
-                writeln!(out, "paged open failed ({e}); falling back to full load").unwrap();
-            }
-        }
+    if !opts.paged {
+        let mut engine = QueryEngine::open(path).map_err(|e| e.to_string())?;
+        query_loaded(&mut engine, opts, &mut out)?;
+        return Ok(out);
     }
-    let mut engine = QueryEngine::open(path).map_err(|e| e.to_string())?;
-    query_loaded(&mut engine, opts, &mut out)?;
+    let mut engine = QueryEngine::open_paged(path, opts.pool_pages).map_err(|e| e.to_string())?;
+    let q = engine.prepare_query_str(opts.query.as_ref().expect("validated"));
+    let outcome = engine
+        .search(SearchRequest::new(&q).tau(opts.tau).algorithm(kind))
+        .map_err(|e| e.to_string())?;
+    writeln!(
+        out,
+        "paged snapshot: {} page(s), pool {} frame(s), {} resident",
+        engine.num_pages(),
+        engine.pool_pages(),
+        engine.resident_pages()
+    )
+    .unwrap();
+    let (touched, hits, misses) = (
+        outcome.stats.pages_touched,
+        outcome.stats.page_cache_hits,
+        outcome.stats.page_cache_misses,
+    );
+    write_matches(&mut out, opts, "", &outcome.sorted_by_score(), |m| {
+        let text = engine.index().collection().text(m.id).expect("valid id");
+        (m.score, text.to_string())
+    });
+    writeln!(
+        out,
+        "pages touched: {touched} ({hits} hit(s), {misses} miss(es))"
+    )
+    .unwrap();
     Ok(out)
 }
 
@@ -719,7 +709,7 @@ fn run_query(opts: &Options, lines: &[String]) -> Result<String, String> {
         None => build_mutable(lines, opts)?,
     };
     let q = mi.prepare_query_str(opts.query.as_ref().expect("validated"));
-    let req = MutableSearchRequest::new(&q).tau(opts.tau).algorithm(kind);
+    let req = SearchRequest::new(&q).tau(opts.tau).algorithm(kind);
     let outcome = mi
         .search(&mut Scratch::default(), &req)
         .map_err(|e| e.to_string())?;

@@ -184,6 +184,7 @@ impl From<&SearchError> for ErrorCode {
             // The server prepares every query against the index it serves,
             // so a foreign query there is a server fault.
             SearchError::ForeignQuery { .. } => ErrorCode::Internal,
+            SearchError::Snapshot(e) => ErrorCode::from(e),
         }
     }
 }
@@ -407,7 +408,8 @@ const RESP_PONG: u8 = 0x88;
 const RESP_ERROR: u8 = 0xEE;
 
 /// The body of a [`WireRequest::Search`] — the wire twin of
-/// [`crate::MutableSearchRequest`], carrying everything the server needs
+/// [`crate::SearchRequest`] the server builds over a
+/// [`crate::MutableQuery`], carrying everything the server needs
 /// to rebuild the typed request on its side.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchCall {
@@ -435,7 +437,7 @@ pub struct SearchCall {
 
 impl SearchCall {
     /// A search for `text` with the default τ = 0.7, SF algorithm, and
-    /// both optimizations on — mirroring [`crate::MutableSearchRequest::new`].
+    /// both optimizations on — mirroring [`crate::SearchRequest::new`].
     #[must_use]
     pub fn new(text: impl Into<String>) -> SearchCall {
         SearchCall {
@@ -1206,6 +1208,7 @@ fn expect_end(buf: &[u8], pos: usize) -> Result<(), WireDecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use setsim_storage::SnapshotRegion;
 
     fn roundtrip_req(req: &WireRequest) -> WireRequest {
         match WireRequest::decode(&req.encode()) {
@@ -1340,6 +1343,40 @@ mod tests {
             }),
             ErrorCode::InvalidTau
         );
+        // A snapshot error met mid-search travels as the snapshot error
+        // itself: one code per failure, whichever path surfaced it.
+        let snapshot_errors = || {
+            [
+                SnapshotError::Io(std::io::Error::other("disk gone")),
+                SnapshotError::BadMagic {
+                    region: SnapshotRegion::Header,
+                },
+                SnapshotError::UnsupportedVersion {
+                    found: 9,
+                    supported: 1,
+                },
+                SnapshotError::Truncated {
+                    expected: 8,
+                    actual: 4,
+                },
+                SnapshotError::ChecksumMismatch {
+                    region: SnapshotRegion::Page(3),
+                },
+                SnapshotError::Corrupt {
+                    detail: "bad".to_string(),
+                },
+                SnapshotError::Unsupported {
+                    detail: "tag 2".to_string(),
+                },
+            ]
+        };
+        for (direct, wrapped) in snapshot_errors().iter().zip(snapshot_errors()) {
+            assert_eq!(
+                ErrorCode::from(&SearchError::Snapshot(wrapped)),
+                ErrorCode::from(direct),
+                "{direct}"
+            );
+        }
         assert_eq!(ErrorCode::InvalidTau.as_u16(), 1);
         assert_eq!(ErrorCode::Overloaded.as_u16(), 23);
         for code in [

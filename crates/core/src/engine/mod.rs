@@ -42,14 +42,15 @@ mod scratch;
 pub(crate) use budget::ArmedBudget;
 pub use budget::Budget;
 pub use metrics::{EngineMetrics, MetricsSnapshot};
-pub use paged::{PagedEngine, PagedSearchError};
+pub use paged::PagedEngine;
 pub(crate) use pool::{steal, ScratchPool};
 pub use scratch::Scratch;
 pub(crate) use scratch::{CandCell, DetHashMap, PoolCand, SfCand};
 
 use crate::algorithms::{hybrid, inra, ita, merge, nra, scan, sf, ta, MAX_QUERY_LISTS};
 use crate::{
-    AlgoConfig, InvertedIndex, Match, PreparedQuery, SearchOutcome, SearchStats, SearchStatus, Tau,
+    AlgoConfig, InvertedIndex, Match, PreparedQuery, SearchOutcome, SearchStats, SearchStatus,
+    SnapshotError, Tau,
 };
 use setsim_tokenize::Token;
 use std::fmt;
@@ -159,8 +160,10 @@ impl AlgorithmKind {
     }
 }
 
-/// Why a request was rejected before any search work ran.
-#[derive(Debug, Clone, PartialEq)]
+/// Why a request failed: rejected before any search work ran, or — on
+/// the paged engine — a page fault or window decode that failed
+/// mid-query.
+#[derive(Debug)]
 #[non_exhaustive]
 pub enum SearchError {
     /// The threshold is outside `(0, 1]` (or not finite). The IDF score is
@@ -199,6 +202,11 @@ pub enum SearchError {
         /// The filter's minimum supported threshold.
         tau_min: f64,
     },
+    /// A page fault or window decode failed (a damaged page, a file that
+    /// shrank underneath the reader, a window decoding to inconsistent
+    /// postings); the query produced nothing. Only [`PagedEngine`] reads
+    /// pages while it searches.
+    Snapshot(SnapshotError),
 }
 
 impl fmt::Display for SearchError {
@@ -224,11 +232,25 @@ impl fmt::Display for SearchError {
             SearchError::BelowTauMin { tau, tau_min } => {
                 write!(f, "filter built for tau >= {tau_min}, asked for {tau}")
             }
+            SearchError::Snapshot(e) => e.fmt(f),
         }
     }
 }
 
-impl std::error::Error for SearchError {}
+impl std::error::Error for SearchError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            SearchError::Snapshot(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<SnapshotError> for SearchError {
+    fn from(e: SnapshotError) -> Self {
+        SearchError::Snapshot(e)
+    }
+}
 
 /// [`SearchError::QueryTooWide`] if `query` has more lists than the
 /// per-candidate bitsets of the width-limited algorithms (and NRA top-k)
@@ -244,16 +266,27 @@ pub(crate) fn check_query_width(query: &PreparedQuery) -> Result<(), SearchError
 }
 
 /// One selection query, fully specified: the single public entry point of
-/// the serving layer. Build with [`SearchRequest::new`] plus the setters;
-/// the struct is `#[non_exhaustive]` so future knobs are non-breaking.
-#[derive(Clone, Copy)]
+/// every engine. Build with [`SearchRequest::new`] plus the setters; the
+/// struct is `#[non_exhaustive]` so future knobs are non-breaking.
+///
+/// `Q` is the prepared query the engine reads: a [`PreparedQuery`] for the
+/// heap, sharded and paged engines, a [`MutableQuery`](crate::MutableQuery)
+/// for the mutable index.
+/// There, budgets truncate *candidates*, never scores: a record that
+/// survives a budget-limited base pass still receives its exact live score
+/// in the re-scoring phase, so a tripped budget yields an exact **subset**
+/// of the answer (reported as [`SearchStatus::BudgetExceeded`]), never an
+/// approximate score — the property the serving tier's deadline
+/// propagation relies on.
+#[derive(Debug)]
 #[non_exhaustive]
-pub struct SearchRequest<'q> {
+pub struct SearchRequest<'q, Q = PreparedQuery> {
     /// The prepared query.
-    pub query: &'q PreparedQuery,
+    pub query: &'q Q,
     /// Selection threshold in `(0, 1]` (validated at execution).
     pub tau: f64,
-    /// Which algorithm runs the selection.
+    /// Which algorithm runs the selection (the base-segment candidate
+    /// pass, on the mutable index).
     pub algorithm: AlgorithmKind,
     /// Property-ablation toggles for the algorithms that take them.
     pub config: AlgoConfig,
@@ -261,11 +294,21 @@ pub struct SearchRequest<'q> {
     pub budget: Budget,
 }
 
-impl<'q> SearchRequest<'q> {
+// Manual impls: the derives would demand `Q: Clone`/`Q: Copy`, but the
+// request only borrows its query.
+impl<Q> Clone for SearchRequest<'_, Q> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<Q> Copy for SearchRequest<'_, Q> {}
+
+impl<'q, Q> SearchRequest<'q, Q> {
     /// A request with the defaults: `τ = 0.7`, SF (the paper's
     /// best-overall algorithm), full property config, no budget.
     #[must_use]
-    pub fn new(query: &'q PreparedQuery) -> Self {
+    pub fn new(query: &'q Q) -> Self {
         Self {
             query,
             tau: 0.7,
@@ -303,6 +346,20 @@ impl<'q> SearchRequest<'q> {
         self
     }
 
+    /// The same request over another prepared query: how the sharded and
+    /// mutable engines hand a request on to the index they run it against.
+    pub(crate) fn with_query<'p, P>(&self, query: &'p P) -> SearchRequest<'p, P> {
+        SearchRequest {
+            query,
+            tau: self.tau,
+            algorithm: self.algorithm,
+            config: self.config,
+            budget: self.budget,
+        }
+    }
+}
+
+impl SearchRequest<'_> {
     /// The checks that need no index — τ in `(0, 1]`, and no more lists
     /// than a width-limited algorithm's bitsets hold — made by every
     /// engine before it touches a list, so all refuse the same requests.
@@ -411,7 +468,7 @@ impl QueryEngine<'static> {
     /// its collection, so the engine has no outstanding borrows and can
     /// be moved anywhere.
     ///
-    /// Every failure is a typed [`SnapshotError`](crate::SnapshotError)
+    /// Every failure is a typed [`SnapshotError`]
     /// — bad magic, unsupported version, checksum mismatch, truncation,
     /// or malformed contents. A file that fails validation never
     /// produces an engine.

@@ -33,8 +33,9 @@
 //! would refuse for a missing structure is refused here too.
 //!
 //! Every page access is CRC-verified once by the pool; damage in a faulted
-//! page surfaces as a typed [`SnapshotError::ChecksumMismatch`] naming
-//! the exact page, at fault time — never a panic, never a silent read.
+//! page surfaces as [`SearchError::Snapshot`] carrying a typed
+//! [`SnapshotError::ChecksumMismatch`] that names the exact page, at fault
+//! time — never a panic, never a silent read.
 //! Damage in pages no query faults is invisible by design (run
 //! [`crate::snapshot::verify`] for an eager sweep).
 
@@ -47,51 +48,7 @@ use crate::{
 };
 use setsim_storage::PagedSnapshot;
 use setsim_tokenize::Token;
-use std::fmt;
 use std::path::Path;
-
-/// What can go wrong serving a paged query: request validation (same
-/// typed errors as the heap engine) or snapshot I/O — a fault hitting a
-/// damaged page, a file that shrank underneath the reader, a window
-/// decoding to inconsistent postings.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum PagedSearchError {
-    /// The request failed validation before any page was faulted.
-    Search(SearchError),
-    /// A page fault or window decode failed; the query produced nothing.
-    Snapshot(SnapshotError),
-}
-
-impl fmt::Display for PagedSearchError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PagedSearchError::Search(e) => e.fmt(f),
-            PagedSearchError::Snapshot(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for PagedSearchError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            PagedSearchError::Search(e) => Some(e),
-            PagedSearchError::Snapshot(e) => Some(e),
-        }
-    }
-}
-
-impl From<SearchError> for PagedSearchError {
-    fn from(e: SearchError) -> Self {
-        PagedSearchError::Search(e)
-    }
-}
-
-impl From<SnapshotError> for PagedSearchError {
-    fn from(e: SnapshotError) -> Self {
-        PagedSearchError::Snapshot(e)
-    }
-}
 
 /// Page fetcher over the pooled snapshot that records every page a query
 /// fetches; the distinct count is the `pages_touched` counter.
@@ -212,7 +169,7 @@ impl PagedEngine {
     /// algorithm unmodified. Results are bit-identical to the heap
     /// engine; [`SearchStats`](crate::SearchStats) additionally carries
     /// `pages_touched` / `page_cache_hits` / `page_cache_misses`.
-    pub fn search(&mut self, req: SearchRequest<'_>) -> Result<SearchOutcome, PagedSearchError> {
+    pub fn search(&mut self, req: SearchRequest<'_>) -> Result<SearchOutcome, SearchError> {
         self.metrics.observe(
             || {
                 // Validate before faulting a single page (execute_into
@@ -230,7 +187,7 @@ impl PagedEngine {
                         // A query prepared by this engine only carries tokens the
                         // directory has lists for; anything else was prepared
                         // against a different index and must not be served.
-                        return Err(SearchError::ForeignQuery { token: qt.token }.into());
+                        return Err(SearchError::ForeignQuery { token: qt.token });
                     };
                     let range = window_blocks(list, len_q, tau.get());
                     let mut pages = PooledPages {

@@ -105,8 +105,8 @@ pub use api::{
 };
 pub use collection::{CollectionBuilder, SetCollection, SetId};
 pub use engine::{
-    AlgorithmKind, Budget, EngineMetrics, MetricsSnapshot, PagedEngine, PagedSearchError,
-    QueryEngine, Scratch, SearchError, SearchRequest, SearchView, ShardedEngine,
+    AlgorithmKind, Budget, EngineMetrics, MetricsSnapshot, PagedEngine, QueryEngine, Scratch,
+    SearchError, SearchRequest, SearchView, ShardedEngine,
 };
 pub use index::{
     IdPostings, IndexOptions, InvertedIndex, Posting, PostingList, ReprKind, ReprPolicy,

@@ -25,7 +25,7 @@
 //!
 //! [`audit_state`]: AuditedMutableIndex::audit_state
 
-use super::{Loc, MutableIndex, MutableOutcome, MutableSearchRequest, RecordId};
+use super::{Loc, MutableIndex, MutableOutcome, MutableQuery, RecordId, SearchRequest};
 use crate::engine::Scratch;
 use crate::properties::length_bounds;
 use crate::{passes, SetId};
@@ -172,7 +172,7 @@ impl<'a> AuditedMutableIndex<'a> {
 
     /// Exact live scores of every live record, by exhaustive scan — the
     /// oracle all checks compare against.
-    fn oracle_scores(&self, req: &MutableSearchRequest<'_>) -> Vec<(RecordId, f64)> {
+    fn oracle_scores(&self, req: &SearchRequest<'_, MutableQuery>) -> Vec<(RecordId, f64)> {
         let mi = self.index;
         let live = req.query.live();
         let mut rows = Vec::with_capacity(mi.n_live);
@@ -210,7 +210,7 @@ impl<'a> AuditedMutableIndex<'a> {
     pub fn search_audited(
         &self,
         scratch: &mut Scratch,
-        req: &MutableSearchRequest<'_>,
+        req: &SearchRequest<'_, MutableQuery>,
     ) -> (MutableOutcome, MutableReport) {
         // why: the audit harness (dev/CI only) wants invalid requests to
         // fail loudly, not flow into a vacuous report.
@@ -228,7 +228,7 @@ impl<'a> AuditedMutableIndex<'a> {
     /// the auditor catches them.
     pub fn audit_outcome(
         &self,
-        req: &MutableSearchRequest<'_>,
+        req: &SearchRequest<'_, MutableQuery>,
         outcome: &MutableOutcome,
     ) -> MutableReport {
         let mi = self.index;
@@ -399,7 +399,7 @@ impl<'a> AuditedMutableIndex<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{MutableIndex, MutableMatch, MutableSearchRequest, RecordId};
+    use super::super::{MutableIndex, MutableMatch, RecordId, SearchRequest};
     use super::{AuditedMutableIndex, MutableViolation};
     use crate::engine::Scratch;
     use crate::{AlgorithmKind, CollectionBuilder, IndexOptions};
@@ -437,7 +437,7 @@ mod tests {
             let q = mi.prepare_query_str(query);
             for kind in AlgorithmKind::ALL {
                 for tau in [0.3, 0.6, 0.9] {
-                    let req = MutableSearchRequest::new(&q).tau(tau).algorithm(kind);
+                    let req = SearchRequest::new(&q).tau(tau).algorithm(kind);
                     let (out, report) = audited.search_audited(&mut scratch, &req);
                     report.assert_clean();
                     assert!(report.oracle_comparisons > 0);
@@ -471,7 +471,7 @@ mod tests {
             let audited = AuditedMutableIndex::new(&mi);
             audited.audit_state().assert_clean();
             let q = mi.prepare_query_str("velvet lagoon 0");
-            let req = MutableSearchRequest::new(&q).tau(0.5);
+            let req = SearchRequest::new(&q).tau(0.5);
             let (_, report) = audited.search_audited(&mut scratch, &req);
             report.assert_clean();
         }
@@ -482,7 +482,7 @@ mod tests {
         let mi = mutated_index();
         let audited = AuditedMutableIndex::new(&mi);
         let q = mi.prepare_query_str("quartz harbor 3");
-        let req = MutableSearchRequest::new(&q).tau(0.5);
+        let req = SearchRequest::new(&q).tau(0.5);
         let mut out = mi.search(&mut Scratch::default(), &req).unwrap();
         assert!(!out.results.is_empty());
         // Drop a true result: must surface as a false negative.
@@ -548,7 +548,7 @@ mod tests {
         assert!(!mi.pristine());
         let audited = AuditedMutableIndex::new(&mi);
         let q = mi.prepare_query_str("main street");
-        let req = MutableSearchRequest::new(&q).tau(0.3);
+        let req = SearchRequest::new(&q).tau(0.3);
         let (_, report) = audited.search_audited(&mut Scratch::default(), &req);
         report.assert_clean();
         assert!(

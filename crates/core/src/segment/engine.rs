@@ -9,7 +9,7 @@
 // a pool frame) for every other thread (DESIGN.md §13).
 #![deny(clippy::indexing_slicing, clippy::integer_division_remainder_used)]
 
-use super::{MutableIndex, MutableOutcome, MutableQuery, MutableSearchRequest, RecordId};
+use super::{MutableIndex, MutableOutcome, MutableQuery, RecordId, SearchRequest};
 use crate::engine::{EngineMetrics, MetricsSnapshot, ScratchPool, SearchError};
 use crate::SnapshotError;
 use std::path::Path;
@@ -78,7 +78,10 @@ impl MutableEngine {
     }
 
     /// Run one search, recording serving metrics.
-    pub fn search(&self, req: &MutableSearchRequest<'_>) -> Result<MutableOutcome, SearchError> {
+    pub fn search(
+        &self,
+        req: &SearchRequest<'_, MutableQuery>,
+    ) -> Result<MutableOutcome, SearchError> {
         self.metrics.observe(
             || {
                 let mut scratch = self.scratch_pool.pop();
@@ -244,7 +247,7 @@ impl MutableEngine {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{DriftBudget, MutableIndex, MutableSearchRequest, RecordId};
+    use super::super::{DriftBudget, MutableIndex, RecordId, SearchRequest};
     use super::MutableEngine;
     use crate::{CollectionBuilder, IndexOptions};
     use setsim_tokenize::QGramTokenizer;
@@ -275,7 +278,7 @@ mod tests {
 
     fn search_ids(eng: &MutableEngine, query: &str, tau: f64) -> Vec<RecordId> {
         let q = eng.prepare_query_str(query);
-        let req = MutableSearchRequest::new(&q).tau(tau);
+        let req = SearchRequest::new(&q).tau(tau);
         eng.search(&req).unwrap().ids_sorted()
     }
 
@@ -302,11 +305,11 @@ mod tests {
         assert!(eng.with_index(MutableIndex::pristine));
         let fresh_q = eng.prepare_query_str("main street");
         let fresh = {
-            let req = MutableSearchRequest::new(&fresh_q).tau(0.5);
+            let req = SearchRequest::new(&fresh_q).tau(0.5);
             eng.search(&req).unwrap()
         };
         let stale = {
-            let req = MutableSearchRequest::new(&stale_q).tau(0.5);
+            let req = SearchRequest::new(&stale_q).tau(0.5);
             eng.search(&req).unwrap()
         };
         assert!(!fresh.results.is_empty(), "corpus has matches at tau 0.5");
@@ -340,7 +343,7 @@ mod tests {
         eng.compact();
         eng.insert("harbor view");
         eng.compact();
-        let req = MutableSearchRequest::new(&q).tau(0.8);
+        let req = SearchRequest::new(&q).tau(0.8);
         let out = eng.search(&req).unwrap();
         assert_eq!(
             out.ids_sorted(),

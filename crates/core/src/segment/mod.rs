@@ -44,13 +44,13 @@ pub use drift::DriftBudget;
 pub use engine::MutableEngine;
 
 use crate::algorithms::canonical_score;
-use crate::engine::{execute as engine_execute, Budget, Scratch, SearchError, SearchRequest};
+use crate::engine::{execute as engine_execute, Scratch, SearchError, SearchRequest};
 use crate::properties::length_bounds;
 use crate::query::QueryToken;
 use crate::weights::count_to_f64;
 use crate::{
-    passes, AlgoConfig, AlgorithmKind, IndexOptions, InvertedIndex, PreparedQuery, SearchStats,
-    SearchStatus, SetCollection, SetId, SnapshotError, Tau, TokenWeights,
+    passes, IndexOptions, InvertedIndex, PreparedQuery, SearchStats, SearchStatus, SetCollection,
+    SetId, SnapshotError, Tau, TokenWeights,
 };
 use delta::{DeltaRecord, DeltaSegment};
 use drift::DriftBounds;
@@ -126,7 +126,7 @@ pub struct MutableOutcome {
     /// Access counters, base-segment work and delta work combined.
     pub stats: SearchStats,
     /// Completion status: [`SearchStatus::BudgetExceeded`] marks an
-    /// exact-but-partial result set (see [`MutableSearchRequest::budget`]).
+    /// exact-but-partial result set (see [`SearchRequest`]).
     pub status: SearchStatus,
 }
 
@@ -176,70 +176,10 @@ impl MutableQuery {
     }
 }
 
-/// A [`SearchRequest`]-shaped builder for mutable-index searches.
-///
-/// Budgets truncate *candidates*, never scores: a record that survives a
-/// budget-limited base pass still receives its exact live score in the
-/// re-scoring phase, so a tripped budget yields an exact **subset** of the
-/// answer (reported as [`SearchStatus::BudgetExceeded`]), never an
-/// approximate score — the property the serving tier's deadline
-/// propagation relies on.
-#[derive(Debug, Clone, Copy)]
-pub struct MutableSearchRequest<'q> {
-    /// The prepared query.
-    pub query: &'q MutableQuery,
-    /// Selection threshold in `(0, 1]` (validated at execution).
-    pub tau: f64,
-    /// Algorithm used for the base-segment candidate pass.
-    pub algorithm: AlgorithmKind,
-    /// Property-ablation config forwarded to the base pass.
-    pub config: AlgoConfig,
-    /// Work/time budget propagated into the base pass and checked between
-    /// layered phases. Defaults to unlimited.
-    pub budget: Budget,
-}
-
-impl<'q> MutableSearchRequest<'q> {
-    /// A request with the engine defaults (`tau` 0.7, SF).
-    #[must_use]
-    pub fn new(query: &'q MutableQuery) -> Self {
-        Self {
-            query,
-            tau: 0.7,
-            algorithm: AlgorithmKind::Sf,
-            config: AlgoConfig::full(),
-            budget: Budget::unlimited(),
-        }
-    }
-
-    /// Set the threshold.
-    #[must_use]
-    pub fn tau(mut self, tau: f64) -> Self {
-        self.tau = tau;
-        self
-    }
-
-    /// Set the base-pass algorithm.
-    #[must_use]
-    pub fn algorithm(mut self, kind: AlgorithmKind) -> Self {
-        self.algorithm = kind;
-        self
-    }
-
-    /// Set the property-ablation config.
-    #[must_use]
-    pub fn config(mut self, config: AlgoConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Attach a work/time budget (see [`Budget`]).
-    #[must_use]
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-}
+/// A [`SearchRequest`] over a [`MutableQuery`]. The alias is kept
+/// because external code names the type; everything it has — fields,
+/// builder, budget semantics — is [`SearchRequest`]'s.
+pub type MutableSearchRequest<'q> = SearchRequest<'q, MutableQuery>;
 
 /// A dynamically updatable set-similarity index: an immutable base
 /// segment plus an in-memory delta segment, searched together under one
@@ -721,7 +661,7 @@ impl MutableIndex {
     pub fn search(
         &self,
         scratch: &mut Scratch,
-        req: &MutableSearchRequest<'_>,
+        req: &SearchRequest<'_, MutableQuery>,
     ) -> Result<MutableOutcome, SearchError> {
         let tau = Tau::try_from(req.tau)?.get();
         // A preparation from an earlier segment state carries coordinates
@@ -739,12 +679,7 @@ impl MutableIndex {
         // the stale preparation is bit-identical to a static one — run
         // the requested algorithm untouched (same counters, same scores).
         if self.pristine() {
-            let sreq = SearchRequest::new(&query.stale)
-                .tau(tau)
-                .algorithm(req.algorithm)
-                .config(req.config)
-                .budget(req.budget);
-            let out = engine_execute(&self.base, scratch, &sreq)?;
+            let out = engine_execute(&self.base, scratch, &req.with_query(&query.stale))?;
             return Ok(MutableOutcome {
                 results: out
                     .results
@@ -765,7 +700,7 @@ impl MutableIndex {
         // Arm the budget once so its deadline covers all three phases.
         // Truncation is sound: every emitted result carries an exact live
         // score, so a tripped budget yields an exact subset (see the
-        // [`MutableSearchRequest`] docs).
+        // [`SearchRequest`] docs).
         let armed = req.budget.arm();
         let tau_wide = tau / self.drift_bounds().widening_factor();
         // Phase 1: candidate generation over the base segment — the
@@ -773,11 +708,7 @@ impl MutableIndex {
         // is a superset of every live-qualifying base record.
         let mut base_cands: Vec<SetId> = Vec::new();
         if !self.base.collection().is_empty() && !query.stale.is_empty() {
-            let sreq = SearchRequest::new(&query.stale)
-                .tau(tau_wide)
-                .algorithm(req.algorithm)
-                .config(req.config)
-                .budget(req.budget);
+            let sreq = req.with_query(&query.stale).tau(tau_wide);
             let out = engine_execute(&self.base, scratch, &sreq)?;
             outcome.stats.merge(&out.stats);
             if out.status == SearchStatus::BudgetExceeded {
@@ -896,7 +827,7 @@ pub(crate) fn build_base(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CollectionBuilder;
+    use crate::{AlgorithmKind, CollectionBuilder};
     use setsim_tokenize::QGramTokenizer;
 
     const CORPUS: &[&str] = &[
@@ -949,7 +880,7 @@ mod tests {
         kind: AlgorithmKind,
     ) -> Vec<(RecordId, f64)> {
         let q = mi.prepare_query_str(query);
-        let req = MutableSearchRequest::new(&q).tau(tau).algorithm(kind);
+        let req = SearchRequest::new(&q).tau(tau).algorithm(kind);
         let out = mi.search(&mut Scratch::default(), &req).unwrap();
         let mut rows: Vec<(RecordId, f64)> =
             out.results.iter().map(|m| (m.record, m.score)).collect();
@@ -981,7 +912,7 @@ mod tests {
         for kind in AlgorithmKind::ALL {
             let mq = mi.prepare_query_str("main street");
             let sq = static_index.prepare_query_str("main street");
-            let req = MutableSearchRequest::new(&mq).tau(0.5).algorithm(kind);
+            let req = SearchRequest::new(&mq).tau(0.5).algorithm(kind);
             let out = mi.search(&mut Scratch::default(), &req).unwrap();
             let sreq = SearchRequest::new(&sq).tau(0.5).algorithm(kind);
             let sout = engine_execute(&static_index, &mut Scratch::default(), &sreq).unwrap();
@@ -1135,7 +1066,7 @@ mod tests {
         for kind in AlgorithmKind::ALL {
             let mq = mi.prepare_query_str("main street");
             let fq = fresh.prepare_query_str("main street");
-            let req = MutableSearchRequest::new(&mq).tau(0.4).algorithm(kind);
+            let req = SearchRequest::new(&mq).tau(0.4).algorithm(kind);
             let out = mi.search(&mut Scratch::default(), &req).unwrap();
             let sreq = SearchRequest::new(&fq).tau(0.4).algorithm(kind);
             let sout = engine_execute(&fresh, &mut Scratch::default(), &sreq).unwrap();
@@ -1184,7 +1115,7 @@ mod tests {
         let mi = mutable(CORPUS);
         let q = mi.prepare_query_str("main");
         for tau in [0.0, -0.5, 1.5, f64::NAN] {
-            let req = MutableSearchRequest::new(&q).tau(tau);
+            let req = SearchRequest::new(&q).tau(tau);
             assert!(matches!(
                 mi.search(&mut Scratch::default(), &req),
                 Err(SearchError::InvalidTau(_))

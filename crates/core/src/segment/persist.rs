@@ -122,7 +122,7 @@ impl MutableIndex {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{DriftBudget, MutableIndex, MutableSearchRequest, RecordId};
+    use super::super::{DriftBudget, MutableIndex, RecordId, SearchRequest};
     use crate::engine::Scratch;
     use crate::{CollectionBuilder, IndexOptions, SnapshotError};
     use setsim_tokenize::QGramTokenizer;
@@ -155,7 +155,7 @@ mod tests {
 
     fn search_ids(mi: &MutableIndex, query: &str, tau: f64) -> Vec<RecordId> {
         let q = mi.prepare_query_str(query);
-        let req = MutableSearchRequest::new(&q).tau(tau);
+        let req = SearchRequest::new(&q).tau(tau);
         mi.search(&mut Scratch::default(), &req)
             .unwrap()
             .ids_sorted()

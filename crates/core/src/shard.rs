@@ -520,14 +520,7 @@ impl ShardedIndex {
         fq: &PreparedQuery,
         req: &SearchRequest<'_>,
     ) -> Result<SearchOutcome, SearchError> {
-        let sreq = SearchRequest {
-            query: fq,
-            tau: req.tau,
-            algorithm: req.algorithm,
-            config: req.config,
-            budget: req.budget,
-        };
-        execute(&self.shards[shard].index, scratch, &sreq)
+        execute(&self.shards[shard].index, scratch, &req.with_query(fq))
     }
 
     /// True if `dir` holds a sharded-index directory (its `MANIFEST`

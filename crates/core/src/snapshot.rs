@@ -551,6 +551,13 @@ pub(crate) fn decode_footer(buf: &[u8]) -> Result<DecodedFooter, SnapshotError> 
     let dict_len = read_varint(buf, &mut pos).ok_or_else(|| corrupt("dictionary count missing"))?;
     let dict_len =
         usize::try_from(dict_len).map_err(|_| corrupt("dictionary count overflows usize"))?;
+    // Every entry takes at least its one-byte length: a count larger than
+    // the bytes left cannot be honest, and must not size an allocation.
+    if dict_len > buf.len() - pos {
+        return Err(corrupt(format!(
+            "dictionary count {dict_len} exceeds the footer"
+        )));
+    }
     let mut dict = Dictionary::with_capacity(dict_len);
     for i in 0..dict_len {
         let s = read_str(buf, &mut pos)
@@ -1071,23 +1078,36 @@ pub fn verify(path: &Path) -> Result<SnapshotSummary, SnapshotError> {
     })
 }
 
+/// Rewrite the footer of the snapshot at `path` with `edit`, which may
+/// change its length, and reseal the trailer (footer length and CRC):
+/// the file a hostile or older writer could produce, checksums intact.
+#[cfg(test)]
+pub(crate) fn reseal_footer(path: &Path, edit: impl FnOnce(&mut Vec<u8>)) {
+    let layout = SnapshotReader::open(path).expect("open").layout();
+    let bytes = std::fs::read(path).expect("read");
+    let start = usize::try_from(layout.footer_offset).expect("offset");
+    let end = start + usize::try_from(layout.footer_len).expect("len");
+    let mut footer = bytes[start..end].to_vec();
+    edit(&mut footer);
+    let mut out = bytes[..start].to_vec();
+    out.extend_from_slice(&footer);
+    // Trailer: footer offset (u64), footer length (u64), footer CRC (u32),
+    // magic.
+    out.extend_from_slice(&bytes[end..end + 8]);
+    out.extend_from_slice(&(footer.len() as u64).to_le_bytes());
+    out.extend_from_slice(&setsim_collections::checksum::crc32(&footer).to_le_bytes());
+    out.extend_from_slice(&bytes[end + 20..]);
+    std::fs::write(path, &out).expect("rewrite");
+}
+
 /// Rewrite the snapshot at `path` so that its last list carries encoding
 /// tag 2, the retired bitmap-word page kind, and reseal the footer CRC:
 /// what a file an older build wrote with a dense last list looks like to
 /// the footer decoder.
 #[cfg(test)]
 pub(crate) fn retag_last_list_as_bitmap_words(path: &Path) {
-    let layout = SnapshotReader::open(path).expect("open").layout();
-    let mut bytes = std::fs::read(path).expect("read");
-    let start = usize::try_from(layout.footer_offset).expect("offset");
-    let end = start + usize::try_from(layout.footer_len).expect("len");
     // The footer ends with one encoding tag per list.
-    bytes[end - 1] = 2;
-    let crc = setsim_collections::checksum::crc32(&bytes[start..end]);
-    // Trailer: footer offset (u64), footer length (u64), footer CRC (u32).
-    let at = usize::try_from(layout.trailer_offset).expect("offset") + 16;
-    bytes[at..at + 4].copy_from_slice(&crc.to_le_bytes());
-    std::fs::write(path, &bytes).expect("rewrite");
+    reseal_footer(path, |footer| *footer.last_mut().expect("tags") = 2);
 }
 
 #[cfg(test)]
@@ -1249,6 +1269,30 @@ mod tests {
                 other => panic!("tag 2 must be Unsupported, got {:?}", other.err()),
             }
         }
+    }
+
+    #[test]
+    fn hostile_dictionary_count_is_corrupt_not_a_panic() {
+        let c = collection(&["main street", "park avenue"]);
+        let t = TempFile(temp_path("dictcount"));
+        InvertedIndex::build(&c, IndexOptions::default())
+            .save(&t.0)
+            .expect("save");
+        // The dictionary count follows the tokenizer spec. Set it to
+        // u64::MAX and reseal: every checksum holds, the count does not.
+        reseal_footer(&t.0, |footer| {
+            let mut pos = 0;
+            decode_spec(footer, &mut pos).expect("spec");
+            let start = pos;
+            read_varint(footer, &mut pos).expect("count");
+            let mut count = Vec::new();
+            write_varint(&mut count, u64::MAX);
+            footer.splice(start..pos, count);
+        });
+        assert!(matches!(
+            InvertedIndex::load(&t.0),
+            Err(SnapshotError::Corrupt { .. })
+        ));
     }
 
     #[test]

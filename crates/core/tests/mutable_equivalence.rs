@@ -15,8 +15,8 @@
 
 use setsim_core::engine::{execute, AlgorithmKind, Scratch, SearchRequest};
 use setsim_core::{
-    CollectionBuilder, DriftBudget, IndexOptions, InvertedIndex, MutableIndex,
-    MutableSearchRequest, RecordId, SetCollection,
+    CollectionBuilder, DriftBudget, IndexOptions, InvertedIndex, MutableIndex, RecordId,
+    SetCollection,
 };
 use setsim_tokenize::QGramTokenizer;
 
@@ -112,7 +112,7 @@ fn mutable_rows(
     kind: AlgorithmKind,
 ) -> Vec<(RecordId, f64)> {
     let q = mi.prepare_query_str(query);
-    let req = MutableSearchRequest::new(&q).tau(tau).algorithm(kind);
+    let req = SearchRequest::new(&q).tau(tau).algorithm(kind);
     let out = mi
         .search(&mut Scratch::default(), &req)
         .expect("mutable search");

@@ -53,7 +53,7 @@ use setsim_core::api::{
     read_frame, write_frame, FrameReadError, SearchCall, SearchReply, WireError, WireRequest,
     WireResponse, WireStats, PROTOCOL_VERSION,
 };
-use setsim_core::{MutableEngine, MutableIndex, MutableSearchRequest, RecordId};
+use setsim_core::{MutableEngine, MutableIndex, RecordId, SearchRequest};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -564,7 +564,7 @@ fn handle_search(shared: &Shared, call: &SearchCall, quota_left: &mut Option<u64
         budget = budget.with_max_elements_read(bounded);
     }
     let query = shared.engine.prepare_query_str(&call.text);
-    let req = MutableSearchRequest::new(&query)
+    let req = SearchRequest::new(&query)
         .tau(call.tau)
         .algorithm(call.algorithm)
         .config(call.algo_config())

@@ -9,7 +9,7 @@
 use setsim_core::api::{write_frame, SearchCall, WireRequest, WireResponse, PROTOCOL_VERSION};
 use setsim_core::{
     AlgorithmKind, Budget, CollectionBuilder, ErrorCode, IndexOptions, MutableEngine, MutableIndex,
-    MutableSearchRequest, RecordId, SearchStatus,
+    RecordId, SearchRequest, SearchStatus,
 };
 use setsim_server::{Client, ClientError, ServerConfig, ServerHandle};
 use setsim_tokenize::QGramTokenizer;
@@ -63,7 +63,7 @@ fn remote_search_matches_local_engine_exactly() {
             .expect("remote search");
         let q = local.prepare_query_str(text);
         let expect = local
-            .search(&MutableSearchRequest::new(&q).tau(tau))
+            .search(&SearchRequest::new(&q).tau(tau))
             .expect("local search");
         assert_eq!(reply.status, SearchStatus::Complete);
         let mut got: Vec<(u64, u64)> = reply

@@ -305,7 +305,13 @@ impl ShardManifest {
             doc_freqs.push(read_u32_le(body, &mut pos).ok_or_else(truncated_field)?);
         }
         let n_shards = read_u32_le(body, &mut pos).ok_or_else(truncated_field)?;
-        let mut shards = Vec::with_capacity(n_shards as usize);
+        // Bound the count by the bytes left before allocating for it: a
+        // shard entry takes at least SHARD_ENTRY_MIN_BYTES.
+        let n_shards = n_shards as usize;
+        if body.len().saturating_sub(pos) < n_shards.saturating_mul(SHARD_ENTRY_MIN_BYTES) {
+            return Err(truncated_field());
+        }
+        let mut shards = Vec::with_capacity(n_shards);
         for _ in 0..n_shards {
             let file = read_entry(body, &mut pos)?;
             let min_len_bits = read_u64_le(body, &mut pos).ok_or_else(truncated_field)?;
@@ -356,6 +362,14 @@ pub fn sniff_manifest_magic(dir: &Path) -> Result<[u8; 8], SnapshotError> {
     magic.copy_from_slice(head);
     Ok(magic)
 }
+
+/// The fewest bytes one shard-manifest entry takes: an empty file name's
+/// length (u32), the file's length (u64) and CRC (u32), the two length
+/// bounds (u64 each) and the id count (u64).
+const SHARD_ENTRY_MIN_BYTES: usize = 4 + 8 + 4 + 8 + 8 + 8;
+
+/// The fewest bytes one delta-log op takes: its tag and record id.
+const DELTA_OP_MIN_BYTES: u64 = 1 + 8;
 
 fn truncated_field() -> SnapshotError {
     SnapshotError::Corrupt {
@@ -448,6 +462,14 @@ pub fn decode_delta_log(bytes: &[u8], expect_ops: u64) -> Result<Vec<DeltaLogOp>
     if count != expect_ops {
         return Err(SnapshotError::Corrupt {
             detail: format!("delta log holds {count} ops, manifest says {expect_ops}"),
+        });
+    }
+    // Bound the count by the bytes left before allocating for it: an op
+    // takes at least DELTA_OP_MIN_BYTES.
+    let room = (body.len() - pos) as u64;
+    if count.saturating_mul(DELTA_OP_MIN_BYTES) > room {
+        return Err(SnapshotError::Corrupt {
+            detail: format!("delta log holds {count} ops in {room} bytes"),
         });
     }
     let mut ops = Vec::with_capacity(count as usize);
@@ -676,6 +698,46 @@ mod tests {
         assert!(matches!(
             SegmentManifest::read(&dir.0),
             Err(SnapshotError::BadMagic { .. })
+        ));
+    }
+
+    /// Recompute the CRC that closes a manifest or delta log.
+    fn reseal(bytes: &mut [u8]) {
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    #[test]
+    fn hostile_shard_count_is_corrupt_not_an_allocation() {
+        let dir = TempDir::new("shard-count");
+        sample_shard_manifest(&dir.0).write(&dir.0).unwrap();
+        let path = dir.0.join(MANIFEST_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        // magic, version, record count, df count, four dfs, then n_shards.
+        let at = SHARD_MANIFEST_MAGIC.len() + 4 + 8 + 8 + 4 * 4;
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        reseal(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            ShardManifest::read(&dir.0),
+            Err(SnapshotError::Corrupt { .. })
+        ));
+    }
+
+    #[test]
+    fn hostile_delta_log_count_is_corrupt_not_a_panic() {
+        let dir = TempDir::new("log-count");
+        write_delta_log(&dir.0, &sample_ops()).unwrap();
+        let mut bytes = std::fs::read(dir.0.join(DELTA_FILE)).unwrap();
+        // The op count follows the magic; the manifest would agree with it.
+        let count = 1u64 << 60;
+        let at = DELTA_LOG_MAGIC.len();
+        bytes[at..at + 8].copy_from_slice(&count.to_le_bytes());
+        reseal(&mut bytes);
+        assert!(matches!(
+            decode_delta_log(&bytes, count),
+            Err(SnapshotError::Corrupt { .. })
         ));
     }
 

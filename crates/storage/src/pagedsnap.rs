@@ -54,9 +54,10 @@ impl PagedSnapshot {
             });
         }
         let reader = SnapshotReader::open(path)?;
+        let file_pages = usize::try_from(reader.num_pages()).unwrap_or(usize::MAX);
         Ok(Self {
             reader,
-            pool: BufferPool::new(pool_pages),
+            pool: BufferPool::sized(pool_pages, file_pages),
             pool_pages,
         })
     }

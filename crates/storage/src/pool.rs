@@ -61,10 +61,17 @@ impl BufferPool {
     /// # Panics
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
+        Self::sized(capacity, capacity)
+    }
+
+    /// A pool holding at most `capacity` pages whose frame map is sized
+    /// for at most `resident` of them: a pool over a file of `n` pages
+    /// never holds more than `n`, however large a capacity was asked for.
+    pub(crate) fn sized(capacity: usize, resident: usize) -> Self {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         Self {
             capacity,
-            frames: HashMap::with_capacity(capacity),
+            frames: HashMap::with_capacity(capacity.min(resident)),
             clock: 0,
             hits: 0,
             misses: 0,

@@ -16,9 +16,9 @@ use setsim::core::algorithms::topk::topk_sf;
 use setsim::core::tfsearch::{tf_scan, tf_sf, TfIndex};
 use setsim::core::{
     AlgoConfig, AlgorithmKind, Budget, CollectionBuilder, IndexOptions, InvertedIndex, Match,
-    MetricsSnapshot, MutableEngine, MutableIndex, MutableSearchRequest, PreparedQuery, QueryEngine,
-    ReprKind, ReprPolicy, Scratch, SearchError, SearchOutcome, SearchRequest, SearchStats,
-    SearchStatus, SetCollection, SetId, ShardedEngine, ShardedIndex,
+    MetricsSnapshot, MutableEngine, MutableIndex, PreparedQuery, QueryEngine, ReprKind, ReprPolicy,
+    Scratch, SearchError, SearchOutcome, SearchRequest, SearchStats, SearchStatus, SetCollection,
+    SetId, ShardedEngine, ShardedIndex,
 };
 use setsim::tokenize::QGramTokenizer;
 
@@ -369,7 +369,7 @@ fn metrics_totals_equal_the_fold_of_outcome_stats_on_every_engine() {
     mutable.insert("main street number 700");
     let fold = fold_requests(|text, tau, kind, budget| {
         let q = mutable.prepare_query_str(text);
-        let req = MutableSearchRequest::new(&q).tau(tau).algorithm(kind);
+        let req = SearchRequest::new(&q).tau(tau).algorithm(kind);
         let out = mutable.search(&req.budget(budget)).expect("mutable");
         (out.stats, out.status, out.results.len())
     });
@@ -480,7 +480,7 @@ fn thresholds_on_actual_scores_get_one_answer_from_every_leg() {
                     check("sharded", index.search(&req).expect("sharded"));
                 }
                 check("paged", paged.search(req).expect("paged"));
-                let mreq = MutableSearchRequest::new(&mq).tau(tau).algorithm(kind);
+                let mreq = SearchRequest::new(&mq).tau(tau).algorithm(kind);
                 let out = mutable
                     .search(&mut Scratch::default(), &mreq)
                     .expect("mutable");

@@ -22,7 +22,7 @@ use common::run;
 use proptest::prelude::*;
 use setsim::core::{
     AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, MutableIndex,
-    MutableSearchRequest, ReprKind, ReprPolicy, Scratch, SetCollection,
+    ReprKind, ReprPolicy, Scratch, SearchRequest, SetCollection,
 };
 use setsim::tokenize::QGramTokenizer;
 
@@ -146,7 +146,7 @@ proptest! {
                 let out = mi
                     .search(
                         &mut Scratch::default(),
-                        &MutableSearchRequest::new(&mq).tau(tau).algorithm(AlgorithmKind::Sf),
+                        &SearchRequest::new(&mq).tau(tau).algorithm(AlgorithmKind::Sf),
                     )
                     .expect("mutable search");
                 let mut rows: Vec<(u64, u64)> = out

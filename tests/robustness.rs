@@ -12,7 +12,7 @@ use setsim::core::algorithms::topk::{topk_nra, topk_sf};
 use setsim::core::tfsearch::{tf_scan, tf_sf, TfIndex};
 use setsim::core::{
     AlgoConfig, AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, PagedEngine,
-    PagedSearchError, QueryEngine, SearchError, SearchRequest, SetCollection, SetId,
+    QueryEngine, SearchError, SearchRequest, SetCollection, SetId,
 };
 use setsim::tokenize::QGramTokenizer;
 
@@ -191,8 +191,8 @@ fn disabled_structures_are_refused_never_panicked_on() {
         let q = engine.prepare_query_str(text);
         match engine.search(SearchRequest::new(&q).tau(tau).algorithm(kind)) {
             Ok(out) => Ok(out.bits_sorted()),
-            Err(PagedSearchError::Search(e)) => Err(e),
-            Err(e) => panic!("paged snapshot error: {e}"),
+            Err(SearchError::Snapshot(e)) => panic!("paged snapshot error: {e}"),
+            Err(e) => Err(e),
         }
     }
     let default = IndexOptions::default();
@@ -209,7 +209,8 @@ fn disabled_structures_are_refused_never_panicked_on() {
                     Err(SearchError::Unsupported { algorithm, .. }) if algorithm == kind => {
                         refused.push(kind);
                     }
-                    got => assert_eq!(got, Ok(want), "{kind:?} {text:?}"),
+                    Ok(got) => assert_eq!(got, want, "{kind:?} {text:?}"),
+                    Err(e) => panic!("{kind:?} {text:?}: unexpected error {e}"),
                 }
             }
         }
@@ -267,10 +268,39 @@ fn query_prepared_on_another_index_is_a_typed_error() {
             heap.search(req).is_err_and(|e| foreign(&e)),
             "heap {kind:?}"
         );
-        let paged_err = paged.search(req).unwrap_err();
         assert!(
-            matches!(paged_err, PagedSearchError::Search(e) if foreign(&e)),
+            paged.search(req).is_err_and(|e| foreign(&e)),
             "paged {kind:?}"
         );
+    }
+}
+
+/// A pool of `usize::MAX` frames opens and serves like the heap engine:
+/// the frame map is sized by the pages the file holds, not by the pool
+/// that was asked for, and the requested capacity is still reported.
+#[test]
+fn oversized_pool_opens_and_answers_like_the_heap_engine() {
+    let texts: Vec<String> = (0..60).map(|i| format!("main street {i}")).collect();
+    let collection = build(&texts);
+    let index = InvertedIndex::build(&collection, IndexOptions::default());
+    let path = std::env::temp_dir().join(format!("setsim-bigpool-{}.snap", std::process::id()));
+    index.save(&path).expect("save");
+    let paged = QueryEngine::open_paged(&path, usize::MAX);
+    let _ = std::fs::remove_file(&path);
+    let mut paged = paged.expect("open paged");
+    assert_eq!(paged.pool_pages(), usize::MAX);
+    let mut heap = QueryEngine::new(index);
+    for kind in AlgorithmKind::ALL {
+        let q = heap.prepare_query_str("main street 7");
+        let want = heap
+            .search(SearchRequest::new(&q).tau(0.5).algorithm(kind))
+            .expect("heap serves")
+            .bits_sorted();
+        let q = paged.prepare_query_str("main street 7");
+        let got = paged
+            .search(SearchRequest::new(&q).tau(0.5).algorithm(kind))
+            .expect("paged serves")
+            .bits_sorted();
+        assert_eq!(got, want, "{kind:?}");
     }
 }

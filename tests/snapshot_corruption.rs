@@ -11,7 +11,7 @@
 //! against the pristine index before it is accepted.
 
 use setsim::core::{
-    AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, PagedSearchError, QueryEngine,
+    AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, QueryEngine, SearchError,
     SearchRequest, SetCollection, SnapshotError, SnapshotRegion,
 };
 use setsim::storage::{SnapshotLayout, SnapshotReader};
@@ -309,7 +309,7 @@ fn paged_serving_faults_exactly_the_damaged_pages_it_touches() {
                     "page {page} never faulted, yet answers changed"
                 );
             }
-            Err(PagedSearchError::Snapshot(SnapshotError::ChecksumMismatch {
+            Err(SearchError::Snapshot(SnapshotError::ChecksumMismatch {
                 region: SnapshotRegion::Page(p),
             })) => {
                 assert_eq!(p as usize, page, "fault must name the damaged page");
