@@ -1,6 +1,7 @@
 use crate::algorithms::AlgoConfig;
 use crate::engine::{SearchCtx, SfCand};
-use crate::{properties, safely_below, Match, SearchStatus, SetId};
+use crate::index::{IndexLists, QueryLists, SortedList};
+use crate::{properties, safely_below, Match, SearchStatus, SetId, SnapshotError};
 
 /// Ordering key shared by candidate list and inverted lists.
 #[inline]
@@ -30,15 +31,30 @@ fn key(len: f64, id: SetId) -> (u64, u32) {
 /// set by one merge pass: no hashing, no per-round scans. Bookkeeping is
 /// minimal, which is why SF wins on wall-clock time throughout Figure 6
 /// even though iTA prunes slightly more.
-pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>, config: AlgoConfig) {
-    let index = ctx.index;
+pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>, config: AlgoConfig) -> Result<(), SnapshotError> {
+    let mut lists = IndexLists {
+        index: ctx.index,
+        query: ctx.query,
+    };
+    search_lists(ctx, config, &mut lists)
+}
+
+/// [`search`] over any source of the query's lists. Lists are read
+/// through [`SortedList`], whose reads may fault (the paged engine's
+/// window runs decode a block on first touch): a fault ends the search as
+/// its error, never as a partial outcome.
+pub(crate) fn search_lists<L: QueryLists>(
+    ctx: &mut SearchCtx<'_, '_>,
+    config: AlgoConfig,
+    lists: &mut L,
+) -> Result<(), SnapshotError> {
     let query = ctx.query;
     let tau = ctx.tau;
     let budget = ctx.budget;
     let scratch = &mut *ctx.scratch;
-    scratch.stats.total_list_elements = index.query_list_elements(query);
+    scratch.stats.total_list_elements = lists.total_elements();
     if query.is_empty() {
-        return;
+        return Ok(());
     }
 
     let n = query.num_lists();
@@ -59,13 +75,13 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>, config: AlgoConfig) {
             scratch.status = SearchStatus::BudgetExceeded;
             // Partial sums are not scores: a truncated SF run must
             // not emit them.
-            return;
+            return Ok(());
         }
         scratch.stats.rounds += 1;
-        let list = index.query_list(query.tokens[i].token);
-        let postings = list.postings();
+        let mut list = lists.list(i);
+        let list_len = list.len();
         let start = if config.length_bounding {
-            list.seek_len(lo_seek, config.use_skip_lists, &mut scratch.stats)
+            list.seek_len(lo_seek, config.use_skip_lists, &mut scratch.stats)?
         } else {
             0
         };
@@ -93,14 +109,14 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>, config: AlgoConfig) {
                 f64::NEG_INFINITY
             };
             let bound = mu.max(tail_max);
-            if pos >= postings.len() {
+            if pos >= list_len {
                 break;
             }
             if budget.exceeded(&scratch.stats) {
                 scratch.status = SearchStatus::BudgetExceeded;
-                return;
+                return Ok(());
             }
-            let p = postings[pos];
+            let p = list.posting(pos)?;
             if p.len > bound {
                 break;
             }
@@ -115,7 +131,7 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>, config: AlgoConfig) {
                 let c = scratch.sf_cands[ci];
                 if key(p.len, p.id) < key(c.len, c.id) {
                     pos =
-                        list.seek_key(pos, c.len, c.id, config.use_skip_lists, &mut scratch.stats);
+                        list.seek_key(pos, c.len, c.id, config.use_skip_lists, &mut scratch.stats)?;
                     continue;
                 }
             }
@@ -182,6 +198,7 @@ pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>, config: AlgoConfig) {
             scratch.results.push(Match { id: c.id, score });
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -48,6 +48,7 @@ pub use scratch::Scratch;
 pub(crate) use scratch::{CandCell, DetHashMap, PoolCand, SfCand};
 
 use crate::algorithms::{hybrid, inra, ita, merge, nra, scan, sf, ta, MAX_QUERY_LISTS};
+use crate::index::QueryLists;
 use crate::{
     AlgoConfig, InvertedIndex, Match, PreparedQuery, SearchOutcome, SearchStats, SearchStatus,
     SnapshotError, Tau,
@@ -57,7 +58,7 @@ use std::fmt;
 
 /// Everything a selection algorithm needs for one query: the index, the
 /// prepared query and (validated) threshold, the armed [`Budget`], and the
-/// borrowed [`Scratch`]. Built by [`execute_into`] only.
+/// borrowed [`Scratch`]. Built by `run_search` only.
 pub(crate) struct SearchCtx<'a, 'i> {
     pub(crate) index: &'a InvertedIndex<'i>,
     pub(crate) query: &'a PreparedQuery,
@@ -411,6 +412,46 @@ pub fn execute_into(
         let algorithm = req.algorithm;
         return Err(SearchError::Unsupported { algorithm, missing });
     }
+    run_search(index, scratch, req, tau, |ctx| {
+        match req.algorithm {
+            AlgorithmKind::Scan => scan::search(ctx),
+            AlgorithmKind::Merge => merge::search(ctx),
+            AlgorithmKind::Ta => ta::search(ctx),
+            AlgorithmKind::Nra => nra::search(ctx),
+            AlgorithmKind::ITa => ita::search(ctx, req.config),
+            AlgorithmKind::INra => inra::search(ctx, req.config),
+            AlgorithmKind::Sf => sf::search(ctx, req.config)?,
+            AlgorithmKind::Hybrid => hybrid::search(ctx, req.config),
+        }
+        Ok(())
+    })
+}
+
+/// SF over `lists` rather than over `index`'s own: the paged engine's
+/// window runs, which decode blocks as SF reaches them. `index` supplies
+/// the collection and lengths; the request is already validated (`tau`)
+/// and each list resolved by the caller.
+pub(crate) fn execute_sf_into<L: QueryLists>(
+    index: &InvertedIndex<'_>,
+    scratch: &mut Scratch,
+    req: &SearchRequest<'_>,
+    tau: Tau,
+    lists: &mut L,
+) -> Result<SearchStatus, SearchError> {
+    run_search(index, scratch, req, tau, |ctx| {
+        sf::search_lists(ctx, req.config, lists)
+    })
+}
+
+/// Run `search` over a fresh [`SearchCtx`] on `scratch`. A fault the
+/// search returns is the query's error.
+fn run_search(
+    index: &InvertedIndex<'_>,
+    scratch: &mut Scratch,
+    req: &SearchRequest<'_>,
+    tau: Tau,
+    search: impl FnOnce(&mut SearchCtx<'_, '_>) -> Result<(), SnapshotError>,
+) -> Result<SearchStatus, SearchError> {
     scratch.begin();
     let mut ctx = SearchCtx {
         index,
@@ -419,16 +460,7 @@ pub fn execute_into(
         budget: req.budget.arm(),
         scratch,
     };
-    match req.algorithm {
-        AlgorithmKind::Scan => scan::search(&mut ctx),
-        AlgorithmKind::Merge => merge::search(&mut ctx),
-        AlgorithmKind::Ta => ta::search(&mut ctx),
-        AlgorithmKind::Nra => nra::search(&mut ctx),
-        AlgorithmKind::ITa => ita::search(&mut ctx, req.config),
-        AlgorithmKind::INra => inra::search(&mut ctx, req.config),
-        AlgorithmKind::Sf => sf::search(&mut ctx, req.config),
-        AlgorithmKind::Hybrid => hybrid::search(&mut ctx, req.config),
-    }
+    search(&mut ctx)?;
     debug_assert!(
         scratch.results.iter().all(|m| m.score.to_bits()
             == crate::algorithms::table_score(index, req.query, m.id).to_bits()),

@@ -1,5 +1,6 @@
 use crate::{
-    AlgorithmKind, PreparedQuery, QueryToken, SearchStats, SetCollection, SetId, TokenWeights,
+    AlgorithmKind, PreparedQuery, QueryToken, SearchStats, SetCollection, SetId, SnapshotError,
+    TokenWeights,
 };
 use setsim_collections::{BlockMaxIndex, DenseBitmap, ExtendibleHashMap};
 use setsim_tokenize::{Token, TokenSet};
@@ -272,6 +273,119 @@ pub enum IdPostings<'a> {
     Slice(&'a [Posting]),
     /// Dense bitmap; enumerate with [`DenseBitmap::iter`].
     Bitmap(&'a DenseBitmap),
+}
+
+/// One `(len, id)`-sorted query list as SF reads it: postings addressed
+/// by offset plus the two fence seeks, each of which may fault. A heap
+/// [`PostingList`] never does; the paged engine's window runs fetch and
+/// decode a block on first touch, and a damaged one is the query's error.
+pub(crate) trait SortedList {
+    /// Postings in the list.
+    fn len(&self) -> usize;
+
+    /// The posting at offset `pos < len()`.
+    fn posting(&mut self, pos: usize) -> Result<Posting, SnapshotError>;
+
+    /// [`PostingList::seek_len`] over this list.
+    fn seek_len(
+        &mut self,
+        min_len: f64,
+        use_skip: bool,
+        stats: &mut SearchStats,
+    ) -> Result<usize, SnapshotError>;
+
+    /// [`PostingList::seek_key`] over this list.
+    fn seek_key(
+        &mut self,
+        from: usize,
+        len: f64,
+        id: SetId,
+        use_skip: bool,
+        stats: &mut SearchStats,
+    ) -> Result<usize, SnapshotError>;
+}
+
+/// A [`PostingList`] as SF reads it, with its `(len, id)` run resolved
+/// once per round rather than once per posting.
+pub(crate) struct HeapList<'a> {
+    list: &'a PostingList,
+    postings: &'a [Posting],
+}
+
+impl SortedList for HeapList<'_> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.postings.len()
+    }
+
+    #[inline]
+    fn posting(&mut self, pos: usize) -> Result<Posting, SnapshotError> {
+        Ok(self.postings[pos])
+    }
+
+    #[inline]
+    fn seek_len(
+        &mut self,
+        min_len: f64,
+        use_skip: bool,
+        stats: &mut SearchStats,
+    ) -> Result<usize, SnapshotError> {
+        Ok(self.list.seek_len(min_len, use_skip, stats))
+    }
+
+    #[inline]
+    fn seek_key(
+        &mut self,
+        from: usize,
+        len: f64,
+        id: SetId,
+        use_skip: bool,
+        stats: &mut SearchStats,
+    ) -> Result<usize, SnapshotError> {
+        Ok(self.list.seek_key(from, len, id, use_skip, stats))
+    }
+}
+
+/// A query's lists in query-token order, handed out one at a time (SF
+/// reads them depth-first, so a source may reuse one set of buffers for
+/// every list).
+pub(crate) trait QueryLists {
+    /// The list type; it may borrow the source's buffers.
+    type List<'s>: SortedList
+    where
+        Self: 's;
+
+    /// Total postings across the query's lists (`total_list_elements`).
+    fn total_elements(&self) -> u64;
+
+    /// The list of query token `i`.
+    fn list(&mut self, i: usize) -> Self::List<'_>;
+}
+
+/// The lists of an index, borrowed as they are.
+pub(crate) struct IndexLists<'a, 'i> {
+    pub(crate) index: &'a InvertedIndex<'i>,
+    pub(crate) query: &'a PreparedQuery,
+}
+
+impl<'a> QueryLists for IndexLists<'a, '_> {
+    type List<'s>
+        = HeapList<'a>
+    where
+        Self: 's;
+
+    fn total_elements(&self) -> u64 {
+        self.index.query_list_elements(self.query)
+    }
+
+    #[inline]
+    fn list(&mut self, i: usize) -> HeapList<'a> {
+        let list = self.index.query_list(self.query.tokens[i].token);
+        HeapList {
+            list,
+            postings: list.postings(),
+        }
+    }
 }
 
 impl PostingList {
@@ -586,6 +700,14 @@ fn assemble_list(
     list
 }
 
+/// Every set's `len(s)` under `weights`, by id.
+pub(crate) fn set_lengths(collection: &SetCollection, weights: &TokenWeights) -> Vec<f64> {
+    collection
+        .iter_sets()
+        .map(|(_, s)| weights.set_length(s))
+        .collect()
+}
+
 /// `(len, id)` ascending: the order every list is stored in.
 /// Lengths are non-negative, so their bit patterns order like the values,
 /// and `(len, id)` is unique within a list, so an unstable sort is exact.
@@ -645,10 +767,7 @@ impl<'c> InvertedIndex<'c> {
     /// Build the index over `collection`.
     pub fn build(collection: &'c SetCollection, options: IndexOptions) -> Self {
         let weights = TokenWeights::compute(collection);
-        let lengths: Vec<f64> = collection
-            .iter_sets()
-            .map(|(_, s)| weights.set_length(s))
-            .collect();
+        let lengths = set_lengths(collection, &weights);
 
         let raw = raw_lists(collection, &lengths);
 
@@ -699,10 +818,7 @@ impl<'c> InvertedIndex<'c> {
         options: IndexOptions,
         weights: TokenWeights,
     ) -> InvertedIndex<'static> {
-        let lengths: Vec<f64> = collection
-            .iter_sets()
-            .map(|(_, s)| weights.set_length(s))
-            .collect();
+        let lengths = set_lengths(&collection, &weights);
         let raw = raw_lists(&collection, &lengths);
         let mut sorted_lists: Vec<(Token, Vec<Posting>)> = raw
             .into_iter()
@@ -712,7 +828,7 @@ impl<'c> InvertedIndex<'c> {
             })
             .collect();
         sorted_lists.sort_by_key(|(t, _)| *t);
-        Self::assemble_owned_with_weights(collection, options, sorted_lists, weights)
+        Self::assemble_owned_with_weights(collection, options, sorted_lists, weights, lengths)
     }
 
     /// Reassemble an index around an owned collection from decoded
@@ -726,23 +842,22 @@ impl<'c> InvertedIndex<'c> {
         sorted_lists: Vec<(Token, Vec<Posting>)>,
     ) -> InvertedIndex<'static> {
         let weights = TokenWeights::compute(&collection);
-        Self::assemble_owned_with_weights(collection, options, sorted_lists, weights)
+        let lengths = set_lengths(&collection, &weights);
+        Self::assemble_owned_with_weights(collection, options, sorted_lists, weights, lengths)
     }
 
     /// [`assemble_owned`](Self::assemble_owned) with an explicit weight
-    /// table (the sharded snapshot-load path: a reopened shard must score
-    /// with the global df table stored in the shard manifest, not one
-    /// recomputed from its own sub-collection).
+    /// table and the set lengths it gives (the snapshot load path, which
+    /// checks every decoded posting against those lengths; a reopened
+    /// shard also brings the global df table stored in the shard
+    /// manifest rather than one recomputed from its own sub-collection).
     pub(crate) fn assemble_owned_with_weights(
         collection: Box<SetCollection>,
         options: IndexOptions,
         sorted_lists: Vec<(Token, Vec<Posting>)>,
         weights: TokenWeights,
+        lengths: Vec<f64>,
     ) -> InvertedIndex<'static> {
-        let lengths: Vec<f64> = collection
-            .iter_sets()
-            .map(|(_, s)| weights.set_length(s))
-            .collect();
         let mut lists = HashMap::with_capacity(sorted_lists.len());
         let total_postings = insert_lists(&mut lists, sorted_lists, &options, true, lengths.len());
         InvertedIndex {
@@ -841,6 +956,11 @@ impl<'c> InvertedIndex<'c> {
     #[inline]
     pub fn set_len(&self, id: SetId) -> f64 {
         self.lengths[id.index()]
+    }
+
+    /// Every set's `len(s)`, by id.
+    pub(crate) fn lengths(&self) -> &[f64] {
+        &self.lengths
     }
 
     /// The inverted list of `token`, if the token occurs in the database.

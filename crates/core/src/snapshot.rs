@@ -721,9 +721,15 @@ pub(crate) trait PageFetch {
 /// Single-page read cache: consecutive blocks of the directory usually
 /// live on the same (shared) page, so one page is fetched and
 /// checksum-verified once instead of once per block.
-struct PageCache<'r> {
+pub(crate) struct PageCache<'r> {
     reader: &'r mut SnapshotReader,
     last: Option<(u32, Vec<u8>)>,
+}
+
+impl<'r> PageCache<'r> {
+    pub(crate) fn new(reader: &'r mut SnapshotReader) -> Self {
+        Self { reader, last: None }
+    }
 }
 
 impl PageFetch for PageCache<'_> {
@@ -775,150 +781,150 @@ pub(crate) fn window_blocks(list: &ListRef, len_q: f64, tau: f64) -> std::ops::R
     }
 }
 
-/// Decode the given block range of one list, dispatching on the page
-/// kind recorded in the footer's representation extension. A partial
-/// range (the paged engine's Theorem 1 window) relaxes only the
-/// exact-count check against the directory; ordering, fence-key
-/// agreement, and id-range validation are enforced identically.
-pub(crate) fn read_list_blocks<F: PageFetch>(
-    pages: &mut F,
+/// Postings in blocks `range` of `list`, by the directory's counts. A
+/// window claiming more postings than the whole list is corrupt.
+pub(crate) fn window_len(
     list: &ListRef,
     range: std::ops::Range<usize>,
-    num_sets: usize,
-) -> Result<Vec<Posting>, SnapshotError> {
-    let complete = range == (0..list.blocks.len());
+) -> Result<usize, SnapshotError> {
     let blocks = list
         .blocks
         .get(range)
         .ok_or_else(|| corrupt("block range outside the directory"))?;
-    // Sized for the window, not the whole list.
-    let window: usize = blocks.iter().map(|b| b.count as usize).sum();
-    let mut postings = Vec::with_capacity(window.min(1 << 20));
-    match list.encoding {
-        ListEncoding::RunBlocks => read_run_blocks(pages, blocks, num_sets, &mut postings)?,
-        ListEncoding::InlineRaw => read_inline_raw(pages, blocks, num_sets, &mut postings)?,
+    let window: u64 = blocks.iter().map(|b| u64::from(b.count)).sum();
+    if window > list.postings {
+        return Err(corrupt(format!(
+            "window of list for token {} has {window} postings, whole directory says {}",
+            list.token.0, list.postings
+        )));
     }
-    check_posting_body(list, &postings, complete)?;
+    usize::try_from(window).map_err(|_| corrupt("posting count overflows usize"))
+}
+
+/// Decode the given block range of one list into one vector (the load
+/// path, and the paged engine's eager windows). Blocks are appended back
+/// to back, so [`decode_block`]'s order check covers the whole range; a
+/// complete range must also hold exactly the directory's posting count.
+pub(crate) fn read_list_blocks<F: PageFetch>(
+    pages: &mut F,
+    list: &ListRef,
+    range: std::ops::Range<usize>,
+    lengths: &[f64],
+) -> Result<Vec<Posting>, SnapshotError> {
+    let complete = range == (0..list.blocks.len());
+    // Sized for the window, not the whole list.
+    let window = window_len(list, range.clone())?;
+    let mut postings = Vec::with_capacity(window.min(1 << 20));
+    for bi in range {
+        let after = postings.last().map(posting_key);
+        let payload = pages.fetch(list.blocks[bi].page)?;
+        decode_block(payload, list, bi, lengths, after, &mut postings)?;
+    }
+    if complete && postings.len() as u64 != list.postings {
+        return Err(corrupt(format!(
+            "list for token {} has {} postings, directory says {}",
+            list.token.0,
+            postings.len(),
+            list.postings
+        )));
+    }
     Ok(postings)
 }
 
-/// Post-decode validation shared by every page kind: count must match the
-/// directory (bounded by it for a partial window) and the order must be
-/// strictly `(len, id)`.
-fn check_posting_body(
-    list: &ListRef,
-    postings: &[Posting],
-    complete: bool,
-) -> Result<(), SnapshotError> {
-    let total =
-        usize::try_from(list.postings).map_err(|_| corrupt("posting count overflows usize"))?;
-    if complete && postings.len() != total {
-        return Err(corrupt(format!(
-            "list for token {} has {} postings, directory says {total}",
-            list.token.0,
-            postings.len()
-        )));
-    }
-    if postings.len() > total {
-        return Err(corrupt(format!(
-            "window of list for token {} has {} postings, whole directory says {total}",
-            list.token.0,
-            postings.len()
-        )));
-    }
-    let ordered = postings
-        .windows(2)
-        .all(|w| (w[0].len, w[0].id) < (w[1].len, w[1].id));
-    if !ordered {
-        return Err(corrupt(format!(
-            "list for token {} not strictly (len, id)-sorted",
-            list.token.0
-        )));
-    }
-    Ok(())
+/// A posting's `(len-bits, id)` sort key. Lengths are non-negative, so
+/// their bits order like the values.
+pub(crate) fn posting_key(p: &Posting) -> (u64, u32) {
+    (p.len.to_bits(), p.id.0)
 }
 
-/// Delta + varint `(len, id)` blocks — the original page kind — appended
-/// to `postings`.
-fn read_run_blocks<F: PageFetch>(
-    pages: &mut F,
-    blocks: &[BlockRef],
-    num_sets: usize,
-    postings: &mut Vec<Posting>,
+/// Decode block `bi` of `list` out of its page's (CRC-verified) payload,
+/// appending its postings to `out`: the one block decoder behind the
+/// load path and both paged serving paths, so every posting any of them
+/// serves has passed the same checks first.
+///
+/// - The block's first key equals its directory entry's.
+/// - Each of the block's `count` entries parses inside the page.
+/// - Each set id lies inside the collection.
+/// - Each stored length is bit-identical to `lengths` (the set lengths
+///   recomputed from the footer), so a cross-wired file (checksums fine,
+///   pages from another index) is rejected, not served.
+/// - Keys ascend strictly in `(len, id)`, starting above `after` (the
+///   key of the posting decoded just before, if any).
+/// - The last key does not pass the next block's directory fence, which
+///   keeps the fences honest for a seek that skips blocks undecoded.
+pub(crate) fn decode_block(
+    payload: &[u8],
+    list: &ListRef,
+    bi: usize,
+    lengths: &[f64],
+    mut after: Option<(u64, u32)>,
+    out: &mut Vec<Posting>,
 ) -> Result<(), SnapshotError> {
-    for b in blocks {
-        let payload = pages.fetch(b.page)?;
-        let mut pos = b.offset as usize;
-        if pos > payload.len() {
+    let b = list
+        .blocks
+        .get(bi)
+        .ok_or_else(|| corrupt("block outside the directory"))?;
+    let mut pos = b.offset as usize;
+    if pos > payload.len() {
+        return Err(corrupt(format!(
+            "block offset {pos} outside page {} payload",
+            b.page
+        )));
+    }
+    let malformed = |j: u32| corrupt(format!("page {} block entry {j} malformed", b.page));
+    let mut key = 0u64;
+    for j in 0..b.count {
+        let id = match list.encoding {
+            ListEncoding::RunBlocks => {
+                let delta = read_varint(payload, &mut pos).ok_or_else(|| malformed(j))?;
+                key = if j == 0 {
+                    delta
+                } else {
+                    key.checked_add(delta)
+                        .ok_or_else(|| corrupt("posting key overflows"))?
+                };
+                let id = read_varint(payload, &mut pos).ok_or_else(|| malformed(j))?;
+                u32::try_from(id).map_err(|_| corrupt("set id overflows u32"))?
+            }
+            ListEncoding::InlineRaw => {
+                key = read_u64_le(payload, &mut pos).ok_or_else(|| malformed(j))?;
+                read_u32_le(payload, &mut pos).ok_or_else(|| malformed(j))?
+            }
+        };
+        if j == 0 && key != b.first_key {
             return Err(corrupt(format!(
-                "block offset {pos} outside page {} payload",
+                "page {} first key disagrees with directory",
                 b.page
             )));
         }
-        let mut key = 0u64;
-        for j in 0..b.count {
-            let delta = read_varint(payload, &mut pos)
-                .ok_or_else(|| corrupt(format!("page {} block entry {j} malformed", b.page)))?;
-            key = if j == 0 {
-                delta
-            } else {
-                key.checked_add(delta)
-                    .ok_or_else(|| corrupt("posting key overflows"))?
-            };
-            if j == 0 && key != b.first_key {
-                return Err(corrupt(format!(
-                    "page {} first key disagrees with directory",
-                    b.page
-                )));
-            }
-            let id = read_varint(payload, &mut pos)
-                .ok_or_else(|| corrupt(format!("page {} block entry {j} malformed", b.page)))?;
-            let id = u32::try_from(id).map_err(|_| corrupt("set id overflows u32"))?;
-            if (id as usize) >= num_sets {
-                return Err(corrupt(format!(
-                    "posting references set {id} outside the collection ({num_sets} sets)"
-                )));
-            }
-            postings.push(Posting {
-                id: SetId(id),
-                len: f64::from_bits(key),
-            });
+        let Some(&len) = lengths.get(id as usize) else {
+            return Err(corrupt(format!(
+                "posting references set {id} outside the collection ({} sets)",
+                lengths.len()
+            )));
+        };
+        if key != len.to_bits() {
+            return Err(corrupt(format!(
+                "stored length of {} in list {} disagrees with the collection",
+                SetId(id),
+                list.token.0
+            )));
         }
+        if after.is_some_and(|prev| prev >= (key, id)) {
+            return Err(corrupt(format!(
+                "list for token {} not strictly (len, id)-sorted",
+                list.token.0
+            )));
+        }
+        after = Some((key, id));
+        out.push(Posting { id: SetId(id), len });
     }
-    Ok(())
-}
-
-/// Raw fixed-width `(len-bits, id)` entries (inline lists), appended to
-/// `postings`.
-fn read_inline_raw<F: PageFetch>(
-    pages: &mut F,
-    blocks: &[BlockRef],
-    num_sets: usize,
-    postings: &mut Vec<Posting>,
-) -> Result<(), SnapshotError> {
-    for b in blocks {
-        let payload = pages.fetch(b.page)?;
-        let mut pos = b.offset as usize;
-        for j in 0..b.count {
-            let key = read_u64_le(payload, &mut pos)
-                .ok_or_else(|| corrupt(format!("page {} inline entry {j} truncated", b.page)))?;
-            if j == 0 && key != b.first_key {
-                return Err(corrupt(format!(
-                    "page {} first key disagrees with directory",
-                    b.page
-                )));
-            }
-            let id = read_u32_le(payload, &mut pos)
-                .ok_or_else(|| corrupt(format!("page {} inline entry {j} truncated", b.page)))?;
-            if (id as usize) >= num_sets {
-                return Err(corrupt(format!(
-                    "posting references set {id} outside the collection ({num_sets} sets)"
-                )));
-            }
-            postings.push(Posting {
-                id: SetId(id),
-                len: f64::from_bits(key),
-            });
+    if let Some(next) = list.blocks.get(bi + 1) {
+        if b.count > 0 && key > next.first_key {
+            return Err(corrupt(format!(
+                "page {} block of list {} ends past the next block's first key",
+                b.page, list.token.0
+            )));
         }
     }
     Ok(())
@@ -932,9 +938,9 @@ pub(crate) fn load_index(path: &Path) -> Result<InvertedIndex<'static>, Snapshot
 /// Load an index from `path` scoring with an explicit weight table (the
 /// sharded open path: the shard manifest carries the corpus-global df
 /// table, and every shard must be assembled with it rather than with
-/// weights recomputed from its own sub-collection). The stored-length
-/// cross-check below then also proves the supplied table matches the one
-/// the shard was built with.
+/// weights recomputed from its own sub-collection). Checking every
+/// decoded posting's stored length against that table's set lengths then
+/// also proves it matches the one the shard was built with.
 pub(crate) fn load_index_with_weights(
     path: &Path,
     weights: crate::TokenWeights,
@@ -960,57 +966,30 @@ fn load_index_impl(
             )));
         }
     }
-    let num_sets = texts.len();
-
-    let mut sorted_lists = Vec::with_capacity(directory.len());
-    let mut cache = PageCache {
-        reader: &mut reader,
-        last: None,
-    };
-    for list in &directory {
-        let postings = read_list_blocks(&mut cache, list, 0..list.blocks.len(), num_sets)?;
-        sorted_lists.push((list.token, postings));
-    }
-
     let collection = Box::new(SetCollection::from_parts(
         spec.build(),
         dict,
         texts,
         multisets,
     ));
-    let index = match weights {
-        Some(w) => InvertedIndex::assemble_owned_with_weights(collection, options, sorted_lists, w),
-        None => InvertedIndex::assemble_owned(collection, options, sorted_lists),
-    };
+    // IDF weights, and so set lengths, are a deterministic function of the
+    // multisets: every decoded posting is checked against them.
+    let weights = weights.unwrap_or_else(|| crate::TokenWeights::compute(&collection));
+    let lengths = crate::index::set_lengths(&collection, &weights);
 
-    // Cross-check the decoded postings against the recomputed per-set
-    // lengths: IDF weights are a deterministic function of the multisets,
-    // so any disagreement means the file is internally inconsistent
-    // (pages from one index with the footer of another, say) even though
-    // every checksum passed.
-    for (token, list) in index.iter_lists() {
-        check_stored_lengths(&index, token, list.postings())?;
+    let mut sorted_lists = Vec::with_capacity(directory.len());
+    let mut cache = PageCache::new(&mut reader);
+    for list in &directory {
+        let postings = read_list_blocks(&mut cache, list, 0..list.blocks.len(), &lengths)?;
+        sorted_lists.push((list.token, postings));
     }
-    Ok(index)
-}
-
-/// Reject postings whose stored length is not bit-identical to the
-/// length `index` recomputed for that set (the cross-check of the load
-/// path and of every window the paged engine faults).
-pub(crate) fn check_stored_lengths(
-    index: &InvertedIndex<'_>,
-    token: Token,
-    postings: &[Posting],
-) -> Result<(), SnapshotError> {
-    for p in postings {
-        if p.len.to_bits() != index.set_len(p.id).to_bits() {
-            return Err(corrupt(format!(
-                "stored length of {} in list {} disagrees with the collection",
-                p.id, token.0
-            )));
-        }
-    }
-    Ok(())
+    Ok(InvertedIndex::assemble_owned_with_weights(
+        collection,
+        options,
+        sorted_lists,
+        weights,
+        lengths,
+    ))
 }
 
 /// What [`verify`] found in a checksum-clean, logically consistent snapshot.

@@ -139,3 +139,54 @@ fn owned_outcome_path_allocates_at_most_the_result_move() {
         "owning path should cost O(1) allocations per query, measured {delta} over {runs}"
     );
 }
+
+/// The paged engine's SF path on a warm engine — pool large enough to
+/// hold the snapshot, window and block buffers grown by a warm-up pass —
+/// allocates no more than the heap engine's owning path does on the same
+/// requests: the result move. Blocks decode into one reused buffer, and no
+/// list is assembled. The `audit` feature re-derives every paged SF answer
+/// through the allocating eager path, so the bound holds only without it.
+#[cfg(not(feature = "audit"))]
+#[test]
+fn warm_paged_sf_queries_allocate_at_most_the_result_move() {
+    let collection = corpus();
+    let index = InvertedIndex::build(&collection, IndexOptions::default());
+    let path = std::env::temp_dir().join(format!("setsim-alloc-{}.snap", std::process::id()));
+    index.save(&path).expect("save snapshot");
+    let mut paged = QueryEngine::open_paged(&path, usize::MAX).expect("open paged");
+    let _ = std::fs::remove_file(&path);
+    let mut heap = QueryEngine::new(index);
+    let texts = [
+        "main street number 17",
+        "park avenue 3",
+        "madison square gardens",
+    ];
+    let queries = texts.map(|t| paged.prepare_query_str(t));
+    // Warm-up, then allocations over 20 passes of every request.
+    let measure = |search: &mut dyn FnMut(SearchRequest<'_>) -> usize| {
+        let mut pass = || {
+            let mut matches = 0usize;
+            for q in &queries {
+                for tau in [0.4, 0.7] {
+                    matches += search(SearchRequest::new(q).tau(tau));
+                }
+            }
+            matches
+        };
+        pass();
+        let before = allocations();
+        let matches: usize = (0..20).map(|_| pass()).sum();
+        (allocations() - before, matches)
+    };
+    let (paged_allocs, paged_matches) =
+        measure(&mut |req| paged.search(req).expect("valid request").results.len());
+    let (heap_allocs, heap_matches) =
+        measure(&mut |req| heap.search(req).expect("valid request").results.len());
+    assert!(paged_matches > 0, "workload must actually match something");
+    assert_eq!(paged_matches, heap_matches);
+    assert!(
+        paged_allocs <= heap_allocs,
+        "paged SF allocated {paged_allocs} times where the heap engine's owning path \
+         allocated {heap_allocs}"
+    );
+}
