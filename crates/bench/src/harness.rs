@@ -140,7 +140,7 @@ pub fn run(config: &HarnessConfig) -> BenchReport {
     workloads.push(measure_mixed_workload(&corpus, config));
     workloads.push(measure_dense_workload(&corpus, config));
     workloads.push(measure_sharded_workload(&corpus, &collection, config));
-    workloads.push(measure_paged_workload(&corpus, &collection, config));
+    workloads.extend(measure_paged_workloads(&corpus, &collection, config));
     BenchReport {
         schema_version: SCHEMA_VERSION,
         label: config.label.clone(),
@@ -450,27 +450,35 @@ pub const PAGED_LABEL: &str = "tau=0.8 11-15g paged-pool";
 /// count. 10% forces eviction pressure, 100% makes every re-fault a hit.
 const PAGED_POOL_PCTS: [u64; 3] = [10, 50, 100];
 
-/// Measure the demand-paged serving cell: the harness index persisted as
-/// a snapshot, then served through [`QueryEngine::open_paged`] at three
-/// pool sizes — 10%, 50%, and 100% of the snapshot's page count. Every
-/// timed pass opens a fresh engine (cold pool), so the page-fault
-/// counters — `pages_touched`, `page_cache_hits`, `page_cache_misses` —
-/// are a pure function of (scale, seed, grid) like every other cell and
-/// `bench-diff` gates the windowing/eviction machinery on counter drift.
-fn measure_paged_workload(
+/// Label of the small-page paged cell (appended after the paged cell).
+pub const PAGED_SMALL_LABEL: &str = "tau=0.8 11-15g paged-pool 128B-pages";
+
+/// Page size of the small-page paged cell, as small as the paged engine's
+/// own tests use. At the default 4 KiB every window of the small scale is
+/// one block; at 128 bytes a window spans several, so the page counters
+/// see which blocks SF reads and which it seeks past.
+const SMALL_PAGE_SIZE: usize = 128;
+
+/// Measure the demand-paged serving cells: the harness index persisted as
+/// a snapshot with default pages ([`PAGED_LABEL`]) and with
+/// [`SMALL_PAGE_SIZE`]-byte pages ([`PAGED_SMALL_LABEL`]), each served
+/// through [`QueryEngine::open_paged`] on the same queries at three pool
+/// sizes — 10%, 50%, and 100% of the snapshot's page count. Every timed
+/// pass opens a fresh engine (cold pool), so the page-fault counters —
+/// `pages_touched`, `page_cache_hits`, `page_cache_misses` — are a pure
+/// function of (scale, seed, grid) like every other cell and `bench-diff`
+/// gates the windowing/eviction machinery on counter drift.
+fn measure_paged_workloads(
     corpus: &Corpus,
     collection: &SetCollection,
     config: &HarnessConfig,
-) -> WorkloadReport {
-    let tau = 0.8;
+) -> [WorkloadReport; 2] {
     let index = InvertedIndex::build(collection, IndexOptions::default());
-    let snap = TempSnapshot::save(&index, &format!("harness-paged-{}", config.seed))
-        .expect("paged-cell snapshot save");
+    let tag = format!("harness-paged-{}", config.seed);
+    let snap = TempSnapshot::save(&index, &tag).expect("paged-cell snapshot save");
+    let small = TempSnapshot::save_with_page_size(&index, &tag, SMALL_PAGE_SIZE)
+        .expect("small-page snapshot save");
     drop(index);
-    let path = snap.path();
-    let pages = setsim_core::snapshot::verify(path)
-        .expect("fresh snapshot verifies")
-        .pages;
     let wl = workload(
         corpus,
         LengthBucket::PAPER[2],
@@ -479,6 +487,36 @@ fn measure_paged_workload(
         config.seed ^ 0x0070_6167_6564, // "paged": distinct stream
     );
     let queries = wl.queries();
+    let pages = setsim_core::snapshot::verify(snap.path())
+        .expect("fresh snapshot verifies")
+        .pages;
+    // The same index, so `verify` above vouches for it; this cell only
+    // needs its page count.
+    let small_pages = setsim_storage::SnapshotReader::open(small.path())
+        .expect("small-page snapshot opens")
+        .num_pages();
+    [
+        measure_paged_cell(PAGED_LABEL, snap.path(), pages, queries, config),
+        measure_paged_cell(
+            PAGED_SMALL_LABEL,
+            small.path(),
+            small_pages,
+            queries,
+            config,
+        ),
+    ]
+}
+
+/// One paged cell: SF over the `pages`-page snapshot at `path` at every
+/// pool size of [`PAGED_POOL_PCTS`].
+fn measure_paged_cell(
+    label: &str,
+    path: &Path,
+    pages: u64,
+    queries: &[String],
+    config: &HarnessConfig,
+) -> WorkloadReport {
+    let tau = 0.8;
     let (warmup, reps) = (config.warmup, config.reps.max(1));
     let mut algos = Vec::new();
     for pct in PAGED_POOL_PCTS {
@@ -504,7 +542,7 @@ fn measure_paged_workload(
         });
     }
     WorkloadReport {
-        label: PAGED_LABEL.to_string(),
+        label: label.to_string(),
         tau,
         queries: queries.len() as u64,
         algos,
@@ -582,7 +620,7 @@ mod tests {
         config.warmup = 0;
         config.reps = 1;
         let report = run(&config);
-        assert_eq!(report.workloads.len(), GRID.len() + 4);
+        assert_eq!(report.workloads.len(), GRID.len() + 5);
         for w in &report.workloads[..GRID.len()] {
             assert_eq!(w.algos.len(), Algo::ALL.len());
             assert_eq!(w.queries, 5);
@@ -679,39 +717,48 @@ mod tests {
                 a.name
             );
         }
-        // The paged cell sweeps the pool over the same snapshot: every
+        // The paged cells sweep the pool over the same snapshot: every
         // pool size agrees on answers, faults real pages, and growing the
         // pool can only reduce disk reads (misses).
-        let paged = report.workloads.last().expect("paged cell present");
-        assert_eq!(paged.label, PAGED_LABEL);
-        assert_eq!(paged.algos.len(), PAGED_POOL_PCTS.len());
-        let full = paged.algo("SF pool=100%").expect("full-pool entry");
-        for a in &paged.algos {
-            assert_eq!(a.counters.queries, 5);
-            assert_eq!(
-                a.counters.matches, full.counters.matches,
-                "{}: pool size must not change answers",
-                a.name
-            );
+        let paged_cells = &report.workloads[GRID.len() + 3..];
+        assert_eq!(paged_cells[0].label, PAGED_LABEL);
+        assert_eq!(paged_cells[1].label, PAGED_SMALL_LABEL);
+        for paged in paged_cells {
+            assert_eq!(paged.algos.len(), PAGED_POOL_PCTS.len());
+            let full = paged.algo("SF pool=100%").expect("full-pool entry");
+            for a in &paged.algos {
+                assert_eq!(a.counters.queries, 5);
+                assert_eq!(
+                    a.counters.matches, full.counters.matches,
+                    "{}: pool size must not change answers",
+                    a.name
+                );
+                assert!(
+                    a.counters.stats.pages_touched > 0,
+                    "{}: pages fault",
+                    a.name
+                );
+                assert!(
+                    a.counters.stats.page_cache_hits + a.counters.stats.page_cache_misses
+                        >= a.counters.stats.pages_touched,
+                    "{}: every touched page was fetched at least once",
+                    a.name
+                );
+            }
+            let tiny = paged.algo("SF pool=10%").expect("tiny-pool entry");
             assert!(
-                a.counters.stats.pages_touched > 0,
-                "{}: pages fault",
-                a.name
-            );
-            assert!(
-                a.counters.stats.page_cache_hits + a.counters.stats.page_cache_misses
-                    >= a.counters.stats.pages_touched,
-                "{}: every touched page was fetched at least once",
-                a.name
+                tiny.counters.stats.page_cache_misses >= full.counters.stats.page_cache_misses,
+                "a smaller pool cannot miss less: {} vs {}",
+                tiny.counters.stats.page_cache_misses,
+                full.counters.stats.page_cache_misses
             );
         }
-        let tiny = paged.algo("SF pool=10%").expect("tiny-pool entry");
-        assert!(
-            tiny.counters.stats.page_cache_misses >= full.counters.stats.page_cache_misses,
-            "a smaller pool cannot miss less: {} vs {}",
-            tiny.counters.stats.page_cache_misses,
-            full.counters.stats.page_cache_misses
-        );
+        // The page size changes what is faulted, never the answers: the
+        // small pages split the windows, so the same reads touch more of
+        // them.
+        let (big, small) = (&paged_cells[0].algos[2], &paged_cells[1].algos[2]);
+        assert_eq!(big.counters.matches, small.counters.matches);
+        assert!(small.counters.stats.pages_touched > big.counters.stats.pages_touched);
         // The report survives its own serialization.
         let back = BenchReport::parse(&report.to_json_string()).unwrap();
         assert_eq!(back, report);

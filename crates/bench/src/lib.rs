@@ -332,6 +332,15 @@ impl TempSnapshot {
     /// Save `index` as `setsim-<tag>-<pid>-<n>.snap`, `n` counting the
     /// snapshots this process has made.
     pub fn save(index: &InvertedIndex<'_>, tag: &str) -> Result<Self, setsim_core::SnapshotError> {
+        Self::save_with_page_size(index, tag, setsim_core::snapshot::DEFAULT_PAGE_SIZE)
+    }
+
+    /// [`save`](Self::save) with `page_size`-byte pages.
+    pub fn save_with_page_size(
+        index: &InvertedIndex<'_>,
+        tag: &str,
+        page_size: usize,
+    ) -> Result<Self, setsim_core::SnapshotError> {
         // A statistic-like counter: it publishes no other data.
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let n = SEQ.fetch_add(1, Ordering::Relaxed);
@@ -339,7 +348,7 @@ impl TempSnapshot {
         let snap = Self {
             path: std::env::temp_dir().join(name),
         };
-        index.save(&snap.path)?;
+        index.save_with_page_size(&snap.path, page_size)?;
         Ok(snap)
     }
 

@@ -3,6 +3,11 @@
 //! This is the property `cargo xtask bench-diff` builds its zero-tolerance
 //! counter gate on — if this test fails, an algorithm (or the workload
 //! generator) has picked up a source of nondeterminism.
+//!
+//! Each test runs the whole harness, so every cell costs tier-1 time five
+//! times over: the 128-byte-page paged cell (a second snapshot save and
+//! three pool passes) took this binary from 3.6 to 4.0 s (medians of
+//! eight alternating debug runs on a shared two-core x86-64 host).
 
 use setsim_bench::harness::{run, HarnessConfig};
 use setsim_bench::report::BenchReport;

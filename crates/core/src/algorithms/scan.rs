@@ -10,12 +10,19 @@ use crate::{Match, SearchStatus};
 /// the paper reports as "did not terminate in a reasonable amount of
 /// time" at their scale).
 pub(crate) fn search(ctx: &mut SearchCtx<'_, '_>) {
+    let total = ctx.index.query_list_elements(ctx.query);
+    search_table(ctx, total);
+}
+
+/// The scan itself, reporting `total_list_elements` as `total`: the paged
+/// engine passes its windows' directory counts, so it opens no list.
+pub(crate) fn search_table(ctx: &mut SearchCtx<'_, '_>, total_list_elements: u64) {
     let index = ctx.index;
     let query = ctx.query;
     let tau = ctx.tau;
     let budget = ctx.budget;
     let scratch = &mut *ctx.scratch;
-    scratch.stats.total_list_elements = index.query_list_elements(query);
+    scratch.stats.total_list_elements = total_list_elements;
     if query.is_empty() || query.len == 0.0 {
         return;
     }

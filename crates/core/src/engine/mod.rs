@@ -443,6 +443,23 @@ pub(crate) fn execute_sf_into<L: QueryLists>(
     })
 }
 
+/// Scan over `index`'s base table, reporting `total_list_elements` as the
+/// caller counted it: the paged engine's Scan, which needs the windows'
+/// directory counts and no posting. The request is already validated
+/// (`tau`) and each list resolved by the caller.
+pub(crate) fn execute_scan_into(
+    index: &InvertedIndex<'_>,
+    scratch: &mut Scratch,
+    req: &SearchRequest<'_>,
+    tau: Tau,
+    total_list_elements: u64,
+) -> Result<SearchStatus, SearchError> {
+    run_search(index, scratch, req, tau, |ctx| {
+        scan::search_table(ctx, total_list_elements);
+        Ok(())
+    })
+}
+
 /// Run `search` over a fresh [`SearchCtx`] on `scratch`. A fault the
 /// search returns is the query's error.
 fn run_search(

@@ -28,7 +28,11 @@
 //! are never read: the engine faults only the pages of the blocks SF
 //! reads. Nothing is assembled per query.
 //!
-//! The other seven kinds decode every block of every window up front and
+//! Scan reads the collection's base table, never a list: it gets the
+//! windows' directory counts as its `total_list_elements` and faults no
+//! page.
+//!
+//! The other six kinds decode every block of every window up front and
 //! assemble the windows into the same [`PostingList`](crate::PostingList)
 //! structures the heap engine serves, so they run unmodified. Assembly
 //! builds only the auxiliary structures the requested algorithm reads
@@ -53,8 +57,8 @@
 //! design (run [`crate::snapshot::verify`] for an eager sweep).
 
 use super::{
-    execute_into, execute_sf_into, AlgorithmKind, EngineMetrics, MetricsSnapshot, Scratch,
-    SearchError, SearchRequest,
+    execute_into, execute_scan_into, execute_sf_into, AlgorithmKind, EngineMetrics,
+    MetricsSnapshot, Scratch, SearchError, SearchRequest,
 };
 use crate::index::{QueryLists, SortedList};
 use crate::snapshot::{
@@ -128,7 +132,7 @@ impl Pages {
     }
 
     /// Decode every window whole through the pool: the eager path of
-    /// every kind but SF.
+    /// every kind but SF and Scan.
     fn read_windows(
         &mut self,
         lengths: &[f64],
@@ -159,6 +163,12 @@ impl Pages {
         self.touched.dedup();
         self.touched.len() as u64
     }
+}
+
+/// Postings in `windows`, by the directory's counts: the query's
+/// `total_list_elements`.
+fn window_total(windows: &[Window]) -> u64 {
+    windows.iter().map(|w| w.len as u64).sum()
 }
 
 /// Decode `windows` whole, fetching pages through `pages`.
@@ -197,7 +207,7 @@ impl QueryLists for WindowRuns<'_> {
         Self: 's;
 
     fn total_elements(&self) -> u64 {
-        self.windows.iter().map(|w| w.len as u64).sum()
+        window_total(self.windows)
     }
 
     fn list(&mut self, i: usize) -> WindowRun<'_> {
@@ -392,7 +402,7 @@ impl SortedList for WindowRun<'_> {
 pub struct PagedEngine {
     /// Collection, weights, lengths, and options from the footer; its
     /// lists hold the windows of the last query served eagerly (any kind
-    /// but SF).
+    /// but SF and Scan).
     index: InvertedIndex<'static>,
     pages: Pages,
     scratch: Scratch,
@@ -433,7 +443,7 @@ impl PagedEngine {
 
     /// The underlying index state (collection, weights, options). Its
     /// posting lists hold only the windows of the last query served
-    /// through the eager path (any kind but SF).
+    /// through the eager path (any kind but SF and Scan).
     #[must_use]
     pub fn index(&self) -> &InvertedIndex<'static> {
         &self.index
@@ -489,10 +499,11 @@ impl PagedEngine {
     /// Run one request. Resolves each query list's Theorem 1 window
     /// against the directory; SF then reads the windows in place,
     /// faulting and decoding a block when it first reads a posting in it,
-    /// while every other kind decodes its windows whole and runs
-    /// unmodified over them. Results are bit-identical to the heap
-    /// engine; [`SearchStats`] additionally carries `pages_touched` /
-    /// `page_cache_hits` / `page_cache_misses`.
+    /// Scan reads only the base table and the windows' counts, and every
+    /// other kind decodes its windows whole and runs unmodified over them.
+    /// Results are bit-identical to the heap engine; [`SearchStats`]
+    /// additionally carries `pages_touched` / `page_cache_hits` /
+    /// `page_cache_misses`.
     ///
     /// # Panics
     /// With the `audit` feature, if SF's answer (result bits and status)
@@ -508,13 +519,20 @@ impl PagedEngine {
                 let misses0 = pages.snap.misses();
                 pages.touched.clear();
                 pages.resolve(req.query, tau.get())?;
-                if req.algorithm == AlgorithmKind::Sf {
-                    let mut runs = pages.lists(&self.index);
-                    execute_sf_into(&self.index, &mut self.scratch, &req, tau, &mut runs)?;
-                } else {
-                    let lists = pages.read_windows(self.index.lengths())?;
-                    self.index.replace_lists(lists, req.algorithm);
-                    execute_into(&self.index, &mut self.scratch, &req)?;
+                match req.algorithm {
+                    AlgorithmKind::Sf => {
+                        let mut runs = pages.lists(&self.index);
+                        execute_sf_into(&self.index, &mut self.scratch, &req, tau, &mut runs)?;
+                    }
+                    AlgorithmKind::Scan => {
+                        let total = window_total(&pages.windows);
+                        execute_scan_into(&self.index, &mut self.scratch, &req, tau, total)?;
+                    }
+                    _ => {
+                        let lists = pages.read_windows(self.index.lengths())?;
+                        self.index.replace_lists(lists, req.algorithm);
+                        execute_into(&self.index, &mut self.scratch, &req)?;
+                    }
                 }
                 self.scratch.stats.pages_touched = pages.pages_touched();
                 self.scratch.stats.page_cache_hits = pages.snap.hits() - hits0;
@@ -759,6 +777,61 @@ mod tests {
             skipped_in_window > 0,
             "no SF query skipped the damaged block inside its window"
         );
+    }
+
+    /// A Scan reads the base table and the windows' directory counts, never
+    /// a posting: over a window that holds a damaged page it answers like
+    /// the heap engine and faults nothing, and every counter but the page
+    /// ones equals the eager window path's on the clean file.
+    #[test]
+    fn a_scan_faults_no_page_even_over_a_damaged_window() {
+        let (c, t, layout, directory) = saved("scan");
+        let (text, tau) = ("main street 3", 0.6);
+        let scan = |q| {
+            SearchRequest::new(q)
+                .tau(tau)
+                .algorithm(AlgorithmKind::Scan)
+        };
+
+        // Today's eager path on the clean file: decode the windows whole
+        // and scan over the assembled lists.
+        let mut clean = PagedEngine::open(&t.0, 4).unwrap();
+        let q = clean.prepare_query_str(text);
+        clean.pages.resolve(&q, tau).unwrap();
+        let lists = clean.pages.read_windows(clean.index.lengths()).unwrap();
+        assert!(!clean.pages.touched.is_empty(), "the windows hold pages");
+        clean.index.replace_lists(lists, AlgorithmKind::Scan);
+        let eager = super::super::execute(&clean.index, &mut clean.scratch, &scan(&q)).unwrap();
+
+        // Damage the first page of the rarest list's window.
+        let list = &directory[find_list(&directory, q.tokens[0].token).unwrap()];
+        let window = window_blocks(list, q.len, tau);
+        let page = list.blocks[window.start].page;
+        let mut bytes = std::fs::read(&t.0).unwrap();
+        bytes[layout.pages_offset as usize + page as usize * layout.page_size + 1] ^= 0x5a;
+        std::fs::write(&t.0, &bytes).unwrap();
+
+        let mut paged = PagedEngine::open(&t.0, 4).unwrap();
+        let q = paged.prepare_query_str(text);
+        let nra = SearchRequest::new(&q)
+            .tau(tau)
+            .algorithm(AlgorithmKind::Nra);
+        assert!(
+            paged.search(nra).is_err(),
+            "the damaged page lies in a window the eager path decodes"
+        );
+        let out = paged.search(scan(&q)).unwrap();
+        let mut heap = QueryEngine::new(InvertedIndex::build(&c, IndexOptions::default()));
+        let hq = heap.prepare_query_str(text);
+        let want = heap.search(scan(&hq)).unwrap();
+        assert!(!want.results.is_empty());
+        assert_eq!(out.bits_sorted(), want.bits_sorted());
+        assert_eq!(out.stats.pages_touched, 0);
+        assert_eq!(out.stats.page_cache_hits, 0);
+        assert_eq!(out.stats.page_cache_misses, 0);
+        // `execute` leaves the page counters at 0: the rest must agree.
+        assert_eq!(out.stats, eager.stats);
+        assert_eq!(out.status, eager.status);
     }
 
     /// Pages the last query fetched (sorted, distinct).

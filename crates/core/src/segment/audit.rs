@@ -19,17 +19,20 @@
 //!    window actually used.
 //!
 //! [`AuditedMutableIndex`] also provides [`audit_state`]
-//! (bookkeeping coherence: `N`, `N(t)`, the record directory, tombstone
-//! counts — everything the incremental updates maintain, recomputed from
-//! first principles), meant to run after every mutation batch in tests.
+//! (bookkeeping coherence: `N`, `N(t)`, the `(live df, stale idf)` drift
+//! classes, the record directory, tombstone counts — everything the
+//! incremental updates maintain, recomputed from first principles), meant
+//! to run after every mutation batch in tests.
 //!
 //! [`audit_state`]: AuditedMutableIndex::audit_state
 
+use super::drift::Class;
 use super::{Loc, MutableIndex, MutableOutcome, MutableQuery, RecordId, SearchRequest};
 use crate::engine::Scratch;
 use crate::properties::length_bounds;
 use crate::{passes, SetId};
-use std::collections::HashMap;
+use setsim_tokenize::Token;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// One violation found while auditing a mutable index.
@@ -306,9 +309,9 @@ impl<'a> AuditedMutableIndex<'a> {
     }
 
     /// Verify every piece of incrementally maintained bookkeeping against
-    /// a from-scratch recomputation: `N`, per-token `N(t)`, the record
-    /// directory, and tombstone counts. Meant to run after every mutation
-    /// batch in tests.
+    /// a from-scratch recomputation: `N`, per-token `N(t)`, the drift
+    /// classes and the bounds folded over them, the record directory, and
+    /// tombstone counts. Meant to run after every mutation batch in tests.
     pub fn audit_state(&self) -> MutableReport {
         let mi = self.index;
         let mut report = MutableReport {
@@ -363,11 +366,48 @@ impl<'a> AuditedMutableIndex<'a> {
                 delta_alive
             ));
         }
-        for (i, &have) in mi.df_live.iter().enumerate() {
-            let want = df.get(&(i as u32)).copied().unwrap_or(0);
-            if have != want {
+        // Rebuild the drift classes from the recounted df and the base's
+        // stale idfs; the incrementally moved ones must match.
+        let weights = mi.base.weights();
+        let mut classes: BTreeMap<Class, u32> = BTreeMap::new();
+        for i in 0..mi.dict.len() {
+            let t = Token(i as u32);
+            let want = df.get(&t.0).copied().unwrap_or(0);
+            let stale = if i < mi.base_dict_len {
+                weights.idf(t)
+            } else {
+                weights.unseen_idf()
+            };
+            *classes.entry((want, stale.to_bits())).or_insert(0) += 1;
+            if i < mi.df.len() && mi.df.df(t) != want {
                 drift(format!(
-                    "df_live[{i}] is {have} but {want} live records hold the token"
+                    "live df of token {i} is {} but {want} live records hold the token",
+                    mi.df.df(t)
+                ));
+            }
+        }
+        if &classes != mi.df.classes() {
+            drift(format!(
+                "{} drift classes are kept but the recount gives {}",
+                mi.df.classes().len(),
+                classes.len()
+            ));
+        }
+        if mi.df.len() != mi.dict.len() {
+            drift(format!(
+                "{} tokens carry a live df but the dictionary holds {}",
+                mi.df.len(),
+                mi.dict.len()
+            ));
+        } else {
+            // The class fold against the per-token scan, bit for bit.
+            let (fold, scan) = (mi.compute_drift_bounds(), mi.scan_drift_bounds());
+            if (fold.rho_min.to_bits(), fold.rho_max.to_bits())
+                != (scan.rho_min.to_bits(), scan.rho_max.to_bits())
+            {
+                drift(format!(
+                    "drift bounds fold to [{}, {}] but the per-token scan gives [{}, {}]",
+                    fold.rho_min, fold.rho_max, scan.rho_min, scan.rho_max
                 ));
             }
         }
@@ -475,6 +515,22 @@ mod tests {
             let (_, report) = audited.search_audited(&mut scratch, &req);
             report.assert_clean();
         }
+    }
+
+    /// Drift classes that missed the mutations' moves are a state drift.
+    #[test]
+    fn audit_state_catches_stale_drift_classes() {
+        let mut mi = mutated_index();
+        AuditedMutableIndex::new(&mi).audit_state().assert_clean();
+        mi.df = super::super::drift::LiveDf::from_base(mi.base.weights(), mi.base_dict_len);
+        let report = AuditedMutableIndex::new(&mi).audit_state();
+        assert!(
+            report.violations.iter().any(|v| matches!(
+                v,
+                MutableViolation::StateDrift { detail } if detail.contains("drift classes")
+            )),
+            "{report:?}"
+        );
     }
 
     #[test]

@@ -60,15 +60,14 @@ impl DeltaSegment {
 
     /// Mark `slot` dead and unlink it from every run.
     pub(crate) fn kill(&mut self, slot: usize) {
-        let key = (self.records[slot].stale_len.to_bits(), slot as u32);
-        // Unlink without holding a borrow of the record across the run map.
-        let tokens: Vec<Token> = self.records[slot].set.iter().collect();
-        for t in tokens {
+        let record = &mut self.records[slot];
+        let key = (record.stale_len.to_bits(), slot as u32);
+        for t in record.set.iter() {
             if let Some(run) = self.runs.get_mut(&t) {
                 run.remove(&key);
             }
         }
-        self.records[slot].alive = false;
+        record.alive = false;
         self.alive -= 1;
     }
 

@@ -53,7 +53,7 @@ use crate::{
     SetId, SnapshotError, Tau, TokenWeights,
 };
 use delta::{DeltaRecord, DeltaSegment};
-use drift::DriftBounds;
+use drift::{DriftBounds, LiveDf};
 use setsim_tokenize::{Dictionary, Token, TokenMultiSet, TokenSet, Tokenizer, TokenizerSpec};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -208,8 +208,9 @@ pub struct MutableIndex {
     loc: HashMap<u64, Loc>,
     /// The delta segment.
     delta: DeltaSegment,
-    /// Live document frequency per unified-dictionary token.
-    df_live: Vec<u32>,
+    /// Live document frequency per unified-dictionary token, grouped into
+    /// the `(live df, stale idf)` classes the drift bound folds over.
+    df: LiveDf,
     /// Live number of records (`N` in the idf formula).
     n_live: usize,
     /// Next record id to assign.
@@ -279,10 +280,7 @@ impl MutableIndex {
         budget: DriftBudget,
     ) -> Self {
         let dict = base.collection().dict().clone();
-        let weights = base.weights();
-        let df_live: Vec<u32> = (0..dict.len())
-            .map(|i| weights.df(Token(i as u32)))
-            .collect();
+        let df = LiveDf::from_base(base.weights(), dict.len());
         let n_live = base.collection().len();
         let mut loc = HashMap::with_capacity(base_ids.len());
         for (i, id) in base_ids.iter().enumerate() {
@@ -301,7 +299,7 @@ impl MutableIndex {
             base_ids,
             loc,
             delta: DeltaSegment::default(),
-            df_live,
+            df,
             n_live,
             next_id,
             oplog: Vec::new(),
@@ -437,11 +435,11 @@ impl MutableIndex {
 
     fn apply_insert(&mut self, id: RecordId, text: &str) {
         let set = TokenSet::tokenize(text, self.tokenizer.as_ref(), &mut self.dict);
-        if self.df_live.len() < self.dict.len() {
-            self.df_live.resize(self.dict.len(), 0);
+        while self.df.len() < self.dict.len() {
+            self.df.push_token();
         }
         for t in set.iter() {
-            self.df_live[t.index()] += 1;
+            self.df.add(t);
         }
         self.n_live += 1;
         let stale_len = self.stale_set_length(&set);
@@ -463,18 +461,17 @@ impl MutableIndex {
                 self.base_dead[sid.index()] = true;
                 self.n_base_dead += 1;
                 for t in self.base.collection().set(sid).iter() {
-                    self.df_live[t.index()] -= 1;
+                    self.df.remove(t);
                 }
                 self.n_live -= 1;
                 self.invalidate_drift();
                 true
             }
             Some(Loc::Delta(slot)) => {
-                let tokens: Vec<Token> = self.delta.records[slot].set.iter().collect();
-                self.delta.kill(slot);
-                for t in tokens {
-                    self.df_live[t.index()] -= 1;
+                for t in self.delta.records[slot].set.iter() {
+                    self.df.remove(t);
                 }
+                self.delta.kill(slot);
                 self.n_live -= 1;
                 self.invalidate_drift();
                 true
@@ -514,27 +511,17 @@ impl MutableIndex {
     // Weights in both coordinate systems
     // ------------------------------------------------------------------
 
-    /// Stale idf: the base segment's frozen weight for `t`, or its frozen
-    /// unseen weight if `t` is delta-only.
-    fn stale_idf(&self, t: Token) -> f64 {
-        if t.index() < self.base_dict_len {
-            self.base.weights().idf(t)
-        } else {
-            self.base.weights().unseen_idf()
-        }
-    }
-
     /// Live idf of a unified-dictionary token under the current `N`,
     /// `N(t)`.
     fn live_idf(&self, t: Token) -> f64 {
-        TokenWeights::idf_formula(self.n_live, self.df_live[t.index()])
+        TokenWeights::idf_formula(self.n_live, self.df.df(t))
     }
 
     /// Normalized length of a set under the stale weights (delta run key).
     fn stale_set_length(&self, set: &TokenSet) -> f64 {
         set.iter()
             .map(|t| {
-                let w = self.stale_idf(t);
+                let w = self.df.stale_idf(t);
                 w * w
             })
             .sum::<f64>()
@@ -564,38 +551,44 @@ impl MutableIndex {
         self.drift_cache = OnceLock::new();
     }
 
-    /// Current drift bounds, recomputing the `O(vocabulary)` scan only
-    /// when a mutation has invalidated the cache.
+    /// Current drift bounds, refolding the `(live df, stale idf)` classes
+    /// only when a mutation has invalidated the cache.
     fn drift_bounds(&self) -> DriftBounds {
         *self.drift_cache.get_or_init(|| self.compute_drift_bounds())
     }
 
+    /// Degenerate corpora: with no base the stale weights are all zero
+    /// (search bypasses them entirely), and with no live records no search
+    /// can return anything. Identity keeps the math finite.
+    fn drift_is_identity(&self) -> bool {
+        self.pristine() || self.base.collection().is_empty() || self.n_live == 0
+    }
+
     fn compute_drift_bounds(&self) -> DriftBounds {
-        // Degenerate corpora: with no base the stale weights are all zero
-        // (search bypasses them entirely), and with no live records no
-        // search can return anything. Identity keeps the math finite.
-        if self.pristine() || self.base.collection().is_empty() || self.n_live == 0 {
+        if self.drift_is_identity() {
             return DriftBounds::identity();
         }
-        let mut rho_min = f64::INFINITY;
-        let mut rho_max = 0.0f64;
-        let mut fold = |stale: f64, live: f64| {
-            let rho = live / stale;
-            rho_min = rho_min.min(rho);
-            rho_max = rho_max.max(rho);
-        };
+        self.df.bounds(self.n_live)
+    }
+
+    /// The drift bounds by one ratio per dictionary token: the oracle the
+    /// class fold of [`compute_drift_bounds`](Self::compute_drift_bounds)
+    /// must match bit for bit.
+    #[cfg(any(test, feature = "audit"))]
+    fn scan_drift_bounds(&self) -> DriftBounds {
+        if self.drift_is_identity() {
+            return DriftBounds::identity();
+        }
+        let mut fold = drift::RhoFold::new();
         for i in 0..self.dict.len() {
             let t = Token(i as u32);
-            fold(self.stale_idf(t), self.live_idf(t));
+            fold.fold(self.df.stale_idf(t), self.live_idf(t));
         }
-        // The unseen class: tokens no record has ever contained can still
-        // appear in queries, where they carry the unseen weight in both
-        // coordinate systems.
-        fold(
+        fold.fold(
             self.base.weights().unseen_idf(),
             TokenWeights::idf_formula(self.n_live, 0),
         );
-        DriftBounds { rho_min, rho_max }
+        fold.bounds()
     }
 
     // ------------------------------------------------------------------

@@ -311,8 +311,97 @@ mod tests {
             mi.save(&dir.0).unwrap();
             let replayed = MutableIndex::open(&dir.0).unwrap().drift_rel_err();
             assert_eq!(after.to_bits(), replayed.to_bits(), "step {step}");
-            let uncached = mi.compute_drift_bounds().rel_err();
-            assert_eq!(after.to_bits(), uncached.to_bits(), "step {step}");
+            let scanned = mi.scan_drift_bounds().rel_err();
+            assert_eq!(after.to_bits(), scanned.to_bits(), "step {step}");
         }
+    }
+
+    /// The drift bound's bits, the cached read's and the per-token scan's.
+    fn assert_drift_matches_scan(mi: &MutableIndex, step: &str) {
+        let scan = mi.scan_drift_bounds();
+        let got = mi.drift_bounds();
+        assert_eq!(got.rho_min.to_bits(), scan.rho_min.to_bits(), "{step}");
+        assert_eq!(got.rho_max.to_bits(), scan.rho_max.to_bits(), "{step}");
+        assert_eq!(
+            mi.drift_rel_err().to_bits(),
+            scan.rel_err().to_bits(),
+            "{step}"
+        );
+        assert_eq!(
+            got.widening_factor().to_bits(),
+            scan.widening_factor().to_bits(),
+            "{step}"
+        );
+    }
+
+    /// A seeded mutation history — inserts that grow the dictionary, base
+    /// and delta deletes, upserts, a compaction, a save and open — with the
+    /// class-folded drift bound checked against the per-token scan after
+    /// every step. The history also walks a token back to its base df and
+    /// one down to df 0.
+    #[test]
+    fn drift_classes_match_the_per_token_scan_through_a_history() {
+        let dir = TempDir::new("driftclasses");
+        let words = [
+            "main", "street", "park", "avenue", "wall", "ocean", "drive", "harbor", "view",
+            "north", "quartz", "lagoon", "velvet", "cove", "granite",
+        ];
+        let mut base: Vec<String> = (0..40)
+            .map(|i| format!("{} {} {i}", words[i % 7], words[(i * 3 + 1) % 7]))
+            .collect();
+        base.push("zyxwv".to_string());
+        let base: Vec<&str> = base.iter().map(String::as_str).collect();
+        let mut mi = mutable(&base);
+        let lone = RecordId(base.len() as u64 - 1);
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % n as u64) as usize
+        };
+        // A base token: its df moves away from the base value and back.
+        let main = mi.dict.get("#ma").unwrap();
+        let base_df = mi.base.weights().df(main);
+        let back = mi.insert("main main");
+        assert_eq!(mi.df.df(main), base_df + 1);
+        assert_drift_matches_scan(&mi, "insert past the base df");
+        assert!(mi.delete(back));
+        assert_eq!(mi.df.df(main), base_df, "back at its base df");
+        assert_drift_matches_scan(&mi, "back at the base df");
+        // A base token held by one record: its df drops to 0.
+        let rare = mi.dict.get("xwv").unwrap();
+        assert_eq!(mi.df.df(rare), 1);
+        assert!(mi.delete(lone));
+        assert_eq!(mi.df.df(rare), 0);
+        assert_drift_matches_scan(&mi, "a token at df 0");
+        for step in 0..60 {
+            let live = mi.live_records();
+            let victim = live[next(live.len())].0;
+            let text = format!(
+                "{} {} {}",
+                words[next(words.len())],
+                words[next(words.len())],
+                next(1000)
+            );
+            match step % 4 {
+                0 | 1 => {
+                    mi.insert(&text);
+                }
+                2 => assert!(mi.delete(victim)),
+                _ => assert!(mi.upsert(victim, &text)),
+            }
+            assert_drift_matches_scan(&mi, &format!("step {step}"));
+            if step == 25 {
+                mi.compact();
+                assert_drift_matches_scan(&mi, "compacted");
+            }
+            if step % 20 == 19 {
+                mi.save(&dir.0).unwrap();
+                mi = MutableIndex::open(&dir.0).unwrap();
+                assert_drift_matches_scan(&mi, &format!("reopened at step {step}"));
+            }
+        }
+        assert!(mi.drift_rel_err() > 0.0, "the history must drift");
     }
 }

@@ -66,7 +66,8 @@ fn fingerprint(
 
 /// Paged-engine fingerprint, additionally checking the access-partition
 /// invariant (`read + skipped ≤ total`) and the page counters on every
-/// single query.
+/// single query: every kind but Scan faults pages for a non-empty query,
+/// Scan none.
 fn fingerprint_paged(
     engine: &mut PagedEngine,
     text: &str,
@@ -86,7 +87,12 @@ fn fingerprint_paged(
         out.stats.pages_touched <= out.stats.page_cache_hits + out.stats.page_cache_misses,
         "distinct pages cannot exceed pool accesses"
     );
-    if !q.is_empty() {
+    if kind == AlgorithmKind::Scan {
+        assert_eq!(
+            out.stats.pages_touched, 0,
+            "a paged Scan reads the base table, never a posting page"
+        );
+    } else if !q.is_empty() {
         assert!(
             out.stats.pages_touched > 0,
             "a non-empty paged query must fault at least one page"
