@@ -487,14 +487,14 @@ fn measure_paged_workloads(
         config.seed ^ 0x0070_6167_6564, // "paged": distinct stream
     );
     let queries = wl.queries();
-    let pages = setsim_core::snapshot::verify(snap.path())
-        .expect("fresh snapshot verifies")
-        .pages;
-    // The same index, so `verify` above vouches for it; this cell only
-    // needs its page count.
-    let small_pages = setsim_storage::SnapshotReader::open(small.path())
-        .expect("small-page snapshot opens")
-        .num_pages();
+    // Each cell needs only its snapshot's page count, which the header
+    // holds; fresh-save integrity is the snapshot tests' job.
+    let num_pages = |path: &std::path::Path| {
+        setsim_storage::SnapshotReader::open(path)
+            .expect("fresh snapshot opens")
+            .num_pages()
+    };
+    let (pages, small_pages) = (num_pages(snap.path()), num_pages(small.path()));
     [
         measure_paged_cell(PAGED_LABEL, snap.path(), pages, queries, config),
         measure_paged_cell(

@@ -1,4 +1,5 @@
-//! Delta + varint compression for posting lists.
+//! Delta + varint compression for posting lists, and the one bounded
+//! reader every persisted and wire decoder reads through.
 //!
 //! Disk-resident inverted lists (Section III-B stores 5 GB of them) are
 //! conventionally stored compressed: ids ascending → delta-encode, then
@@ -6,6 +7,17 @@
 //! container with per-block skip keys, so a compressed list still supports
 //! the `seek to first posting with key ≥ x` operation Length Boundedness
 //! needs — only the blocks inside the window are decoded.
+//!
+//! The writers (`write_*`) append fields; [`ByteReader`] reads them back,
+//! and every decoder of a snapshot footer, manifest, delta log or wire
+//! frame reads through it. Those bytes come from outside the program, so
+//! the reader decides once, for every format, how a count is bounded
+//! ([`ByteReader::count`] refuses a count the bytes left cannot hold) and
+//! how an encoding ends ([`ByteReader::finish`] refuses trailing bytes).
+//! [`read_varint`] stays public for the per-posting loops of block
+//! decoders, whose entry counts were bounded when their directory was read.
+
+use std::fmt;
 
 /// Append `value` as a LEB128 varint.
 pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
@@ -45,25 +57,9 @@ pub fn write_u32_le(out: &mut Vec<u8>, value: u32) {
     out.extend_from_slice(&value.to_le_bytes());
 }
 
-/// Decode 4 little-endian bytes at `pos`, advancing it. `None` on
-/// truncation.
-pub fn read_u32_le(buf: &[u8], pos: &mut usize) -> Option<u32> {
-    let bytes: [u8; 4] = buf.get(*pos..*pos + 4)?.try_into().ok()?;
-    *pos += 4;
-    Some(u32::from_le_bytes(bytes))
-}
-
 /// Append `value` as 8 fixed little-endian bytes.
 pub fn write_u64_le(out: &mut Vec<u8>, value: u64) {
     out.extend_from_slice(&value.to_le_bytes());
-}
-
-/// Decode 8 little-endian bytes at `pos`, advancing it. `None` on
-/// truncation.
-pub fn read_u64_le(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let bytes: [u8; 8] = buf.get(*pos..*pos + 8)?.try_into().ok()?;
-    *pos += 8;
-    Some(u64::from_le_bytes(bytes))
 }
 
 /// Append a varint-length-prefixed byte run (the framing used for every
@@ -73,25 +69,179 @@ pub fn write_bytes(out: &mut Vec<u8>, data: &[u8]) {
     out.extend_from_slice(data);
 }
 
-/// Decode a varint-length-prefixed byte run at `pos`, advancing it.
-/// `None` on truncation or on a length that exceeds the remaining buffer.
-pub fn read_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
-    let len = read_varint(buf, pos)?;
-    let len = usize::try_from(len).ok()?;
-    let run = buf.get(*pos..pos.checked_add(len)?)?;
-    *pos += len;
-    Some(run)
-}
-
 /// Append a varint-length-prefixed UTF-8 string.
 pub fn write_str(out: &mut Vec<u8>, s: &str) {
     write_bytes(out, s.as_bytes());
 }
 
-/// Decode a varint-length-prefixed UTF-8 string at `pos`, advancing it.
-/// `None` on truncation or invalid UTF-8.
-pub fn read_str<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a str> {
-    std::str::from_utf8(read_bytes(buf, pos)?).ok()
+/// Why a [`ByteReader`] refused a field. Each case carries the byte
+/// offset of the field, except [`Trailing`](Self::Trailing).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadError {
+    /// The input ends inside the field (or a varint runs past 10 bytes).
+    Truncated(usize),
+    /// A count claims more items than the bytes after it can hold.
+    Count(usize),
+    /// A boolean byte is neither 0 nor 1.
+    Bool(usize),
+    /// A varint does not fit in a `u32`.
+    U32(usize),
+    /// A string is not UTF-8.
+    Utf8(usize),
+    /// This many bytes follow the last field.
+    Trailing(usize),
+}
+
+impl fmt::Display for ReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (what, n) = match *self {
+            ReadError::Truncated(at) => ("input ends inside the field at byte", at),
+            ReadError::Count(at) => ("bytes left cannot hold the count at byte", at),
+            ReadError::Bool(at) => ("not a boolean: the byte at", at),
+            ReadError::U32(at) => ("u32 overflow: the varint at byte", at),
+            ReadError::Utf8(at) => ("not UTF-8: the string at byte", at),
+            ReadError::Trailing(extra) => ("trailing bytes after the last field:", extra),
+        };
+        write!(f, "{what} {n}")
+    }
+}
+
+impl std::error::Error for ReadError {}
+
+/// A bounds-checked cursor over bytes from outside the program.
+#[derive(Debug, Clone)]
+pub struct ByteReader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> ByteReader<'a> {
+    /// A reader at the start of `buf`.
+    #[must_use]
+    pub fn new(buf: &'a [u8]) -> Self {
+        Self { buf, pos: 0 }
+    }
+
+    /// Bytes not read yet.
+    #[must_use]
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], ReadError> {
+        let at = self.pos;
+        let run = at
+            .checked_add(n)
+            .and_then(|end| self.buf.get(at..end))
+            .ok_or(ReadError::Truncated(at))?;
+        self.pos += n;
+        Ok(run)
+    }
+
+    /// The next `N` bytes, by value.
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], ReadError> {
+        let at = self.pos;
+        self.take(N)?
+            .try_into()
+            .map_err(|_| ReadError::Truncated(at))
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, ReadError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    /// One byte that must be 0 (`false`) or 1 (`true`).
+    pub fn bool(&mut self) -> Result<bool, ReadError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(ReadError::Bool(self.pos - 1)),
+        }
+    }
+
+    /// 4 little-endian bytes.
+    pub fn u32_le(&mut self) -> Result<u32, ReadError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// 8 little-endian bytes.
+    pub fn u64_le(&mut self) -> Result<u64, ReadError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// A LEB128 varint.
+    pub fn varint(&mut self) -> Result<u64, ReadError> {
+        let at = self.pos;
+        read_varint(self.buf, &mut self.pos).ok_or(ReadError::Truncated(at))
+    }
+
+    /// A LEB128 varint that must fit in a `u32`.
+    pub fn varint_u32(&mut self) -> Result<u32, ReadError> {
+        let at = self.pos;
+        u32::try_from(self.varint()?).map_err(|_| ReadError::U32(at))
+    }
+
+    /// A varint-length-prefixed byte run ([`write_bytes`]).
+    pub fn bytes(&mut self) -> Result<&'a [u8], ReadError> {
+        let at = self.pos;
+        let len = usize::try_from(self.varint()?).map_err(|_| ReadError::Truncated(at))?;
+        self.take(len)
+    }
+
+    /// A varint-length-prefixed UTF-8 string ([`write_str`]).
+    pub fn str(&mut self) -> Result<&'a str, ReadError> {
+        let at = self.pos;
+        std::str::from_utf8(self.bytes()?).map_err(|_| ReadError::Utf8(at))
+    }
+
+    /// The next `n` bytes as a UTF-8 string (its length stored apart).
+    pub fn utf8(&mut self, n: usize) -> Result<&'a str, ReadError> {
+        let at = self.pos;
+        std::str::from_utf8(self.take(n)?).map_err(|_| ReadError::Utf8(at))
+    }
+
+    /// A varint count of items that each take at least `min_item_bytes`
+    /// (1 if given 0) of the bytes after it. A count those bytes cannot
+    /// hold is refused, so what is returned can size an allocation.
+    pub fn count(&mut self, min_item_bytes: usize) -> Result<usize, ReadError> {
+        let at = self.pos;
+        let count = self.varint()?;
+        self.bound(at, count, min_item_bytes)
+    }
+
+    /// [`count`](Self::count) stored as 4 little-endian bytes.
+    pub fn count_u32_le(&mut self, min_item_bytes: usize) -> Result<usize, ReadError> {
+        let at = self.pos;
+        let count = self.u32_le()?;
+        self.bound(at, u64::from(count), min_item_bytes)
+    }
+
+    /// [`count`](Self::count) stored as 8 little-endian bytes.
+    pub fn count_u64_le(&mut self, min_item_bytes: usize) -> Result<usize, ReadError> {
+        let at = self.pos;
+        let count = self.u64_le()?;
+        self.bound(at, count, min_item_bytes)
+    }
+
+    fn bound(&self, at: usize, count: u64, min_item_bytes: usize) -> Result<usize, ReadError> {
+        usize::try_from(count)
+            .ok()
+            .filter(|n| {
+                n.checked_mul(min_item_bytes.max(1))
+                    .is_some_and(|need| need <= self.remaining())
+            })
+            .ok_or(ReadError::Count(at))
+    }
+
+    /// Refuse any byte left after the last field.
+    pub fn finish(self) -> Result<(), ReadError> {
+        match self.remaining() {
+            0 => Ok(()),
+            extra => Err(ReadError::Trailing(extra)),
+        }
+    }
 }
 
 /// One compressed entry: a `(key, id)` pair where keys ascend (ties broken
@@ -363,13 +513,14 @@ mod tests {
         let mut buf = Vec::new();
         write_u32_le(&mut buf, 0xDEAD_BEEF);
         write_u64_le(&mut buf, u64::MAX - 7);
-        let mut pos = 0;
-        assert_eq!(read_u32_le(&buf, &mut pos), Some(0xDEAD_BEEF));
-        assert_eq!(read_u64_le(&buf, &mut pos), Some(u64::MAX - 7));
-        assert_eq!(pos, buf.len());
+        let mut r = ByteReader::new(&buf);
+        assert_eq!(r.u32_le(), Ok(0xDEAD_BEEF));
+        assert_eq!(r.u64_le(), Ok(u64::MAX - 7));
+        assert_eq!(r.finish(), Ok(()));
         // Truncated reads fail without advancing past the end.
-        let mut pos = 0;
-        assert_eq!(read_u64_le(&buf[..3], &mut pos), None);
+        let mut r = ByteReader::new(&buf[..3]);
+        assert_eq!(r.u64_le(), Err(ReadError::Truncated(0)));
+        assert_eq!(r.remaining(), 3);
     }
 
     #[test]
@@ -378,11 +529,11 @@ mod tests {
         write_bytes(&mut buf, b"");
         write_bytes(&mut buf, b"payload");
         write_str(&mut buf, "grüße");
-        let mut pos = 0;
-        assert_eq!(read_bytes(&buf, &mut pos), Some(&b""[..]));
-        assert_eq!(read_bytes(&buf, &mut pos), Some(&b"payload"[..]));
-        assert_eq!(read_str(&buf, &mut pos), Some("grüße"));
-        assert_eq!(pos, buf.len());
+        let mut r = ByteReader::new(&buf);
+        assert_eq!(r.bytes(), Ok(&b""[..]));
+        assert_eq!(r.bytes(), Ok(&b"payload"[..]));
+        assert_eq!(r.str(), Ok("grüße"));
+        assert_eq!(r.finish(), Ok(()));
     }
 
     #[test]
@@ -392,21 +543,57 @@ mod tests {
         let mut buf = Vec::new();
         write_varint(&mut buf, 1_000);
         buf.extend_from_slice(b"short");
-        let mut pos = 0;
-        assert_eq!(read_bytes(&buf, &mut pos), None);
+        assert!(matches!(
+            ByteReader::new(&buf).bytes(),
+            Err(ReadError::Truncated(_))
+        ));
         // Same for a length that overflows usize arithmetic.
         let mut buf = Vec::new();
         write_varint(&mut buf, u64::MAX);
-        let mut pos = 0;
-        assert_eq!(read_bytes(&buf, &mut pos), None);
+        assert!(matches!(
+            ByteReader::new(&buf).bytes(),
+            Err(ReadError::Truncated(_))
+        ));
     }
 
     #[test]
     fn framed_str_rejects_invalid_utf8() {
         let mut buf = Vec::new();
         write_bytes(&mut buf, &[0xFF, 0xFE]);
-        let mut pos = 0;
-        assert_eq!(read_str(&buf, &mut pos), None);
+        assert_eq!(ByteReader::new(&buf).str(), Err(ReadError::Utf8(0)));
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_bytes_left() {
+        // Three items of at least two bytes fit in six bytes, not five.
+        assert_eq!(ByteReader::new(&[3, 0, 0, 0, 0, 0, 0]).count(2), Ok(3));
+        assert_eq!(
+            ByteReader::new(&[3, 0, 0, 0, 0, 0]).count(2),
+            Err(ReadError::Count(0))
+        );
+        assert_eq!(ByteReader::new(&[0]).count(2), Ok(0));
+        // No product overflows: the largest counts are refused outright.
+        let max = [&u64::MAX.to_le_bytes()[..], &[0; 64]].concat();
+        assert!(ByteReader::new(&max).count_u64_le(8).is_err());
+        assert!(ByteReader::new(&u32::MAX.to_le_bytes())
+            .count_u32_le(1)
+            .is_err());
+        // A minimum item size of 0 still needs a byte per item.
+        assert!(ByteReader::new(&[5, 0, 0]).count(0).is_err());
+    }
+
+    #[test]
+    fn booleans_u32_varints_and_trailing_bytes_are_typed() {
+        let mut r = ByteReader::new(&[1, 0, 2]);
+        assert_eq!(r.bool(), Ok(true));
+        assert_eq!(r.bool(), Ok(false));
+        assert_eq!(r.bool(), Err(ReadError::Bool(2)));
+        let mut buf = Vec::new();
+        write_varint(&mut buf, u64::from(u32::MAX) + 1);
+        assert_eq!(ByteReader::new(&buf).varint_u32(), Err(ReadError::U32(0)));
+        let mut r = ByteReader::new(b"abc");
+        assert_eq!(r.utf8(2), Ok("ab"));
+        assert_eq!(r.finish(), Err(ReadError::Trailing(1)));
     }
 
     proptest! {

@@ -43,7 +43,7 @@ use crate::segment::MutableOutcome;
 use crate::stats::SearchStats;
 use crate::AlgorithmKind;
 use crate::MetricsSnapshot;
-use setsim_collections::codec::{read_str, read_varint, write_str, write_varint};
+use setsim_collections::codec::{write_str, write_varint, ByteReader, ReadError};
 use setsim_storage::SnapshotError;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -326,6 +326,21 @@ impl fmt::Display for WireDecodeError {
 
 impl std::error::Error for WireDecodeError {}
 
+/// A field the frame's reader refused. A string that is not UTF-8 reads
+/// as a truncated frame, as a count the payload cannot hold does.
+impl From<ReadError> for WireDecodeError {
+    fn from(err: ReadError) -> WireDecodeError {
+        match err {
+            ReadError::Truncated(_) | ReadError::Count(_) | ReadError::Utf8(_) => {
+                WireDecodeError::Truncated
+            }
+            ReadError::Bool(_) => WireDecodeError::BadValue { what: "bool" },
+            ReadError::U32(_) => WireDecodeError::BadValue { what: "u32 field" },
+            ReadError::Trailing(extra) => WireDecodeError::TrailingBytes { extra },
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Algorithm / status wire codes
 // ---------------------------------------------------------------------------
@@ -528,22 +543,19 @@ impl SearchCall {
         write_opt_varint(out, self.deadline_us);
     }
 
-    fn decode_body(buf: &[u8], pos: &mut usize) -> Result<SearchCall, WireDecodeError> {
-        let text = read_str(buf, pos)
-            .ok_or(WireDecodeError::Truncated)?
-            .to_owned();
-        let tau = f64::from_bits(read_f64_bits(buf, pos)?);
-        let algo_code = read_u8(buf, pos)?;
-        let algorithm = AlgorithmKind::from_wire_code(algo_code)
+    fn decode_body(r: &mut ByteReader<'_>) -> Result<SearchCall, WireDecodeError> {
+        let text = r.str()?.to_owned();
+        let tau = f64::from_bits(r.u64_le()?);
+        let algorithm = AlgorithmKind::from_wire_code(r.u8()?)
             .ok_or(WireDecodeError::BadValue { what: "algorithm" })?;
-        let flags = read_u8(buf, pos)?;
+        let flags = r.u8()?;
         if flags & !0b0000_0111 != 0 {
             return Err(WireDecodeError::BadValue {
                 what: "search flags",
             });
         }
-        let max_elements = read_opt_varint(buf, pos)?;
-        let deadline_us = read_opt_varint(buf, pos)?;
+        let max_elements = r.bool()?.then(|| r.varint()).transpose()?;
+        let deadline_us = r.bool()?.then(|| r.varint()).transpose()?;
         Ok(SearchCall {
             text,
             tau,
@@ -636,41 +648,33 @@ impl WireRequest {
 
     /// Decode a frame payload. Strict: trailing bytes are an error.
     pub fn decode(buf: &[u8]) -> Result<WireRequest, WireDecodeError> {
-        let mut pos = 0usize;
-        let tag = read_u8(buf, &mut pos)?;
-        let req = match tag {
+        let mut r = ByteReader::new(buf);
+        let req = match r.u8()? {
             REQ_HELLO => {
-                let magic = read_array::<4>(buf, &mut pos)?;
-                if magic != PROTOCOL_MAGIC {
+                if r.array()? != PROTOCOL_MAGIC {
                     return Err(WireDecodeError::BadValue {
                         what: "protocol magic",
                     });
                 }
-                let version = read_varint_u32(buf, &mut pos)?;
-                WireRequest::Hello { version }
+                WireRequest::Hello {
+                    version: r.varint_u32()?,
+                }
             }
-            REQ_SEARCH => WireRequest::Search(SearchCall::decode_body(buf, &mut pos)?),
+            REQ_SEARCH => WireRequest::Search(SearchCall::decode_body(&mut r)?),
             REQ_INSERT => WireRequest::Insert {
-                text: read_str(buf, &mut pos)
-                    .ok_or(WireDecodeError::Truncated)?
-                    .to_owned(),
+                text: r.str()?.to_owned(),
             },
-            REQ_DELETE => WireRequest::Delete {
-                id: read_varint(buf, &mut pos).ok_or(WireDecodeError::Truncated)?,
+            REQ_DELETE => WireRequest::Delete { id: r.varint()? },
+            REQ_UPSERT => WireRequest::Upsert {
+                id: r.varint()?,
+                text: r.str()?.to_owned(),
             },
-            REQ_UPSERT => {
-                let id = read_varint(buf, &mut pos).ok_or(WireDecodeError::Truncated)?;
-                let text = read_str(buf, &mut pos)
-                    .ok_or(WireDecodeError::Truncated)?
-                    .to_owned();
-                WireRequest::Upsert { id, text }
-            }
             REQ_STATS => WireRequest::Stats,
             REQ_COMPACT => WireRequest::Compact,
             REQ_PING => WireRequest::Ping,
             other => return Err(WireDecodeError::UnknownTag { tag: other }),
         };
-        expect_end(buf, pos)?;
+        r.finish()?;
         Ok(req)
     }
 }
@@ -825,13 +829,13 @@ impl WireStats {
         out.push(u8::from(self.draining));
     }
 
-    fn decode_body(buf: &[u8], pos: &mut usize) -> Result<WireStats, WireDecodeError> {
+    fn decode_body(r: &mut ByteReader<'_>) -> Result<WireStats, WireDecodeError> {
         let mut s = WireStats::default();
         let headline = [&mut s.queries, &mut s.budget_exceeded, &mut s.matches];
         for field in headline.into_iter().chain(wire_counters(&mut s.totals)) {
-            *field = read_varint(buf, pos).ok_or(WireDecodeError::Truncated)?;
+            *field = r.varint()?;
         }
-        s.mean_pruning_pct = f64::from_bits(read_f64_bits(buf, pos)?);
+        s.mean_pruning_pct = f64::from_bits(r.u64_le()?);
         for field in [
             &mut s.p50_us,
             &mut s.p95_us,
@@ -842,13 +846,9 @@ impl WireStats {
             &mut s.open_connections,
             &mut s.live_records,
         ] {
-            *field = read_varint(buf, pos).ok_or(WireDecodeError::Truncated)?;
+            *field = r.varint()?;
         }
-        s.draining = match read_u8(buf, pos)? {
-            0 => false,
-            1 => true,
-            _ => return Err(WireDecodeError::BadValue { what: "draining" }),
-        };
+        s.draining = r.bool()?;
         Ok(s)
     }
 }
@@ -952,44 +952,23 @@ impl WireResponse {
 
     /// Decode a frame payload. Strict: trailing bytes are an error.
     pub fn decode(buf: &[u8]) -> Result<WireResponse, WireDecodeError> {
-        let mut pos = 0usize;
-        let tag = read_u8(buf, &mut pos)?;
-        let resp = match tag {
+        let mut r = ByteReader::new(buf);
+        let resp = match r.u8()? {
             RESP_HELLO => WireResponse::Hello {
-                version: read_varint_u32(buf, &mut pos)?,
+                version: r.varint_u32()?,
             },
             RESP_SEARCH => {
-                let status_code = read_u8(buf, &mut pos)?;
-                let status = status_from_wire_code(status_code)
+                let status = status_from_wire_code(r.u8()?)
                     .ok_or(WireDecodeError::BadValue { what: "status" })?;
-                let work = read_varint(buf, &mut pos).ok_or(WireDecodeError::Truncated)?;
-                let len = read_varint(buf, &mut pos).ok_or(WireDecodeError::Truncated)?;
-                // Each match is ≥ 10 bytes on the wire; reject counts the
-                // remaining payload cannot possibly hold before reserving.
-                let remaining = buf.len().saturating_sub(pos) as u64;
-                if len > remaining {
-                    return Err(WireDecodeError::Truncated);
-                }
-                let count = usize::try_from(len).map_err(|_| WireDecodeError::BadValue {
-                    what: "match count",
-                })?;
+                let work = r.varint()?;
+                // A match is at least 10 bytes on the wire: a record-id
+                // varint, the score's 8 bytes and the text flag.
+                let count = r.count(10)?;
                 let mut matches = Vec::with_capacity(count);
                 for _ in 0..count {
-                    let record = read_varint(buf, &mut pos).ok_or(WireDecodeError::Truncated)?;
-                    let score = f64::from_bits(read_f64_bits(buf, &mut pos)?);
-                    let text = match read_u8(buf, &mut pos)? {
-                        0 => None,
-                        1 => Some(
-                            read_str(buf, &mut pos)
-                                .ok_or(WireDecodeError::Truncated)?
-                                .to_owned(),
-                        ),
-                        _ => {
-                            return Err(WireDecodeError::BadValue {
-                                what: "text presence flag",
-                            })
-                        }
-                    };
+                    let record = r.varint()?;
+                    let score = f64::from_bits(r.u64_le()?);
+                    let text = r.bool()?.then(|| r.str().map(str::to_owned)).transpose()?;
                     matches.push(WireMatch {
                         record,
                         score,
@@ -1002,26 +981,17 @@ impl WireResponse {
                     work,
                 })
             }
-            RESP_INSERT => WireResponse::Insert {
-                id: read_varint(buf, &mut pos).ok_or(WireDecodeError::Truncated)?,
-            },
-            RESP_DELETE => WireResponse::Delete {
-                existed: read_bool(buf, &mut pos)?,
-            },
-            RESP_UPSERT => WireResponse::Upsert {
-                existed: read_bool(buf, &mut pos)?,
-            },
-            RESP_STATS => WireResponse::Stats(WireStats::decode_body(buf, &mut pos)?),
+            RESP_INSERT => WireResponse::Insert { id: r.varint()? },
+            RESP_DELETE => WireResponse::Delete { existed: r.bool()? },
+            RESP_UPSERT => WireResponse::Upsert { existed: r.bool()? },
+            RESP_STATS => WireResponse::Stats(WireStats::decode_body(&mut r)?),
             RESP_COMPACT => WireResponse::Compact,
             RESP_PONG => WireResponse::Pong,
             RESP_ERROR => {
-                let raw = read_varint(buf, &mut pos).ok_or(WireDecodeError::Truncated)?;
-                let code16 = u16::try_from(raw)
+                let code16 = u16::try_from(r.varint()?)
                     .map_err(|_| WireDecodeError::BadValue { what: "error code" })?;
-                let message = read_str(buf, &mut pos)
-                    .ok_or(WireDecodeError::Truncated)?
-                    .to_owned();
-                let retry_after_ms = read_opt_varint(buf, &mut pos)?;
+                let message = r.str()?.to_owned();
+                let retry_after_ms = r.bool()?.then(|| r.varint()).transpose()?;
                 WireResponse::Error(WireError {
                     code: ErrorCode::from_u16(code16),
                     message,
@@ -1030,7 +1000,7 @@ impl WireResponse {
             }
             other => return Err(WireDecodeError::UnknownTag { tag: other }),
         };
-        expect_end(buf, pos)?;
+        r.finish()?;
         Ok(resp)
     }
 }
@@ -1137,10 +1107,7 @@ pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Vec<u8>, FrameReadE
     Ok(payload)
 }
 
-// ---------------------------------------------------------------------------
-// Small decode helpers
-// ---------------------------------------------------------------------------
-
+/// An optional varint: a presence flag, then the value if present.
 fn write_opt_varint(out: &mut Vec<u8>, value: Option<u64>) {
     match value {
         Some(v) => {
@@ -1148,60 +1115,6 @@ fn write_opt_varint(out: &mut Vec<u8>, value: Option<u64>) {
             write_varint(out, v);
         }
         None => out.push(0),
-    }
-}
-
-fn read_opt_varint(buf: &[u8], pos: &mut usize) -> Result<Option<u64>, WireDecodeError> {
-    match read_u8(buf, pos)? {
-        0 => Ok(None),
-        1 => Ok(Some(
-            read_varint(buf, pos).ok_or(WireDecodeError::Truncated)?,
-        )),
-        _ => Err(WireDecodeError::BadValue {
-            what: "option flag",
-        }),
-    }
-}
-
-fn read_u8(buf: &[u8], pos: &mut usize) -> Result<u8, WireDecodeError> {
-    let b = buf.get(*pos).copied().ok_or(WireDecodeError::Truncated)?;
-    *pos += 1;
-    Ok(b)
-}
-
-fn read_bool(buf: &[u8], pos: &mut usize) -> Result<bool, WireDecodeError> {
-    match read_u8(buf, pos)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(WireDecodeError::BadValue { what: "bool" }),
-    }
-}
-
-fn read_array<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N], WireDecodeError> {
-    let end = pos.checked_add(N).ok_or(WireDecodeError::Truncated)?;
-    let slice = buf.get(*pos..end).ok_or(WireDecodeError::Truncated)?;
-    let mut out = [0u8; N];
-    out.copy_from_slice(slice);
-    *pos = end;
-    Ok(out)
-}
-
-fn read_f64_bits(buf: &[u8], pos: &mut usize) -> Result<u64, WireDecodeError> {
-    Ok(u64::from_le_bytes(read_array::<8>(buf, pos)?))
-}
-
-fn read_varint_u32(buf: &[u8], pos: &mut usize) -> Result<u32, WireDecodeError> {
-    let raw = read_varint(buf, pos).ok_or(WireDecodeError::Truncated)?;
-    u32::try_from(raw).map_err(|_| WireDecodeError::BadValue { what: "u32 field" })
-}
-
-fn expect_end(buf: &[u8], pos: usize) -> Result<(), WireDecodeError> {
-    if pos == buf.len() {
-        Ok(())
-    } else {
-        Err(WireDecodeError::TrailingBytes {
-            extra: buf.len() - pos,
-        })
     }
 }
 

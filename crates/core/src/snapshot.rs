@@ -31,8 +31,7 @@
 
 use crate::{IndexOptions, InvertedIndex, Posting, ReprKind, ReprPolicy, SetCollection, SetId};
 use setsim_collections::codec::{
-    read_str, read_u32_le, read_u64_le, read_varint, write_str, write_u32_le, write_u64_le,
-    write_varint,
+    read_varint, write_str, write_u32_le, write_u64_le, write_varint, ByteReader,
 };
 use setsim_storage::{SnapshotError, SnapshotReader, SnapshotWriter};
 use setsim_tokenize::{Dictionary, Token, TokenMultiSet, TokenizerSpec};
@@ -75,31 +74,16 @@ fn encode_spec(out: &mut Vec<u8>, spec: &TokenizerSpec) {
     }
 }
 
-fn read_u8(buf: &[u8], pos: &mut usize) -> Option<u8> {
-    let b = *buf.get(*pos)?;
-    *pos = pos.checked_add(1)?;
-    Some(b)
-}
-
-fn read_bool(buf: &[u8], pos: &mut usize) -> Result<bool, SnapshotError> {
-    match read_u8(buf, pos) {
-        Some(0) => Ok(false),
-        Some(1) => Ok(true),
-        Some(b) => Err(corrupt(format!("invalid boolean byte {b}"))),
-        None => Err(corrupt("footer ends inside a boolean")),
-    }
-}
-
-fn decode_spec(buf: &[u8], pos: &mut usize) -> Result<TokenizerSpec, SnapshotError> {
-    match read_u8(buf, pos) {
-        Some(SPEC_TAG_QGRAM) => {
-            let q = read_varint(buf, pos).ok_or_else(|| corrupt("tokenizer q missing"))?;
-            let q = usize::try_from(q).map_err(|_| corrupt("tokenizer q overflows usize"))?;
+fn read_spec(r: &mut ByteReader<'_>) -> Result<TokenizerSpec, SnapshotError> {
+    match r.u8()? {
+        SPEC_TAG_QGRAM => {
+            let q =
+                usize::try_from(r.varint()?).map_err(|_| corrupt("tokenizer q overflows usize"))?;
             if q == 0 {
                 return Err(corrupt("tokenizer q must be positive"));
             }
-            let pad = if read_bool(buf, pos)? {
-                let raw = read_u32_le(buf, pos).ok_or_else(|| corrupt("tokenizer pad missing"))?;
+            let pad = if r.bool()? {
+                let raw = r.u32_le()?;
                 Some(
                     char::from_u32(raw)
                         .ok_or_else(|| corrupt(format!("invalid pad character scalar {raw:#x}")))?,
@@ -107,19 +91,18 @@ fn decode_spec(buf: &[u8], pos: &mut usize) -> Result<TokenizerSpec, SnapshotErr
             } else {
                 None
             };
-            let lowercase = read_bool(buf, pos)?;
+            let lowercase = r.bool()?;
             Ok(TokenizerSpec::QGram { q, pad, lowercase })
         }
-        Some(SPEC_TAG_WORD) => {
-            let lowercase = read_bool(buf, pos)?;
-            let keep_digits = read_bool(buf, pos)?;
+        SPEC_TAG_WORD => {
+            let lowercase = r.bool()?;
+            let keep_digits = r.bool()?;
             Ok(TokenizerSpec::Word {
                 lowercase,
                 keep_digits,
             })
         }
-        Some(tag) => Err(corrupt(format!("unknown tokenizer spec tag {tag}"))),
-        None => Err(corrupt("footer ends before tokenizer spec")),
+        tag => Err(corrupt(format!("unknown tokenizer spec tag {tag}"))),
     }
 }
 
@@ -131,23 +114,24 @@ fn encode_options(out: &mut Vec<u8>, o: &IndexOptions) {
     out.push(u8::from(o.build_id_sorted_lists));
 }
 
-fn decode_options(buf: &[u8], pos: &mut usize) -> Result<IndexOptions, SnapshotError> {
-    let build_skip_lists = read_bool(buf, pos)?;
-    let skip_stride = read_varint(buf, pos).ok_or_else(|| corrupt("skip stride missing"))?;
-    let build_hash_indexes = read_bool(buf, pos)?;
-    let hash_bucket_capacity =
-        read_varint(buf, pos).ok_or_else(|| corrupt("hash bucket capacity missing"))?;
-    let build_id_sorted_lists = read_bool(buf, pos)?;
+fn decode_options(r: &mut ByteReader<'_>) -> Result<IndexOptions, SnapshotError> {
+    let build_skip_lists = r.bool()?;
+    let skip_stride =
+        usize::try_from(r.varint()?).map_err(|_| corrupt("skip stride overflows usize"))?;
+    let build_hash_indexes = r.bool()?;
+    let hash_bucket_capacity = usize::try_from(r.varint()?)
+        .map_err(|_| corrupt("hash bucket capacity overflows usize"))?;
+    // Loading builds one extendible hash table per list, and a table
+    // needs room for at least one entry per bucket.
+    if build_hash_indexes && hash_bucket_capacity == 0 {
+        return Err(corrupt("hash indexes with a bucket capacity of 0"));
+    }
+    let build_id_sorted_lists = r.bool()?;
     Ok(IndexOptions::default()
         .with_skip_lists(build_skip_lists)
-        .with_skip_stride(
-            usize::try_from(skip_stride).map_err(|_| corrupt("skip stride overflows usize"))?,
-        )
+        .with_skip_stride(skip_stride)
         .with_hash_indexes(build_hash_indexes)
-        .with_hash_bucket_capacity(
-            usize::try_from(hash_bucket_capacity)
-                .map_err(|_| corrupt("hash bucket capacity overflows usize"))?,
-        )
+        .with_hash_bucket_capacity(hash_bucket_capacity)
         .with_id_sorted_lists(build_id_sorted_lists))
 }
 
@@ -544,71 +528,52 @@ pub(crate) type DecodedFooter = (
     Vec<ListRef>,
 );
 
+/// Decode the footer, sizing every allocation by a bounded count
+/// (DESIGN.md §10). A list holds each set at most once, so its posting
+/// count cannot exceed the collection; every window decoded from the list
+/// is sized by that count.
 pub(crate) fn decode_footer(buf: &[u8]) -> Result<DecodedFooter, SnapshotError> {
-    let mut pos = 0usize;
-    let spec = decode_spec(buf, &mut pos)?;
+    let mut r = ByteReader::new(buf);
+    let spec = read_spec(&mut r)?;
 
-    let dict_len = read_varint(buf, &mut pos).ok_or_else(|| corrupt("dictionary count missing"))?;
-    let dict_len =
-        usize::try_from(dict_len).map_err(|_| corrupt("dictionary count overflows usize"))?;
-    // Every entry takes at least its one-byte length: a count larger than
-    // the bytes left cannot be honest, and must not size an allocation.
-    if dict_len > buf.len() - pos {
-        return Err(corrupt(format!(
-            "dictionary count {dict_len} exceeds the footer"
-        )));
-    }
+    let dict_len = r.count(1)?;
     let mut dict = Dictionary::with_capacity(dict_len);
     for i in 0..dict_len {
-        let s = read_str(buf, &mut pos)
-            .ok_or_else(|| corrupt(format!("dictionary entry {i} malformed")))?;
+        let s = r.str()?;
         dict.intern(s);
         if dict.len() != i + 1 {
             return Err(corrupt(format!("duplicate dictionary entry {s:?}")));
         }
     }
 
-    let num_texts = read_varint(buf, &mut pos).ok_or_else(|| corrupt("text count missing"))?;
-    let num_texts =
-        usize::try_from(num_texts).map_err(|_| corrupt("text count overflows usize"))?;
-    let mut texts = Vec::with_capacity(num_texts.min(1 << 20));
-    for i in 0..num_texts {
-        let s = read_str(buf, &mut pos).ok_or_else(|| corrupt(format!("text {i} malformed")))?;
-        texts.push(s.to_string());
+    let num_texts = r.count(1)?;
+    let mut texts = Vec::with_capacity(num_texts);
+    for _ in 0..num_texts {
+        texts.push(r.str()?.to_string());
     }
 
-    let num_ms = read_varint(buf, &mut pos).ok_or_else(|| corrupt("multiset count missing"))?;
-    let num_ms = usize::try_from(num_ms).map_err(|_| corrupt("multiset count overflows usize"))?;
+    let num_ms = r.count(1)?;
     if num_ms != num_texts {
         return Err(corrupt(format!("{num_ms} multisets for {num_texts} texts")));
     }
-    let mut multisets = Vec::with_capacity(num_ms.min(1 << 20));
+    let mut multisets = Vec::with_capacity(num_ms);
     for i in 0..num_ms {
-        let distinct =
-            read_varint(buf, &mut pos).ok_or_else(|| corrupt(format!("multiset {i} truncated")))?;
-        let distinct =
-            usize::try_from(distinct).map_err(|_| corrupt("multiset size overflows usize"))?;
-        let mut entries = Vec::with_capacity(distinct.min(1 << 20));
-        let mut prev = 0u64;
-        for j in 0..distinct {
-            let delta = read_varint(buf, &mut pos)
-                .ok_or_else(|| corrupt(format!("multiset {i} entry {j} truncated")))?;
-            let t = if j == 0 {
-                delta
-            } else {
-                prev.checked_add(delta)
-                    .ok_or_else(|| corrupt("multiset token id overflows"))?
-            };
-            prev = t;
-            let freq = read_varint(buf, &mut pos)
-                .ok_or_else(|| corrupt(format!("multiset {i} entry {j} truncated")))?;
+        // Each entry is a token delta and a frequency.
+        let distinct = r.count(2)?;
+        let mut entries = Vec::with_capacity(distinct);
+        // Token ids ascend: each is the previous one plus its delta.
+        let mut t = 0u64;
+        for _ in 0..distinct {
+            t = t
+                .checked_add(r.varint()?)
+                .ok_or_else(|| corrupt("multiset token id overflows"))?;
+            let freq = r.varint_u32()?;
             let token = u32::try_from(t).map_err(|_| corrupt("token id overflows u32"))?;
             if (token as usize) >= dict.len() {
                 return Err(corrupt(format!(
                     "multiset {i} references token {token} outside the dictionary"
                 )));
             }
-            let freq = u32::try_from(freq).map_err(|_| corrupt("frequency overflows u32"))?;
             entries.push((Token(token), freq));
         }
         let ms = TokenMultiSet::from_entries(entries)
@@ -616,17 +581,14 @@ pub(crate) fn decode_footer(buf: &[u8]) -> Result<DecodedFooter, SnapshotError> 
         multisets.push(ms);
     }
 
-    let options = decode_options(buf, &mut pos)?;
+    let options = decode_options(&mut r)?;
 
-    let num_lists = read_varint(buf, &mut pos).ok_or_else(|| corrupt("list count missing"))?;
-    let num_lists =
-        usize::try_from(num_lists).map_err(|_| corrupt("list count overflows usize"))?;
-    let mut directory = Vec::with_capacity(num_lists.min(1 << 20));
+    // Each list is a token, a posting count and a block count.
+    let num_lists = r.count(3)?;
+    let mut directory = Vec::with_capacity(num_lists);
     let mut prev_token: Option<u32> = None;
     for i in 0..num_lists {
-        let token =
-            read_varint(buf, &mut pos).ok_or_else(|| corrupt(format!("list {i} truncated")))?;
-        let token = u32::try_from(token).map_err(|_| corrupt("list token overflows u32"))?;
+        let token = r.varint_u32()?;
         if (token as usize) >= dict.len() {
             return Err(corrupt(format!(
                 "directory references token {token} outside the dictionary"
@@ -636,30 +598,22 @@ pub(crate) fn decode_footer(buf: &[u8]) -> Result<DecodedFooter, SnapshotError> 
             return Err(corrupt("directory tokens not strictly increasing"));
         }
         prev_token = Some(token);
-        let postings =
-            read_varint(buf, &mut pos).ok_or_else(|| corrupt(format!("list {i} truncated")))?;
-        let num_blocks =
-            read_varint(buf, &mut pos).ok_or_else(|| corrupt(format!("list {i} truncated")))?;
-        let num_blocks =
-            usize::try_from(num_blocks).map_err(|_| corrupt("block count overflows usize"))?;
-        let mut blocks = Vec::with_capacity(num_blocks.min(1 << 20));
-        for j in 0..num_blocks {
-            let first_key = read_u64_le(buf, &mut pos)
-                .ok_or_else(|| corrupt(format!("list {i} block {j} truncated")))?;
-            let page = read_u32_le(buf, &mut pos)
-                .ok_or_else(|| corrupt(format!("list {i} block {j} truncated")))?;
-            let offset = read_varint(buf, &mut pos)
-                .ok_or_else(|| corrupt(format!("list {i} block {j} truncated")))?;
-            let offset =
-                u32::try_from(offset).map_err(|_| corrupt("block offset overflows u32"))?;
-            let count = read_varint(buf, &mut pos)
-                .ok_or_else(|| corrupt(format!("list {i} block {j} truncated")))?;
-            let count = u32::try_from(count).map_err(|_| corrupt("block count overflows u32"))?;
+        let postings = r.varint()?;
+        if postings > texts.len() as u64 {
+            return Err(corrupt(format!(
+                "list {i} claims {postings} postings for {} sets",
+                texts.len()
+            )));
+        }
+        // A block is its first key, page, offset and count.
+        let num_blocks = r.count(8 + 4 + 1 + 1)?;
+        let mut blocks = Vec::with_capacity(num_blocks);
+        for _ in 0..num_blocks {
             blocks.push(BlockRef {
-                first_key,
-                page,
-                offset,
-                count,
+                first_key: r.u64_le()?,
+                page: r.u32_le()?,
+                offset: r.varint_u32()?,
+                count: r.varint_u32()?,
             });
         }
         directory.push(ListRef {
@@ -675,38 +629,27 @@ pub(crate) fn decode_footer(buf: &[u8]) -> Result<DecodedFooter, SnapshotError> 
     // run, forced) so a legacy file loads into bit-identical serving
     // structures. Anything else must be a well-formed extension.
     let mut options = options;
-    if pos == buf.len() {
+    if r.remaining() == 0 {
         options = options.with_repr_policy(ReprPolicy::Force(ReprKind::Run));
     } else {
-        let magic = read_u32_le(buf, &mut pos)
-            .ok_or_else(|| corrupt("truncated representation extension magic"))?;
+        let magic = r.u32_le()?;
         if magic != REPR_EXTENSION_MAGIC {
             return Err(corrupt(format!(
                 "unexpected footer extension magic {magic:#010x}"
             )));
         }
-        let version = read_u8(buf, &mut pos)
-            .ok_or_else(|| corrupt("representation extension missing version"))?;
+        let version = r.u8()?;
         if version != REPR_EXTENSION_VERSION {
             return Err(SnapshotError::Unsupported {
                 detail: format!("representation extension version {version}"),
             });
         }
-        let policy = read_u8(buf, &mut pos)
-            .ok_or_else(|| corrupt("representation extension missing policy"))?;
-        options = options.with_repr_policy(decode_repr_policy(policy)?);
+        options = options.with_repr_policy(decode_repr_policy(r.u8()?)?);
         for list in &mut directory {
-            let tag = read_u8(buf, &mut pos)
-                .ok_or_else(|| corrupt("representation extension shorter than the directory"))?;
-            list.encoding = ListEncoding::from_tag(tag)?;
+            list.encoding = ListEncoding::from_tag(r.u8()?)?;
         }
     }
-    if pos != buf.len() {
-        return Err(corrupt(format!(
-            "{} unexpected trailing footer bytes",
-            buf.len() - pos
-        )));
-    }
+    r.finish()?;
     Ok((spec, dict, texts, multisets, options, directory))
 }
 
@@ -812,9 +755,10 @@ pub(crate) fn read_list_blocks<F: PageFetch>(
     lengths: &[f64],
 ) -> Result<Vec<Posting>, SnapshotError> {
     let complete = range == (0..list.blocks.len());
-    // Sized for the window, not the whole list.
+    // Sized for the window, not the whole list: at most the directory's
+    // posting count, which the footer decode bounded by the collection.
     let window = window_len(list, range.clone())?;
-    let mut postings = Vec::with_capacity(window.min(1 << 20));
+    let mut postings = Vec::with_capacity(window);
     for bi in range {
         let after = postings.last().map(posting_key);
         let payload = pages.fetch(list.blocks[bi].page)?;
@@ -887,8 +831,10 @@ pub(crate) fn decode_block(
                 u32::try_from(id).map_err(|_| corrupt("set id overflows u32"))?
             }
             ListEncoding::InlineRaw => {
-                key = read_u64_le(payload, &mut pos).ok_or_else(|| malformed(j))?;
-                read_u32_le(payload, &mut pos).ok_or_else(|| malformed(j))?
+                let mut entry = ByteReader::new(payload.get(pos..).unwrap_or_default());
+                key = entry.u64_le().map_err(|_| malformed(j))?;
+                pos += INLINE_ENTRY_BYTES;
+                entry.u32_le().map_err(|_| malformed(j))?
             }
         };
         if j == 0 && key != b.first_key {
@@ -1077,6 +1023,16 @@ pub(crate) fn reseal_footer(path: &Path, edit: impl FnOnce(&mut Vec<u8>)) {
     out.extend_from_slice(&setsim_collections::checksum::crc32(&footer).to_le_bytes());
     out.extend_from_slice(&bytes[end + 20..]);
     std::fs::write(path, &out).expect("rewrite");
+}
+
+/// The tokenizer spec at `pos` of a footer, advancing `pos` past it.
+#[cfg(test)]
+pub(crate) fn decode_spec(buf: &[u8], pos: &mut usize) -> Result<TokenizerSpec, SnapshotError> {
+    let mut r = ByteReader::new(buf);
+    r.take(*pos)?;
+    let spec = read_spec(&mut r)?;
+    *pos = buf.len() - r.remaining();
+    Ok(spec)
 }
 
 /// Rewrite the snapshot at `path` so that its last list carries encoding

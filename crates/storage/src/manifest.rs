@@ -23,7 +23,7 @@
 
 use crate::snapshot::{SnapshotError, SnapshotRegion};
 use setsim_collections::checksum::crc32;
-use setsim_collections::codec::{read_u32_le, read_u64_le, write_u32_le, write_u64_le};
+use setsim_collections::codec::{write_u32_le, write_u64_le, ByteReader};
 use std::path::{Path, PathBuf};
 
 /// Manifest file magic.
@@ -137,48 +137,17 @@ impl SegmentManifest {
     /// Read and validate `dir/MANIFEST`.
     pub fn read(dir: &Path) -> Result<Self, SnapshotError> {
         let bytes = std::fs::read(dir.join(MANIFEST_FILE))?;
-        if bytes.len() < MANIFEST_MAGIC.len() + 8 {
-            return Err(SnapshotError::Truncated {
-                expected: (MANIFEST_MAGIC.len() + 8) as u64,
-                actual: bytes.len() as u64,
-            });
-        }
-        if bytes[..MANIFEST_MAGIC.len()] != MANIFEST_MAGIC {
-            return Err(SnapshotError::BadMagic {
-                region: SnapshotRegion::Header,
-            });
-        }
-        let body = &bytes[..bytes.len() - 4];
-        let mut tail = bytes.len() - 4;
-        let stored = read_u32_le(&bytes, &mut tail).ok_or_else(truncated_field)?;
-        if crc32(body) != stored {
-            return Err(SnapshotError::ChecksumMismatch {
-                region: SnapshotRegion::Header,
-            });
-        }
-        let mut pos = MANIFEST_MAGIC.len();
-        let version = read_u32_le(body, &mut pos).ok_or_else(truncated_field)?;
-        if version != MANIFEST_VERSION {
-            return Err(SnapshotError::UnsupportedVersion {
-                found: version,
-                supported: MANIFEST_VERSION,
-            });
-        }
-        let base = read_entry(body, &mut pos)?;
-        let delta = read_entry(body, &mut pos)?;
-        let delta_ops = read_u64_le(body, &mut pos).ok_or_else(truncated_field)?;
-        let next_record_id = read_u64_le(body, &mut pos).ok_or_else(truncated_field)?;
-        let n_ids = read_u64_le(body, &mut pos).ok_or_else(truncated_field)?;
-        let remaining = (body.len() - pos) as u64;
-        if n_ids.checked_mul(8) != Some(remaining) {
-            return Err(SnapshotError::Corrupt {
-                detail: format!("manifest id table: {n_ids} ids, {remaining} bytes"),
-            });
-        }
-        let mut base_record_ids = Vec::with_capacity(n_ids as usize);
+        let mut r = SEGMENT_MANIFEST.open(&bytes)?;
+        let base = read_entry(&mut r)?;
+        let delta = read_entry(&mut r)?;
+        let delta_ops = r.u64_le()?;
+        let next_record_id = r.u64_le()?;
+        let n_ids = r.count_u64_le(8)?;
+        let mut base_record_ids = Vec::with_capacity(n_ids);
         for _ in 0..n_ids {
-            base_record_ids.push(read_u64_le(body, &mut pos).ok_or_else(truncated_field)?);
+            base_record_ids.push(r.u64_le()?);
         }
+        r.finish()?;
         Ok(Self {
             base,
             delta,
@@ -265,67 +234,23 @@ impl ShardManifest {
     /// Read and validate `dir/MANIFEST` as a shard manifest.
     pub fn read(dir: &Path) -> Result<Self, SnapshotError> {
         let bytes = std::fs::read(dir.join(MANIFEST_FILE))?;
-        if bytes.len() < SHARD_MANIFEST_MAGIC.len() + 8 {
-            return Err(SnapshotError::Truncated {
-                expected: (SHARD_MANIFEST_MAGIC.len() + 8) as u64,
-                actual: bytes.len() as u64,
-            });
-        }
-        if bytes[..SHARD_MANIFEST_MAGIC.len()] != SHARD_MANIFEST_MAGIC {
-            return Err(SnapshotError::BadMagic {
-                region: SnapshotRegion::Header,
-            });
-        }
-        let body = &bytes[..bytes.len() - 4];
-        let mut tail = bytes.len() - 4;
-        let stored = read_u32_le(&bytes, &mut tail).ok_or_else(truncated_field)?;
-        if crc32(body) != stored {
-            return Err(SnapshotError::ChecksumMismatch {
-                region: SnapshotRegion::Header,
-            });
-        }
-        let mut pos = SHARD_MANIFEST_MAGIC.len();
-        let version = read_u32_le(body, &mut pos).ok_or_else(truncated_field)?;
-        if version != SHARD_MANIFEST_VERSION {
-            return Err(SnapshotError::UnsupportedVersion {
-                found: version,
-                supported: SHARD_MANIFEST_VERSION,
-            });
-        }
-        let num_records = read_u64_le(body, &mut pos).ok_or_else(truncated_field)?;
-        let n_df = read_u64_le(body, &mut pos).ok_or_else(truncated_field)?;
-        let n_df = usize::try_from(n_df).map_err(|_| SnapshotError::Corrupt {
-            detail: "shard manifest df table length overflows usize".to_string(),
-        })?;
-        if body.len().saturating_sub(pos) < n_df.saturating_mul(4) {
-            return Err(truncated_field());
-        }
+        let mut r = SHARD_MANIFEST.open(&bytes)?;
+        let num_records = r.u64_le()?;
+        let n_df = r.count_u64_le(4)?;
         let mut doc_freqs = Vec::with_capacity(n_df);
         for _ in 0..n_df {
-            doc_freqs.push(read_u32_le(body, &mut pos).ok_or_else(truncated_field)?);
+            doc_freqs.push(r.u32_le()?);
         }
-        let n_shards = read_u32_le(body, &mut pos).ok_or_else(truncated_field)?;
-        // Bound the count by the bytes left before allocating for it: a
-        // shard entry takes at least SHARD_ENTRY_MIN_BYTES.
-        let n_shards = n_shards as usize;
-        if body.len().saturating_sub(pos) < n_shards.saturating_mul(SHARD_ENTRY_MIN_BYTES) {
-            return Err(truncated_field());
-        }
+        let n_shards = r.count_u32_le(SHARD_ENTRY_MIN_BYTES)?;
         let mut shards = Vec::with_capacity(n_shards);
         for _ in 0..n_shards {
-            let file = read_entry(body, &mut pos)?;
-            let min_len_bits = read_u64_le(body, &mut pos).ok_or_else(truncated_field)?;
-            let max_len_bits = read_u64_le(body, &mut pos).ok_or_else(truncated_field)?;
-            let n_ids = read_u64_le(body, &mut pos).ok_or_else(truncated_field)?;
-            let n_ids = usize::try_from(n_ids).map_err(|_| SnapshotError::Corrupt {
-                detail: "shard id table length overflows usize".to_string(),
-            })?;
-            if body.len().saturating_sub(pos) < n_ids.saturating_mul(4) {
-                return Err(truncated_field());
-            }
+            let file = read_entry(&mut r)?;
+            let min_len_bits = r.u64_le()?;
+            let max_len_bits = r.u64_le()?;
+            let n_ids = r.count_u64_le(4)?;
             let mut global_ids = Vec::with_capacity(n_ids);
             for _ in 0..n_ids {
-                global_ids.push(read_u32_le(body, &mut pos).ok_or_else(truncated_field)?);
+                global_ids.push(r.u32_le()?);
             }
             shards.push(ShardEntry {
                 file,
@@ -334,11 +259,7 @@ impl ShardManifest {
                 global_ids,
             });
         }
-        if pos != body.len() {
-            return Err(SnapshotError::Corrupt {
-                detail: "trailing bytes after last shard entry".to_string(),
-            });
-        }
+        r.finish()?;
         Ok(Self {
             num_records,
             doc_freqs,
@@ -352,15 +273,81 @@ impl ShardManifest {
 /// if the file is missing or shorter than a magic.
 pub fn sniff_manifest_magic(dir: &Path) -> Result<[u8; 8], SnapshotError> {
     let bytes = std::fs::read(dir.join(MANIFEST_FILE))?;
-    let Some(head) = bytes.get(..8) else {
-        return Err(SnapshotError::Truncated {
+    ByteReader::new(&bytes)
+        .array()
+        .map_err(|_| SnapshotError::Truncated {
             expected: 8,
             actual: bytes.len() as u64,
-        });
-    };
-    let mut magic = [0u8; 8];
-    magic.copy_from_slice(head);
-    Ok(magic)
+        })
+}
+
+/// How one kind of sealed file is framed: `magic ‖ body ‖ crc32(magic ‖
+/// body)`, the body led by a `u32` version if the kind has one. The two
+/// manifests and the delta log are opened by [`Sealed::open`] alone.
+struct Sealed {
+    magic: [u8; 8],
+    /// The version a versioned body must open with.
+    version: Option<u32>,
+    /// The shortest file that holds the magic, the body's fixed head and
+    /// the CRC.
+    min_len: usize,
+    /// Where a bad magic or CRC is reported.
+    region: SnapshotRegion,
+}
+
+const SEGMENT_MANIFEST: Sealed = Sealed {
+    magic: MANIFEST_MAGIC,
+    version: Some(MANIFEST_VERSION),
+    min_len: 8 + 4 + 4,
+    region: SnapshotRegion::Header,
+};
+
+const SHARD_MANIFEST: Sealed = Sealed {
+    magic: SHARD_MANIFEST_MAGIC,
+    version: Some(SHARD_MANIFEST_VERSION),
+    min_len: 8 + 4 + 4,
+    region: SnapshotRegion::Header,
+};
+
+/// The delta log has no version; its body opens with the op count.
+const DELTA_LOG: Sealed = Sealed {
+    magic: DELTA_LOG_MAGIC,
+    version: None,
+    min_len: 8 + 8 + 4,
+    region: SnapshotRegion::Footer,
+};
+
+impl Sealed {
+    /// Check, in order, the length, the magic, the CRC trailer and the
+    /// version, and return a reader over the rest of the body (the CRC
+    /// excluded, so [`ByteReader::finish`] ends the body).
+    fn open<'a>(&self, bytes: &'a [u8]) -> Result<ByteReader<'a>, SnapshotError> {
+        if bytes.len() < self.min_len {
+            return Err(SnapshotError::Truncated {
+                expected: self.min_len as u64,
+                actual: bytes.len() as u64,
+            });
+        }
+        let (body, seal) = bytes.split_at(bytes.len() - 4);
+        let mut r = ByteReader::new(body);
+        if r.array()? != self.magic {
+            return Err(SnapshotError::BadMagic {
+                region: self.region,
+            });
+        }
+        if crc32(body) != ByteReader::new(seal).u32_le()? {
+            return Err(SnapshotError::ChecksumMismatch {
+                region: self.region,
+            });
+        }
+        if let Some(supported) = self.version {
+            let found = r.u32_le()?;
+            if found != supported {
+                return Err(SnapshotError::UnsupportedVersion { found, supported });
+            }
+        }
+        Ok(r)
+    }
 }
 
 /// The fewest bytes one shard-manifest entry takes: an empty file name's
@@ -369,19 +356,7 @@ pub fn sniff_manifest_magic(dir: &Path) -> Result<[u8; 8], SnapshotError> {
 const SHARD_ENTRY_MIN_BYTES: usize = 4 + 8 + 4 + 8 + 8 + 8;
 
 /// The fewest bytes one delta-log op takes: its tag and record id.
-const DELTA_OP_MIN_BYTES: u64 = 1 + 8;
-
-fn truncated_field() -> SnapshotError {
-    SnapshotError::Corrupt {
-        detail: "manifest field truncated".to_string(),
-    }
-}
-
-fn log_truncated() -> SnapshotError {
-    SnapshotError::Corrupt {
-        detail: "delta log field truncated".to_string(),
-    }
-}
+const DELTA_OP_MIN_BYTES: usize = 1 + 8;
 
 fn write_entry(out: &mut Vec<u8>, e: &ManifestEntry) {
     write_u32_le(out, e.name.len() as u32);
@@ -390,17 +365,11 @@ fn write_entry(out: &mut Vec<u8>, e: &ManifestEntry) {
     write_u32_le(out, e.crc);
 }
 
-fn read_entry(buf: &[u8], pos: &mut usize) -> Result<ManifestEntry, SnapshotError> {
-    let name_len = read_u32_le(buf, pos).ok_or_else(truncated_field)? as usize;
-    let raw = buf.get(*pos..*pos + name_len).ok_or_else(truncated_field)?;
-    *pos += name_len;
-    let name = std::str::from_utf8(raw)
-        .map_err(|_| SnapshotError::Corrupt {
-            detail: "manifest entry name is not UTF-8".to_string(),
-        })?
-        .to_string();
-    let len = read_u64_le(buf, pos).ok_or_else(truncated_field)?;
-    let crc = read_u32_le(buf, pos).ok_or_else(truncated_field)?;
+fn read_entry(r: &mut ByteReader<'_>) -> Result<ManifestEntry, SnapshotError> {
+    let name_len = r.u32_le()?;
+    let name = r.utf8(name_len as usize)?.to_string();
+    let len = r.u64_le()?;
+    let crc = r.u32_le()?;
     Ok(ManifestEntry { name, len, crc })
 }
 
@@ -438,55 +407,21 @@ pub fn write_delta_log(dir: &Path, ops: &[DeltaLogOp]) -> Result<ManifestEntry, 
 /// Decode a delta log previously written by [`write_delta_log`] from its
 /// verified bytes. `expect_ops` is the op count the manifest recorded.
 pub fn decode_delta_log(bytes: &[u8], expect_ops: u64) -> Result<Vec<DeltaLogOp>, SnapshotError> {
-    if bytes.len() < DELTA_LOG_MAGIC.len() + 12 {
-        return Err(SnapshotError::Truncated {
-            expected: (DELTA_LOG_MAGIC.len() + 12) as u64,
-            actual: bytes.len() as u64,
-        });
-    }
-    if bytes[..DELTA_LOG_MAGIC.len()] != DELTA_LOG_MAGIC {
-        return Err(SnapshotError::BadMagic {
-            region: SnapshotRegion::Footer,
-        });
-    }
-    let body = &bytes[..bytes.len() - 4];
-    let mut tail = bytes.len() - 4;
-    let stored = read_u32_le(bytes, &mut tail).ok_or_else(truncated_field)?;
-    if crc32(body) != stored {
-        return Err(SnapshotError::ChecksumMismatch {
-            region: SnapshotRegion::Footer,
-        });
-    }
-    let mut pos = DELTA_LOG_MAGIC.len();
-    let count = read_u64_le(body, &mut pos).ok_or_else(log_truncated)?;
-    if count != expect_ops {
+    let mut r = DELTA_LOG.open(bytes)?;
+    let count = r.count_u64_le(DELTA_OP_MIN_BYTES)?;
+    if count as u64 != expect_ops {
         return Err(SnapshotError::Corrupt {
             detail: format!("delta log holds {count} ops, manifest says {expect_ops}"),
         });
     }
-    // Bound the count by the bytes left before allocating for it: an op
-    // takes at least DELTA_OP_MIN_BYTES.
-    let room = (body.len() - pos) as u64;
-    if count.saturating_mul(DELTA_OP_MIN_BYTES) > room {
-        return Err(SnapshotError::Corrupt {
-            detail: format!("delta log holds {count} ops in {room} bytes"),
-        });
-    }
-    let mut ops = Vec::with_capacity(count as usize);
+    let mut ops = Vec::with_capacity(count);
     for _ in 0..count {
-        let tag = *body.get(pos).ok_or_else(log_truncated)?;
-        pos += 1;
-        let id = read_u64_le(body, &mut pos).ok_or_else(log_truncated)?;
+        let tag = r.u8()?;
+        let id = r.u64_le()?;
         match tag {
             0 => {
-                let len = read_u32_le(body, &mut pos).ok_or_else(log_truncated)? as usize;
-                let raw = body.get(pos..pos + len).ok_or_else(log_truncated)?;
-                pos += len;
-                let text = std::str::from_utf8(raw)
-                    .map_err(|_| SnapshotError::Corrupt {
-                        detail: "delta log text is not UTF-8".to_string(),
-                    })?
-                    .to_string();
+                let len = r.u32_le()?;
+                let text = r.utf8(len as usize)?.to_string();
                 ops.push(DeltaLogOp::Insert { id, text });
             }
             1 => ops.push(DeltaLogOp::Delete { id }),
@@ -497,11 +432,7 @@ pub fn decode_delta_log(bytes: &[u8], expect_ops: u64) -> Result<Vec<DeltaLogOp>
             }
         }
     }
-    if pos != body.len() {
-        return Err(SnapshotError::Corrupt {
-            detail: "trailing bytes after last delta-log op".to_string(),
-        });
-    }
+    r.finish()?;
     Ok(ops)
 }
 

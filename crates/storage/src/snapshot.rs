@@ -33,7 +33,7 @@
 
 use crate::DiskStats;
 use setsim_collections::checksum::crc32;
-use setsim_collections::codec::{read_u32_le, read_u64_le, write_u32_le, write_u64_le};
+use setsim_collections::codec::{write_u32_le, write_u64_le, ByteReader, ReadError};
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -170,6 +170,16 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
+/// A field a decoder could not read: bytes that passed their checksum
+/// but do not decode.
+impl From<ReadError> for SnapshotError {
+    fn from(e: ReadError) -> Self {
+        SnapshotError::Corrupt {
+            detail: e.to_string(),
+        }
+    }
+}
+
 fn encode_header(page_size: u32, num_pages: u64) -> Vec<u8> {
     let mut h = Vec::with_capacity(HEADER_LEN as usize);
     h.extend_from_slice(&SNAPSHOT_MAGIC);
@@ -208,15 +218,13 @@ pub fn seal_page(payload: &[u8], page_size: usize) -> Vec<u8> {
 /// Check a sealed page's embedded CRC against its payload bytes.
 #[must_use]
 pub fn page_checksum_ok(page: &[u8]) -> bool {
-    if page.len() < PAGE_CRC_LEN {
+    let Some(body_len) = page.len().checked_sub(PAGE_CRC_LEN) else {
         return false;
-    }
-    let body = &page[..page.len() - PAGE_CRC_LEN];
-    let mut pos = page.len() - PAGE_CRC_LEN;
-    match read_u32_le(page, &mut pos) {
-        Some(stored) => crc32(body) == stored,
-        None => false,
-    }
+    };
+    let (body, seal) = page.split_at(body_len);
+    ByteReader::new(seal)
+        .u32_le()
+        .is_ok_and(|stored| crc32(body) == stored)
 }
 
 /// Streams a snapshot to a real file: header placeholder, sealed pages,
@@ -371,26 +379,23 @@ impl SnapshotReader {
         // Header.
         let mut header = [0u8; HEADER_LEN as usize];
         file.read_exact(&mut header)?;
-        if header[..8] != SNAPSHOT_MAGIC {
+        let mut r = ByteReader::new(&header);
+        if r.array()? != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic {
                 region: SnapshotRegion::Header,
             });
         }
-        let mut pos = 8usize;
-        let version = read_u32_le(&header, &mut pos).ok_or(SnapshotError::Truncated {
-            expected: HEADER_LEN,
-            actual: file_len,
-        })?;
+        let version = r.u32_le()?;
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion {
                 found: version,
                 supported: SNAPSHOT_VERSION,
             });
         }
-        let page_size = read_u32_le(&header, &mut pos).unwrap_or(0);
-        let num_pages = read_u64_le(&header, &mut pos).unwrap_or(0);
-        let _reserved = read_u32_le(&header, &mut pos);
-        let stored_crc = read_u32_le(&header, &mut pos).unwrap_or(0);
+        let page_size = r.u32_le()?;
+        let num_pages = r.u64_le()?;
+        let _reserved = r.u32_le()?;
+        let stored_crc = r.u32_le()?;
         if crc32(&header[..HEADER_LEN as usize - 4]) != stored_crc {
             return Err(SnapshotError::ChecksumMismatch {
                 region: SnapshotRegion::Header,
@@ -406,15 +411,15 @@ impl SnapshotReader {
         file.seek(SeekFrom::Start(file_len - TRAILER_LEN))?;
         let mut trailer = [0u8; TRAILER_LEN as usize];
         file.read_exact(&mut trailer)?;
-        if trailer[TRAILER_LEN as usize - 4..] != TRAILER_MAGIC {
+        let mut r = ByteReader::new(&trailer);
+        let footer_offset = r.u64_le()?;
+        let footer_len = r.u64_le()?;
+        let footer_crc = r.u32_le()?;
+        if r.array()? != TRAILER_MAGIC {
             return Err(SnapshotError::BadMagic {
                 region: SnapshotRegion::Trailer,
             });
         }
-        let mut pos = 0usize;
-        let footer_offset = read_u64_le(&trailer, &mut pos).unwrap_or(0);
-        let footer_len = read_u64_le(&trailer, &mut pos).unwrap_or(0);
-        let footer_crc = read_u32_le(&trailer, &mut pos).unwrap_or(0);
 
         // Cross-check the layout: header and trailer must describe the
         // same file, and that file must be exactly the one on disk.
@@ -817,8 +822,7 @@ mod tests {
             // whatever is written must read back identically, from the
             // positions the writers advanced past.
             use setsim_collections::codec::{
-                read_bytes, read_str, read_u32_le, read_u64_le, read_varint,
-                write_bytes, write_str, write_u32_le, write_u64_le, write_varint,
+                read_varint, write_bytes, write_str, write_u32_le, write_u64_le, write_varint,
             };
             let mut buf = Vec::new();
             write_u32_le(&mut buf, a);
@@ -826,13 +830,13 @@ mod tests {
             write_varint(&mut buf, v);
             write_str(&mut buf, &s);
             write_bytes(&mut buf, &raw);
-            let mut pos = 0usize;
-            prop_assert_eq!(read_u32_le(&buf, &mut pos), Some(a));
-            prop_assert_eq!(read_u64_le(&buf, &mut pos), Some(b));
-            prop_assert_eq!(read_varint(&buf, &mut pos), Some(v));
-            prop_assert_eq!(read_str(&buf, &mut pos), Some(s.as_str()));
-            prop_assert_eq!(read_bytes(&buf, &mut pos), Some(&raw[..]));
-            prop_assert_eq!(pos, buf.len());
+            let mut r = ByteReader::new(&buf);
+            prop_assert_eq!(r.u32_le(), Ok(a));
+            prop_assert_eq!(r.u64_le(), Ok(b));
+            prop_assert_eq!(r.varint(), Ok(v));
+            prop_assert_eq!(r.str(), Ok(s.as_str()));
+            prop_assert_eq!(r.bytes(), Ok(&raw[..]));
+            prop_assert_eq!(r.finish(), Ok(()));
             // A truncated buffer must fail cleanly (None), never panic or
             // read out of bounds.
             if !buf.is_empty() {
@@ -855,13 +859,12 @@ mod tests {
             let h = encode_header(page_size, num_pages);
             prop_assert_eq!(h.len() as u64, HEADER_LEN);
             prop_assert_eq!(&h[..8], &SNAPSHOT_MAGIC[..]);
-            let mut pos = 8usize;
-            prop_assert_eq!(read_u32_le(&h, &mut pos), Some(SNAPSHOT_VERSION));
-            prop_assert_eq!(read_u32_le(&h, &mut pos), Some(page_size));
-            prop_assert_eq!(read_u64_le(&h, &mut pos), Some(num_pages));
-            let mut crc_pos = 28usize;
-            let crc = read_u32_le(&h, &mut crc_pos);
-            prop_assert_eq!(crc, Some(crc32(&h[..28])));
+            let mut r = ByteReader::new(&h[8..]);
+            prop_assert_eq!(r.u32_le(), Ok(SNAPSHOT_VERSION));
+            prop_assert_eq!(r.u32_le(), Ok(page_size));
+            prop_assert_eq!(r.u64_le(), Ok(num_pages));
+            let crc = ByteReader::new(&h[28..]).u32_le();
+            prop_assert_eq!(crc, Ok(crc32(&h[..28])));
             let mut bad = h.clone();
             bad[flip_at] ^= 1 << bit;
             // CRC32 detects every single-bit error in the covered prefix.

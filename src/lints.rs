@@ -6,10 +6,12 @@
 //!
 //! * the source-text policies no lint expresses: every public item of
 //!   `setsim-core`'s algorithms cites where in the paper it comes from,
-//!   in its own `///` docs or in the file's `//!` header; and library
-//!   code never writes a bare `unreachable!()`, because the message
-//!   states the violated invariant and turns a dead branch into a
-//!   diagnosable bug report;
+//!   in its own `///` docs or in the file's `//!` header; library code
+//!   never writes a bare `unreachable!()`, because the message states the
+//!   violated invariant and turns a dead branch into a diagnosable bug
+//!   report; and a decoder sizes an allocation only from a count its
+//!   `ByteReader` bounded by the bytes left, so hostile input cannot make
+//!   it reserve more than a constant times its length;
 //! * a pin on the clippy configuration itself: deleting a `#![deny(..)]`
 //!   line or a `disallowed-methods` entry leaves clippy green, so each
 //!   policy row of §13 is asserted to be configured in the scope it
@@ -83,6 +85,82 @@ fn bare_unreachable_findings(path: &str, source: &str) -> Vec<String> {
         .filter(|(_, line)| line.contains("unreachable!()") && !line.trim_start().starts_with("//"))
         .map(|(n, line)| format!("{path}:{}: {}", n + 1, line.trim()))
         .collect()
+}
+
+/// The files whose decoders read bytes from outside the program: the
+/// snapshot footer, header and trailer, the two manifests, the delta log
+/// and the wire frames.
+const DECODER_MODULES: [&str; 4] = [
+    "crates/core/src/api.rs",
+    "crates/core/src/snapshot.rs",
+    "crates/storage/src/manifest.rs",
+    "crates/storage/src/snapshot.rs",
+];
+
+/// What marks a function as a decoder: it names the reader, or reads a
+/// field through one (a reader can come from an opener such as the
+/// manifests' `Sealed::open`).
+const READER_MARKS: [&str; 8] = [
+    "ByteReader",
+    ".u8()",
+    ".bool()",
+    ".u32_le()",
+    ".u64_le()",
+    ".varint()",
+    ".str()",
+    ".count",
+];
+
+/// True for a line that opens a function item or method.
+fn opens_fn(line: &str) -> bool {
+    let item = line.trim_start();
+    ["fn ", "pub fn ", "pub(crate) fn "]
+        .iter()
+        .any(|p| item.starts_with(p))
+}
+
+/// `with_capacity` calls in the decoders of `source` (the functions that
+/// read through a `ByteReader`, [`READER_MARKS`]) whose argument is not a
+/// binding the same function took from a `count` call, as
+/// `path:line: text` findings. The file's test module is not scanned.
+fn unbounded_capacity_findings(path: &str, source: &str) -> Vec<String> {
+    let code = source.split("#[cfg(test)]\nmod tests").next().unwrap_or("");
+    let lines: Vec<&str> = code.lines().collect();
+    let mut starts: Vec<usize> = (0..lines.len()).filter(|&n| opens_fn(lines[n])).collect();
+    starts.push(lines.len());
+    let mut findings = Vec::new();
+    for span in starts.windows(2) {
+        let body: Vec<&str> = lines[span[0]..span[1]]
+            .iter()
+            .copied()
+            .filter(|l| !l.trim_start().starts_with("//"))
+            .collect();
+        let body = body.join("\n");
+        if !READER_MARKS.iter().any(|mark| body.contains(mark)) {
+            continue;
+        }
+        for (n, line) in lines.iter().enumerate().take(span[1]).skip(span[0]) {
+            let Some((_, rest)) = line.split_once("with_capacity(") else {
+                continue;
+            };
+            let arg = rest.split(')').next().unwrap_or("").trim();
+            if !bound_by_count(&body, arg) {
+                findings.push(format!("{path}:{}: {}", n + 1, line.trim()));
+            }
+        }
+    }
+    findings
+}
+
+/// True if `body` binds the plain identifier `arg` from a `count` call.
+fn bound_by_count(body: &str, arg: &str) -> bool {
+    if arg.is_empty() || !arg.chars().all(|c| c.is_alphanumeric() || c == '_') {
+        return false;
+    }
+    [format!("let {arg} ="), format!("let mut {arg} =")]
+        .iter()
+        .filter_map(|binding| body.split_once(binding.as_str()))
+        .any(|(_, rest)| rest.split(';').next().unwrap_or("").contains(".count"))
 }
 
 fn workspace() -> &'static Path {
@@ -186,19 +264,17 @@ fn assert_disallows(crates: &[&str], methods: &[&str]) {
     }
 }
 
-/// The ten `setsim_collections::codec` primitives and the integer
-/// byte-order conversions the wire policy keeps out of serving code.
-const WIRE_PRIMITIVES: [&str; 14] = [
+/// The `setsim_collections::codec` writers, the varint primitive, the
+/// `ByteReader` constructor every decoder starts from, and the integer byte-order conversions: the
+/// wire policy keeps them all out of serving code.
+const WIRE_PRIMITIVES: [&str; 11] = [
     "setsim_collections::codec::write_varint",
     "setsim_collections::codec::read_varint",
     "setsim_collections::codec::write_u32_le",
-    "setsim_collections::codec::read_u32_le",
     "setsim_collections::codec::write_u64_le",
-    "setsim_collections::codec::read_u64_le",
     "setsim_collections::codec::write_bytes",
-    "setsim_collections::codec::read_bytes",
     "setsim_collections::codec::write_str",
-    "setsim_collections::codec::read_str",
+    "setsim_collections::codec::ByteReader::new",
     "u32::to_le_bytes",
     "u32::from_le_bytes",
     "u64::to_le_bytes",
@@ -447,6 +523,49 @@ mod tests {
     #[test]
     fn direct_index_build_in_cli_is_flagged() {
         assert_disallows(&["core", "cli", "server"], &INDEX_CONSTRUCTORS);
+    }
+
+    #[test]
+    fn decoders_size_allocations_only_from_bounded_counts() {
+        let scope: Vec<PathBuf> = DECODER_MODULES
+            .iter()
+            .map(|f| workspace().join(f))
+            .collect();
+        let unbounded = scan(&scope, unbounded_capacity_findings);
+        assert!(
+            unbounded.is_empty(),
+            "size a decoder's allocation with a `ByteReader::count` binding:\n{}",
+            unbounded.join("\n")
+        );
+    }
+
+    #[test]
+    fn capped_or_unread_capacity_in_a_decoder_is_flagged() {
+        let decoder = "fn decode(r: &mut ByteReader<'_>) -> Vec<u8> {\n    \
+                       let n = r\n        .count(1)?;\n    \
+                       let mut v = Vec::with_capacity(n);\n    v\n}\n";
+        assert!(unbounded_capacity_findings("a.rs", decoder).is_empty());
+        for bad in ["n.min(1 << 20)", "m"] {
+            let src = decoder.replace("with_capacity(n)", &format!("with_capacity({bad})"));
+            assert_eq!(unbounded_capacity_findings("a.rs", &src).len(), 1, "{bad}");
+        }
+        let raw = decoder.replace(".count(1)?", ".varint()? as usize");
+        assert_eq!(
+            unbounded_capacity_findings("a.rs", &raw),
+            ["a.rs:4: let mut v = Vec::with_capacity(n);"]
+        );
+        // A reader handed over by an opener marks a decoder too.
+        let opened = raw
+            .replace("r: &mut ByteReader<'_>", "bytes: &[u8]")
+            .replacen(
+                "    let n",
+                "    let mut r = SEALED.open(bytes)?;\n    let n",
+                1,
+            );
+        assert_eq!(unbounded_capacity_findings("a.rs", &opened).len(), 1);
+        // An encoder, which reads nothing, is not a decoder.
+        let encoder = "fn encode(n: usize) -> Vec<u8> {\n    Vec::with_capacity(n)\n}\n";
+        assert!(unbounded_capacity_findings("a.rs", encoder).is_empty());
     }
 
     #[test]
